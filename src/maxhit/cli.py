@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from .dnorm import LevelFunction, dnorm_estimate
 from .errors import BoundTooLooseError, InvalidSpecError, UnknownCheckError
-from .generators import GeneratorSpec, generator_from_json, generator_to_json
+from .generators import GeneratorSpec, generator_from_json
 from .hitting import MultiHitQuery, hitting_curve, multi_hit_prob, two_hit_prob
 from .msp import DEFAULT_MAX_POINTS, msp_corpus
 from .paths import Interval, TimeGrid, make_grid
@@ -79,60 +80,6 @@ class RunConfig:
     timestamp: bool = True
     list_checks: bool = False
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "seed": self.seed,
-            "grid_points": self.grid_points,
-            "n": self.n,
-            "out": self.out,
-            "threads": self.threads,
-            "generator": (
-                generator_to_json(self.generator) if self.generator else None
-            ),
-            "paths": self.paths,
-            "max_points": self.max_points,
-            "level_function": self.level_function,
-            "levels": list(self.levels),
-            "interval": list(self.interval),
-            "x0": self.x0,
-            "split": self.split,
-            "intervals": [list(iv) for iv in self.intervals],
-            "suite": (
-                self.suite if isinstance(self.suite, str) else list(self.suite)
-            ),
-            "timestamp": self.timestamp,
-            "list_checks": self.list_checks,
-        }
-        return doc
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "RunConfig":
-        return RunConfig(
-            command=doc["command"],
-            seed=doc["seed"],
-            grid_points=doc["grid_points"],
-            n=doc["n"],
-            out=doc["out"],
-            threads=doc["threads"],
-            generator=(
-                generator_from_json(doc["generator"]) if doc["generator"] else None
-            ),
-            paths=doc["paths"],
-            max_points=doc["max_points"],
-            level_function=doc["level_function"],
-            levels=tuple(doc["levels"]),
-            interval=tuple(doc["interval"]),
-            x0=doc["x0"],
-            split=doc["split"],
-            intervals=tuple(tuple(iv) for iv in doc["intervals"]),
-            suite=(
-                doc["suite"] if isinstance(doc["suite"], str) else tuple(doc["suite"])
-            ),
-            timestamp=doc["timestamp"],
-            list_checks=doc["list_checks"],
-        )
-
 
 def _default_n() -> int:
     raw = os.environ.get(ENV_DEFAULT_N)
@@ -165,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None,
                        help=f"replications (default 100000 or ${ENV_DEFAULT_N})")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
 
     p_sim = sub.add_parser("simulate", help="write simulated paths as CSV")
     common(p_sim)
@@ -193,6 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     common(p_ver, needs_generator=False)
+    p_ver.add_argument("--threads", type=int, default=1,
+                       help="checks run in parallel (report unchanged)")
     p_ver.add_argument("--suite", default="paper",
                        help='"paper" or comma-separated check ids')
     p_ver.add_argument("--no-timestamp", action="store_true",
@@ -250,11 +198,8 @@ def parse_invocation(argv: list[str]) -> RunConfig:
         raise UsageError(f"--n must be >= 1, got {n}")
     if ns.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {ns.grid}")
-    if ns.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {ns.threads}")
     base = dict(
-        command=ns.command, seed=ns.seed, grid_points=ns.grid, n=n,
-        out=ns.out, threads=ns.threads,
+        command=ns.command, seed=ns.seed, grid_points=ns.grid, n=n, out=ns.out
     )
 
     if ns.command == "simulate":
@@ -293,6 +238,8 @@ def parse_invocation(argv: list[str]) -> RunConfig:
             levels = (ns.x,)
         else:
             raise UsageError("one of --x or --levels is required")
+        if not all(math.isfinite(x) for x in levels):
+            raise UsageError("levels must be finite")
         if any(x >= 0 for x in levels):
             raise UsageError("level must be negative")
         if len(levels) > 1 and any(
@@ -310,6 +257,8 @@ def parse_invocation(argv: list[str]) -> RunConfig:
     if ns.command == "multihit":
         if ns.x0 is None:
             raise UsageError("--x0 is required")
+        if not math.isfinite(ns.x0):
+            raise UsageError("--x0 must be finite")
         if ns.x0 >= 0:
             raise UsageError("level must be negative")
         if (ns.split is None) == (ns.intervals is None):
@@ -333,6 +282,8 @@ def parse_invocation(argv: list[str]) -> RunConfig:
         )
 
     # verify
+    if ns.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {ns.threads}")
     suite: str | tuple[str, ...]
     if ns.suite == "paper":
         suite = "paper"
@@ -343,8 +294,8 @@ def parse_invocation(argv: list[str]) -> RunConfig:
             if cid not in known:
                 raise UsageError(f"unknown check id: {cid!r}")
     return RunConfig(
-        **base, suite=suite, timestamp=not ns.no_timestamp,
-        list_checks=ns.list_checks,
+        **base, threads=ns.threads, suite=suite,
+        timestamp=not ns.no_timestamp, list_checks=ns.list_checks,
     )
 
 
@@ -396,8 +347,6 @@ def _level_function_from_doc(doc: dict, grid: TimeGrid) -> LevelFunction:
             times = [float(p[0]) for p in pts]
             levels = [float(p[1]) for p in pts]
             return LevelFunction.piecewise_linear(grid, times, levels)
-    except UsageError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"bad level function document: {exc}")
     raise UsageError(f"unknown level function shape {shape!r}")
@@ -490,19 +439,11 @@ def dispatch(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config = parse_invocation(argv)
-    except UsageError as exc:
+        return dispatch(parse_invocation(argv))
+    except (UsageError, UnknownCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnknownCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return dispatch(config)
-    except BoundTooLooseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BoundTooLooseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

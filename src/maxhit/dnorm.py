@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import Estimate, RunningMean
-from .generators import (
-    GeneratorSpec,
-    generator_moments,
-    sample_generator_block,
-    validate_spec,
-)
+from .estimates import Estimate, RunningMean, seed_echo, stream_means
+from .generators import GeneratorSpec, generator_blocks
 from .paths import Interval, TimeGrid, _frozen_array
-from .streams import Seed, block_streams
+from .streams import Seed
 
 SHAPE_TAGS = ("constant", "indicator_step", "piecewise_linear")
 
@@ -84,26 +79,26 @@ class LevelFunction:
         return LevelFunction(grid, np.interp(grid.points, t, v), "piecewise_linear")
 
 
-@dataclass(frozen=True)
-class DNormEstimate:
-    """Monte Carlo D-norm value with its standard error."""
-
-    value: float
-    se: float
-    n: int
-
-    def __post_init__(self):
-        if self.value < 0.0 or self.se < 0.0:
-            raise ValueError("D-norm estimates are nonnegative")
-
-
-def _as_dnorm(est: Estimate) -> DNormEstimate:
-    return DNormEstimate(value=est.value, se=est.se, n=est.n)
+def _dnorm_pass(
+    spec: GeneratorSpec, fs: list[LevelFunction], n: int, seed: Seed, *extra
+) -> RunningMean:
+    """Means of sup |f| Z for every f, then of each ``extra`` statistic, all
+    from one shared set of generator paths."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    grid = fs[0].grid
+    for f in fs[1:]:
+        if not np.array_equal(f.grid.points, grid.points):
+            raise ValueError("shared-draw D-norms need a common grid")
+    sups = [
+        lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
+    ]
+    return stream_means(generator_blocks(spec, grid, n, seed), *sups, *extra)
 
 
 def dnorm_estimates(
     spec: GeneratorSpec, fs: list[LevelFunction], n: int, seed: Seed
-) -> list[DNormEstimate]:
+) -> list[Estimate]:
     """D-norms of several functions from one shared set of generator paths.
 
     All functions must share a grid. Per draw, each function sees the same
@@ -112,61 +107,47 @@ def dnorm_estimates(
     """
     if not fs:
         return []
-    validate_spec(spec)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    grid = fs[0].grid
-    for f in fs[1:]:
-        if not np.array_equal(f.grid.points, grid.points):
-            raise ValueError("shared-draw D-norms need a common grid")
-    absf = [np.abs(f.values) for f in fs]
-    acc = RunningMean(k=len(fs))
-    for count, rng in block_streams(seed, n):
-        z = sample_generator_block(spec, grid.points, rng, count)
-        acc.add(*(np.max(z * af[None, :], axis=1) for af in absf))
-    return [_as_dnorm(acc.estimate(i)) for i in range(len(fs))]
+    acc = _dnorm_pass(spec, fs, n, seed)
+    return [acc.estimate(i, seed_echo(seed)) for i in range(len(fs))]
 
 
 def dnorm_estimate(
     spec: GeneratorSpec, f: LevelFunction, n: int, seed: Seed
-) -> DNormEstimate:
+) -> Estimate:
     """Monte Carlo mean of sup |f| Z over ``n`` generator paths."""
     return dnorm_estimates(spec, [f], n, seed)[0]
 
 
 def dnorm_indicator(
     spec: GeneratorSpec, interval: Interval, grid: TimeGrid, n: int, seed: Seed
-) -> DNormEstimate:
+) -> Estimate:
     """D-norm of the indicator of ``interval``: E sup of Z over it.
 
     With interval [0, 1] this reproduces generator_moments' m_hat exactly
     for the same seed (same draws, same functional).
     """
-    validate_spec(spec)
     sl = grid.slice_of(interval)
-    acc = RunningMean(k=1)
-    for count, rng in block_streams(seed, n):
-        z = sample_generator_block(spec, grid.points, rng, count)
-        acc.add(z[:, sl].max(axis=1))
-    return _as_dnorm(acc.estimate(0))
+    acc = stream_means(
+        generator_blocks(spec, grid, n, seed), lambda z: z[:, sl].max(axis=1)
+    )
+    return acc.estimate(0, seed_echo(seed))
 
 
 def survivor_lower_bound(
     spec: GeneratorSpec, f: LevelFunction, n: int, seed: Seed
 ) -> float:
     """Estimated lower bound 1 - exp(-E inf |f| Z) for P(eta > f everywhere)."""
-    validate_spec(spec)
     absf = np.abs(f.values)
-    acc = RunningMean(k=1)
-    for count, rng in block_streams(seed, n):
-        z = sample_generator_block(spec, f.grid.points, rng, count)
-        acc.add(np.min(z * absf[None, :], axis=1))
+    acc = stream_means(
+        generator_blocks(spec, f.grid, n, seed),
+        lambda z: np.min(z * absf[None, :], axis=1),
+    )
     return 1.0 - math.exp(-acc.estimate(0).value)
 
 
 @dataclass(frozen=True)
 class ProbeComparison:
-    dnorm: DNormEstimate
+    dnorm: Estimate
     sup_norm: float
 
     @property
@@ -202,15 +183,19 @@ def takahashi_check(
     """
     if len(probes) < 3:
         raise ValueError("need at least 3 probe functions")
-    validate_spec(spec)
-    grid = probes[0].grid
-    ests = dnorm_estimates(spec, probes, n, seed)
-    m_hat = generator_moments(spec, grid, n, seed).m_hat
-    comps = []
-    ok = True
-    for f, est in zip(probes, ests):
-        sup_norm = float(np.max(np.abs(f.values)))
-        comps.append(ProbeComparison(dnorm=est, sup_norm=sup_norm))
-        if abs(est.value - sup_norm) > 3.0 * est.se + atol:
-            ok = False
-    return TakahashiReport(complete_dependence=ok, m_hat=m_hat, probes=comps)
+    # sup Z rides along as one more statistic of the same draws; it equals
+    # generator_moments' m_hat bit for bit at the same seed
+    acc = _dnorm_pass(spec, probes, n, seed, lambda z: z.max(axis=1))
+    comps = [
+        ProbeComparison(
+            dnorm=acc.estimate(i, seed_echo(seed)),
+            sup_norm=float(np.max(np.abs(f.values))),
+        )
+        for i, f in enumerate(probes)
+    ]
+    ok = all(abs(c.gap) <= 3.0 * c.dnorm.se + atol for c in comps)
+    return TakahashiReport(
+        complete_dependence=ok,
+        m_hat=acc.estimate(len(probes), seed_echo(seed)),
+        probes=comps,
+    )

@@ -1,14 +1,19 @@
-"""Monte Carlo result containers and interval rules.
+"""Monte Carlo result containers, interval rules and block reducers.
 
 Probability estimates carry a Wilson 95% score interval, except at the
 boundaries: zero observed successes yield the rule-of-three interval
 ``[0, 3/n]`` (and symmetrically ``[1 - 3/n, 1]`` for n-of-n), which is the
 testable form of "this probability is zero" used by the verification suite.
+
+Every estimator streams seeded blocks of paths and reduces each block in
+one of two ways: ``count_events`` counts rows whose event mask holds, and
+``stream_means`` accumulates per-row statistics into a ``RunningMean``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +47,11 @@ class Estimate:
             "n": self.n,
             "seed": self.seed,
         }
+
+
+def seed_echo(seed: object) -> int | None:
+    """The seed an estimate reports: integer seeds only, None for a SeedSequence."""
+    return seed if isinstance(seed, int) else None
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
@@ -96,16 +106,17 @@ def mean_estimate_from_sums(
 class RunningMean:
     """Accumulates sums for one or more statistics over streamed blocks.
 
-    Each statistic is fed as its own 1-D array per block, so summation
-    order (and hence the float result) is identical no matter how many
-    statistics share the accumulator.
+    A statistic gives one value per row (a 1-D array per block) or one
+    vector per row (a 2-D array, summed per column). Each statistic is
+    summed on its own, so summation order (and hence the float result) is
+    identical no matter how many statistics share the accumulator.
     """
 
     def __init__(self, k: int = 1):
         self.k = k
         self.n = 0
-        self.total = np.zeros(k)
-        self.total_sq = np.zeros(k)
+        self.total = [0.0] * k
+        self.total_sq = [0.0] * k
 
     def add(self, *columns: np.ndarray) -> None:
         if len(columns) != self.k:
@@ -113,13 +124,34 @@ class RunningMean:
         rows = columns[0].shape[0]
         for i, col in enumerate(columns):
             c = np.ascontiguousarray(col, dtype=float)
-            if c.shape != (rows,):
-                raise ValueError("statistics must be 1-D arrays of equal length")
-            self.total[i] += c.sum()
-            self.total_sq[i] += np.square(c).sum()
+            if c.ndim not in (1, 2) or c.shape[0] != rows:
+                raise ValueError("statistics must be arrays with equal row counts")
+            self.total[i] = self.total[i] + c.sum(axis=0)
+            self.total_sq[i] = self.total_sq[i] + np.square(c).sum(axis=0)
         self.n += rows
 
     def estimate(self, i: int = 0, seed: int | None = None) -> Estimate:
         return mean_estimate_from_sums(
             float(self.total[i]), float(self.total_sq[i]), self.n, seed
         )
+
+
+def count_events(blocks: Iterable[np.ndarray], *events: Callable) -> list:
+    """Per event, the number of rows whose mask is true over all blocks.
+
+    An event maps a block to a boolean mask with one entry per row; a 2-D
+    mask of shape (rows, k) counts k events at once, column by column.
+    """
+    counts = [0] * len(events)
+    for block in blocks:
+        for i, event in enumerate(events):
+            counts[i] = counts[i] + np.count_nonzero(event(block), axis=0)
+    return counts
+
+
+def stream_means(blocks: Iterable[np.ndarray], *stats: Callable) -> RunningMean:
+    """Running sums of each statistic (block -> per-row values) over all blocks."""
+    acc = RunningMean(k=len(stats))
+    for block in blocks:
+        acc.add(*(stat(block) for stat in stats))
+    return acc

@@ -30,13 +30,16 @@ row ``i``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .estimates import Estimate, RunningMean, binomial_estimate
+from .estimates import (
+    Estimate, binomial_estimate, count_events, seed_echo, stream_means
+)
 from .paths import Interval, SamplePath, TimeGrid
 from .streams import Seed, block_streams
 
@@ -246,7 +249,7 @@ def sample_paths(
     raise InvalidSpecError([f"unknown generator type {type(spec).__name__}"])
 
 
-def sample_generator_block(
+def _sample_block(
     spec: GeneratorSpec, grid_points: np.ndarray, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """Sample ``count`` paths, consuming one (count, k) uniform block."""
@@ -260,8 +263,21 @@ def sample_generator(
 ) -> SamplePath:
     """One realization of Z on the grid."""
     validate_spec(spec)
-    values = sample_generator_block(spec, grid.points, stream, 1)[0]
+    values = _sample_block(spec, grid.points, stream, 1)[0]
     return SamplePath(grid, values)
+
+
+def generator_blocks(
+    spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
+) -> Iterator[np.ndarray]:
+    """Stream blocks of generator paths as (block, len(grid)) arrays.
+
+    Block ``b`` draws from child stream ``b`` of ``seed``, so the
+    concatenation over blocks is a deterministic function of (seed, n, grid).
+    """
+    validate_spec(spec)
+    for count, rng in block_streams(seed, n):
+        yield _sample_block(spec, grid.points, rng, count)
 
 
 def generator_corpus(
@@ -272,12 +288,7 @@ def generator_corpus(
     Identical draws to the streaming estimators for the same seed; intended
     for shared-draw property checks at moderate n.
     """
-    validate_spec(spec)
-    blocks = [
-        sample_generator_block(spec, grid.points, rng, count)
-        for count, rng in block_streams(seed, n)
-    ]
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate(list(generator_blocks(spec, grid, n, seed)), axis=0)
 
 
 @dataclass(frozen=True)
@@ -296,16 +307,16 @@ def generator_moments(
     spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
 ) -> GeneratorMoments:
     """Estimate the generator constants m = E sup Z and m~ = E inf Z."""
-    validate_spec(spec)
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = RunningMean(k=2)
-    for count, rng in block_streams(seed, n):
-        z = sample_generator_block(spec, grid.points, rng, count)
-        acc.add(z.max(axis=1), z.min(axis=1))
-    seed_echo = seed if isinstance(seed, int) else None
+    acc = stream_means(
+        generator_blocks(spec, grid, n, seed),
+        lambda z: z.max(axis=1),
+        lambda z: z.min(axis=1),
+    )
     return GeneratorMoments(
-        m_hat=acc.estimate(0, seed_echo), m_tilde_hat=acc.estimate(1, seed_echo)
+        m_hat=acc.estimate(0, seed_echo(seed)),
+        m_tilde_hat=acc.estimate(1, seed_echo(seed)),
     )
 
 
@@ -364,16 +375,14 @@ def sup_equals_max_rate(
     Equality is tested to ``tol``; the Wilson/rule-of-three CI comes from
     the observed frequency.
     """
-    validate_spec(spec)
     sl = grid.slice_of(interval)
-    successes = 0
-    for count, rng in block_streams(seed, n):
-        z = sample_generator_block(spec, grid.points, rng, count)
+
+    def sup_at_endpoint(z: np.ndarray) -> np.ndarray:
         zi = z[:, sl]
-        sup = zi.max(axis=1)
-        end_max = np.maximum(zi[:, 0], zi[:, -1])
-        successes += int(np.count_nonzero(np.abs(sup - end_max) <= tol))
-    return binomial_estimate(successes, n, seed if isinstance(seed, int) else None)
+        return np.abs(zi.max(axis=1) - np.maximum(zi[:, 0], zi[:, -1])) <= tol
+
+    (successes,) = count_events(generator_blocks(spec, grid, n, seed), sup_at_endpoint)
+    return binomial_estimate(int(successes), n, seed_echo(seed))
 
 
 # --- JSON interchange ------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnorm import LevelFunction
-from .estimates import Estimate, binomial_estimate
+from .estimates import Estimate, binomial_estimate, count_events, seed_echo
 from .generators import GeneratorSpec, closed_form_m, closed_form_m_tilde
 from .msp import msp_path_blocks
 from .paths import Interval, TimeGrid
@@ -70,15 +70,20 @@ class MultiHitQuery:
                 raise ValueError(f"triple must be strictly ordered, got {self.triple}")
 
 
-def _hit_mask(eta: np.ndarray, sl: slice, x: float) -> np.ndarray:
+def hit_mask(eta: np.ndarray, sl: slice, x: float) -> np.ndarray:
+    """Rows of a path block whose grid min and max over ``sl`` bracket ``x``."""
     seg = eta[:, sl]
     mn = seg.min(axis=1)
     mx = seg.max(axis=1)
     return (mn <= x) & (x <= mx)
 
 
-def _seed_echo(seed: Seed) -> int | None:
-    return seed if isinstance(seed, int) else None
+def down_up_down_mask(
+    eta: np.ndarray, cols: tuple[int, int, int], x0: float
+) -> np.ndarray:
+    """Rows with eta <= x0 at cols[0] and cols[2] but eta > x0 at cols[1]."""
+    i_lo, i_mid, i_hi = cols
+    return (eta[:, i_lo] <= x0) & (eta[:, i_mid] > x0) & (eta[:, i_hi] <= x0)
 
 
 def hitting_prob(
@@ -90,13 +95,7 @@ def hitting_prob(
     seed: Seed,
 ) -> Estimate:
     """Frequency of paths meeting level ``x`` somewhere in ``interval``."""
-    if not x < 0.0:
-        raise ValueError(f"level must be negative, got {x}")
-    sl = grid.slice_of(interval)
-    successes = 0
-    for eta in msp_path_blocks(spec, grid, n, seed):
-        successes += int(np.count_nonzero(_hit_mask(eta, sl, x)))
-    return binomial_estimate(successes, n, _seed_echo(seed))
+    return multi_hit_prob(spec, x, 1, [interval], grid, n, seed)
 
 
 def curve_hit_prob(
@@ -106,14 +105,11 @@ def curve_hit_prob(
 
     The path meets f when eta - f changes sign or touches zero on the grid.
     """
-    fv = f.values
-    successes = 0
-    for eta in msp_path_blocks(spec, f.grid, n, seed):
-        d = eta - fv[None, :]
-        successes += int(
-            np.count_nonzero((d.min(axis=1) <= 0.0) & (0.0 <= d.max(axis=1)))
-        )
-    return binomial_estimate(successes, n, _seed_echo(seed))
+    (successes,) = count_events(
+        msp_path_blocks(spec, f.grid, n, seed),
+        lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0),
+    )
+    return binomial_estimate(int(successes), n, seed_echo(seed))
 
 
 @dataclass(frozen=True)
@@ -164,14 +160,15 @@ def hitting_curve(
     if np.any(np.diff(lv) >= 0.0):
         raise ValueError("levels must be strictly decreasing")
     sl = grid.slice_of(interval)
-    counts = np.zeros(lv.size, dtype=int)
-    for eta in msp_path_blocks(spec, grid, n, seed):
+
+    def levels_hit(eta: np.ndarray) -> np.ndarray:
+        # one min and one max per path, broadcast over the levels
         seg = eta[:, sl]
         mn = seg.min(axis=1)
         mx = seg.max(axis=1)
-        counts += np.count_nonzero(
-            (mn[None, :] <= lv[:, None]) & (lv[:, None] <= mx[None, :]), axis=1
-        )
+        return (mn[:, None] <= lv[None, :]) & (lv[None, :] <= mx[:, None])
+
+    (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), levels_hit)
     if m is None:
         m = closed_form_m(spec)
     if m_tilde is None:
@@ -181,7 +178,7 @@ def hitting_curve(
             "no closed-form moments for this spec; pass m and m_tilde"
         )
     bounds = np.array([hitting_bound(m, m_tilde, x) for x in lv])
-    ests = [binomial_estimate(int(c), n, _seed_echo(seed)) for c in counts]
+    ests = [binomial_estimate(int(c), n, seed_echo(seed)) for c in counts]
     return HittingCurve(levels=lv, estimates=ests, upper_bounds=bounds)
 
 
@@ -222,13 +219,12 @@ def down_up_down_prob(
     """
     if query.triple is None:
         raise ValueError("query must carry a time triple")
-    i_lo, i_mid, i_hi = (grid.index_of(t) for t in query.triple)
-    x0 = query.x0
-    successes = 0
-    for eta in msp_path_blocks(spec, grid, n, seed):
-        ok = (eta[:, i_lo] <= x0) & (eta[:, i_mid] > x0) & (eta[:, i_hi] <= x0)
-        successes += int(np.count_nonzero(ok))
-    return binomial_estimate(successes, n, _seed_echo(seed))
+    cols = tuple(grid.index_of(t) for t in query.triple)
+    (successes,) = count_events(
+        msp_path_blocks(spec, grid, n, seed),
+        lambda eta: down_up_down_mask(eta, cols, query.x0),
+    )
+    return binomial_estimate(int(successes), n, seed_echo(seed))
 
 
 def two_hit_prob(
@@ -244,13 +240,8 @@ def two_hit_prob(
     i0 = grid.index_of(query.split)
     if i0 in (0, len(grid) - 1):
         raise ValueError("split must be an interior grid point")
-    left = slice(0, i0 + 1)
-    right = slice(i0, len(grid))
-    successes = 0
-    for eta in msp_path_blocks(spec, grid, n, seed):
-        ok = _hit_mask(eta, left, query.x0) & _hit_mask(eta, right, query.x0)
-        successes += int(np.count_nonzero(ok))
-    return binomial_estimate(successes, n, _seed_echo(seed))
+    halves = [Interval(0.0, query.split), Interval(query.split, 1.0)]
+    return multi_hit_prob(spec, query.x0, 2, halves, grid, n, seed)
 
 
 def multi_hit_prob(
@@ -280,10 +271,8 @@ def multi_hit_prob(
                 f"intervals overlap: [{prev.lo}, {prev.hi}] and [{nxt.lo}, {nxt.hi}]"
             )
     slices = [grid.slice_of(iv) for iv in ordered]
-    successes = 0
-    for eta in msp_path_blocks(spec, grid, n, seed):
-        ok = np.ones(eta.shape[0], dtype=bool)
-        for sl in slices:
-            ok &= _hit_mask(eta, sl, x0)
-        successes += int(np.count_nonzero(ok))
-    return binomial_estimate(successes, n, _seed_echo(seed))
+    (successes,) = count_events(
+        msp_path_blocks(spec, grid, n, seed),
+        lambda eta: np.logical_and.reduce([hit_mask(eta, sl, x0) for sl in slices]),
+    )
+    return binomial_estimate(int(successes), n, seed_echo(seed))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dnorm import LevelFunction
 from .errors import BoundTooLooseError
-from .estimates import Estimate, binomial_estimate
+from .estimates import Estimate, binomial_estimate, count_events, seed_echo
 from .generators import (
     UNIFORMS_PER_PATH,
     CompleteDependence,
@@ -69,6 +69,38 @@ def generator_bound(spec: GeneratorSpec) -> float:
     raise TypeError(f"unhandled spec {type(spec).__name__}")
 
 
+def _arrival_round(
+    spec: GeneratorSpec,
+    grid_points: np.ndarray,
+    rng: np.random.Generator,
+    gamma: np.ndarray,
+    xi: np.ndarray,
+    bound: float,
+) -> np.ndarray:
+    """One arrival for every row of ``gamma``/``xi``, updated in place.
+
+    Draws the exponential spacings, then the generator paths; divides by
+    the new Gamma and max-accumulates into xi. Returns the rows whose
+    stopping rule C / Gamma < min xi now holds.
+    """
+    rows = gamma.size
+    gamma += rng.standard_exponential(rows)
+    k = UNIFORMS_PER_PATH[type(spec)]
+    u = rng.random((rows, k)) if k else np.empty((rows, 0))
+    z = sample_paths(spec, grid_points, u)
+    z /= gamma[:, None]
+    np.maximum(xi, z, out=xi)
+    return bound / gamma < xi.min(axis=1)
+
+
+def _too_loose(
+    bound: float, gamma: np.ndarray, xi: np.ndarray, arrivals: int
+) -> BoundTooLooseError:
+    """The error for rows still short of their stopping rule."""
+    deficit = float((bound / gamma - xi.min(axis=1)).max())
+    return BoundTooLooseError(deficit=deficit, arrivals=arrivals)
+
+
 def _spectral_block(
     spec: GeneratorSpec,
     grid_points: np.ndarray,
@@ -76,9 +108,11 @@ def _spectral_block(
     count: int,
     max_points: int,
 ) -> np.ndarray:
-    """xi values for one block of replicas; shape (count, len(grid_points))."""
+    """xi values for one block of replicas; shape (count, len(grid_points)).
+
+    Rows leave the active set the round their stopping rule fires.
+    """
     bound = generator_bound(spec)
-    k = UNIFORMS_PER_PATH[type(spec)]
     npts = grid_points.size
     xi_out = np.empty((count, npts))
     idx = np.arange(count)
@@ -87,15 +121,9 @@ def _spectral_block(
     arrivals = 0
     while idx.size:
         if arrivals >= max_points:
-            deficit = float((bound / gamma - xi.min(axis=1)).max())
-            raise BoundTooLooseError(deficit=deficit, arrivals=arrivals)
+            raise _too_loose(bound, gamma, xi, arrivals)
         arrivals += 1
-        gamma += rng.standard_exponential(idx.size)
-        u = rng.random((idx.size, k)) if k else np.empty((idx.size, 0))
-        z = sample_paths(spec, grid_points, u)
-        z /= gamma[:, None]
-        np.maximum(xi, z, out=xi)
-        done = bound / gamma < xi.min(axis=1)
+        done = _arrival_round(spec, grid_points, rng, gamma, xi, bound)
         if done.any():
             xi_out[idx[done]] = xi[done]
             keep = ~done
@@ -159,11 +187,11 @@ def joint_cdf_estimate(
     """Monte Carlo estimate of P(eta_t <= f(t) at every grid point)."""
     if not np.array_equal(f.grid.points, grid.points):
         raise ValueError("level function is not defined on the given grid")
-    fv = f.values
-    successes = 0
-    for eta in msp_path_blocks(spec, grid, n, seed):
-        successes += int(np.count_nonzero(np.all(eta <= fv, axis=1)))
-    return binomial_estimate(successes, n, seed if isinstance(seed, int) else None)
+    (successes,) = count_events(
+        msp_path_blocks(spec, grid, n, seed),
+        lambda eta: np.all(eta <= f.values, axis=1),
+    )
+    return binomial_estimate(int(successes), n, seed_echo(seed))
 
 
 def marginal_gof(
@@ -173,11 +201,9 @@ def marginal_gof(
     if n < 1:
         raise ValueError("n must be >= 1 for a KS distance")
     col = grid.index_of(t)
-    samples = np.empty(n)
-    pos = 0
-    for eta in msp_path_blocks(spec, grid, n, seed):
-        samples[pos : pos + eta.shape[0]] = eta[:, col]
-        pos += eta.shape[0]
+    samples = np.concatenate(
+        [eta[:, col].copy() for eta in msp_path_blocks(spec, grid, n, seed)]
+    )
     return ks_distance_neg_exponential(samples)
 
 
@@ -217,7 +243,6 @@ def stopping_exactness_violations(
     """
     validate_spec(spec)
     bound = generator_bound(spec)
-    k = UNIFORMS_PER_PATH[type(spec)]
     violations = 0
     for count, rng in block_streams(seed, n):
         gamma = np.zeros(count)
@@ -228,18 +253,10 @@ def stopping_exactness_violations(
         arrivals = 0
         while not (stopped.all() and since_stop.min() >= extra):
             if arrivals >= max_points + extra:
-                raise BoundTooLooseError(
-                    deficit=float((bound / gamma - xi.min(axis=1)).max()),
-                    arrivals=arrivals,
-                )
+                raise _too_loose(bound, gamma, xi, arrivals)
             arrivals += 1
             since_stop[stopped] += 1
-            gamma += rng.standard_exponential(count)
-            u = rng.random((count, k)) if k else np.empty((count, 0))
-            z = sample_paths(spec, grid.points, u)
-            z /= gamma[:, None]
-            np.maximum(xi, z, out=xi)
-            newly = ~stopped & (bound / gamma < xi.min(axis=1))
+            newly = ~stopped & _arrival_round(spec, grid.points, rng, gamma, xi, bound)
             snap[newly] = xi[newly]
             stopped |= newly
         violations += int(np.count_nonzero(np.any(snap != xi, axis=1)))

@@ -1,9 +1,7 @@
-"""Time grids, sample-path containers, and level-crossing analysis.
+"""Time grids, sample-path containers, and intervals of [0, 1].
 
 Paths of continuous processes are represented by their values on a finite
-grid. Crossing detection uses the intermediate value theorem on grid
-extrema, so it can only miss sub-grid excursions, never invent them;
-cluster counts are therefore lower bounds on the number of solution times.
+grid; interval endpoints must be grid points.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SubGrid:
-    """Grid points of a restriction; strictly increasing, inside [0, 1]."""
+    """Grid points of a window of [0, 1]; strictly increasing."""
 
     points: np.ndarray
 
@@ -98,7 +96,7 @@ def make_grid(n: int) -> TimeGrid:
 class SamplePath:
     """Values of one realization of a process on a grid."""
 
-    grid: TimeGrid | SubGrid
+    grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
@@ -122,54 +120,3 @@ class Interval:
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ValueError(f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class HitSummary:
-    hit: bool
-    cluster_count: int
-
-    def __post_init__(self):
-        if self.hit != (self.cluster_count >= 1):
-            raise ValueError("hit must equal (cluster_count >= 1)")
-
-
-def restrict(path: SamplePath, interval: Interval) -> SamplePath:
-    """Subpath on the grid points inside ``interval``, endpoints inclusive.
-
-    Endpoints must lie on the grid; snapping off-grid requests is a CLI
-    courtesy, not library behavior.
-    """
-    if isinstance(path.grid, SubGrid):
-        raise ValueError("cannot restrict an already-restricted path")
-    sl = path.grid.slice_of(interval)
-    return SamplePath(SubGrid(path.grid.points[sl]), path.values[sl])
-
-
-def path_extrema(path: SamplePath) -> tuple[float, float]:
-    """Grid minimum and maximum of the path values."""
-    if path.values.size == 0:
-        raise ValueError("empty path")
-    return float(path.values.min()), float(path.values.max())
-
-
-def level_hits(path: SamplePath, x: float) -> HitSummary:
-    """Does the (continuous) path meet level ``x``, and in how many clusters?
-
-    ``hit`` is true iff min <= x <= max over the grid: by the intermediate
-    value theorem a continuous path through those values attains ``x``.
-    ``cluster_count`` counts maximal runs of grid points on one side of
-    ``x``, minus one; values exactly equal to ``x`` merge into the
-    below-or-equal side, so a lone touch ([-2, -1, -2] at x = -1) is one
-    cluster, not two. The count never exceeds the true number of solution
-    times.
-    """
-    lo, hi = path_extrema(path)
-    hit = lo <= x <= hi
-    below = path.values <= x
-    runs = 1 + int(np.count_nonzero(below[1:] != below[:-1]))
-    if runs >= 2:
-        clusters = runs - 1
-    else:
-        clusters = 1 if hit else 0
-    return HitSummary(hit=hit, cluster_count=clusters)

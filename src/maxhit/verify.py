@@ -26,7 +26,7 @@ import numpy as np
 
 from .dnorm import LevelFunction, dnorm_estimates, dnorm_indicator, takahashi_check
 from .errors import UnknownCheckError
-from .estimates import RunningMean, binomial_estimate
+from .estimates import binomial_estimate, count_events, stream_means
 from .generators import (
     NONLINEAR_DEFAULTS,
     CompleteDependence,
@@ -37,20 +37,22 @@ from .generators import (
     TwoBranch,
     closed_form_m,
     closed_form_m_tilde,
+    generator_blocks,
     generator_corpus,
     generator_moments,
-    sample_generator_block,
     sup_equals_max_rate,
 )
 from .hitting import (
     MultiHitQuery,
+    curve_hit_prob,
+    down_up_down_mask,
     down_up_down_prob,
+    hit_mask,
     hitting_bound,
     hitting_curve,
     hitting_integral,
     hitting_prob,
     multi_hit_prob,
-    curve_hit_prob,
     two_hit_prob,
 )
 from .msp import (
@@ -61,7 +63,7 @@ from .msp import (
     stopping_exactness_violations,
 )
 from .paths import Interval, SubGrid, TimeGrid, make_grid
-from .streams import Seed, block_streams, label_key, substream
+from .streams import Seed, label_key, substream
 
 DEFAULT_N = 100_000
 DEFAULT_GRID_POINTS = 1001
@@ -231,14 +233,11 @@ def _check_eq1_moments(ctx: CheckContext) -> list[Assertion]:
     """Unit mean of Z at every grid point, per catalogue generator (4 se)."""
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
-        acc_sum = np.zeros(len(ctx.grid))
-        acc_sq = np.zeros(len(ctx.grid))
-        for count, rng in block_streams(ctx.seed(gi), ctx.n):
-            z = sample_generator_block(spec, ctx.grid.points, rng, count)
-            acc_sum += z.sum(axis=0)
-            acc_sq += np.square(z).sum(axis=0)
-        mean = acc_sum / ctx.n
-        var = np.maximum(0.0, acc_sq / ctx.n - mean * mean)
+        acc = stream_means(
+            generator_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi)), lambda z: z
+        )
+        mean = acc.total[0] / ctx.n
+        var = np.maximum(0.0, acc.total_sq[0] / ctx.n - mean * mean)
         se = np.sqrt(var / ctx.n)
         diff = np.abs(mean - 1.0)
         # degenerate points (se = 0) must match exactly; a tiny float slack
@@ -271,10 +270,10 @@ def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         dns = dnorm_estimates(spec, [f for _, f in fs], ctx.n, ctx.seed(2 * gi))
-        counts = np.zeros(len(fs), dtype=int)
-        for eta in msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)):
-            for fi, (_, f) in enumerate(fs):
-                counts[fi] += int(np.count_nonzero(np.all(eta <= f.values, axis=1)))
+        counts = count_events(
+            msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
+            *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for _, f in fs),
+        )
         for fi, (fname, _) in enumerate(fs):
             joint = binomial_estimate(int(counts[fi]), ctx.n)
             target = math.exp(-dns[fi].value)
@@ -289,9 +288,8 @@ def _check_eq3_negative_paths(ctx: CheckContext) -> list[Assertion]:
     """Every simulated path value is strictly negative."""
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
-        bad = 0
-        for eta in msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi)):
-            bad += int(np.count_nonzero(eta >= 0.0))
+        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
+        bad = int(count_events(blocks, lambda eta: eta >= 0.0)[0].sum())
         out.append(eq_within(f"{name}:nonnegative_values", bad, 0.0, 0.0))
     return out
 
@@ -305,12 +303,9 @@ def _check_margins_ks(ctx: CheckContext) -> list[Assertion]:
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         cols = [ctx.grid.index_of(t) for t in _MARGIN_TIMES]
-        samples = np.empty((ctx.n, len(cols)))
-        pos = 0
-        for eta in msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi)):
-            samples[pos : pos + eta.shape[0]] = eta[:, cols]
-            pos += eta.shape[0]
-        for t, j in zip(_MARGIN_TIMES, range(len(cols))):
+        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
+        samples = np.concatenate([eta[:, cols] for eta in blocks])
+        for j, t in enumerate(_MARGIN_TIMES):
             d = ks_distance_neg_exponential(samples[:, j])
             out.append(at_most(f"{name}:t={t}", d, band))
     return out
@@ -322,11 +317,8 @@ def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
     col_t = 0.37
     for gi, (name, spec) in enumerate([CATALOGUE[3], CATALOGUE[4]]):
         col = ctx.grid.index_of(col_t)
-        vals = np.empty(ctx.n)
-        pos = 0
-        for eta in msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi)):
-            vals[pos : pos + eta.shape[0]] = eta[:, col]
-            pos += eta.shape[0]
+        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
+        vals = np.concatenate([eta[:, col].copy() for eta in blocks])
         for k in (2, 5):
             groups = ctx.n // k
             scaled = k * vals[: groups * k].reshape(groups, k).max(axis=1)
@@ -396,17 +388,17 @@ def _check_survivor_bound(ctx: CheckContext) -> list[Assertion]:
     gens = [CATALOGUE[0], CATALOGUE[1], CATALOGUE[4]]
     for gi, (name, spec) in enumerate(gens):
         f = LevelFunction.constant(ctx.grid, -1.0)
-        inf_acc = RunningMean(k=1)
-        for count, rng in block_streams(ctx.seed(2 * gi), ctx.n):
-            z = sample_generator_block(spec, ctx.grid.points, rng, count)
-            inf_acc.add(np.min(z * np.abs(f.values)[None, :], axis=1))
-        inf_est = inf_acc.estimate(0)
+        inf_est = stream_means(
+            generator_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi)),
+            lambda z: np.min(z * np.abs(f.values)[None, :], axis=1),
+        ).estimate(0)
         bound = 1.0 - math.exp(-inf_est.value)
         bound_se = math.exp(-inf_est.value) * inf_est.se
-        survived = 0
-        for eta in msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)):
-            survived += int(np.count_nonzero(np.all(eta > f.values, axis=1)))
-        surv = binomial_estimate(survived, ctx.n)
+        (survived,) = count_events(
+            msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
+            lambda eta: np.all(eta > f.values, axis=1),
+        )
+        surv = binomial_estimate(int(survived), ctx.n)
         tol = Z_STAT * (surv.se + bound_se)
         out.append(at_least(f"{name}:survivor_ge_bound", surv.value, bound, tol))
     return out
@@ -487,20 +479,14 @@ def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
     i0 = ctx.grid.index_of(0.25)  # split; also the middle of the triple
     i_end = ctx.grid.index_of(0.5)
     x0 = -1.0
-    violations = 0
-    dud_hits = 0
-    two_hits = 0
-    for eta in msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(0)):
-        left = eta[:, : i0 + 1]
-        right = eta[:, i0:]
-        hit_two = (
-            (left.min(axis=1) <= x0) & (x0 <= left.max(axis=1))
-            & (right.min(axis=1) <= x0) & (x0 <= right.max(axis=1))
-        )
-        dud = (eta[:, 0] <= x0) & (eta[:, i0] > x0) & (eta[:, i_end] <= x0)
-        violations += int(np.count_nonzero(dud & ~hit_two))
-        dud_hits += int(np.count_nonzero(dud))
-        two_hits += int(np.count_nonzero(hit_two))
+
+    def events(eta: np.ndarray) -> np.ndarray:
+        two = hit_mask(eta, slice(0, i0 + 1), x0) & hit_mask(eta, slice(i0, None), x0)
+        dud = down_up_down_mask(eta, (0, i0, i_end), x0)
+        return np.column_stack([dud & ~two, dud, two])
+
+    blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(0))
+    violations, dud_hits, two_hits = (int(c) for c in count_events(blocks, events)[0])
     dud_est = binomial_estimate(dud_hits, ctx.n)
     return [
         eq_within("containment_violations", violations, 0.0, 0.0),
@@ -525,21 +511,19 @@ def _cor33_residuals(
     Shared draws: the per-path statistic is 1{all <= x} - 1{both ends > x},
     so the reported se is the exact sd of the estimator.
     """
-    sums = {x: 0.0 for x in _COR33_LEVELS}
-    sumsq = {x: 0.0 for x in _COR33_LEVELS}
-    for eta in msp_path_blocks(spec, subgrid, n, seed):
-        for x in _COR33_LEVELS:
-            a = np.all(eta <= x, axis=1)
-            b = (eta[:, 0] > x) & (eta[:, -1] > x)
-            r = a.astype(float) - b.astype(float)
-            sums[x] += float(r.sum())
-            sumsq[x] += float(np.square(r).sum())
+    def residual(eta: np.ndarray, x: float) -> np.ndarray:
+        a = np.all(eta <= x, axis=1)
+        b = (eta[:, 0] > x) & (eta[:, -1] > x)
+        return a.astype(float) - b.astype(float)
+
+    acc = stream_means(
+        msp_path_blocks(spec, subgrid, n, seed),
+        *(lambda eta, x=x: residual(eta, x) for x in _COR33_LEVELS),
+    )
     out = {}
-    for x in _COR33_LEVELS:
-        mean = sums[x] / n
-        var = max(0.0, sumsq[x] / n - mean * mean)
-        se = math.sqrt(var / n)
-        out[x] = (mean - (2.0 * math.exp(x) - 1.0), se)
+    for i, x in enumerate(_COR33_LEVELS):
+        est = acc.estimate(i)
+        out[x] = (est.value - (2.0 * math.exp(x) - 1.0), est.se)
     return out
 
 
@@ -563,16 +547,18 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
     # items (1) and (4) on a shared eta corpus per generator (window grid).
     def items_1_and_4(spec, seed, dud_t0):
         i_t0 = int(np.argmin(np.abs(subgrid.points - dud_t0)))
-        dud_count = 0
-        viol4 = {x: 0 for x in _COR33_LEVELS}
-        for eta in msp_path_blocks(spec, subgrid, ctx.n, seed):
-            dud = (eta[:, 0] <= -1.0) & (eta[:, i_t0] > -1.0) & (eta[:, -1] <= -1.0)
-            dud_count += int(np.count_nonzero(dud))
-            for x in _COR33_LEVELS:
-                ends = (eta[:, 0] <= x) & (eta[:, -1] <= x)
-                allin = np.all(eta <= x, axis=1)
-                viol4[x] += int(np.count_nonzero(ends & ~allin))
-        return dud_count, viol4
+        cols = (0, i_t0, len(subgrid) - 1)
+
+        def viol4(eta: np.ndarray, x: float) -> np.ndarray:
+            ends = (eta[:, 0] <= x) & (eta[:, -1] <= x)
+            return ends & ~np.all(eta <= x, axis=1)
+
+        dud_count, *counts = count_events(
+            msp_path_blocks(spec, subgrid, ctx.n, seed),
+            lambda eta: down_up_down_mask(eta, cols, -1.0),
+            *(lambda eta, x=x: viol4(eta, x) for x in _COR33_LEVELS),
+        )
+        return int(dud_count), {x: int(c) for x, c in zip(_COR33_LEVELS, counts)}
 
     dud_nl, viol4_nl = items_1_and_4(nl, ctx.seed(2), dud_t0=0.5)
     est_dud_nl = binomial_estimate(dud_nl, ctx.n)
@@ -698,23 +684,16 @@ def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
         )
         # hit-set monotonicity for eta at x = -1
         x = -1.0
-        inner = eta[:, sl_inner]
-        hit_inner = (inner.min(axis=1) <= x) & (x <= inner.max(axis=1))
-        hit_full = (eta.min(axis=1) <= x) & (x <= eta.max(axis=1))
-        bad += int(np.count_nonzero(hit_inner & ~hit_full))
+        hit_full = hit_mask(eta, slice(None), x)
+        bad += int(np.count_nonzero(hit_mask(eta, sl_inner, x) & ~hit_full))
         # two-hit contains down-up-down (split at 0.25 over [0, 0.5])
-        left = eta[:, : i_q + 1]
-        right = eta[:, i_q:]
-        two = (
-            (left.min(axis=1) <= x) & (x <= left.max(axis=1))
-            & (right.min(axis=1) <= x) & (x <= right.max(axis=1))
-        )
-        dud = (eta[:, 0] <= x) & (eta[:, i_q] > x) & (eta[:, i_h] <= x)
+        two = hit_mask(eta, slice(0, i_q + 1), x) & hit_mask(eta, slice(i_q, None), x)
+        dud = down_up_down_mask(eta, (0, i_q, i_h), x)
         bad += int(np.count_nonzero(dud & ~two))
         # decomposition: 1{hit} = 1{min <= x} - 1{all < x}
         mn = eta.min(axis=1)
         mx = eta.max(axis=1)
-        lhs = ((mn <= x) & (x <= mx)).astype(int)
+        lhs = hit_full.astype(int)
         rhs = (mn <= x).astype(int) - (mx < x).astype(int)
         bad += int(np.count_nonzero(lhs != rhs))
 
@@ -805,12 +784,6 @@ PAPER_SUITE: tuple[str, ...] = tuple(_CHECKS)
 
 def check_ids() -> list[str]:
     return list(_CHECKS)
-
-
-def describe_check(check_id: str) -> str:
-    if check_id not in _CHECKS:
-        raise UnknownCheckError(check_id)
-    return _CHECKS[check_id].description
 
 
 def run_checks(

@@ -7,6 +7,8 @@ check results, printing one PASS/FAIL line per criterion. Run with
 takes a few minutes.
 """
 
+import os
+
 import pytest
 
 from maxhit import run_checks
@@ -16,7 +18,8 @@ MASTER_SEED = 7
 
 @pytest.fixture(scope="module")
 def report():
-    return run_checks("paper", master_seed=MASTER_SEED)
+    # reports do not depend on the thread count, so use every core
+    return run_checks("paper", master_seed=MASTER_SEED, threads=os.cpu_count() or 1)
 
 
 def _criterion(report, number, label, check_ids):

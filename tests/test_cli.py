@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from maxhit.cli import RunConfig, UsageError, main, parse_invocation
+from maxhit.cli import UsageError, main, parse_invocation
 
 
 @pytest.fixture()
@@ -95,15 +95,6 @@ class TestParseInvocation:
     def test_unknown_check_id_rejected(self):
         with pytest.raises(UsageError, match="no-such-check"):
             parse_invocation(["verify", "--suite", "no-such-check"])
-
-    def test_round_trip_json(self, two_branch_json):
-        cfg = parse_invocation(
-            ["hitting", "--generator", two_branch_json, "--levels",
-             "-0.5,-1,-2", "--interval", "0.25,0.75", "--seed", "5",
-             "--n", "1000"]
-        )
-        doc = cfg.to_json_dict()
-        assert RunConfig.from_json_dict(json.loads(json.dumps(doc))) == cfg
 
 
 class TestDispatch:
@@ -230,6 +221,31 @@ class TestDispatch:
                 c.pop("seconds")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hitting", "--x", "nan"],
+            ["hitting", "--levels=-1,-inf"],
+            ["multihit", "--x0", "nan", "--split", "0.5"],
+            ["multihit", "--x0", "-1", "--grid", "2", "--intervals", "0,0.5;0.5,1"],
+            ["dnorm", "--level-function", "BOGUS_SHAPE"],
+            ["hitting", "--x", "-1", "--threads", "2"],
+        ],
+        ids=["x-nan", "levels-inf", "x0-nan", "collapsed-interval",
+             "bogus-shape", "threads-outside-verify"],
+    )
+    def test_usage_errors_exit_2_quietly(self, argv, two_branch_json, tmp_path,
+                                         capsys):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps({"shape": "bogus"}))
+        argv = [str(bogus) if a == "BOGUS_SHAPE" else a for a in argv]
+        code = main(argv + ["--generator", two_branch_json, "--n", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["hitting", "--x", "0.5"]) == 2

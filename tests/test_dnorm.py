@@ -178,6 +178,14 @@ class TestTakahashi:
         assert not rep.complete_dependence
         assert abs(rep.m_hat.value - 2.0) <= 4 * rep.m_hat.se
 
+    def test_m_hat_equals_moments_bitwise(self, any_spec, grid101):
+        # one pass: sup Z is a fourth statistic of the D-norm draws
+        rep = takahashi_check(any_spec, self.probes(grid101), 2000, 50)
+        mom = generator_moments(any_spec, grid101, 2000, 50)
+        assert rep.m_hat.value == mom.m_hat.value
+        assert rep.m_hat.se == mom.m_hat.se
+        assert rep.m_hat == mom.m_hat
+
     def test_needs_three_probes(self, grid101):
         with pytest.raises(ValueError, match="3 probe"):
             takahashi_check(TwoBranch(), self.probes(grid101)[:2], 100, 49)

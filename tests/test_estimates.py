@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from maxhit import Estimate, binomial_estimate, rule_of_three, wilson_interval
-from maxhit.estimates import RunningMean, mean_estimate_from_sums
+from maxhit.estimates import (
+    RunningMean,
+    count_events,
+    mean_estimate_from_sums,
+    stream_means,
+)
 
 
 class TestWilson:
@@ -102,3 +107,40 @@ class TestRunningMean:
         acc = RunningMean(k=2)
         with pytest.raises(ValueError):
             acc.add(np.zeros(5))
+
+    def test_vector_statistic_sums_per_column(self):
+        acc = RunningMean(k=1)
+        acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        acc.add(np.array([[5.0, 6.0]]))
+        assert acc.n == 3
+        assert acc.total[0].tolist() == [9.0, 12.0]
+        assert acc.total_sq[0].tolist() == [35.0, 56.0]
+
+    def test_row_counts_must_agree(self):
+        acc = RunningMean(k=2)
+        with pytest.raises(ValueError):
+            acc.add(np.zeros(5), np.zeros(4))
+
+
+class TestReducers:
+    def blocks(self):
+        return iter([np.array([[1.0, -1.0], [2.0, 3.0]]), np.array([[-4.0, 0.5]])])
+
+    def test_count_events_per_event(self):
+        counts = count_events(
+            self.blocks(), lambda b: b[:, 0] > 0, lambda b: np.all(b > 0, axis=1)
+        )
+        assert [int(c) for c in counts] == [2, 1]
+
+    def test_count_events_two_dimensional_mask(self):
+        (counts,) = count_events(self.blocks(), lambda b: b > 0)
+        assert counts.tolist() == [2, 2]
+
+    def test_stream_means_equals_one_block(self):
+        acc = stream_means(self.blocks(), lambda b: b[:, 0], lambda b: b.max(axis=1))
+        whole = RunningMean(k=2)
+        vals = np.concatenate(list(self.blocks()))
+        whole.add(vals[:, 0], vals.max(axis=1))
+        assert acc.n == 3
+        for i in range(2):
+            assert acc.estimate(i).value == pytest.approx(whole.estimate(i).value)

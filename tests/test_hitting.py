@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxhit import (
     CompleteDependence,
@@ -25,6 +27,7 @@ from maxhit import (
     multi_hit_prob,
     two_hit_prob,
 )
+from maxhit.hitting import down_up_down_mask, hit_mask
 
 GRID_SLACK = 0.02  # discretization allowance at the coarse test grids
 
@@ -268,3 +271,36 @@ class TestMultiHit:
         )
         est_hit = hitting_prob(TwoBranch(), -1.0, Interval(0.0, 1.0), grid101, 3000, 72)
         assert est_multi.value == est_hit.value
+
+
+class TestMasks:
+    def test_touch_counts_as_hit(self):
+        eta = np.array([[-2.0, -1.0, -2.0], [-2.0, -2.0, -2.0], [-1.0, -1.0, -1.0]])
+        assert hit_mask(eta, slice(None), -1.0).tolist() == [True, False, True]
+
+    def test_slice_limits_the_window(self):
+        eta = np.array([[0.0, -0.5, -2.0]])
+        assert hit_mask(eta, slice(0, 2), -1.0).tolist() == [False]
+        assert hit_mask(eta, slice(1, 3), -1.0).tolist() == [True]
+
+    def test_down_up_down(self):
+        eta = np.array([[-2.0, -0.5, -1.0], [-2.0, -1.0, -2.0], [-0.5, -0.5, -2.0]])
+        assert down_up_down_mask(eta, (0, 1, 2), -1.0).tolist() == [True, False, False]
+
+
+finite_floats = st.floats(
+    min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hit_mask_iff_window_extrema_bracket(data):
+    n = data.draw(st.integers(min_value=2, max_value=30))
+    values = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
+    i = data.draw(st.integers(min_value=0, max_value=n - 2))
+    j = data.draw(st.integers(min_value=i + 1, max_value=n - 1))
+    x = data.draw(finite_floats)
+    window = values[i : j + 1]
+    got = hit_mask(np.array([values]), slice(i, j + 1), x)
+    assert got.tolist() == [min(window) <= x <= max(window)]

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhit import (
-    HitSummary,
-    Interval,
-    SamplePath,
-    TimeGrid,
-    level_hits,
-    make_grid,
-    path_extrema,
-    restrict,
-)
+from maxhit import Interval, SamplePath, TimeGrid, make_grid
+from maxhit.hitting import hit_mask
 
 
 def path(grid, values):
@@ -62,77 +54,6 @@ class TestTimeGrid:
             g.points[0] = 0.5
 
 
-class TestRestrict:
-    def test_identity(self):
-        p = path(make_grid(3), [1.0, 2.0, 3.0])
-        q = restrict(p, Interval(0.0, 1.0))
-        assert q.values.tolist() == [1.0, 2.0, 3.0]
-        assert q.grid.points.tolist() == [0.0, 0.5, 1.0]
-
-    def test_middle_three_points(self):
-        p = path(make_grid(5), [1.0, 2.0, 3.0, 4.0, 5.0])
-        q = restrict(p, Interval(0.25, 0.75))
-        assert q.values.tolist() == [2.0, 3.0, 4.0]
-
-    def test_off_grid_endpoint_named(self):
-        p = path(make_grid(3), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="lo=0.1"):
-            restrict(p, Interval(0.1, 0.9))
-
-    def test_restricting_twice_rejected(self):
-        p = path(make_grid(5), [1.0, 2.0, 3.0, 4.0, 5.0])
-        q = restrict(p, Interval(0.25, 0.75))
-        with pytest.raises(ValueError):
-            restrict(q, Interval(0.25, 0.5))
-
-
-class TestPathExtrema:
-    @pytest.mark.parametrize(
-        "values,expected",
-        [
-            ([-2.0, -0.5, -2.0], (-2.0, -0.5)),
-            ([1.0, 1.0, 1.0], (1.0, 1.0)),
-            ([2.0, 1.0, 0.5], (0.5, 2.0)),
-        ],
-    )
-    def test_examples(self, values, expected):
-        assert path_extrema(path(make_grid(3), values)) == expected
-
-
-class TestLevelHits:
-    def test_two_strict_sign_changes(self):
-        s = level_hits(path(make_grid(3), [-2.0, -0.5, -2.0]), -1.0)
-        assert s == HitSummary(hit=True, cluster_count=2)
-
-    def test_never_reaches_level(self):
-        s = level_hits(path(make_grid(3), [-2.0, -2.0, -2.0]), -1.0)
-        assert s == HitSummary(hit=False, cluster_count=0)
-
-    def test_single_touch_is_one_cluster(self):
-        s = level_hits(path(make_grid(3), [-2.0, -1.0, -2.0]), -1.0)
-        assert s == HitSummary(hit=True, cluster_count=1)
-
-    def test_constant_at_level(self):
-        s = level_hits(path(make_grid(3), [-1.0, -1.0, -1.0]), -1.0)
-        assert s == HitSummary(hit=True, cluster_count=1)
-
-    def test_one_crossing(self):
-        s = level_hits(path(make_grid(3), [0.0, -0.5, -2.0]), -1.0)
-        assert s == HitSummary(hit=True, cluster_count=1)
-
-    def test_three_crossings(self):
-        s = level_hits(path(make_grid(5), [-2.0, 0.0, -2.0, 0.0, -2.0]), -1.0)
-        assert s.cluster_count == 4
-
-
-class TestHitSummary:
-    def test_inconsistent_summary_rejected(self):
-        with pytest.raises(ValueError):
-            HitSummary(hit=True, cluster_count=0)
-        with pytest.raises(ValueError):
-            HitSummary(hit=False, cluster_count=2)
-
-
 class TestSamplePath:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -161,22 +82,11 @@ finite_floats = st.floats(
 )
 @settings(max_examples=200, deadline=None)
 def test_hit_iff_extrema_bracket(values, x):
-    p = path(make_grid(len(values)), values)
-    lo, hi = path_extrema(p)
-    assert level_hits(p, x).hit == (lo <= x <= hi)
-
-
-@given(
-    values=st.lists(finite_floats, min_size=2, max_size=20),
-    x=finite_floats,
-    reps=st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=200, deadline=None)
-def test_cluster_count_invariant_under_duplication(values, x, reps):
-    base = path(make_grid(len(values)), values)
-    refined = np.repeat(values, reps)
-    fine = path(make_grid(len(refined)), refined)
-    assert level_hits(base, x).cluster_count == level_hits(fine, x).cluster_count
+    grid = make_grid(len(values))
+    p = path(grid, values)
+    sl = grid.slice_of(Interval(0.0, 1.0))
+    got = hit_mask(p.values[np.newaxis, :], sl, x)
+    assert got.tolist() == [min(values) <= x <= max(values)]
 
 
 @given(data=st.data())
@@ -191,20 +101,7 @@ def test_restrict_then_extrema_is_range_extrema(data):
     grid = make_grid(n)
     p = path(grid, values)
     interval = Interval(float(grid.points[i]), float(grid.points[j]))
-    got = path_extrema(restrict(p, interval))
+    window = p.values[grid.slice_of(interval)]
+    got = (float(window.min()), float(window.max()))
     expect = (min(values[i : j + 1]), max(values[i : j + 1]))
     assert got == expect
-
-
-@given(
-    values=st.lists(finite_floats, min_size=2, max_size=30),
-    x=finite_floats,
-)
-@settings(max_examples=200, deadline=None)
-def test_cluster_count_consistency(values, x):
-    s = level_hits(path(make_grid(len(values)), values), x)
-    assert s.hit == (s.cluster_count >= 1)
-    # a path with v sign changes has at least cluster_count crossings
-    signs = [v > x for v in values]
-    changes = sum(a != b for a, b in zip(signs, signs[1:]))
-    assert s.cluster_count >= changes
