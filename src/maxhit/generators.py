@@ -21,6 +21,20 @@ SineBump                Z = 1 + sin(2*pi*t) W with W uniform on
                         multiple-hit checks. E sup Z = 1 + amp/4.
 ======================  ====================================================
 
+Shape tables: every generator but SineBump is a finite mixture of K fixed
+paths, and ``shape_table(spec, grid_points)`` builds them once as a
+(K, len(grid_points)) array. ``atom_index(spec, uniforms)`` names the row
+each uniform row selects, and ``sample_paths`` gathers those rows.
+
+======================  ==  ================================================
+CompleteDependence       1  the constant 1
+TwoBranch                2  2(1-t), drawn when u0 < 1/2, and 2t
+PiecewiseExample         4  (Z_0, Z_1) in (1/n, 1/n), (1/n, n), (n, 1/n),
+                            (n, n); u < n/(n+1) draws 1/n
+NonlinearExample         4  the (Y, Yt) outcomes (1, 1), (1, 0), (0, 1),
+                            (0, 0), in the order of ``_atoms``
+======================  ==  ================================================
+
 Draw layout (fixed; regression tests rely on it): sampling one path
 consumes exactly ``UNIFORMS_PER_PATH[type(spec)]`` uniforms from the
 stream, in the documented per-variant order. Batched sampling draws the
@@ -206,6 +220,59 @@ def validate_spec(spec: GeneratorSpec) -> None:
         raise InvalidSpecError(violations)
 
 
+def atom_index(spec: GeneratorSpec, uniforms: np.ndarray) -> np.ndarray | None:
+    """The shape each uniform row selects, as a row index of ``shape_table``.
+
+    ``uniforms`` has shape (count, UNIFORMS_PER_PATH[variant]). SineBump
+    has no shapes and gives None.
+    """
+    if isinstance(spec, CompleteDependence):
+        return np.zeros(uniforms.shape[0], dtype=np.intp)
+    if isinstance(spec, PiecewiseExample):
+        high = uniforms >= spec.n / (spec.n + 1.0)
+        return 2 * high[:, 0] + high[:, 1]
+    if isinstance(spec, NonlinearExample):
+        return 2 * (uniforms[:, 0] >= spec.p) + (uniforms[:, 1] >= spec.p_tilde)
+    if isinstance(spec, TwoBranch):
+        return (uniforms[:, 0] >= 0.5).astype(np.intp)
+    if isinstance(spec, SineBump):
+        return None
+    raise InvalidSpecError([f"unknown generator type {type(spec).__name__}"])
+
+
+def shape_table(spec: GeneratorSpec, grid_points: np.ndarray) -> np.ndarray | None:
+    """The K fixed path shapes on the grid; shape (K, len(grid_points)).
+
+    Row k is the path of every uniform row with ``atom_index`` k. SineBump
+    has no shapes and gives None.
+    """
+    t = np.asarray(grid_points, dtype=float)
+    if isinstance(spec, CompleteDependence):
+        return np.ones((1, t.size))
+    if isinstance(spec, PiecewiseExample):
+        n, a, b = spec.n, spec.a, spec.b
+        levels = np.array([1.0 / n, float(n)])
+        z0, z1 = np.repeat(levels, 2), np.tile(levels, 2)
+        left = t < a
+        right = t > b
+        c0 = np.where(left, (a - t) / a, 0.0)
+        c1 = np.where(right, (t - b) / (1.0 - b), 0.0)
+        const = np.where(left, t / a, np.where(right, (1.0 - t) / (1.0 - b), 1.0))
+        return z0[:, None] * c0 + z1[:, None] * c1 + const
+    if isinstance(spec, NonlinearExample):
+        _, z0, z1 = np.array(spec._atoms()).T
+        left = t <= 0.5
+        c0 = np.where(left, 1.0 - 2.0 * t, 0.0)
+        c1 = np.where(left, 0.0, 2.0 * t - 1.0)
+        const = np.where(left, 2.0 * t, 2.0 * (1.0 - t))
+        return z0[:, None] * c0 + z1[:, None] * c1 + const
+    if isinstance(spec, TwoBranch):
+        return np.stack([2.0 * (1.0 - t), 2.0 * t])
+    if isinstance(spec, SineBump):
+        return None
+    raise InvalidSpecError([f"unknown generator type {type(spec).__name__}"])
+
+
 def sample_paths(
     spec: GeneratorSpec, grid_points: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
@@ -216,37 +283,13 @@ def sample_paths(
     paths on every platform.
     """
     t = np.asarray(grid_points, dtype=float)
-    if isinstance(spec, CompleteDependence):
-        count = uniforms.shape[0]
-        return np.ones((count, t.size))
-    if isinstance(spec, PiecewiseExample):
-        n, a, b = spec.n, spec.a, spec.b
-        lvl_lo, lvl_hi = 1.0 / n, float(n)
-        z0 = np.where(uniforms[:, 0] < n / (n + 1.0), lvl_lo, lvl_hi)
-        z1 = np.where(uniforms[:, 1] < n / (n + 1.0), lvl_lo, lvl_hi)
-        left = t < a
-        right = t > b
-        c0 = np.where(left, (a - t) / a, 0.0)
-        c1 = np.where(right, (t - b) / (1.0 - b), 0.0)
-        const = np.where(left, t / a, np.where(right, (1.0 - t) / (1.0 - b), 1.0))
-        return z0[:, None] * c0 + z1[:, None] * c1 + const
-    if isinstance(spec, NonlinearExample):
-        y = uniforms[:, 0] < spec.p
-        yt = uniforms[:, 1] < spec.p_tilde
-        z0 = np.where(y, spec.a, spec.b)
-        z1 = np.where(y, 0.0, spec.c) + spec._kappa * np.where(yt, spec.d, spec.e)
-        left = t <= 0.5
-        c0 = np.where(left, 1.0 - 2.0 * t, 0.0)
-        c1 = np.where(left, 0.0, 2.0 * t - 1.0)
-        const = np.where(left, 2.0 * t, 2.0 * (1.0 - t))
-        return z0[:, None] * c0 + z1[:, None] * c1 + const
-    if isinstance(spec, TwoBranch):
-        falling = uniforms[:, 0] < 0.5
-        return np.where(falling[:, None], 2.0 * (1.0 - t), 2.0 * t)
-    if isinstance(spec, SineBump):
-        w = (spec.amp / 2.0) * (2.0 * uniforms[:, 0] - 1.0)
-        return 1.0 + w[:, None] * np.sin(2.0 * np.pi * t)
-    raise InvalidSpecError([f"unknown generator type {type(spec).__name__}"])
+    table = shape_table(spec, t)
+    if table is not None:
+        return table[atom_index(spec, uniforms)]
+    w = (spec.amp / 2.0) * (2.0 * uniforms[:, 0] - 1.0)
+    z = w[:, None] * np.sin(2.0 * np.pi * t)
+    z += 1.0
+    return z
 
 
 def _sample_block(

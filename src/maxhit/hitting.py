@@ -39,8 +39,8 @@ def hitting_bound(m: float, m_tilde: float, x: float) -> float:
         raise ValueError(f"m_tilde must lie in [0, 1], got {m_tilde}")
     if m < 1.0:
         raise ValueError(f"m must be >= 1, got {m}")
-    if x > 0.0:
-        raise ValueError(f"level must be <= 0, got {x}")
+    if not -math.inf < x <= 0.0:
+        raise ValueError(f"level must be finite and <= 0, got {x}")
     return max(0.0, math.exp(x * m_tilde) - math.exp(x * m))
 
 
@@ -155,6 +155,8 @@ def hitting_curve(
     without closed-form moments.
     """
     lv = np.asarray(levels, dtype=float)
+    if not np.all(np.isfinite(lv)):
+        raise ValueError("levels must be finite")
     if np.any(lv >= 0.0):
         raise ValueError("levels must be strictly negative")
     if np.any(np.diff(lv) >= 0.0):

@@ -11,6 +11,18 @@ sup Z almost surely; past that point no later arrival can raise xi at any
 grid point, so the returned values are exact on the grid (a property the
 verification suite asserts bit-for-bit by pushing extra arrivals).
 
+Skip rule: a generator with a shape table (see ``generators``) draws one
+of K fixed shapes z_k per arrival. Only a replica's first draw of each
+shape is built, divided and max-accumulated; a later draw of z_k is
+skipped. Gamma never decreases and IEEE division is correctly rounded,
+hence monotone, so fl(z_k / Gamma_later) <= fl(z_k / Gamma_first) <= xi at
+every grid point: the skipped maximum would be a no-op, and the output is
+bit-for-bit that of building every draw. Every draw is still consumed from
+the stream. SineBump has no shapes, so all of its draws are built. A built
+row whose largest value does not exceed min xi is not max-accumulated
+either: it lies below xi at every grid point, so the maximum would again be
+a no-op.
+
 Draw layout per block and round (fixed; see ``streams``): one standard
 exponential per still-active replica in ascending replica order, then the
 variant's uniform block of shape (active, k) row-major.
@@ -36,6 +48,7 @@ from .generators import (
     PiecewiseExample,
     SineBump,
     TwoBranch,
+    atom_index,
     sample_paths,
     validate_spec,
 )
@@ -69,35 +82,73 @@ def generator_bound(spec: GeneratorSpec) -> float:
     raise TypeError(f"unhandled spec {type(spec).__name__}")
 
 
+class _Live:
+    """Per-replica state of the rows of a block still drawing arrivals.
+
+    ``rows`` indexes the block's xi array; ``gamma`` is the latest arrival
+    time, ``lo`` the cached min_t xi(t), and bit k of ``seen`` is set once
+    shape k has been drawn.
+    """
+
+    def __init__(self, count: int):
+        self.rows = np.arange(count)
+        self.gamma = np.zeros(count)
+        self.lo = np.zeros(count)
+        self.seen = np.zeros(count, dtype=np.int64)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.rows = self.rows[mask]
+        self.gamma = self.gamma[mask]
+        self.lo = self.lo[mask]
+        self.seen = self.seen[mask]
+
+
 def _arrival_round(
     spec: GeneratorSpec,
     grid_points: np.ndarray,
     rng: np.random.Generator,
-    gamma: np.ndarray,
+    live: _Live,
     xi: np.ndarray,
     bound: float,
 ) -> np.ndarray:
-    """One arrival for every row of ``gamma``/``xi``, updated in place.
+    """One arrival for every live replica; ``live`` and ``xi`` are updated
+    in place.
 
-    Draws the exponential spacings, then the generator paths; divides by
-    the new Gamma and max-accumulates into xi. Returns the rows whose
-    stopping rule C / Gamma < min xi now holds.
+    Draws the exponential spacings, then the uniforms. Only rows whose
+    shape is new to their replica are built and divided by the new Gamma;
+    of those, only rows with a value above min xi are max-accumulated into
+    xi. Returns the live rows whose stopping rule C / Gamma < min xi now
+    holds.
     """
-    rows = gamma.size
-    gamma += rng.standard_exponential(rows)
+    gamma = live.gamma
+    gamma += rng.standard_exponential(gamma.size)
     k = UNIFORMS_PER_PATH[type(spec)]
-    u = rng.random((rows, k)) if k else np.empty((rows, 0))
-    z = sample_paths(spec, grid_points, u)
-    z /= gamma[:, None]
-    np.maximum(xi, z, out=xi)
-    return bound / gamma < xi.min(axis=1)
+    u = rng.random((gamma.size, k)) if k else np.empty((gamma.size, 0))
+    shape = atom_index(spec, u)
+    if shape is None:
+        todo = np.ones(gamma.size, dtype=bool)
+    else:
+        bit = 1 << shape
+        todo = (live.seen & bit) == 0
+        live.seen |= bit
+    if todo.any():
+        z = sample_paths(spec, grid_points, u[todo])
+        z /= gamma[todo, None]
+        # a row nowhere above min xi leaves xi as it is
+        rises = z.max(axis=1) > live.lo[todo]
+        if not rises.all():
+            z = z[rises]
+            todo[todo] = rises
+        rows = live.rows[todo]
+        np.maximum(xi[rows], z, out=z)
+        xi[rows] = z
+        live.lo[todo] = z.min(axis=1)
+    return bound / gamma < live.lo
 
 
-def _too_loose(
-    bound: float, gamma: np.ndarray, xi: np.ndarray, arrivals: int
-) -> BoundTooLooseError:
+def _too_loose(bound: float, live: _Live, arrivals: int) -> BoundTooLooseError:
     """The error for rows still short of their stopping rule."""
-    deficit = float((bound / gamma - xi.min(axis=1)).max())
+    deficit = float((bound / live.gamma - live.lo).max())
     return BoundTooLooseError(deficit=deficit, arrivals=arrivals)
 
 
@@ -110,27 +161,20 @@ def _spectral_block(
 ) -> np.ndarray:
     """xi values for one block of replicas; shape (count, len(grid_points)).
 
-    Rows leave the active set the round their stopping rule fires.
+    Rows leave the live set the round their stopping rule fires.
     """
     bound = generator_bound(spec)
-    npts = grid_points.size
-    xi_out = np.empty((count, npts))
-    idx = np.arange(count)
-    gamma = np.zeros(count)
-    xi = np.zeros((count, npts))
+    xi = np.zeros((count, grid_points.size))
+    live = _Live(count)
     arrivals = 0
-    while idx.size:
+    while live.rows.size:
         if arrivals >= max_points:
-            raise _too_loose(bound, gamma, xi, arrivals)
+            raise _too_loose(bound, live, arrivals)
         arrivals += 1
-        done = _arrival_round(spec, grid_points, rng, gamma, xi, bound)
+        done = _arrival_round(spec, grid_points, rng, live, xi, bound)
         if done.any():
-            xi_out[idx[done]] = xi[done]
-            keep = ~done
-            idx = idx[keep]
-            gamma = gamma[keep]
-            xi = xi[keep]
-    return xi_out
+            live.keep(~done)
+    return xi
 
 
 def msp_path_blocks(
@@ -151,7 +195,7 @@ def msp_path_blocks(
         raise ValueError("max_points must be >= 1")
     for count, rng in block_streams(seed, n):
         xi = _spectral_block(spec, grid.points, rng, count, max_points)
-        yield -1.0 / xi
+        yield np.divide(-1.0, xi, out=xi)
 
 
 def msp_corpus(
@@ -239,13 +283,14 @@ def stopping_exactness_violations(
     For each path, xi is snapshotted the round its stopping rule fires;
     at least ``extra`` further arrivals are then consumed for every path
     and the final xi is compared bit-for-bit. The expected count is 0: the
-    rule fires only when no later arrival can contribute.
+    rule fires only when no later arrival can contribute. Draws the skip
+    rule leaves unbuilt (see the module docstring) cannot show up here.
     """
     validate_spec(spec)
     bound = generator_bound(spec)
     violations = 0
     for count, rng in block_streams(seed, n):
-        gamma = np.zeros(count)
+        live = _Live(count)
         xi = np.zeros((count, len(grid)))
         snap = np.zeros_like(xi)
         stopped = np.zeros(count, dtype=bool)
@@ -253,10 +298,10 @@ def stopping_exactness_violations(
         arrivals = 0
         while not (stopped.all() and since_stop.min() >= extra):
             if arrivals >= max_points + extra:
-                raise _too_loose(bound, gamma, xi, arrivals)
+                raise _too_loose(bound, live, arrivals)
             arrivals += 1
             since_stop[stopped] += 1
-            newly = ~stopped & _arrival_round(spec, grid.points, rng, gamma, xi, bound)
+            newly = ~stopped & _arrival_round(spec, grid.points, rng, live, xi, bound)
             snap[newly] = xi[newly]
             stopped |= newly
         violations += int(np.count_nonzero(np.any(snap != xi, axis=1)))

@@ -21,7 +21,9 @@ from maxhit import (
     sup_equals_max_rate,
     validate_spec,
 )
-from maxhit.generators import UNIFORMS_PER_PATH, sample_paths
+from maxhit.generators import (
+    UNIFORMS_PER_PATH, atom_index, sample_paths, shape_table
+)
 
 
 class TestValidateSpec:
@@ -135,6 +137,38 @@ class TestSamplePaths:
         if k:
             s2.random((1, k))
         assert s1.random() == s2.random()
+
+
+class TestShapeTable:
+    @pytest.mark.parametrize(
+        "spec,shapes",
+        [
+            (CompleteDependence(), 1),
+            (TwoBranch(), 2),
+            (PiecewiseExample(n=2, a=0.25, b=0.75), 4),
+            (PiecewiseExample(n=5, a=0.1, b=0.3), 4),
+            (NonlinearExample(**NONLINEAR_DEFAULTS), 4),
+        ],
+        ids=str,
+    )
+    def test_rows_are_table_rows(self, spec, shapes, grid101):
+        table = shape_table(spec, grid101.points)
+        assert table.shape == (shapes, 101)
+        u = np.random.default_rng(5).random((4000, UNIFORMS_PER_PATH[type(spec)]))
+        k = atom_index(spec, u)
+        assert sorted(set(k.tolist())) == list(range(shapes))
+        assert np.array_equal(sample_paths(spec, grid101.points, u), table[k])
+
+    def test_nonlinear_endpoints_are_the_atoms(self, grid101):
+        spec = NonlinearExample(**NONLINEAR_DEFAULTS)
+        table = shape_table(spec, grid101.points)
+        atoms = [(z0, z1) for _, z0, z1 in spec._atoms()]
+        assert list(zip(table[:, 0].tolist(), table[:, -1].tolist())) == atoms
+
+    def test_sine_bump_has_no_shapes(self, grid101):
+        spec = SineBump(amp=0.5)
+        assert shape_table(spec, grid101.points) is None
+        assert atom_index(spec, np.zeros((3, 1))) is None
 
 
 class TestMoments:

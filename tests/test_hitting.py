@@ -51,6 +51,11 @@ class TestHittingBound:
         with pytest.raises(ValueError):
             hitting_bound(2.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("x", [math.nan, -math.inf])
+    def test_rejects_non_finite_level(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            hitting_bound(2.0, 0.0, x)
+
     def test_rejects_out_of_range_m(self):
         with pytest.raises(ValueError):
             hitting_bound(0.99, 0.5, -1.0)
@@ -127,6 +132,15 @@ class TestHittingCurve:
             hitting_curve(
                 TwoBranch(), np.array([-2.0, -1.0]), Interval(0.0, 1.0),
                 grid101, 100, 59,
+            )
+
+    @pytest.mark.parametrize(
+        "levels", [[math.nan], [-1.0, math.nan], [-math.inf], [-1.0, -math.inf]]
+    )
+    def test_levels_must_be_finite(self, grid101, levels):
+        with pytest.raises(ValueError, match="finite"):
+            hitting_curve(
+                TwoBranch(), np.array(levels), Interval(0.0, 1.0), grid101, 100, 61
             )
 
     def test_levels_must_be_negative(self, grid101):

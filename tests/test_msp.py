@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CATALOGUE
 from maxhit import (
     NONLINEAR_DEFAULTS,
     BoundTooLooseError,
@@ -15,12 +16,71 @@ from maxhit import (
     generator_bound,
     joint_cdf_estimate,
     ks_band,
+    make_grid,
     marginal_gof,
     msp_corpus,
     sample_msp,
     stopping_exactness_violations,
 )
+from maxhit.generators import UNIFORMS_PER_PATH
 from maxhit.msp import ks_distance_neg_exponential
+from maxhit.streams import block_streams
+
+
+def _dense_paths(spec, t, u):
+    """Generator paths built row by row from the uniforms."""
+    if isinstance(spec, CompleteDependence):
+        return np.ones((u.shape[0], t.size))
+    if isinstance(spec, PiecewiseExample):
+        n, a, b = spec.n, spec.a, spec.b
+        lvl_lo, lvl_hi = 1.0 / n, float(n)
+        z0 = np.where(u[:, 0] < n / (n + 1.0), lvl_lo, lvl_hi)
+        z1 = np.where(u[:, 1] < n / (n + 1.0), lvl_lo, lvl_hi)
+        left = t < a
+        right = t > b
+        c0 = np.where(left, (a - t) / a, 0.0)
+        c1 = np.where(right, (t - b) / (1.0 - b), 0.0)
+        const = np.where(left, t / a, np.where(right, (1.0 - t) / (1.0 - b), 1.0))
+        return z0[:, None] * c0 + z1[:, None] * c1 + const
+    if isinstance(spec, NonlinearExample):
+        y = u[:, 0] < spec.p
+        yt = u[:, 1] < spec.p_tilde
+        z0 = np.where(y, spec.a, spec.b)
+        z1 = np.where(y, 0.0, spec.c) + spec._kappa * np.where(yt, spec.d, spec.e)
+        left = t <= 0.5
+        c0 = np.where(left, 1.0 - 2.0 * t, 0.0)
+        c1 = np.where(left, 0.0, 2.0 * t - 1.0)
+        const = np.where(left, 2.0 * t, 2.0 * (1.0 - t))
+        return z0[:, None] * c0 + z1[:, None] * c1 + const
+    if isinstance(spec, TwoBranch):
+        falling = u[:, 0] < 0.5
+        return np.where(falling[:, None], 2.0 * (1.0 - t), 2.0 * t)
+    w = (spec.amp / 2.0) * (2.0 * u[:, 0] - 1.0)
+    return 1.0 + w[:, None] * np.sin(2.0 * np.pi * t)
+
+
+def _dense_corpus(spec, grid, n, seed):
+    """eta paths from the arrival loop that builds, divides and
+    max-accumulates every draw, compacting the live block as rows stop."""
+    bound = generator_bound(spec)
+    k = UNIFORMS_PER_PATH[type(spec)]
+    blocks = []
+    for count, rng in block_streams(seed, n):
+        out = np.empty((count, len(grid)))
+        idx = np.arange(count)
+        gamma = np.zeros(count)
+        xi = np.zeros((count, len(grid)))
+        while idx.size:
+            gamma += rng.standard_exponential(idx.size)
+            u = rng.random((idx.size, k)) if k else np.empty((idx.size, 0))
+            z = _dense_paths(spec, grid.points, u)
+            z /= gamma[:, None]
+            np.maximum(xi, z, out=xi)
+            done = bound / gamma < xi.min(axis=1)
+            out[idx[done]] = xi[done]
+            idx, gamma, xi = idx[~done], gamma[~done], xi[~done]
+        blocks.append(-1.0 / out)
+    return np.concatenate(blocks)
 
 
 class TestGeneratorBound:
@@ -43,6 +103,20 @@ class TestGeneratorBound:
 
         z = generator_corpus(any_spec, grid101, 2000, 13)
         assert z.max() <= generator_bound(any_spec) + 1e-12
+
+
+@pytest.mark.parametrize("points", [37, 1001])
+@pytest.mark.parametrize(
+    "spec",
+    CATALOGUE + [PiecewiseExample(n=5, a=0.1, b=0.3)],
+    ids=repr,
+)
+def test_corpus_equals_dense_arrival_loop(spec, points):
+    # draws of a shape a replica has already drawn are skipped; n spans
+    # two blocks
+    grid = make_grid(points)
+    got = msp_corpus(spec, grid, 4097, 31)
+    assert np.array_equal(got, _dense_corpus(spec, grid, 4097, 31))
 
 
 class TestSampleMsp:
