@@ -21,32 +21,39 @@ SineBump                Z = 1 + sin(2*pi*t) W with W uniform on
                         multiple-hit checks. E sup Z = 1 + amp/4.
 ======================  ====================================================
 
-Shape tables: every generator but SineBump is a finite mixture of K fixed
-paths, and ``shape_table(spec, grid_points)`` builds them once as a
-(K, len(grid_points)) array. ``atom_index(spec, uniforms)`` names the row
-each uniform row selects, and ``sample_paths`` gathers those rows.
+Atom tables: every generator but SineBump is a finite mixture of K fixed
+piecewise-linear shapes z_k, and ``spec.atoms()`` describes it as data
+(``Atoms``): the knot times, each shape's values at the knots, and one
+threshold theta_j per uniform. The path draws uniforms u_0, u_1, ...;
+shape k is the binary number whose digits, first uniform leading, are
+[u_j >= theta_j], so p_k is a product of theta_j and 1 - theta_j. The
+uniform count, ``atom_index``, ``shape_table``, the closed forms of
+m = E sup Z and m~ = E inf Z, and the a.s. bound ``generator_bound`` all
+follow from that table. SineBump, a continuous mixture, has no table
+(``atoms()`` is None); its three constants and its path build each sit in
+one place below.
 
 ======================  ==  ================================================
-CompleteDependence       1  the constant 1
+CompleteDependence       1  the constant 1; no uniform
 TwoBranch                2  2(1-t), drawn when u0 < 1/2, and 2t
 PiecewiseExample         4  (Z_0, Z_1) in (1/n, 1/n), (1/n, n), (n, 1/n),
                             (n, n); u < n/(n+1) draws 1/n
 NonlinearExample         4  the (Y, Yt) outcomes (1, 1), (1, 0), (0, 1),
-                            (0, 0), in the order of ``_atoms``
+                            (0, 0); u0 < p draws Y = 1, u1 < pt Yt = 1
 ======================  ==  ================================================
 
-Draw layout (fixed; regression tests rely on it): sampling one path
-consumes exactly ``UNIFORMS_PER_PATH[type(spec)]`` uniforms from the
-stream, in the documented per-variant order. Batched sampling draws the
-``(count, k)`` uniform block row-major, so replica ``i`` of a block owns
-row ``i``.
+Draw layout (fixed; regression tests rely on it): a path consumes one
+uniform per threshold of its atom table (SineBump: one, for W), in
+threshold order. Batched sampling draws the ``(count, k)`` uniform block
+row-major (``draw_uniforms``), so replica ``i`` of a block owns row ``i``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Union, get_type_hints
 
 import numpy as np
 
@@ -54,7 +61,7 @@ from .errors import InvalidSpecError
 from .estimates import (
     Estimate, binomial_estimate, count_events, seed_echo, stream_means
 )
-from .paths import Interval, SamplePath, TimeGrid
+from .paths import Interval, TimeGrid
 from .streams import Seed, block_streams
 
 #: Tolerance for "supremum equals endpoint maximum" equality tests. Linear
@@ -64,8 +71,37 @@ SUP_EQ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
+class Atoms:
+    """A generator's law as K piecewise-linear shapes with probabilities.
+
+    Shape k takes ``values[k][i]`` at ``knots[i]`` (0 = first < ... <
+    last = 1) and interpolates linearly between knots. ``thresholds``
+    holds one theta_j per uniform; see the module docstring for the index.
+    """
+
+    knots: tuple[float, ...]
+    values: tuple[tuple[float, ...], ...]
+    thresholds: tuple[float, ...]
+
+    @property
+    def probabilities(self) -> list[float]:
+        """p_k in shape order: theta_j for digit 0, 1 - theta_j for 1."""
+        p = [1.0]
+        for theta in self.thresholds:
+            p = [q * r for q in p for r in (theta, 1.0 - theta)]
+        return p
+
+    def mean(self, stat) -> float:
+        """Sum of p_k stat(knot values of shape k), in shape order."""
+        return sum(p * stat(z) for p, z in zip(self.probabilities, self.values))
+
+
+@dataclass(frozen=True)
 class CompleteDependence:
     """Constant generator: the completely dependent max-stable process."""
+
+    def atoms(self) -> Atoms:
+        return Atoms(knots=(0.0, 1.0), values=((1.0, 1.0),), thresholds=())
 
 
 @dataclass(frozen=True)
@@ -92,6 +128,15 @@ class PiecewiseExample:
         if not self.b < 1.0:
             out.append("b < 1 violated")
         return out
+
+    def atoms(self) -> Atoms:
+        levels = (1.0 / self.n, float(self.n))
+        theta = self.n / (self.n + 1.0)
+        return Atoms(
+            knots=(0.0, self.a, self.b, 1.0),
+            values=tuple((z0, 1.0, 1.0, z1) for z0 in levels for z1 in levels),
+            thresholds=(theta, theta),
+        )
 
 
 @dataclass(frozen=True)
@@ -146,21 +191,17 @@ class NonlinearExample:
     def p_tilde(self) -> float:
         return (1.0 - self.e) / (self.d - self.e)
 
-    @property
-    def _kappa(self) -> float:
-        return 1.0 - self.c * (self.a - 1.0) / (self.a - self.b)
-
-    def _atoms(self) -> list[tuple[float, float, float]]:
-        """(probability, Z_0, Z_1) for the four Bernoulli outcomes."""
-        out = []
-        for y, py in ((1, self.p), (0, 1.0 - self.p)):
-            for yt, pyt in ((1, self.p_tilde), (0, 1.0 - self.p_tilde)):
-                z0 = self.a if y else self.b
-                z1 = (0.0 if y else self.c) + self._kappa * (
-                    self.d if yt else self.e
-                )
-                out.append((py * pyt, z0, z1))
-        return out
+    def atoms(self) -> Atoms:
+        kappa = 1.0 - self.c * (self.a - 1.0) / (self.a - self.b)
+        return Atoms(
+            knots=(0.0, 0.5, 1.0),
+            values=tuple(
+                (z0, 1.0, shift + kappa * tail)
+                for z0, shift in ((self.a, 0.0), (self.b, self.c))
+                for tail in (self.d, self.e)
+            ),
+            thresholds=(self.p, self.p_tilde),
+        )
 
 
 #: Constraint-satisfying defaults: p = 1/3, p_tilde = 1/13.
@@ -178,6 +219,11 @@ class TwoBranch:
     suite, not assumed.
     """
 
+    def atoms(self) -> Atoms:
+        return Atoms(
+            knots=(0.0, 1.0), values=((2.0, 0.0), (0.0, 2.0)), thresholds=(0.5,)
+        )
+
 
 @dataclass(frozen=True)
 class SineBump:
@@ -194,19 +240,14 @@ class SineBump:
             return ["0 < amp < 1 violated"]
         return []
 
+    def atoms(self) -> None:
+        """None: W is continuous, so there is no finite atom table."""
+        return None
+
 
 GeneratorSpec = Union[
     CompleteDependence, PiecewiseExample, NonlinearExample, TwoBranch, SineBump
 ]
-
-#: Uniform deviates consumed per sampled path, by variant.
-UNIFORMS_PER_PATH: dict[type, int] = {
-    CompleteDependence: 0,
-    PiecewiseExample: 2,  # u0 -> Z_0, u1 -> Z_1
-    NonlinearExample: 2,  # u0 -> Y, u1 -> Yt
-    TwoBranch: 1,  # u0 < 1/2 picks the 2(1-t) branch
-    SineBump: 1,  # W = (amp/2)(2 u0 - 1)
-}
 
 
 def validate_spec(spec: GeneratorSpec) -> None:
@@ -220,57 +261,75 @@ def validate_spec(spec: GeneratorSpec) -> None:
         raise InvalidSpecError(violations)
 
 
+def generator_bound(spec: GeneratorSpec) -> float:
+    """A constant C with sup Z <= C almost surely.
+
+    An atom generator's largest knot value (a polyline peaks at a knot).
+    Looser is slower but still exact; SineBump uses 1 + amp even though
+    1 + amp/2 would do.
+    """
+    validate_spec(spec)
+    atoms = spec.atoms()
+    if atoms is None:
+        return 1.0 + spec.amp
+    return max(max(z) for z in atoms.values)
+
+
+def draw_uniforms(
+    spec: GeneratorSpec, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """The (count, k) uniform block of ``count`` paths, drawn row-major.
+
+    k is the number of atom thresholds; SineBump draws one uniform, for W.
+    """
+    atoms = spec.atoms()
+    k = 1 if atoms is None else len(atoms.thresholds)
+    return rng.random((count, k)) if k else np.empty((count, 0))
+
+
 def atom_index(spec: GeneratorSpec, uniforms: np.ndarray) -> np.ndarray | None:
     """The shape each uniform row selects, as a row index of ``shape_table``.
 
-    ``uniforms`` has shape (count, UNIFORMS_PER_PATH[variant]). SineBump
-    has no shapes and gives None.
+    ``uniforms`` comes from ``draw_uniforms``. SineBump has no shapes and
+    gives None.
     """
-    if isinstance(spec, CompleteDependence):
-        return np.zeros(uniforms.shape[0], dtype=np.intp)
-    if isinstance(spec, PiecewiseExample):
-        high = uniforms >= spec.n / (spec.n + 1.0)
-        return 2 * high[:, 0] + high[:, 1]
-    if isinstance(spec, NonlinearExample):
-        return 2 * (uniforms[:, 0] >= spec.p) + (uniforms[:, 1] >= spec.p_tilde)
-    if isinstance(spec, TwoBranch):
-        return (uniforms[:, 0] >= 0.5).astype(np.intp)
-    if isinstance(spec, SineBump):
+    atoms = spec.atoms()
+    if atoms is None:
         return None
-    raise InvalidSpecError([f"unknown generator type {type(spec).__name__}"])
+    k = np.zeros(uniforms.shape[0], dtype=np.intp)
+    for j, theta in enumerate(atoms.thresholds):
+        k = 2 * k + (uniforms[:, j] >= theta)
+    return k
 
 
 def shape_table(spec: GeneratorSpec, grid_points: np.ndarray) -> np.ndarray | None:
     """The K fixed path shapes on the grid; shape (K, len(grid_points)).
 
-    Row k is the path of every uniform row with ``atom_index`` k. SineBump
-    has no shapes and gives None.
+    ``grid_points`` must increase, as those of every ``TimeGrid`` and
+    ``SubGrid`` do. Row k is the path of every uniform row with
+    ``atom_index`` k. Between knots s < s' the value is
+    z(s) (s' - t)/(s' - s) + z(s') (t - s)/(s' - s), which equals z at
+    either knot; a flat segment gives its value exactly. SineBump has no
+    shapes and gives None.
     """
-    t = np.asarray(grid_points, dtype=float)
-    if isinstance(spec, CompleteDependence):
-        return np.ones((1, t.size))
-    if isinstance(spec, PiecewiseExample):
-        n, a, b = spec.n, spec.a, spec.b
-        levels = np.array([1.0 / n, float(n)])
-        z0, z1 = np.repeat(levels, 2), np.tile(levels, 2)
-        left = t < a
-        right = t > b
-        c0 = np.where(left, (a - t) / a, 0.0)
-        c1 = np.where(right, (t - b) / (1.0 - b), 0.0)
-        const = np.where(left, t / a, np.where(right, (1.0 - t) / (1.0 - b), 1.0))
-        return z0[:, None] * c0 + z1[:, None] * c1 + const
-    if isinstance(spec, NonlinearExample):
-        _, z0, z1 = np.array(spec._atoms()).T
-        left = t <= 0.5
-        c0 = np.where(left, 1.0 - 2.0 * t, 0.0)
-        c1 = np.where(left, 0.0, 2.0 * t - 1.0)
-        const = np.where(left, 2.0 * t, 2.0 * (1.0 - t))
-        return z0[:, None] * c0 + z1[:, None] * c1 + const
-    if isinstance(spec, TwoBranch):
-        return np.stack([2.0 * (1.0 - t), 2.0 * t])
-    if isinstance(spec, SineBump):
+    atoms = spec.atoms()
+    if atoms is None:
         return None
-    raise InvalidSpecError([f"unknown generator type {type(spec).__name__}"])
+    t = np.asarray(grid_points, dtype=float)
+    knots, values = atoms.knots, np.asarray(atoms.values)
+    out = np.empty((values.shape[0], t.size))
+    cuts = [0, *np.searchsorted(t, knots[1:-1]), t.size]
+    for s in range(len(knots) - 1):
+        cols = slice(cuts[s], cuts[s + 1])
+        lo, hi = knots[s], knots[s + 1]
+        z_lo, z_hi = values[:, s], values[:, s + 1]
+        ts = t[cols]
+        flat = z_lo == z_hi
+        if not flat.all():
+            out[:, cols] = z_lo[:, None] * ((hi - ts) / (hi - lo))
+            out[:, cols] += z_hi[:, None] * ((ts - lo) / (hi - lo))
+        out[flat, cols] = z_lo[flat, None]
+    return out
 
 
 def sample_paths(
@@ -278,9 +337,8 @@ def sample_paths(
 ) -> np.ndarray:
     """Build generator paths from uniforms; shape (count, len(grid_points)).
 
-    ``uniforms`` must have shape (count, UNIFORMS_PER_PATH[variant]). This
-    is the deterministic core of the sampler: equal uniforms give equal
-    paths on every platform.
+    ``uniforms`` comes from ``draw_uniforms``. This is the deterministic
+    core of the sampler: equal uniforms give equal paths on every platform.
     """
     t = np.asarray(grid_points, dtype=float)
     table = shape_table(spec, t)
@@ -290,24 +348,6 @@ def sample_paths(
     z = w[:, None] * np.sin(2.0 * np.pi * t)
     z += 1.0
     return z
-
-
-def _sample_block(
-    spec: GeneratorSpec, grid_points: np.ndarray, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Sample ``count`` paths, consuming one (count, k) uniform block."""
-    k = UNIFORMS_PER_PATH[type(spec)]
-    u = rng.random((count, k)) if k else np.empty((count, 0))
-    return sample_paths(spec, grid_points, u)
-
-
-def sample_generator(
-    spec: GeneratorSpec, grid: TimeGrid, stream: np.random.Generator
-) -> SamplePath:
-    """One realization of Z on the grid."""
-    validate_spec(spec)
-    values = _sample_block(spec, grid.points, stream, 1)[0]
-    return SamplePath(grid, values)
 
 
 def generator_blocks(
@@ -320,7 +360,7 @@ def generator_blocks(
     """
     validate_spec(spec)
     for count, rng in block_streams(seed, n):
-        yield _sample_block(spec, grid.points, rng, count)
+        yield sample_paths(spec, grid.points, draw_uniforms(spec, rng, count))
 
 
 def generator_corpus(
@@ -363,46 +403,31 @@ def generator_moments(
     )
 
 
-def closed_form_m(spec: GeneratorSpec) -> float | None:
-    """Exact generator constant E sup Z where a closed form exists.
+def closed_form_m(spec: GeneratorSpec) -> float:
+    """Exact generator constant m = E sup Z.
 
-    PiecewiseExample: sup Z = max(Z_0, 1, Z_1) = n unless both endpoints
-    equal 1/n, so m = (3n^2 + n)/(n+1)^2. NonlinearExample: enumerate the
-    four (Z_0, Z_1) atoms. SineBump: sup Z = 1 + |W|, m = 1 + amp/4.
+    An atom generator's shapes peak at a knot, so m = sum_k p_k max z_k.
+    For PiecewiseExample that is the paper's (3n^2 + n)/(n+1)^2, exactly
+    14/9 at n = 2; at other n it is the mean under the sampled threshold
+    fl(n/(n+1)), within a few ulps of the formula. SineBump:
+    sup Z = 1 + |W|, so m = 1 + amp/4.
     """
-    if isinstance(spec, CompleteDependence):
-        return 1.0
-    if isinstance(spec, PiecewiseExample):
-        n = spec.n
-        return (3.0 * n * n + n) / ((n + 1.0) ** 2)
-    if isinstance(spec, NonlinearExample):
-        return sum(w * max(z0, 1.0, z1) for w, z0, z1 in spec._atoms())
-    if isinstance(spec, TwoBranch):
-        return 2.0
-    if isinstance(spec, SineBump):
+    atoms = spec.atoms()
+    if atoms is None:
         return 1.0 + spec.amp / 4.0
-    return None
+    return atoms.mean(max)
 
 
-def closed_form_m_tilde(spec: GeneratorSpec) -> float | None:
-    """Exact E inf Z where derivable (same case analysis as closed_form_m).
+def closed_form_m_tilde(spec: GeneratorSpec) -> float:
+    """Exact m~ = E inf Z: sum_k p_k min z_k, as in ``closed_form_m``.
 
-    PiecewiseExample: inf Z = min(Z_0, 1, Z_1) = 1/n unless both endpoints
-    equal n, giving (n+3)/(n+1)^2. TwoBranch paths vanish at an endpoint,
-    so the infimum mean is 0.
+    PiecewiseExample gives (n+3)/(n+1)^2; TwoBranch paths vanish at an
+    endpoint, so m~ = 0. SineBump: inf Z = 1 - |W|, so m~ = 1 - amp/4.
     """
-    if isinstance(spec, CompleteDependence):
-        return 1.0
-    if isinstance(spec, PiecewiseExample):
-        n = spec.n
-        return (n + 3.0) / ((n + 1.0) ** 2)
-    if isinstance(spec, NonlinearExample):
-        return sum(w * min(z0, 1.0, z1) for w, z0, z1 in spec._atoms())
-    if isinstance(spec, TwoBranch):
-        return 0.0
-    if isinstance(spec, SineBump):
+    atoms = spec.atoms()
+    if atoms is None:
         return 1.0 - spec.amp / 4.0
-    return None
+    return atoms.mean(min)
 
 
 def sup_equals_max_rate(
@@ -451,7 +476,7 @@ def generator_from_json(doc: dict) -> GeneratorSpec:
     if not isinstance(doc, dict) or "variant" not in doc:
         raise InvalidSpecError(['generator document needs a "variant" field'])
     tag = doc["variant"]
-    cls = _VARIANT_TAGS.get(tag)
+    cls = _VARIANT_TAGS.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise InvalidSpecError(
             [f"unknown variant {tag!r}; expected one of {sorted(_VARIANT_TAGS)}"]
@@ -459,21 +484,28 @@ def generator_from_json(doc: dict) -> GeneratorSpec:
     params = doc.get("params", {}) or {}
     if not isinstance(params, dict):
         raise InvalidSpecError(['"params" must be an object'])
-    field_names = {f.name for f in fields(cls)}
-    unknown = sorted(set(params) - field_names)
+    types = get_type_hints(cls)
+    unknown = sorted(set(params) - set(types))
     if unknown:
         raise InvalidSpecError([f"unknown parameter {p!r} for {tag}" for p in unknown])
-    missing = sorted(field_names - set(params))
+    missing = sorted(set(types) - set(params))
     if missing:
         raise InvalidSpecError([f"missing parameter {p!r} for {tag}" for p in missing])
-    try:
-        if cls is PiecewiseExample:
-            spec = cls(
-                n=int(params["n"]), a=float(params["a"]), b=float(params["b"])
-            )
-        else:
-            spec = cls(**{k: float(v) for k, v in params.items()})
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpecError([f"bad parameters for {tag}: {exc}"]) from exc
+    spec = cls(**{k: _coerce(tag, k, v, types[k]) for k, v in params.items()})
     validate_spec(spec)
     return spec
+
+
+def _coerce(tag: str, name: str, value, kind: type) -> float | int:
+    """A JSON number as the field's type, held exactly and finite."""
+    exact = False
+    if type(value) in (int, float):
+        try:
+            number = kind(value)
+            exact = number == value and math.isfinite(number)
+        except (OverflowError, ValueError):
+            pass
+    if not exact:
+        what = "a whole number" if kind is int else "a finite float"
+        raise InvalidSpecError([f"{tag} parameter {name!r} must be {what}, got {value!r}"])
+    return number

@@ -121,20 +121,28 @@ class HittingCurve:
     upper_bounds: np.ndarray
 
     def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        if lv.ndim != 1 or lv.size < 1:
-            raise ValueError("need at least one level")
-        if np.any(lv >= 0.0):
-            raise ValueError("levels must be strictly negative")
-        if np.any(np.diff(lv) >= 0.0):
-            raise ValueError("levels must be strictly decreasing")
+        lv = _checked_levels(self.levels)
         if len(self.estimates) != lv.size or self.upper_bounds.shape != lv.shape:
             raise ValueError("levels, estimates, and bounds must align")
         if any(not 0.0 <= e.value <= 1.0 for e in self.estimates):
             raise ValueError("hitting estimates must lie in [0, 1]")
-        if np.any(self.upper_bounds < 0.0):
-            raise ValueError("upper bounds must be nonnegative")
+        if not np.all(np.isfinite(self.upper_bounds) & (self.upper_bounds >= 0.0)):
+            raise ValueError("upper bounds must be finite and nonnegative")
         object.__setattr__(self, "levels", lv)
+
+
+def _checked_levels(levels) -> np.ndarray:
+    """``levels`` as floats: a nonempty, finite, negative, decreasing row."""
+    lv = np.asarray(levels, dtype=float)
+    if lv.ndim != 1 or lv.size < 1:
+        raise ValueError("need at least one level")
+    if not np.all(np.isfinite(lv)):
+        raise ValueError("levels must be finite")
+    if np.any(lv >= 0.0):
+        raise ValueError("levels must be strictly negative")
+    if np.any(np.diff(lv) >= 0.0):
+        raise ValueError("levels must be strictly decreasing")
+    return lv
 
 
 def hitting_curve(
@@ -144,23 +152,12 @@ def hitting_curve(
     grid: TimeGrid,
     n: int,
     seed: Seed,
-    m: float | None = None,
-    m_tilde: float | None = None,
 ) -> HittingCurve:
     """Hitting probability per level, all levels sharing one path corpus.
 
-    ``m`` and ``m_tilde`` feed the per-level upper bounds; they default to
-    the variant's closed forms. Pass estimates explicitly (e.g. from
-    ``generator_moments``, clipped into [0, 1] and [1, inf)) for a spec
-    without closed-form moments.
+    The per-level upper bounds use the spec's closed-form m and m~.
     """
-    lv = np.asarray(levels, dtype=float)
-    if not np.all(np.isfinite(lv)):
-        raise ValueError("levels must be finite")
-    if np.any(lv >= 0.0):
-        raise ValueError("levels must be strictly negative")
-    if np.any(np.diff(lv) >= 0.0):
-        raise ValueError("levels must be strictly decreasing")
+    lv = _checked_levels(levels)
     sl = grid.slice_of(interval)
 
     def levels_hit(eta: np.ndarray) -> np.ndarray:
@@ -171,14 +168,7 @@ def hitting_curve(
         return (mn[:, None] <= lv[None, :]) & (lv[None, :] <= mx[:, None])
 
     (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), levels_hit)
-    if m is None:
-        m = closed_form_m(spec)
-    if m_tilde is None:
-        m_tilde = closed_form_m_tilde(spec)
-    if m is None or m_tilde is None:
-        raise ValueError(
-            "no closed-form moments for this spec; pass m and m_tilde"
-        )
+    m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
     bounds = np.array([hitting_bound(m, m_tilde, x) for x in lv])
     ests = [binomial_estimate(int(c), n, seed_echo(seed)) for c in counts]
     return HittingCurve(levels=lv, estimates=ests, upper_bounds=bounds)

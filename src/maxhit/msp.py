@@ -11,7 +11,7 @@ sup Z almost surely; past that point no later arrival can raise xi at any
 grid point, so the returned values are exact on the grid (a property the
 verification suite asserts bit-for-bit by pushing extra arrivals).
 
-Skip rule: a generator with a shape table (see ``generators``) draws one
+Skip rule: a generator with an atom table (see ``generators``) draws one
 of K fixed shapes z_k per arrival. Only a replica's first draw of each
 shape is built, divided and max-accumulated; a later draw of z_k is
 skipped. Gamma never decreases and IEEE division is correctly rounded,
@@ -25,7 +25,8 @@ a no-op.
 
 Draw layout per block and round (fixed; see ``streams``): one standard
 exponential per still-active replica in ascending replica order, then the
-variant's uniform block of shape (active, k) row-major.
+generator's uniform block of shape (active, k) row-major
+(``generators.draw_uniforms``).
 
 On the standard scale, P(eta_t <= x) = exp(x) for x <= 0, and
 P(eta <= f everywhere) = exp(-E sup |f| Z) for nonpositive f.
@@ -41,18 +42,14 @@ from .dnorm import LevelFunction
 from .errors import BoundTooLooseError
 from .estimates import Estimate, binomial_estimate, count_events, seed_echo
 from .generators import (
-    UNIFORMS_PER_PATH,
-    CompleteDependence,
     GeneratorSpec,
-    NonlinearExample,
-    PiecewiseExample,
-    SineBump,
-    TwoBranch,
     atom_index,
+    draw_uniforms,
+    generator_bound,
     sample_paths,
     validate_spec,
 )
-from .paths import SamplePath, SubGrid, TimeGrid
+from .paths import SubGrid, TimeGrid
 from .streams import Seed, block_streams
 
 DEFAULT_MAX_POINTS = 10**6
@@ -60,26 +57,6 @@ DEFAULT_MAX_POINTS = 10**6
 #: Kolmogorov one-sample critical value at the band used throughout:
 #: D_n <= KS_CRITICAL / sqrt(n).
 KS_CRITICAL = 1.63
-
-
-def generator_bound(spec: GeneratorSpec) -> float:
-    """A constant C with sup Z <= C almost surely.
-
-    Looser is slower but still exact; SineBump uses 1 + amp even though
-    1 + amp/2 would do.
-    """
-    validate_spec(spec)
-    if isinstance(spec, CompleteDependence):
-        return 1.0
-    if isinstance(spec, PiecewiseExample):
-        return float(spec.n)
-    if isinstance(spec, NonlinearExample):
-        return max(max(z0, 1.0, z1) for _, z0, z1 in spec._atoms())
-    if isinstance(spec, TwoBranch):
-        return 2.0
-    if isinstance(spec, SineBump):
-        return 1.0 + spec.amp
-    raise TypeError(f"unhandled spec {type(spec).__name__}")
 
 
 class _Live:
@@ -122,8 +99,7 @@ def _arrival_round(
     """
     gamma = live.gamma
     gamma += rng.standard_exponential(gamma.size)
-    k = UNIFORMS_PER_PATH[type(spec)]
-    u = rng.random((gamma.size, k)) if k else np.empty((gamma.size, 0))
+    u = draw_uniforms(spec, rng, gamma.size)
     shape = atom_index(spec, u)
     if shape is None:
         todo = np.ones(gamma.size, dtype=bool)
@@ -209,20 +185,6 @@ def msp_corpus(
     return np.concatenate(
         list(msp_path_blocks(spec, grid, n, seed, max_points)), axis=0
     )
-
-
-def sample_msp(
-    spec: GeneratorSpec,
-    grid: TimeGrid,
-    stream: np.random.Generator,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> SamplePath:
-    """One eta path on the grid; every value is strictly negative."""
-    validate_spec(spec)
-    if max_points < 1:
-        raise ValueError("max_points must be >= 1")
-    xi = _spectral_block(spec, grid.points, stream, 1, max_points)
-    return SamplePath(grid, -1.0 / xi[0])
 
 
 def joint_cdf_estimate(

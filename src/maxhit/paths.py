@@ -1,4 +1,4 @@
-"""Time grids, sample-path containers, and intervals of [0, 1].
+"""Time grids and intervals of [0, 1].
 
 Paths of continuous processes are represented by their values on a finite
 grid; interval endpoints must be grid points.
@@ -90,24 +90,6 @@ def make_grid(n: int) -> TimeGrid:
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
     return TimeGrid(np.arange(n) / (n - 1))
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """Values of one realization of a process on a grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen_array(self.values)
-        if vals.shape != self.grid.points.shape:
-            raise ValueError(
-                f"values length {vals.size} != grid length {len(self.grid)}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,15 @@ CATALOGUE = [
     SineBump(amp=0.5),
 ]
 
+#: Uniforms one path consumes, as the ``generators`` docstring documents.
+DOCUMENTED_UNIFORMS = {
+    CompleteDependence: 0,
+    PiecewiseExample: 2,
+    NonlinearExample: 2,
+    TwoBranch: 1,
+    SineBump: 1,
+}
+
 
 @pytest.fixture(scope="session")
 def grid201():

@@ -251,6 +251,16 @@ class TestDispatch:
         assert main(["hitting", "--x", "0.5"]) == 2
         assert "level must be negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_fractional_or_boolean_n_exits_2(self, n, tmp_path, capsys):
+        gen = tmp_path / "pw.json"
+        gen.write_text(json.dumps(
+            {"variant": "piecewise_example", "params": {"n": n, "a": 0.25, "b": 0.75}}
+        ))
+        code = main(["hitting", "--generator", str(gen), "--x", "-1", "--n", "10"])
+        assert code == 2
+        assert "whole number" in capsys.readouterr().err
+
     def test_bound_too_loose_exit_code(self, two_branch_json, tmp_path, capsys):
         code = main([
             "simulate", "--generator", two_branch_json, "--paths", "1",

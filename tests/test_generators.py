@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CATALOGUE, DOCUMENTED_UNIFORMS
 from maxhit import (
     NONLINEAR_DEFAULTS,
     CompleteDependence,
@@ -12,18 +15,28 @@ from maxhit import (
     TwoBranch,
     closed_form_m,
     closed_form_m_tilde,
+    generator_blocks,
+    generator_bound,
     generator_corpus,
     generator_from_json,
     generator_moments,
     generator_to_json,
     make_grid,
-    sample_generator,
     sup_equals_max_rate,
     validate_spec,
 )
 from maxhit.generators import (
-    UNIFORMS_PER_PATH, atom_index, sample_paths, shape_table
+    atom_index, draw_uniforms, sample_paths, shape_table
 )
+from maxhit.streams import block_streams
+
+ATOM_SPECS = [
+    CompleteDependence(),
+    TwoBranch(),
+    PiecewiseExample(n=2, a=0.25, b=0.75),
+    PiecewiseExample(n=5, a=0.1, b=0.3),
+    NonlinearExample(**NONLINEAR_DEFAULTS),
+]
 
 
 class TestValidateSpec:
@@ -123,20 +136,21 @@ class TestSamplePaths:
         assert z[1, 1] == pytest.approx(0.75)
 
     def test_paths_nonnegative(self, any_spec, grid101, rng):
-        u = rng.random((500, UNIFORMS_PER_PATH[type(any_spec)]))
+        u = draw_uniforms(any_spec, rng, 500)
         z = sample_paths(any_spec, grid101.points, u)
         assert (z >= 0.0).all()
 
     def test_documented_draw_count(self, any_spec, grid101):
-        # consuming a path advances the stream by exactly the documented
-        # number of uniforms
-        k = UNIFORMS_PER_PATH[type(any_spec)]
-        s1 = np.random.default_rng(123)
-        sample_generator(any_spec, grid101, s1)
-        s2 = np.random.default_rng(123)
-        if k:
-            s2.random((1, k))
-        assert s1.random() == s2.random()
+        # a block's paths come from one (count, k) uniform block of its
+        # child stream, k the documented count, and nothing else is drawn
+        k = DOCUMENTED_UNIFORMS[type(any_spec)]
+        (z,) = generator_blocks(any_spec, grid101, 300, 123)
+        ((count, rng),) = block_streams(123, 300)
+        u = rng.random((count, k))
+        assert np.array_equal(z, sample_paths(any_spec, grid101.points, u))
+        used = np.random.default_rng(5)
+        draw_uniforms(any_spec, used, count)
+        assert used.random() == np.random.default_rng(5).random(count * k + 1)[-1]
 
 
 class TestShapeTable:
@@ -154,16 +168,37 @@ class TestShapeTable:
     def test_rows_are_table_rows(self, spec, shapes, grid101):
         table = shape_table(spec, grid101.points)
         assert table.shape == (shapes, 101)
-        u = np.random.default_rng(5).random((4000, UNIFORMS_PER_PATH[type(spec)]))
+        u = draw_uniforms(spec, np.random.default_rng(5), 4000)
         k = atom_index(spec, u)
         assert sorted(set(k.tolist())) == list(range(shapes))
         assert np.array_equal(sample_paths(spec, grid101.points, u), table[k])
 
     def test_nonlinear_endpoints_are_the_atoms(self, grid101):
+        # the class docstring's Z_0 and Z_1 for (Y, Yt) = (1, 1), (1, 0),
+        # (0, 1), (0, 0)
         spec = NonlinearExample(**NONLINEAR_DEFAULTS)
+        a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
+        kappa = 1.0 - c * (a - 1.0) / (a - b)
+        atoms = [
+            (y * a + (1 - y) * b, (1 - y) * c + kappa * (yt * d + (1 - yt) * e))
+            for y in (1, 0)
+            for yt in (1, 0)
+        ]
         table = shape_table(spec, grid101.points)
-        atoms = [(z0, z1) for _, z0, z1 in spec._atoms()]
         assert list(zip(table[:, 0].tolist(), table[:, -1].tolist())) == atoms
+
+    @pytest.mark.parametrize("spec", ATOM_SPECS, ids=repr)
+    def test_probabilities_sum_to_one(self, spec):
+        p = spec.atoms().probabilities
+        assert len(p) == len(spec.atoms().values)
+        assert sum(p) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", ATOM_SPECS, ids=repr)
+    def test_probabilities_are_draw_frequencies(self, spec):
+        u = draw_uniforms(spec, np.random.default_rng(6), 20_000)
+        freq = np.bincount(atom_index(spec, u), minlength=4) / 20_000
+        p = np.array(spec.atoms().probabilities)
+        assert np.all(np.abs(freq[: p.size] - p) <= 4 * np.sqrt(p * (1 - p) / 20_000))
 
     def test_sine_bump_has_no_shapes(self, grid101):
         spec = SineBump(amp=0.5)
@@ -236,6 +271,20 @@ class TestClosedForms:
         # grid sup underestimates the path sup slightly for the sine bump
         assert abs(mom.m_hat.value - m) <= 3 * mom.m_hat.se + 1e-3
 
+    def test_piecewise_is_the_paper_formula(self):
+        # bit for bit at n = 2 (14/9 and 5/9); elsewhere the derived means
+        # use the sampled threshold fl(n/(n+1))
+        for n in range(1, 51):
+            spec = PiecewiseExample(n=n, a=0.25, b=0.75)
+            m = (3.0 * n * n + n) / ((n + 1.0) ** 2)
+            mt = (n + 3.0) / ((n + 1.0) ** 2)
+            assert closed_form_m(spec) == pytest.approx(m, rel=1e-12, abs=0)
+            assert closed_form_m_tilde(spec) == pytest.approx(mt, rel=1e-12, abs=0)
+            assert generator_bound(spec) == n
+        spec = PiecewiseExample(n=2, a=0.25, b=0.75)
+        assert closed_form_m(spec) == 14.0 / 9.0
+        assert closed_form_m_tilde(spec) == 5.0 / 9.0
+
 
 class TestSupEqualsMaxRate:
     def test_nonlinear_always(self, grid201):
@@ -293,3 +342,47 @@ class TestJson:
     def test_constraints_enforced_on_load(self):
         with pytest.raises(InvalidSpecError, match="0 < amp < 1"):
             generator_from_json({"variant": "sine_bump", "params": {"amp": 3.0}})
+
+    @pytest.mark.parametrize("n", [2, 2.0])
+    def test_whole_n_loads(self, n):
+        spec = generator_from_json(
+            {"variant": "piecewise_example", "params": {"n": n, "a": 0.25, "b": 0.75}}
+        )
+        assert spec.n == 2 and type(spec.n) is int
+
+    @pytest.mark.parametrize("n", [2.5, True, "2"])
+    def test_n_must_be_a_whole_number(self, n):
+        with pytest.raises(InvalidSpecError, match="'n' must be"):
+            generator_from_json(
+                {"variant": "piecewise_example",
+                 "params": {"n": n, "a": 0.25, "b": 0.75}}
+            )
+
+
+_param_values = st.one_of(
+    st.integers(min_value=-3, max_value=60),
+    st.integers(),
+    st.floats(min_value=0.0, max_value=8.0),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@given(data=st.data(), template=st.sampled_from(CATALOGUE))
+@settings(max_examples=400, deadline=None)
+def test_document_loads_exactly_or_is_invalid(data, template):
+    # a document either gives a spec holding its numbers, typed as the
+    # fields are, or raises InvalidSpecError
+    doc = generator_to_json(template)
+    params = {name: data.draw(_param_values, label=name) for name in doc["params"]}
+    try:
+        spec = generator_from_json({"variant": doc["variant"], "params": params})
+    except InvalidSpecError:
+        return
+    for name, value in params.items():
+        got = getattr(spec, name)
+        assert got == value
+        assert type(got) is type(getattr(template, name))

@@ -143,6 +143,18 @@ class TestHittingCurve:
                 TwoBranch(), np.array(levels), Interval(0.0, 1.0), grid101, 100, 61
             )
 
+    @pytest.mark.parametrize(
+        "level,bound",
+        [(math.nan, 0.0), (-math.inf, math.nan), (-1.0, math.nan), (-1.0, math.inf)],
+    )
+    def test_direct_construction_needs_finite_values(self, level, bound):
+        with pytest.raises(ValueError, match="finite"):
+            HittingCurve(
+                levels=np.array([level]),
+                estimates=[binomial_estimate(0, 10, 1)],
+                upper_bounds=np.array([bound]),
+            )
+
     def test_levels_must_be_negative(self, grid101):
         with pytest.raises(ValueError, match="negative"):
             hitting_curve(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CATALOGUE
+from conftest import CATALOGUE, DOCUMENTED_UNIFORMS
 from maxhit import (
     NONLINEAR_DEFAULTS,
     BoundTooLooseError,
@@ -19,10 +19,8 @@ from maxhit import (
     make_grid,
     marginal_gof,
     msp_corpus,
-    sample_msp,
     stopping_exactness_violations,
 )
-from maxhit.generators import UNIFORMS_PER_PATH
 from maxhit.msp import ks_distance_neg_exponential
 from maxhit.streams import block_streams
 
@@ -43,10 +41,12 @@ def _dense_paths(spec, t, u):
         const = np.where(left, t / a, np.where(right, (1.0 - t) / (1.0 - b), 1.0))
         return z0[:, None] * c0 + z1[:, None] * c1 + const
     if isinstance(spec, NonlinearExample):
-        y = u[:, 0] < spec.p
-        yt = u[:, 1] < spec.p_tilde
-        z0 = np.where(y, spec.a, spec.b)
-        z1 = np.where(y, 0.0, spec.c) + spec._kappa * np.where(yt, spec.d, spec.e)
+        a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
+        y = u[:, 0] < (1.0 - b) / (a - b)
+        yt = u[:, 1] < (1.0 - e) / (d - e)
+        kappa = 1.0 - c * (a - 1.0) / (a - b)
+        z0 = np.where(y, a, b)
+        z1 = np.where(y, 0.0, c) + kappa * np.where(yt, d, e)
         left = t <= 0.5
         c0 = np.where(left, 1.0 - 2.0 * t, 0.0)
         c1 = np.where(left, 0.0, 2.0 * t - 1.0)
@@ -59,11 +59,24 @@ def _dense_paths(spec, t, u):
     return 1.0 + w[:, None] * np.sin(2.0 * np.pi * t)
 
 
+def _dense_bound(spec):
+    """The largest value a path of the spec takes."""
+    if isinstance(spec, PiecewiseExample):
+        return float(spec.n)
+    if isinstance(spec, NonlinearExample):
+        a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
+        kappa = 1.0 - c * (a - 1.0) / (a - b)
+        return max(a, 1.0, *(s + kappa * v for s in (0.0, c) for v in (d, e)))
+    if isinstance(spec, SineBump):
+        return 1.0 + spec.amp
+    return {CompleteDependence: 1.0, TwoBranch: 2.0}[type(spec)]
+
+
 def _dense_corpus(spec, grid, n, seed):
     """eta paths from the arrival loop that builds, divides and
     max-accumulates every draw, compacting the live block as rows stop."""
-    bound = generator_bound(spec)
-    k = UNIFORMS_PER_PATH[type(spec)]
+    bound = _dense_bound(spec)
+    k = DOCUMENTED_UNIFORMS[type(spec)]
     blocks = []
     for count, rng in block_streams(seed, n):
         out = np.empty((count, len(grid)))
@@ -121,14 +134,13 @@ def test_corpus_equals_dense_arrival_loop(spec, points):
 
 class TestSampleMsp:
     def test_complete_dependence_constant_negative_exponential(self, grid101):
-        stream = np.random.default_rng(42)
-        p = sample_msp(CompleteDependence(), grid101, stream)
-        vals = np.unique(p.values)
-        assert vals.size == 1
-        # the constant equals -Gamma_1, the first arrival of the stream
-        replay = np.random.default_rng(42)
-        gamma1 = replay.standard_exponential(1)[0]
-        assert vals[0] == pytest.approx(-gamma1)
+        corpus = msp_corpus(CompleteDependence(), grid101, 5, 42)
+        assert (corpus == corpus[:, :1]).all()
+        # each replica's constant is -Gamma_1, its first arrival in the
+        # block's child stream
+        ((count, replay),) = block_streams(42, 5)
+        gamma1 = replay.standard_exponential(count)
+        assert corpus[:, 0] == pytest.approx(-gamma1)
 
     def test_strictly_negative(self, any_spec, grid101):
         corpus = msp_corpus(any_spec, grid101, 2000, 14)
@@ -148,17 +160,16 @@ class TestSampleMsp:
         assert abs(freq - target) <= 3 * se + 0.005
 
     def test_bound_too_loose_raises(self, grid101):
-        stream = np.random.default_rng(0)
         # a two-branch path needs at least two arrivals: one branch alone
         # leaves a zero at an endpoint
         with pytest.raises(BoundTooLooseError) as err:
-            sample_msp(TwoBranch(), grid101, stream, max_points=1)
+            msp_corpus(TwoBranch(), grid101, 10, 0, max_points=1)
         assert err.value.arrivals == 1
         assert err.value.deficit > 0
 
     def test_max_points_validation(self, grid101):
         with pytest.raises(ValueError):
-            sample_msp(TwoBranch(), grid101, np.random.default_rng(0), max_points=0)
+            msp_corpus(TwoBranch(), grid101, 10, 0, max_points=0)
 
 
 class TestJointCdf:

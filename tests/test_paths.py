@@ -3,12 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhit import Interval, SamplePath, TimeGrid, make_grid
+from maxhit import Interval, TimeGrid, make_grid
 from maxhit.hitting import hit_mask
-
-
-def path(grid, values):
-    return SamplePath(grid, np.asarray(values, dtype=float))
 
 
 class TestMakeGrid:
@@ -54,16 +50,6 @@ class TestTimeGrid:
             g.points[0] = 0.5
 
 
-class TestSamplePath:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SamplePath(make_grid(3), np.array([1.0, 2.0]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            SamplePath(make_grid(3), np.array([1.0, np.inf, 2.0]))
-
-
 class TestInterval:
     @pytest.mark.parametrize("lo,hi", [(0.5, 0.5), (0.7, 0.3), (-0.1, 0.5), (0.5, 1.2)])
     def test_bad_intervals(self, lo, hi):
@@ -83,9 +69,8 @@ finite_floats = st.floats(
 @settings(max_examples=200, deadline=None)
 def test_hit_iff_extrema_bracket(values, x):
     grid = make_grid(len(values))
-    p = path(grid, values)
     sl = grid.slice_of(Interval(0.0, 1.0))
-    got = hit_mask(p.values[np.newaxis, :], sl, x)
+    got = hit_mask(np.array([values]), sl, x)
     assert got.tolist() == [min(values) <= x <= max(values)]
 
 
@@ -99,9 +84,8 @@ def test_restrict_then_extrema_is_range_extrema(data):
     i = data.draw(st.integers(min_value=0, max_value=n - 2))
     j = data.draw(st.integers(min_value=i + 1, max_value=n - 1))
     grid = make_grid(n)
-    p = path(grid, values)
     interval = Interval(float(grid.points[i]), float(grid.points[j]))
-    window = p.values[grid.slice_of(interval)]
+    window = np.array(values)[grid.slice_of(interval)]
     got = (float(window.min()), float(window.max()))
     expect = (min(values[i : j + 1]), max(values[i : j + 1]))
     assert got == expect
