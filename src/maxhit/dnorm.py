@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import Estimate, RunningMean, seed_echo, stream_means
+from .estimates import Z95, Estimate, RunningMean, seed_echo, stream_means
 from .generators import GeneratorSpec, generator_blocks
 from .paths import Interval, TimeGrid, _frozen_array
 from .streams import Seed
@@ -48,6 +48,15 @@ class LevelFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("level function values must be finite")
         object.__setattr__(self, "values", vals)
+
+    @staticmethod
+    def common_grid(fs: list[LevelFunction]) -> TimeGrid:
+        """The grid every function in ``fs`` shares (shared-draw estimators)."""
+        grid = fs[0].grid
+        for f in fs[1:]:
+            if not np.array_equal(f.grid.points, grid.points):
+                raise ValueError("shared-draw estimates need a common grid")
+        return grid
 
     @staticmethod
     def constant(grid: TimeGrid, level: float) -> LevelFunction:
@@ -86,14 +95,12 @@ def _dnorm_pass(
     from one shared set of generator paths."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    grid = fs[0].grid
-    for f in fs[1:]:
-        if not np.array_equal(f.grid.points, grid.points):
-            raise ValueError("shared-draw D-norms need a common grid")
     sups = [
         lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
     ]
-    return stream_means(generator_blocks(spec, grid, n, seed), *sups, *extra)
+    return stream_means(
+        generator_blocks(spec, LevelFunction.common_grid(fs), n, seed), *sups, *extra
+    )
 
 
 def dnorm_estimates(
@@ -135,14 +142,21 @@ def dnorm_indicator(
 
 def survivor_lower_bound(
     spec: GeneratorSpec, f: LevelFunction, n: int, seed: Seed
-) -> float:
-    """Estimated lower bound 1 - exp(-E inf |f| Z) for P(eta > f everywhere)."""
+) -> Estimate:
+    """Estimated lower bound 1 - exp(-E inf |f| Z) for P(eta > f everywhere).
+
+    The se is the delta-method exp(-v) se(v) of the mean v = E inf |f| Z;
+    the CI is the normal interval of that se.
+    """
     absf = np.abs(f.values)
-    acc = stream_means(
+    v = stream_means(
         generator_blocks(spec, f.grid, n, seed),
         lambda z: np.min(z * absf[None, :], axis=1),
-    )
-    return 1.0 - math.exp(-acc.estimate(0).value)
+    ).estimate(0)
+    value = 1.0 - math.exp(-v.value)
+    se = math.exp(-v.value) * v.se
+    return Estimate(value=value, se=se, ci=(value - Z95 * se, value + Z95 * se),
+                    n=n, seed=seed_echo(seed))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ class BoundTooLooseError(MaxhitError, RuntimeError):
         )
 
 
+class OffGridError(MaxhitError, ValueError):
+    """A time that must be a grid point is not one."""
+
+
 class UnknownCheckError(MaxhitError, ValueError):
     """A verification suite was asked to run an unregistered check id."""
 

@@ -119,8 +119,10 @@ class PiecewiseExample:
 
     def violations(self) -> list[str]:
         out = []
-        if not (isinstance(self.n, int) and self.n >= 1):
-            out.append("n >= 1 violated")
+        # bool subclasses int, but True is not a valid n
+        if not (isinstance(self.n, int) and not isinstance(self.n, bool)
+                and self.n >= 1):
+            out.append("integer n >= 1 violated")
         if not 0.0 < self.a:
             out.append("0 < a violated")
         if not self.a < self.b:

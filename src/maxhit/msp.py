@@ -187,30 +187,30 @@ def msp_corpus(
     )
 
 
-def joint_cdf_estimate(
-    spec: GeneratorSpec, f: LevelFunction, grid: TimeGrid, n: int, seed: Seed
-) -> Estimate:
-    """Monte Carlo estimate of P(eta_t <= f(t) at every grid point)."""
-    if not np.array_equal(f.grid.points, grid.points):
-        raise ValueError("level function is not defined on the given grid")
-    (successes,) = count_events(
-        msp_path_blocks(spec, grid, n, seed),
-        lambda eta: np.all(eta <= f.values, axis=1),
+def joint_cdf_estimates(
+    spec: GeneratorSpec, fs: list[LevelFunction], n: int, seed: Seed
+) -> list[Estimate]:
+    """Estimates of P(eta_t <= f(t) at every grid point), one per function,
+    all from one shared set of paths on the functions' common grid."""
+    counts = count_events(
+        msp_path_blocks(spec, LevelFunction.common_grid(fs), n, seed),
+        *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs),
     )
-    return binomial_estimate(int(successes), n, seed_echo(seed))
+    return [binomial_estimate(int(c), n, seed_echo(seed)) for c in counts]
 
 
 def marginal_gof(
-    spec: GeneratorSpec, t: float, grid: TimeGrid, n: int, seed: Seed
-) -> float:
-    """Kolmogorov-Smirnov distance of simulated eta_t against exp(x), x <= 0."""
+    spec: GeneratorSpec, times: list[float], grid: TimeGrid, n: int, seed: Seed
+) -> list[float]:
+    """Kolmogorov-Smirnov distances of simulated eta_t against exp(x),
+    x <= 0, one per time in ``times``, all from one shared set of paths."""
     if n < 1:
         raise ValueError("n must be >= 1 for a KS distance")
-    col = grid.index_of(t)
+    cols = [grid.index_of(t) for t in times]
     samples = np.concatenate(
-        [eta[:, col].copy() for eta in msp_path_blocks(spec, grid, n, seed)]
+        [eta[:, cols] for eta in msp_path_blocks(spec, grid, n, seed)]
     )
-    return ks_distance_neg_exponential(samples)
+    return [ks_distance_neg_exponential(samples[:, j]) for j in range(len(cols))]
 
 
 def ks_distance_neg_exponential(samples: np.ndarray) -> float:

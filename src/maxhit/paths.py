@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OffGridError
+
 # Times this close to a grid point count as on-grid: user-supplied decimals
 # rarely equal the binary double of i/(n-1) bit for bit.
 GRID_TOL = 1e-9
@@ -44,7 +46,9 @@ class TimeGrid:
         """Index of the grid point equal to ``t`` within ``tol``."""
         i = int(np.argmin(np.abs(self.points - t)))
         if abs(self.points[i] - t) > tol:
-            raise ValueError(f"time {t!r} is not on the grid")
+            raise OffGridError(
+                f"time {float(t)!r} is not on the grid of {len(self)} points"
+            )
         return i
 
     def nearest_index(self, t: float) -> int:
@@ -52,18 +56,7 @@ class TimeGrid:
 
     def slice_of(self, interval: Interval, tol: float = GRID_TOL) -> slice:
         """Index slice covering ``interval``; endpoints must be on-grid."""
-        try:
-            lo = self.index_of(interval.lo, tol)
-        except ValueError:
-            raise ValueError(
-                f"interval endpoint lo={interval.lo!r} is not on the grid"
-            ) from None
-        try:
-            hi = self.index_of(interval.hi, tol)
-        except ValueError:
-            raise ValueError(
-                f"interval endpoint hi={interval.hi!r} is not on the grid"
-            ) from None
+        lo, hi = self.index_of(interval.lo, tol), self.index_of(interval.hi, tol)
         return slice(lo, hi + 1)
 
 

@@ -16,7 +16,6 @@ observed successes with rule-of-three CI upper bound 3/n.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dnorm import LevelFunction, dnorm_estimates, dnorm_indicator, takahashi_check
+from .dnorm import (
+    LevelFunction,
+    dnorm_estimates,
+    dnorm_indicator,
+    survivor_lower_bound,
+    takahashi_check,
+)
 from .errors import UnknownCheckError
 from .estimates import binomial_estimate, count_events, stream_means
 from .generators import (
@@ -56,8 +61,10 @@ from .hitting import (
     two_hit_prob,
 )
 from .msp import (
+    joint_cdf_estimates,
     ks_band,
     ks_distance_neg_exponential,
+    marginal_gof,
     msp_corpus,
     msp_path_blocks,
     stopping_exactness_violations,
@@ -66,6 +73,8 @@ from .paths import Interval, SubGrid, TimeGrid, make_grid
 from .streams import Seed, label_key, substream
 
 DEFAULT_N = 100_000
+#: The smallest n every check runs at: max-stability needs one group of 5.
+MIN_N = 5
 DEFAULT_GRID_POINTS = 1001
 Z_STAT = 3.0
 GRID_ALLOWANCE = 0.005
@@ -214,14 +223,14 @@ class CheckReport:
             doc["generated_at"] = self.generated_at
         return doc
 
-    def to_json(self, indent: int = 2, runtime: bool = True) -> str:
-        return json.dumps(self.as_dict(runtime), indent=indent)
-
-    def summary_lines(self) -> list[str]:
+    def summary_lines(self, runtime: bool = True) -> list[str]:
+        """One line per check, then the verdict; ``runtime=False`` leaves
+        out the seconds (byte-stable output)."""
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{status}  {c.check_id}  ({c.seconds:.2f}s)  {c.description}")
+            seconds = f"({c.seconds:.2f}s)  " if runtime else ""
+            lines.append(f"{status}  {c.check_id}  {seconds}{c.description}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return lines
 
@@ -266,18 +275,14 @@ def _criterion2_functions(grid: TimeGrid) -> list[tuple[str, LevelFunction]]:
 
 def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
     """Joint cdf equals exp(-D-norm) for three functions and every generator."""
-    fs = _criterion2_functions(ctx.grid)
+    names, fs = zip(*_criterion2_functions(ctx.grid))
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
-        dns = dnorm_estimates(spec, [f for _, f in fs], ctx.n, ctx.seed(2 * gi))
-        counts = count_events(
-            msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
-            *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for _, f in fs),
-        )
-        for fi, (fname, _) in enumerate(fs):
-            joint = binomial_estimate(int(counts[fi]), ctx.n)
-            target = math.exp(-dns[fi].value)
-            se = math.sqrt(joint.se**2 + (target * dns[fi].se) ** 2)
+        dns = dnorm_estimates(spec, list(fs), ctx.n, ctx.seed(2 * gi))
+        joints = joint_cdf_estimates(spec, list(fs), ctx.n, ctx.seed(2 * gi + 1))
+        for fname, dn, joint in zip(names, dns, joints):
+            target = math.exp(-dn.value)
+            se = math.sqrt(joint.se**2 + (target * dn.se) ** 2)
             out.append(
                 eq_within(f"{name}:{fname}", joint.value, target, Z_STAT * se)
             )
@@ -302,11 +307,8 @@ def _check_margins_ks(ctx: CheckContext) -> list[Assertion]:
     band = ks_band(ctx.n)
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
-        cols = [ctx.grid.index_of(t) for t in _MARGIN_TIMES]
-        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
-        samples = np.concatenate([eta[:, cols] for eta in blocks])
-        for j, t in enumerate(_MARGIN_TIMES):
-            d = ks_distance_neg_exponential(samples[:, j])
+        ds = marginal_gof(spec, _MARGIN_TIMES, ctx.grid, ctx.n, ctx.seed(gi))
+        for t, d in zip(_MARGIN_TIMES, ds):
             out.append(at_most(f"{name}:t={t}", d, band))
     return out
 
@@ -388,19 +390,16 @@ def _check_survivor_bound(ctx: CheckContext) -> list[Assertion]:
     gens = [CATALOGUE[0], CATALOGUE[1], CATALOGUE[4]]
     for gi, (name, spec) in enumerate(gens):
         f = LevelFunction.constant(ctx.grid, -1.0)
-        inf_est = stream_means(
-            generator_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi)),
-            lambda z: np.min(z * np.abs(f.values)[None, :], axis=1),
-        ).estimate(0)
-        bound = 1.0 - math.exp(-inf_est.value)
-        bound_se = math.exp(-inf_est.value) * inf_est.se
+        bound = survivor_lower_bound(spec, f, ctx.n, ctx.seed(2 * gi))
         (survived,) = count_events(
             msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
             lambda eta: np.all(eta > f.values, axis=1),
         )
         surv = binomial_estimate(int(survived), ctx.n)
-        tol = Z_STAT * (surv.se + bound_se)
-        out.append(at_least(f"{name}:survivor_ge_bound", surv.value, bound, tol))
+        tol = Z_STAT * (surv.se + bound.se)
+        out.append(
+            at_least(f"{name}:survivor_ge_bound", surv.value, bound.value, tol)
+        )
     return out
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from maxhit.cli import UsageError, main, parse_invocation
+from maxhit.cli import UsageError, _build_parser, main, parse_invocation
+from maxhit.verify import check_ids
 
 
 @pytest.fixture()
@@ -23,78 +28,79 @@ def sine_json(tmp_path):
 class TestParseInvocation:
     def test_hitting_defaults_filled(self, two_branch_json, monkeypatch):
         monkeypatch.delenv("MSHIT_DEFAULT_N", raising=False)
-        cfg = parse_invocation(
+        ns = parse_invocation(
             ["hitting", "--generator", two_branch_json, "--x", "-1", "--seed", "42"]
         )
-        assert cfg.command == "hitting"
-        assert cfg.grid_points == 1001
-        assert cfg.n == 100_000
-        assert cfg.seed == 42
-        assert cfg.levels == (-1.0,)
-        assert cfg.interval == (0.0, 1.0)
+        assert ns.command == "hitting"
+        assert ns.grid == 1001
+        assert ns.n == 100_000
+        assert ns.seed == 42
+        assert ns.x == -1.0 and ns.levels is None
+        assert ns.interval == "0,1"
 
     def test_verify_config(self):
-        cfg = parse_invocation(
+        ns = parse_invocation(
             ["verify", "--suite", "paper", "--seed", "7", "--out", "report.json"]
         )
-        assert cfg.command == "verify"
-        assert cfg.suite == "paper"
-        assert cfg.seed == 7
-        assert cfg.out == "report.json"
+        assert ns.command == "verify"
+        assert ns.suite == "paper"
+        assert ns.seed == 7
+        assert ns.out == "report.json"
+        assert ns.threads == 1 and not ns.no_timestamp
 
-    def test_nonnegative_level_rejected(self):
-        with pytest.raises(UsageError, match="level must be negative"):
-            parse_invocation(["hitting", "--x", "0.5"])
+    def test_nonnegative_level_rejected(self, capsys):
+        assert main(["multihit", "--x0", "0.5", "--split", "0.5"]) == 2
+        assert "level must be negative" in capsys.readouterr().err
 
     def test_unknown_flag(self, two_branch_json):
         with pytest.raises(UsageError):
             parse_invocation(["hitting", "--generator", two_branch_json,
                               "--bogus", "1"])
 
-    def test_missing_generator(self):
-        with pytest.raises(UsageError, match="--generator is required"):
-            parse_invocation(["simulate", "--seed", "1"])
+    def test_missing_generator(self, capsys):
+        assert main(["simulate", "--seed", "1"]) == 2
+        assert "--generator is required" in capsys.readouterr().err
 
-    def test_malformed_generator_json(self, tmp_path):
+    def test_malformed_generator_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(UsageError, match="malformed JSON"):
-            parse_invocation(["simulate", "--generator", str(bad), "--seed", "1"])
+        assert main(["simulate", "--generator", str(bad), "--seed", "1"]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
 
-    def test_invalid_generator_constraints(self, tmp_path):
+    def test_invalid_generator_constraints(self, tmp_path, capsys):
         doc = {"variant": "nonlinear_example",
                "params": {"a": 2, "b": 0.5, "c": 1.6, "d": 7, "e": 0.5}}
         bad = tmp_path / "nl.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(UsageError, match="c < "):
-            parse_invocation(["simulate", "--generator", str(bad), "--seed", "1"])
+        assert main(["simulate", "--generator", str(bad), "--seed", "1"]) == 2
+        assert "c < " in capsys.readouterr().err
 
     def test_env_var_overrides_default_n(self, two_branch_json, monkeypatch):
         monkeypatch.setenv("MSHIT_DEFAULT_N", "321")
-        cfg = parse_invocation(
+        ns = parse_invocation(
             ["hitting", "--generator", two_branch_json, "--x", "-1"]
         )
-        assert cfg.n == 321
+        assert ns.n == 321
 
     def test_explicit_n_beats_env(self, two_branch_json, monkeypatch):
         monkeypatch.setenv("MSHIT_DEFAULT_N", "321")
-        cfg = parse_invocation(
+        ns = parse_invocation(
             ["hitting", "--generator", two_branch_json, "--x", "-1", "--n", "99"]
         )
-        assert cfg.n == 99
+        assert ns.n == 99
 
-    def test_multihit_needs_one_mode(self, two_branch_json):
-        with pytest.raises(UsageError, match="exactly one"):
-            parse_invocation(["multihit", "--generator", two_branch_json,
-                              "--x0", "-1"])
-        with pytest.raises(UsageError, match="exactly one"):
-            parse_invocation(["multihit", "--generator", two_branch_json,
-                              "--x0", "-1", "--split", "0.5",
-                              "--intervals", "0,0.5"])
+    def test_multihit_needs_one_mode(self, two_branch_json, capsys):
+        for extra in ([], ["--split", "0.5", "--intervals", "0,0.5"]):
+            code = main(["multihit", "--generator", two_branch_json,
+                         "--x0", "-1", *extra])
+            assert code == 2
+            assert "exactly one" in capsys.readouterr().err
 
-    def test_unknown_check_id_rejected(self):
-        with pytest.raises(UsageError, match="no-such-check"):
-            parse_invocation(["verify", "--suite", "no-such-check"])
+    def test_unknown_check_id_rejected(self, capsys):
+        assert main(["verify", "--suite", "example2-m,no-such-check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert "no-such-check" in captured.err
 
 
 class TestDispatch:
@@ -199,15 +205,19 @@ class TestDispatch:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[-1] == "overall: PASS"
 
-    def test_verify_report_byte_identical_without_timestamp(self, tmp_path):
-        outs = []
+    def test_verify_report_byte_identical_without_timestamp(self, tmp_path,
+                                                            capsys):
+        outs, stdouts = [], []
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
             main(["verify", "--suite", "example2-m", "--seed", "7",
                   "--n", "1500", "--grid", "101", "--out", str(out),
                   "--no-timestamp"])
             outs.append(out.read_bytes())
+            stdouts.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+        assert stdouts[0] == stdouts[1]
+        assert not re.search(r"\(\d+\.\d\ds\)", stdouts[0])
 
     def test_verify_report_stable_across_threads(self, tmp_path):
         outs = []
@@ -231,21 +241,66 @@ class TestDispatch:
             ["multihit", "--x0", "-1", "--grid", "2", "--intervals", "0,0.5;0.5,1"],
             ["dnorm", "--level-function", "BOGUS_SHAPE"],
             ["hitting", "--x", "-1", "--threads", "2"],
+            ["hitting", "--x", "-1", "--seed", "-1"],
+            ["verify", "--suite", "example2-m", "--seed", "-3"],
+            ["multihit", "--x0", "-1", "--split", "0.01", "--grid", "11"],
+            ["multihit", "--x0", "-1", "--intervals", "0,0.5;0.4,1"],
+            ["dnorm", "--level-function", "CONSTANT", "--n", "1"],
+            ["verify", "--suite", "example2-m", "--n", "4"],
+            ["verify", "--suite", "margins-ks", "--grid", "2"],
+            ["verify", "--suite", "margins-ks", "--grid", "1000"],
+            ["verify", "--suite", "cor33-equivalences", "--grid", "3"],
+            ["simulate", "--generator", "NOT_UTF8"],
         ],
         ids=["x-nan", "levels-inf", "x0-nan", "collapsed-interval",
-             "bogus-shape", "threads-outside-verify"],
+             "bogus-shape", "threads-outside-verify", "hitting-seed-negative",
+             "verify-seed-negative", "split-snaps-to-end", "intervals-overlap",
+             "dnorm-n-1", "verify-n-4", "margins-grid-2", "margins-grid-1000",
+             "cor33-grid-3", "generator-not-utf8"],
     )
     def test_usage_errors_exit_2_quietly(self, argv, two_branch_json, tmp_path,
                                          capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"shape": "bogus"}))
-        argv = [str(bogus) if a == "BOGUS_SHAPE" else a for a in argv]
-        code = main(argv + ["--generator", two_branch_json, "--n", "100"])
+        files = {"BOGUS_SHAPE": b'{"shape": "bogus"}',
+                 "CONSTANT": b'{"shape": "constant", "level": -1}',
+                 "NOT_UTF8": b'{"variant": "\xff"}'}
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        # the flags of argv come last, so they override these
+        shared = ["--n", "100"]
+        if argv[0] != "verify":
+            shared += ["--generator", two_branch_json]
+        code = main([argv[0], *shared, *argv[1:]])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+
+    def test_off_grid_error_names_time_and_grid(self, capsys):
+        assert main(["verify", "--suite", "margins-ks", "--grid", "1000",
+                     "--n", "100"]) == 2
+        err = capsys.readouterr().err
+        assert "time 0.37 " in err and "grid of 1000 points" in err
+
+    def test_non_finite_result_exits_1(self, two_branch_json, tmp_path, capsys):
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"shape": "constant", "level": -1e308}))
+        code = main(["dnorm", "--generator", two_branch_json, "--level-function",
+                     str(f), "--grid", "11", "--n", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: result is not finite\n"
+
+    def test_verify_without_fixed_times_runs_on_any_grid(self, capsys):
+        code = main(["verify", "--suite", "example2-m", "--grid", "11",
+                     "--n", "500", "--no-timestamp"])
+        assert code in (0, 1)
+        assert capsys.readouterr().out.endswith(("overall: PASS\n",
+                                                 "overall: FAIL\n"))
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["hitting", "--x", "0.5"]) == 2
@@ -269,3 +324,160 @@ class TestDispatch:
         ])
         assert code == 1
         assert "stopping rule" in capsys.readouterr().err
+
+
+# --- argv fuzzing ------------------------------------------------------------
+
+
+def _vocabulary() -> dict[str, list[str]]:
+    """Each subcommand's long flags, read off the parser itself."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    return {
+        name: [s for a in p._actions for s in a.option_strings
+               if s.startswith("--") and s != "--help"]
+        for name, p in sub.choices.items()
+    }
+
+
+_VOCABULARY = _vocabulary()
+_BOOLEAN_FLAGS = {"--no-timestamp", "--list"}
+_FILES = {
+    "generator": [json.dumps({"variant": v, "params": p}) for v, p in [
+        ("complete_dependence", {}), ("two_branch", {}),
+        ("sine_bump", {"amp": 0.5}),
+        ("piecewise_example", {"n": 2, "a": 0.25, "b": 0.75}),
+        ("nonlinear_example", {"a": 2, "b": 0.5, "c": 0.9, "d": 7, "e": 0.5}),
+    ]],
+    "level": [json.dumps(d) for d in [
+        {"shape": "constant", "level": -1.0},
+        {"shape": "constant", "level": -1e308},
+        {"shape": "indicator_step", "interval": [0.5, 1.0], "inside": -1.0},
+        {"shape": "indicator_step", "interval": [0.3, 0.31], "inside": -2.0},
+        {"shape": "piecewise_linear", "breakpoints": [[0, -0.5], [1, -1.5]]},
+        {"shape": "piecewise_linear", "breakpoints": [[0.2, -1], [1, -1]]},
+        {"shape": "bogus"},
+    ]],
+    "garbage": ["{not json", "[]", "null", '"text"'],
+}
+
+_GARBAGE = st.sampled_from(["abc", "", "-", "1.5.2"])
+
+
+def _mostly(*valid, bad=_GARBAGE):
+    """One of ``valid`` seven times as often as one of ``bad``."""
+    return st.integers(0, 7).flatmap(lambda k: st.one_of(*valid) if k < 7 else bad)
+
+
+_numbers = _mostly(
+    st.floats(-5, 1.5, allow_nan=False).map(repr),
+    st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "-1e308", "-1e-320"]),
+)
+_times = _mostly(
+    st.floats(-0.5, 1.5, allow_nan=False).map(repr),
+    st.sampled_from(["0", "1", "0.5", "0.37", "0.999", "nan"]),
+)
+
+
+def _ints(lo: int, hi: int, *boundary: int):
+    return _mostly(st.integers(lo, hi).map(str),
+                   st.sampled_from([str(b) for b in (lo, hi, *boundary)]))
+
+
+def _file(valid: list[str], garbage: list[str]):
+    return _mostly(st.sampled_from(valid),
+                   bad=st.sampled_from(garbage + ["/nonexistent.json"]))
+
+
+def _value(flag: str, files: dict[str, list[str]]):
+    """Valid, boundary and garbage values for one flag."""
+    if flag == "--generator":
+        return _file(files["generator"], files["garbage"])
+    if flag == "--level-function":
+        return _file(files["level"], files["garbage"])
+    if flag == "--out":
+        return st.sampled_from(files["out"])
+    if flag in ("--x", "--x0"):
+        return _numbers
+    if flag == "--levels":
+        return st.lists(_numbers, min_size=1, max_size=4).map(",".join)
+    if flag in ("--interval", "--split"):
+        return st.one_of(_times, st.lists(_times, min_size=2, max_size=2)
+                         .map(",".join))
+    if flag == "--intervals":
+        pair = st.tuples(_times, _times).map(",".join)
+        return st.lists(pair, min_size=0, max_size=3).map(";".join)
+    if flag == "--suite":
+        ids = st.sampled_from(check_ids() + ["bogus"])
+        return _mostly(st.just("paper"), st.lists(ids, min_size=1, max_size=3)
+                       .map(",".join))
+    return {"--grid": _ints(-1, 1001, 2, 3, 11, 101, 201),
+            "--n": _ints(-1, 64, 1, 2, 5), "--seed": _ints(-3, 2**70, 0),
+            "--paths": _ints(-1, 50, 1), "--max-points": _ints(-1, 5, 10**6),
+            "--threads": st.sampled_from(["-1", "0", "1", "2"])}[flag]
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(sorted(_VOCABULARY)))
+    argv = [command]
+    flags = draw(st.lists(st.sampled_from(_VOCABULARY[command]), max_size=6))
+    # give the flags a command needs more often than chance would
+    needed = {"dnorm": ["--generator", "--level-function"],
+              "hitting": ["--generator", "--x"],
+              "multihit": ["--generator", "--x0"]}.get(command, [])
+    flags[:0] = [f for f in needed if draw(st.integers(0, 3))]
+    for flag in flags:
+        argv.append(flag)
+        if flag not in _BOOLEAN_FLAGS:
+            argv.append(draw(_value(flag, files)))
+    return argv
+
+
+def _assert_finite_numbers(text: str) -> None:
+    """Every number in a CSV, JSON or plain-text output is finite."""
+    for token in re.split(r"[\s,:\[\]{}\"]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), f"non-finite number {token!r} in output"
+
+
+@pytest.fixture()
+def fuzz_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("MSHIT_DEFAULT_N", "64")
+    files = {}
+    for kind, docs in _FILES.items():
+        files[kind] = []
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"{kind}{i}.json"
+            path.write_text(doc)
+            files[kind].append(str(path))
+    (tmp_path / "latin1.json").write_bytes(b'{"variant": "\xff"}')
+    files["garbage"].append(str(tmp_path / "latin1.json"))
+    files["out"] = [str(tmp_path / "out.txt"), str(tmp_path),
+                    str(tmp_path / "missing" / "out.txt")]
+    return files
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_meets_cli_contract(data, fuzz_files, capsys):
+    """Any argv exits 0, 1 or 2 without a traceback, and a successful run
+    prints only finite numbers."""
+    argv = data.draw(_argv(fuzz_files), label="argv")
+    out_file = fuzz_files["out"][0]
+    if os.path.exists(out_file):
+        os.remove(out_file)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        _assert_finite_numbers(captured.out)
+        if os.path.exists(out_file):
+            with open(out_file, encoding="utf-8") as fh:
+                _assert_finite_numbers(fh.read())

@@ -131,16 +131,21 @@ class TestSurvivorLowerBound:
     def test_complete_dependence_exact(self, grid101):
         f = LevelFunction.constant(grid101, -1.0)
         got = survivor_lower_bound(CompleteDependence(), f, 1000, 41)
-        assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        assert got.value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        assert got.se == pytest.approx(0.0, abs=1e-9)
+        assert got.n == 1000 and got.seed == 41
 
     def test_two_branch_vanishing_infimum(self, grid101):
         f = LevelFunction.constant(grid101, -1.0)
-        assert survivor_lower_bound(TwoBranch(), f, 1000, 42) == 0.0
+        got = survivor_lower_bound(TwoBranch(), f, 1000, 42)
+        assert got.value == 0.0 and got.se == 0.0
 
     def test_sine_bump_matches_m_tilde(self, grid201):
         f = LevelFunction.constant(grid201, -1.0)
         got = survivor_lower_bound(SineBump(amp=0.5), f, 20_000, 43)
-        assert got == pytest.approx(1.0 - math.exp(-0.875), abs=0.003)
+        assert got.value == pytest.approx(1.0 - math.exp(-0.875), abs=0.003)
+        assert 0.0 < got.se < 0.003
+        assert got.ci[0] < got.value < got.ci[1]
 
     def test_bound_actually_holds(self, grid101, any_spec):
         from maxhit import msp_corpus
@@ -149,7 +154,7 @@ class TestSurvivorLowerBound:
         bound = survivor_lower_bound(any_spec, f, 5000, 44)
         eta = msp_corpus(any_spec, grid101, 5000, 45)
         survivor = (eta > f.values).all(axis=1).mean()
-        assert survivor >= bound - 0.02
+        assert survivor >= bound.value - 0.02
 
 
 class TestTakahashi:

@@ -75,6 +75,7 @@ class TestValidateSpec:
             (dict(n=2, a=0.0, b=0.75), "0 < a"),
             (dict(n=2, a=0.8, b=0.75), "a < b"),
             (dict(n=2, a=0.25, b=1.0), "b < 1"),
+            (dict(n=True, a=0.25, b=0.75), "integer n >= 1"),
         ],
     )
     def test_piecewise_violations(self, kwargs, needle):

@@ -14,7 +14,7 @@ from maxhit import (
     SineBump,
     TwoBranch,
     generator_bound,
-    joint_cdf_estimate,
+    joint_cdf_estimates,
     ks_band,
     make_grid,
     marginal_gof,
@@ -174,19 +174,23 @@ class TestSampleMsp:
 
 class TestJointCdf:
     def test_complete_dependence_constant_level(self, grid101):
-        f = LevelFunction.constant(grid101, -1.0)
-        est = joint_cdf_estimate(CompleteDependence(), f, grid101, 20_000, 17)
-        assert abs(est.value - math.exp(-1.0)) <= 3 * est.se
+        fs = [LevelFunction.constant(grid101, x) for x in (-1.0, -2.0)]
+        ests = joint_cdf_estimates(CompleteDependence(), fs, 20_000, 17)
+        for x, est in zip((-1.0, -2.0), ests):
+            assert abs(est.value - math.exp(x)) <= 3 * est.se
+            assert est.n == 20_000 and est.seed == 17
+        # shared draws: a lower level is never met more often
+        assert ests[1].value <= ests[0].value
 
     def test_two_branch_doubles_the_rate(self, grid201):
         f = LevelFunction.constant(grid201, -1.0)
-        est = joint_cdf_estimate(TwoBranch(), f, grid201, 20_000, 18)
+        (est,) = joint_cdf_estimates(TwoBranch(), [f], 20_000, 18)
         assert abs(est.value - math.exp(-2.0)) <= 3 * est.se + 0.002
 
     def test_grid_mismatch_rejected(self, grid101, grid201):
-        f = LevelFunction.constant(grid101, -1.0)
-        with pytest.raises(ValueError, match="grid"):
-            joint_cdf_estimate(TwoBranch(), f, grid201, 100, 19)
+        fs = [LevelFunction.constant(g, -1.0) for g in (grid101, grid201)]
+        with pytest.raises(ValueError, match="common grid"):
+            joint_cdf_estimates(TwoBranch(), fs, 100, 19)
 
     def test_positive_level_function_rejected(self, grid101):
         with pytest.raises(ValueError, match="nonpositive"):
@@ -195,16 +199,19 @@ class TestJointCdf:
 
 class TestMarginalGof:
     def test_complete_dependence_within_band(self, grid101):
-        d = marginal_gof(CompleteDependence(), 0.5, grid101, 5000, 20)
+        (d,) = marginal_gof(CompleteDependence(), [0.5], grid101, 5000, 20)
         assert d <= ks_band(5000)
 
     def test_two_branch_at_zero(self, grid101):
-        d = marginal_gof(TwoBranch(), 0.0, grid101, 5000, 21)
-        assert d <= ks_band(5000)
+        ds = marginal_gof(TwoBranch(), [0.0, 0.5, 1.0], grid101, 5000, 21)
+        assert len(ds) == 3
+        assert all(d <= ks_band(5000) for d in ds)
+        # each time sees the same paths as when it is asked for alone
+        assert marginal_gof(TwoBranch(), [0.5], grid101, 5000, 21) == ds[1:2]
 
     def test_empty_sample_rejected(self, grid101):
         with pytest.raises(ValueError):
-            marginal_gof(TwoBranch(), 0.0, grid101, 0, 22)
+            marginal_gof(TwoBranch(), [0.0], grid101, 0, 22)
 
     def test_ks_oracle_detects_wrong_law(self, rng):
         # exact inverse-transform sample passes, a shifted one fails

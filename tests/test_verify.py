@@ -112,6 +112,10 @@ class TestRunChecks:
         lines = rep.summary_lines()
         assert any(line.startswith(("PASS", "FAIL")) for line in lines)
         assert lines[-1].startswith("overall:")
+        assert "s)  " in lines[0]
+        stable = rep.summary_lines(runtime=False)
+        assert stable[0] == lines[0].split("  (")[0] + "  " + rep.checks[0].description
+        assert stable[1:] == lines[1:]
 
 
 class TestSuiteRegistry:
