@@ -78,7 +78,8 @@ def _load_generator(path: str | None) -> GeneratorSpec:
         raise UsageError(f"invalid generator in {path!r}: {exc}")
 
 
-def _parse_pair(text: str, label: str) -> tuple[float, float]:
+def _parse_interval(text: str, label: str) -> tuple[float, float]:
+    """``lo,hi`` with 0 <= lo < hi <= 1."""
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{label} must be lo,hi; got {text!r}")
@@ -88,6 +89,8 @@ def _parse_pair(text: str, label: str) -> tuple[float, float]:
         raise UsageError(f"{label} must be numeric; got {text!r}")
     if not lo < hi:
         raise UsageError(f"{label} must satisfy lo < hi; got {text!r}")
+    if not (0.0 <= lo and hi <= 1.0):
+        raise UsageError(f"{label} must sit inside [0,1], got {text!r}")
     return lo, hi
 
 
@@ -200,9 +203,7 @@ def _hitting(ns: argparse.Namespace) -> int:
         raise UsageError("level must be negative")
     if any(b >= a for a, b in zip(levels, levels[1:])):
         raise UsageError("--levels must be strictly decreasing")
-    interval = _parse_pair(ns.interval, "--interval")
-    if not (0.0 <= interval[0] and interval[1] <= 1.0):
-        raise UsageError(f"--interval must sit inside [0,1], got {ns.interval!r}")
+    interval = _parse_interval(ns.interval, "--interval")
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
     interval = _snap_interval(grid, interval, "--interval")
@@ -226,7 +227,7 @@ def _multihit(ns: argparse.Namespace) -> int:
     if ns.split is not None and not 0.0 < ns.split < 1.0:
         raise UsageError(f"--split must be interior to (0,1), got {ns.split}")
     if ns.intervals is not None:
-        pairs = [_parse_pair(part, "--intervals")
+        pairs = [_parse_interval(part, "--intervals")
                  for part in ns.intervals.split(";") if part]
         if not pairs:
             raise UsageError("--intervals must list at least one interval")
@@ -369,7 +370,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         ns = parse_invocation(argv)
-        return ns.run(ns)
+        # a non-finite result is refused with one error line (_fmt,
+        # _write_json), so numpy's warning about it would only add noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ns.run(ns)
     except (UsageError, UnknownCheckError, OffGridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

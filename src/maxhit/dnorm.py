@@ -125,21 +125,6 @@ def dnorm_estimate(
     return dnorm_estimates(spec, [f], n, seed)[0]
 
 
-def dnorm_indicator(
-    spec: GeneratorSpec, interval: Interval, grid: TimeGrid, n: int, seed: Seed
-) -> Estimate:
-    """D-norm of the indicator of ``interval``: E sup of Z over it.
-
-    With interval [0, 1] this reproduces generator_moments' m_hat exactly
-    for the same seed (same draws, same functional).
-    """
-    sl = grid.slice_of(interval)
-    acc = stream_means(
-        generator_blocks(spec, grid, n, seed), lambda z: z[:, sl].max(axis=1)
-    )
-    return acc.estimate(0, seed_echo(seed))
-
-
 def survivor_lower_bound(
     spec: GeneratorSpec, f: LevelFunction, n: int, seed: Seed
 ) -> Estimate:

@@ -8,8 +8,9 @@ zero". h(0) = 0 holds by convention and is never simulated: the level 0
 is almost surely not attained.
 
 Grid detection can only miss sub-grid excursions, so every frequency here
-is biased downward by at most a small discretization allowance (0.005 at
-1001 grid points in the verification tolerances).
+is biased downward by at most a small discretization allowance (the
+verification tolerances budget ``verify.GRID_ALLOWANCE`` = 0.005 at 1001
+grid points).
 """
 
 from __future__ import annotations

@@ -54,10 +54,6 @@ from .streams import Seed, block_streams
 
 DEFAULT_MAX_POINTS = 10**6
 
-#: Kolmogorov one-sample critical value at the band used throughout:
-#: D_n <= KS_CRITICAL / sqrt(n).
-KS_CRITICAL = 1.63
-
 
 class _Live:
     """Per-replica state of the rows of a block still drawing arrivals.
@@ -224,11 +220,6 @@ def ks_distance_neg_exponential(samples: np.ndarray) -> float:
     d_plus = (i / n - cdf).max()
     d_minus = (cdf - (i - 1) / n).max()
     return float(max(d_plus, d_minus))
-
-
-def ks_band(n: int, critical: float = KS_CRITICAL) -> float:
-    """Acceptance band for a KS distance at ``n`` samples."""
-    return critical / np.sqrt(n)
 
 
 def stopping_exactness_violations(

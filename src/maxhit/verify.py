@@ -6,32 +6,46 @@ a master seed and emits a machine-readable report. The companion document
 ``docs/verification_matrix.md`` lists each id with the mathematical claim
 it certifies.
 
-Tolerance policy: statistical tolerance is z * se with z = 3 unless a
-check states otherwise; probabilities of path functionals (hits anywhere
-in an interval) get an extra grid allowance of 0.005 at the default
-1001-point grid; probabilities of finitely many coordinates are
-grid-exact and get no allowance. Null probabilities are asserted as zero
-observed successes with rule-of-three CI upper bound 3/n.
+Tolerance policy: each claim is an ``Assertion`` of an estimate
+(observed), its reference (expected), a sense and the estimate's se, and
+``Assertion`` alone decides the tolerance ``tol = z * se + slack`` and the
+verdict (``VERDICTS``). The senses are ``==`` (within tol of the
+reference), ``<=`` and ``>=`` (a bound, up to tol) and ``gap`` (above the
+reference by at least tol). Statistical tolerances use z = ``Z_STAT`` = 3
+unless a check states otherwise; probabilities of path functionals (hits
+anywhere in an interval) get a slack of ``GRID_ALLOWANCE`` = 0.005 at the
+default 1001-point grid for sub-grid excursions; probabilities of finitely
+many coordinates are grid-exact. A KS distance is bounded by ``ks_band``.
+A null probability is zero observed successes with rule-of-three CI upper
+bound 3/n, a positive one at least one success. Exact quantities carry
+se 0.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import CancelledError, ThreadPoolExecutor
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
 from .dnorm import (
     LevelFunction,
+    dnorm_estimate,
     dnorm_estimates,
-    dnorm_indicator,
     survivor_lower_bound,
     takahashi_check,
 )
 from .errors import UnknownCheckError
-from .estimates import binomial_estimate, count_events, stream_means
+from .estimates import (
+    Estimate,
+    binomial_estimate,
+    count_events,
+    rule_of_three,
+    stream_means,
+)
 from .generators import (
     NONLINEAR_DEFAULTS,
     CompleteDependence,
@@ -53,7 +67,6 @@ from .hitting import (
     down_up_down_mask,
     down_up_down_prob,
     hit_mask,
-    hitting_bound,
     hitting_curve,
     hitting_integral,
     hitting_prob,
@@ -62,7 +75,6 @@ from .hitting import (
 )
 from .msp import (
     joint_cdf_estimates,
-    ks_band,
     ks_distance_neg_exponential,
     marginal_gof,
     msp_corpus,
@@ -78,6 +90,15 @@ MIN_N = 5
 DEFAULT_GRID_POINTS = 1001
 Z_STAT = 3.0
 GRID_ALLOWANCE = 0.005
+#: Kolmogorov one-sample critical value of the band used throughout:
+#: D_n <= KS_CRITICAL / sqrt(n).
+KS_CRITICAL = 1.63
+
+
+def ks_band(n: int) -> float:
+    """Acceptance band for a KS distance at ``n`` samples."""
+    return KS_CRITICAL / np.sqrt(n)
+
 
 #: The catalogue swept by generator-generic checks, in report order.
 CATALOGUE: list[tuple[str, GeneratorSpec]] = [
@@ -132,29 +153,58 @@ def final_example_integral_below(x: float) -> float:
 
 # --- check plumbing ----------------------------------------------------------
 
+#: Per sense, the verdict on (observed, expected, tol).
+VERDICTS = {
+    "==": lambda obs, ref, tol: abs(obs - ref) <= tol,
+    "<=": lambda obs, ref, tol: obs <= ref + tol,
+    ">=": lambda obs, ref, tol: obs >= ref - tol,
+    "gap": lambda obs, ref, tol: obs - ref >= tol,
+}
+
 
 @dataclass(frozen=True)
 class Assertion:
+    """An estimate, its reference and its se: the one place a tolerance
+    and a verdict are decided (see the module docstring)."""
+
     name: str
     observed: float
     expected: float
-    tol: float
-    passed: bool
+    sense: str = "=="
+    _: KW_ONLY
+    se: float = 0.0
+    z: float = 0.0
+    slack: float = 0.0
+
+    def __post_init__(self):
+        if self.sense not in VERDICTS:
+            raise ValueError(f"unknown sense {self.sense!r}")
+        for name in ("observed", "expected", "se"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    @property
+    def tol(self) -> float:
+        return self.z * self.se + self.slack
+
+    @property
+    def passed(self) -> bool:
+        return VERDICTS[self.sense](self.observed, self.expected, self.tol)
 
 
-def eq_within(name: str, observed: float, expected: float, tol: float) -> Assertion:
-    return Assertion(name, float(observed), float(expected), float(tol),
-                     abs(observed - expected) <= tol)
+def _null_probability(
+    est: Estimate, prefix: str = "", value: str = "estimate"
+) -> list[Assertion]:
+    """Probability zero: no success, so the CI ends at the rule of three."""
+    return [
+        Assertion(prefix + value, est.value, 0.0, se=est.se),
+        Assertion(prefix + "ci_hi", est.ci[1], rule_of_three(est.n), "<="),
+    ]
 
 
-def at_most(name: str, observed: float, bound: float, tol: float = 0.0) -> Assertion:
-    return Assertion(name, float(observed), float(bound), float(tol),
-                     observed <= bound + tol)
-
-
-def at_least(name: str, observed: float, bound: float, tol: float = 0.0) -> Assertion:
-    return Assertion(name, float(observed), float(bound), float(tol),
-                     observed >= bound - tol)
+def _positive_probability(name: str, est: Estimate) -> Assertion:
+    """A strictly positive probability: at least one success, an estimate
+    of at least 1/n (exactly when the Wilson interval excludes 0)."""
+    return Assertion(name, est.value, 1.0 / est.n, ">=", se=est.se)
 
 
 @dataclass(frozen=True)
@@ -186,6 +236,7 @@ class CheckResult:
             "observed": [a.observed for a in self.assertions],
             "expected": [a.expected for a in self.assertions],
             "tol": [a.tol for a in self.assertions],
+            "se": [a.se for a in self.assertions],
             "pass": self.passed,
             "seconds": self.seconds if runtime else 0.0,
             "parts": [a.name for a in self.assertions],
@@ -235,11 +286,35 @@ class CheckReport:
         return lines
 
 
+@dataclass(frozen=True)
+class CheckDef:
+    check_id: str
+    description: str
+    runner: object = field(repr=False)
+
+
+#: The registry, in suite and report order.
+_CHECKS: dict[str, CheckDef] = {}
+
+
+def check(check_id: str, description: str):
+    """Register the decorated ``ctx -> list[Assertion]`` function as a check."""
+
+    def register(runner):
+        _CHECKS[check_id] = CheckDef(check_id, description, runner)
+        return runner
+
+    return register
+
+
 # --- the checks ---------------------------------------------------------------
 
 
+@check("eq1-moments", "unit mean of Z at every grid point")
 def _check_eq1_moments(ctx: CheckContext) -> list[Assertion]:
-    """Unit mean of Z at every grid point, per catalogue generator (4 se)."""
+    """Per catalogue generator, the grid point whose mean uses the largest
+    share of its tolerance, 4 se plus 1e-12: a point of zero variance must
+    match to within the float accumulation error of the sums."""
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         acc = stream_means(
@@ -248,12 +323,9 @@ def _check_eq1_moments(ctx: CheckContext) -> list[Assertion]:
         mean = acc.total[0] / ctx.n
         var = np.maximum(0.0, acc.total_sq[0] / ctx.n - mean * mean)
         se = np.sqrt(var / ctx.n)
-        diff = np.abs(mean - 1.0)
-        # degenerate points (se = 0) must match exactly; a tiny float slack
-        # covers accumulation error in the sums
-        zscores = np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
-        zscores[(se == 0.0) & (diff > 1e-12)] = np.inf
-        out.append(eq_within(f"{name}:max_z", float(zscores.max()), 0.0, 4.0))
+        worst = np.argmax(np.abs(mean - 1.0) / (4.0 * se + 1e-12))
+        out.append(Assertion(f"{name}:mean", mean[worst], 1.0,
+                             se=se[worst], z=4.0, slack=1e-12))
     return out
 
 
@@ -273,8 +345,10 @@ def _criterion2_functions(grid: TimeGrid) -> list[tuple[str, LevelFunction]]:
     ]
 
 
+@check("eq2-roundtrip", "joint cdf equals exp(-D-norm)")
 def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
-    """Joint cdf equals exp(-D-norm) for three functions and every generator."""
+    """For three functions and every generator; the se combines the joint
+    cdf's with the delta-method se of exp(-D-norm)."""
     names, fs = zip(*_criterion2_functions(ctx.grid))
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
@@ -283,38 +357,38 @@ def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
         for fname, dn, joint in zip(names, dns, joints):
             target = math.exp(-dn.value)
             se = math.sqrt(joint.se**2 + (target * dn.se) ** 2)
-            out.append(
-                eq_within(f"{name}:{fname}", joint.value, target, Z_STAT * se)
-            )
+            out.append(Assertion(f"{name}:{fname}", joint.value, target,
+                                 se=se, z=Z_STAT))
     return out
 
 
+@check("eq3-negative-paths", "simulated paths are strictly negative")
 def _check_eq3_negative_paths(ctx: CheckContext) -> list[Assertion]:
-    """Every simulated path value is strictly negative."""
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
         bad = int(count_events(blocks, lambda eta: eta >= 0.0)[0].sum())
-        out.append(eq_within(f"{name}:nonnegative_values", bad, 0.0, 0.0))
+        out.append(Assertion(f"{name}:nonnegative_values", bad, 0.0))
     return out
 
 
 _MARGIN_TIMES = (0.0, 0.37, 1.0)
 
 
+@check("margins-ks", "standard negative exponential margins (KS)")
 def _check_margins_ks(ctx: CheckContext) -> list[Assertion]:
-    """KS distance of each margin against exp(x) within 1.63/sqrt(n)."""
     band = ks_band(ctx.n)
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         ds = marginal_gof(spec, _MARGIN_TIMES, ctx.grid, ctx.n, ctx.seed(gi))
         for t, d in zip(_MARGIN_TIMES, ds):
-            out.append(at_most(f"{name}:t={t}", d, band))
+            out.append(Assertion(f"{name}:t={t}", d, band, "<="))
     return out
 
 
+@check("max-stability", "k x (max of k paths) keeps the margins")
 def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
-    """k times the pointwise max of k paths has standard margins (k = 2, 5)."""
+    """KS distance of k times the pointwise max of k paths, k = 2, 5."""
     out = []
     col_t = 0.37
     for gi, (name, spec) in enumerate([CATALOGUE[3], CATALOGUE[4]]):
@@ -325,12 +399,12 @@ def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
             groups = ctx.n // k
             scaled = k * vals[: groups * k].reshape(groups, k).max(axis=1)
             d = ks_distance_neg_exponential(scaled)
-            out.append(at_most(f"{name}:k={k}", d, ks_band(groups)))
+            out.append(Assertion(f"{name}:k={k}", d, ks_band(groups), "<="))
     return out
 
 
+@check("takahashi", "m = 1 iff D-norm equals sup-norm")
 def _check_takahashi(ctx: CheckContext) -> list[Assertion]:
-    """m = 1 iff the D-norm matches the sup-norm on every probe."""
     probes = [f for _, f in _criterion2_functions(ctx.grid)]
     expected = {"complete_dependence": 1.0, "piecewise_example": 0.0, "two_branch": 0.0}
     out = []
@@ -338,54 +412,51 @@ def _check_takahashi(ctx: CheckContext) -> list[Assertion]:
         if name not in expected:
             continue
         rep = takahashi_check(spec, probes, ctx.n, ctx.seed(gi))
-        out.append(
-            eq_within(f"{name}:complete_dependence",
-                      1.0 if rep.complete_dependence else 0.0, expected[name], 0.0)
-        )
+        out.append(Assertion(f"{name}:complete_dependence",
+                             1.0 if rep.complete_dependence else 0.0, expected[name]))
     return out
 
 
+@check("example1-complete-dependence",
+       "constant paths miss fixed levels, meet sloped curves")
 def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
-    """Constant paths never hit a fixed level but do meet a sloped curve."""
     spec = CompleteDependence()
     est = hitting_prob(spec, -1.0, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0))
-    out = [
-        eq_within("fixed_level:estimate", est.value, 0.0, 0.0),
-        at_most("fixed_level:ci_hi", est.ci[1], 3.0 / ctx.n),
-    ]
+    out = _null_probability(est, "fixed_level:")
     f = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0])
     curve_est = curve_hit_prob(spec, f, ctx.n, ctx.seed(1))
     target = math.exp(-1.0) - math.exp(-2.0)
-    out.append(
-        eq_within("sloped_curve:estimate", curve_est.value, target,
-                  Z_STAT * curve_est.se)
-    )
+    out.append(Assertion("sloped_curve:estimate", curve_est.value, target,
+                         se=curve_est.se, z=Z_STAT))
     return out
 
 
+@check("prop2-null-on-constant-interval", "no hits where the generator is degenerate")
 def _check_prop2_null(ctx: CheckContext) -> list[Assertion]:
-    """Zero hitting probability on the interval where Z is constant."""
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
     est = hitting_prob(spec, -1.0, Interval(0.25, 0.75), ctx.grid, ctx.n, ctx.seed(0))
-    return [
-        eq_within("estimate", est.value, 0.0, 0.0),
-        at_most("ci_hi", est.ci[1], 3.0 / ctx.n),
-    ]
+    return _null_probability(est)
 
 
+@check("prop2-positive-when-norm-gt-1",
+       "positive hitting probability when ||1_I||_D > 1")
 def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
-    """Positive hitting probability when the interval's indicator norm exceeds 1."""
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-    norm = dnorm_indicator(spec, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0))
-    est = hitting_prob(spec, -1.0, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(1))
+    full = Interval(0.0, 1.0)
+    indicator = LevelFunction.indicator_step(ctx.grid, full, inside=-1.0)
+    norm = dnorm_estimate(spec, indicator, ctx.n, ctx.seed(0))
+    est = hitting_prob(spec, -1.0, full, ctx.grid, ctx.n, ctx.seed(1))
     return [
-        at_least("indicator_norm_gt_1", norm.value - Z_STAT * norm.se, 1.0),
-        Assertion("hitting_ci_excludes_0", est.ci[0], 0.0, 0.0, est.ci[0] > 0.0),
+        Assertion("indicator_norm_gt_1", norm.value, 1.0, "gap",
+                  se=norm.se, z=Z_STAT),
+        _positive_probability("hitting_positive", est),
     ]
 
 
+@check("survivor-bound", "survivor probability lower bound")
 def _check_survivor_bound(ctx: CheckContext) -> list[Assertion]:
-    """Survivor probability dominates 1 - exp(-E inf |f| Z)."""
+    """Survivor probability dominates 1 - exp(-E inf |f| Z); the se is the
+    sum of both estimates' se (independent draws, a conservative bound)."""
     out = []
     gens = [CATALOGUE[0], CATALOGUE[1], CATALOGUE[4]]
     for gi, (name, spec) in enumerate(gens):
@@ -396,13 +467,12 @@ def _check_survivor_bound(ctx: CheckContext) -> list[Assertion]:
             lambda eta: np.all(eta > f.values, axis=1),
         )
         surv = binomial_estimate(int(survived), ctx.n)
-        tol = Z_STAT * (surv.se + bound.se)
-        out.append(
-            at_least(f"{name}:survivor_ge_bound", surv.value, bound.value, tol)
-        )
+        out.append(Assertion(f"{name}:survivor_ge_bound", surv.value, bound.value,
+                             ">=", se=surv.se + bound.se, z=Z_STAT))
     return out
 
 
+@check("example2-m", "ramp-plateau generator constant (3n^2+n)/(n+1)^2")
 def _check_example2_m(ctx: CheckContext) -> list[Assertion]:
     """Generator constants of the ramp-plateau model at n = 2.
 
@@ -414,28 +484,25 @@ def _check_example2_m(ctx: CheckContext) -> list[Assertion]:
     m_exact = 14.0 / 9.0
     mt_exact = 5.0 / 9.0
     return [
-        eq_within("m_hat", mom.m_hat.value, m_exact, Z_STAT * mom.m_hat.se),
-        eq_within("m_tilde_hat", mom.m_tilde_hat.value, mt_exact,
-                  Z_STAT * mom.m_tilde_hat.se),
-        eq_within("closed_form_m", closed_form_m(spec), m_exact, 0.0),
+        Assertion("m_hat", mom.m_hat.value, m_exact, se=mom.m_hat.se, z=Z_STAT),
+        Assertion("m_tilde_hat", mom.m_tilde_hat.value, mt_exact,
+                  se=mom.m_tilde_hat.se, z=Z_STAT),
+        Assertion("closed_form_m", closed_form_m(spec), m_exact),
     ]
 
 
+@check("hcurve-bound", "hitting curve under exp(x m~) - exp(x m)")
 def _check_hcurve_bound(ctx: CheckContext) -> list[Assertion]:
-    """Hitting probabilities stay under exp(x m~) - exp(x m) (4 se + grid)."""
-    spec = SineBump(amp=0.5)
+    """At 4 se plus the grid allowance."""
     levels = np.array([-0.25, -1.0, -4.0])
     curve = hitting_curve(
-        spec, levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
+        SineBump(amp=0.5), levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
     )
-    m = closed_form_m(spec)
-    mt = closed_form_m_tilde(spec)
-    out = []
-    for lvl, est in zip(curve.levels, curve.estimates):
-        bound = hitting_bound(m, mt, float(lvl))
-        tol = 4.0 * est.se + GRID_ALLOWANCE
-        out.append(at_most(f"x={lvl}", est.value, bound, tol))
-    return out
+    return [
+        Assertion(f"x={lvl}", est.value, bound, "<=",
+                  se=est.se, z=4.0, slack=GRID_ALLOWANCE)
+        for lvl, est, bound in zip(curve.levels, curve.estimates, curve.upper_bounds)
+    ]
 
 
 def _integral_levels(depth: float = -12.0, count: int = 25) -> np.ndarray:
@@ -444,8 +511,8 @@ def _integral_levels(depth: float = -12.0, count: int = 25) -> np.ndarray:
     return depth * (i / count) ** 2
 
 
+@check("hintegral-bound", "hitting integral within (m - m~)/(m m~)")
 def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
-    """0 < integral of the hitting curve <= (m - m~)/(m m~)."""
     spec = SineBump(amp=0.5)
     m = closed_form_m(spec)
     mt = closed_form_m_tilde(spec)
@@ -455,29 +522,27 @@ def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
     integral, tail = hitting_integral(curve, mt)
     bound = (m - mt) / (m * mt)
     return [
-        at_most("integral_le_bound", integral + tail, bound, 0.02),
-        at_least("integral_positive", integral, 0.001, 0.0),
+        Assertion("integral_le_bound", integral + tail, bound, "<=", slack=0.02),
+        Assertion("integral_positive", integral, 0.001, ">="),
     ]
 
 
+@check("lemma31-closedform", "down-up-down probabilities match closed forms")
 def _check_lemma31(ctx: CheckContext) -> list[Assertion]:
-    """Three-point down-up-down probabilities against their closed forms."""
     grid = ctx.grid
     sine = SineBump(amp=0.5)
     q = MultiHitQuery(x0=-1.0, triple=(0.0, 0.25, 0.5))
     est = down_up_down_prob(sine, q, grid, ctx.n, ctx.seed(0))
     # E max(Z_0, Z_0.5) = 1; E max with the peak included = 1 + amp/8.
     target = math.exp(-1.0) - math.exp(-(1.0 + sine.amp / 8.0))
-    out = [eq_within("sine_bump:closed_form", est.value, target, Z_STAT * est.se)]
+    out = [Assertion("sine_bump:closed_form", est.value, target, se=est.se, z=Z_STAT)]
     nl = NonlinearExample(**NONLINEAR_DEFAULTS)
     est_nl = down_up_down_prob(nl, q, grid, ctx.n, ctx.seed(1))
-    out.append(eq_within("nonlinear:estimate", est_nl.value, 0.0, 0.0))
-    out.append(at_most("nonlinear:ci_hi", est_nl.ci[1], 3.0 / ctx.n))
-    return out
+    return out + _null_probability(est_nl, "nonlinear:")
 
 
+@check("prop32-two-hit", "two-hit events contain down-up-down events")
 def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
-    """Two-hit events contain down-up-down events, draw by draw."""
     spec = SineBump(amp=0.5)
     i0 = ctx.grid.index_of(0.25)  # split; also the middle of the triple
     i_end = ctx.grid.index_of(0.5)
@@ -490,11 +555,10 @@ def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
 
     blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(0))
     violations, dud_hits, two_hits = (int(c) for c in count_events(blocks, events)[0])
-    dud_est = binomial_estimate(dud_hits, ctx.n)
     return [
-        eq_within("containment_violations", violations, 0.0, 0.0),
-        Assertion("dud_positive", dud_est.ci[0], 0.0, 0.0, dud_est.ci[0] > 0.0),
-        at_least("two_hit_ge_dud", two_hits / ctx.n, dud_hits / ctx.n, 0.0),
+        Assertion("containment_violations", violations, 0.0),
+        _positive_probability("dud_positive", binomial_estimate(dud_hits, ctx.n)),
+        Assertion("two_hit_ge_dud", two_hits / ctx.n, dud_hits / ctx.n, ">="),
     ]
 
 
@@ -530,9 +594,11 @@ def _cor33_residuals(
     return out
 
 
+@check("cor33-equivalences", "five-way equivalence holds/fails as one")
 def _check_cor33(ctx: CheckContext) -> list[Assertion]:
-    """Five-way equivalence: all items hold for the nonlinear generator and
-    all fail for the sine bump, on the window (0.2, 0.9)."""
+    """All five items hold for the nonlinear generator and all fail for
+    the sine bump, on the window (0.2, 0.9); a failing item is a gap of
+    at least 5 se from the value that would make it hold."""
     t_lo, t_hi = _COR33_WINDOW
     window = Interval(t_lo, t_hi)
     sl = ctx.grid.slice_of(window)
@@ -543,9 +609,9 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
 
     # item (3): sup over the window equals the endpoint max (Z paths).
     rate_nl = sup_equals_max_rate(nl, window, ctx.grid, ctx.n, ctx.seed(0))
-    out.append(eq_within("nonlinear:item3_rate", rate_nl.value, 1.0, 0.0))
+    out.append(Assertion("nonlinear:item3_rate", rate_nl.value, 1.0))
     rate_sb = sup_equals_max_rate(sine, window, ctx.grid, ctx.n, ctx.seed(1))
-    out.append(at_most("sine_bump:item3_rate", rate_sb.value, 0.01))
+    out.append(Assertion("sine_bump:item3_rate", rate_sb.value, 0.01, "<="))
 
     # items (1) and (4) on a shared eta corpus per generator (window grid).
     def items_1_and_4(spec, seed, dud_t0):
@@ -564,107 +630,89 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
         return int(dud_count), {x: int(c) for x, c in zip(_COR33_LEVELS, counts)}
 
     dud_nl, viol4_nl = items_1_and_4(nl, ctx.seed(2), dud_t0=0.5)
-    est_dud_nl = binomial_estimate(dud_nl, ctx.n)
-    out.append(eq_within("nonlinear:item1_dud", est_dud_nl.value, 0.0, 0.0))
-    out.append(at_most("nonlinear:item1_ci_hi", est_dud_nl.ci[1], 3.0 / ctx.n))
+    out += _null_probability(binomial_estimate(dud_nl, ctx.n), "nonlinear:item1_", "dud")
     for x in _COR33_LEVELS:
-        out.append(eq_within(f"nonlinear:item4_viol_x={x}", viol4_nl[x], 0.0, 0.0))
+        out.append(Assertion(f"nonlinear:item4_viol_x={x}", viol4_nl[x], 0.0))
 
     dud_sb, viol4_sb = items_1_and_4(sine, ctx.seed(3), dud_t0=0.25)
-    est_dud_sb = binomial_estimate(dud_sb, ctx.n)
-    out.append(
-        Assertion("sine_bump:item1_dud_positive", est_dud_sb.ci[0], 0.0, 0.0,
-                  est_dud_sb.ci[0] > 0.0)
-    )
+    out.append(_positive_probability("sine_bump:item1_dud_positive",
+                                     binomial_estimate(dud_sb, ctx.n)))
     for x in _COR33_LEVELS:
         diff = binomial_estimate(viol4_sb[x], ctx.n)
-        out.append(
-            at_least(f"sine_bump:item4_gap_x={x}", diff.value, 5.0 * diff.se, 0.0)
-        )
+        out.append(Assertion(f"sine_bump:item4_gap_x={x}", diff.value, 0.0, "gap",
+                             se=diff.se, z=5.0))
 
     # item (5): the 2 exp(x) - 1 identity, high-replication residuals.
     residual_n = ctx.n * _COR33_RESIDUAL_FACTOR
     res_nl = _cor33_residuals(nl, subgrid, residual_n, ctx.seed(4))
     for x in _COR33_LEVELS:
         r, se = res_nl[x]
-        out.append(eq_within(f"nonlinear:item5_residual_x={x}", r, 0.0, 4.0 * se))
+        out.append(Assertion(f"nonlinear:item5_residual_x={x}", r, 0.0, se=se, z=4.0))
     res_sb = _cor33_residuals(sine, subgrid, residual_n, ctx.seed(5))
     for x in _COR33_LEVELS:
         r, se = res_sb[x]
-        out.append(
-            at_least(f"sine_bump:item5_gap_x={x}", abs(r), 5.0 * se, 0.0)
-        )
+        out.append(Assertion(f"sine_bump:item5_gap_x={x}", abs(r), 0.0, "gap",
+                             se=se, z=5.0))
     return out
 
 
+@check("nonlinear-supmax", "nonlinear paths peak at window endpoints")
 def _check_nonlinear_supmax(ctx: CheckContext) -> list[Assertion]:
-    """Every nonlinear path attains its sup at a window endpoint."""
     spec = NonlinearExample(**NONLINEAR_DEFAULTS)
     out = []
     for k, (lo, hi) in enumerate([(0.0, 1.0), (0.1, 0.6), (0.5, 0.9)]):
         rate = sup_equals_max_rate(spec, Interval(lo, hi), ctx.grid, ctx.n, ctx.seed(k))
-        out.append(eq_within(f"I=[{lo},{hi}]", rate.value, 1.0, 0.0))
+        out.append(Assertion(f"I=[{lo},{hi}]", rate.value, 1.0))
     return out
 
 
+@check("final-h", "two-branch hitting curve matches (1-e^x-x)e^x")
 def _check_final_h(ctx: CheckContext) -> list[Assertion]:
-    """Two-branch hitting probabilities against (1 - e^x - x) e^x."""
-    spec = TwoBranch()
     levels = np.array([-0.5, -1.0, -2.0, -4.0])
     curve = hitting_curve(
-        spec, levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
+        TwoBranch(), levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
     )
-    out = []
-    for lvl, est in zip(curve.levels, curve.estimates):
-        target = final_example_reference(float(lvl)).h
-        tol = Z_STAT * est.se + GRID_ALLOWANCE
-        out.append(eq_within(f"x={lvl}", est.value, target, tol))
-    return out
+    return [
+        Assertion(f"x={lvl}", est.value, final_example_reference(float(lvl)).h,
+                  se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)
+        for lvl, est in zip(curve.levels, curve.estimates)
+    ]
 
 
+@check("final-integral-3/2", "two-branch hitting integral equals 3/2")
 def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
-    """Integral of the two-branch hitting curve equals 3/2.
-
-    The generic tail bound is infinite here (E inf Z = 0), so the exact
-    closed-form tail below the deepest level is used instead.
-    """
-    spec = TwoBranch()
+    """The generic tail bound is infinite here (E inf Z = 0), so the exact
+    closed-form tail below the deepest level is used instead."""
     levels = _integral_levels()
     curve = hitting_curve(
-        spec, levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
+        TwoBranch(), levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
     )
     integral, _ = hitting_integral(curve, m_tilde=0.0)
     tail = final_example_integral_below(float(levels[-1]))
-    return [eq_within("integral_plus_exact_tail", integral + tail, 1.5, 0.05)]
+    return [Assertion("integral_plus_exact_tail", integral + tail, 1.5, slack=0.05)]
 
 
+@check("final-two-hit", "two-branch two-hit probability closed form")
 def _check_final_two_hit(ctx: CheckContext) -> list[Assertion]:
-    """Two-branch two-hit probability against its closed form."""
-    spec = TwoBranch()
     q = MultiHitQuery(x0=-1.0, split=0.5)
-    est = two_hit_prob(spec, q, ctx.grid, ctx.n, ctx.seed(0))
+    est = two_hit_prob(TwoBranch(), q, ctx.grid, ctx.n, ctx.seed(0))
     target = final_example_reference(-1.0, t0=0.5).two_hit
-    return [
-        eq_within("two_hit", est.value, target, Z_STAT * est.se + GRID_ALLOWANCE)
-    ]
+    return [Assertion("two_hit", est.value, target,
+                      se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)]
 
 
+@check("final-no-three-hit", "no level is hit in three disjoint intervals")
 def _check_final_no_three_hit(ctx: CheckContext) -> list[Assertion]:
-    """No two-branch path hits a level in three disjoint intervals."""
-    spec = TwoBranch()
     intervals = [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)]
-    est = multi_hit_prob(spec, -1.0, 3, intervals, ctx.grid, ctx.n, ctx.seed(0))
-    return [
-        eq_within("estimate", est.value, 0.0, 0.0),
-        at_most("ci_hi", est.ci[1], 3.0 / ctx.n),
-    ]
+    est = multi_hit_prob(TwoBranch(), -1.0, 3, intervals, ctx.grid, ctx.n, ctx.seed(0))
+    return _null_probability(est)
 
 
 _SHARED_DRAW_N = 1_000
 
 
+@check("shared-draw-invariants", "per-draw monotonicity and containment")
 def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
-    """Per-draw monotonicity/containment invariants on shared corpora."""
     grid = ctx.grid
     n = _SHARED_DRAW_N
     sl_inner = grid.slice_of(Interval(0.25, 0.75))
@@ -700,7 +748,7 @@ def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
         rhs = (mn <= x).astype(int) - (mx < x).astype(int)
         bad += int(np.count_nonzero(lhs != rhs))
 
-        out.append(eq_within(f"{name}:violations", bad, 0.0, 0.0))
+        out.append(Assertion(f"{name}:violations", bad, 0.0))
     return out
 
 
@@ -708,79 +756,18 @@ _EXACTNESS_PATHS = 100
 _EXACTNESS_EXTRA = 100
 
 
+@check("stopping-exactness", "extra arrivals never change stopped paths")
 def _check_stopping_exactness(ctx: CheckContext) -> list[Assertion]:
-    """Extra arrivals after the stopping rule never change a grid value."""
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         v = stopping_exactness_violations(
             spec, ctx.grid, _EXACTNESS_PATHS, ctx.seed(gi), extra=_EXACTNESS_EXTRA
         )
-        out.append(eq_within(f"{name}:changed_paths", v, 0.0, 0.0))
+        out.append(Assertion(f"{name}:changed_paths", v, 0.0))
     return out
 
 
-# --- registry and runner ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    description: str
-    runner: object = field(repr=False)
-
-
-_CHECKS: dict[str, CheckDef] = {}
-
-
-def _register(check_id: str, description: str, runner) -> None:
-    _CHECKS[check_id] = CheckDef(check_id, description, runner)
-
-
-_register("eq1-moments", "unit mean of Z at every grid point", _check_eq1_moments)
-_register("eq2-roundtrip", "joint cdf equals exp(-D-norm)", _check_eq2_roundtrip)
-_register("eq3-negative-paths", "simulated paths are strictly negative",
-          _check_eq3_negative_paths)
-_register("margins-ks", "standard negative exponential margins (KS)",
-          _check_margins_ks)
-_register("max-stability", "k x (max of k paths) keeps the margins",
-          _check_max_stability)
-_register("takahashi", "m = 1 iff D-norm equals sup-norm", _check_takahashi)
-_register("example1-complete-dependence",
-          "constant paths miss fixed levels, meet sloped curves",
-          _check_example1_complete_dependence)
-_register("prop2-null-on-constant-interval",
-          "no hits where the generator is degenerate", _check_prop2_null)
-_register("prop2-positive-when-norm-gt-1",
-          "positive hitting probability when ||1_I||_D > 1",
-          _check_prop2_positive)
-_register("survivor-bound", "survivor probability lower bound",
-          _check_survivor_bound)
-_register("example2-m", "ramp-plateau generator constant (3n^2+n)/(n+1)^2",
-          _check_example2_m)
-_register("hcurve-bound", "hitting curve under exp(x m~) - exp(x m)",
-          _check_hcurve_bound)
-_register("hintegral-bound", "hitting integral within (m - m~)/(m m~)",
-          _check_hintegral_bound)
-_register("lemma31-closedform", "down-up-down probabilities match closed forms",
-          _check_lemma31)
-_register("prop32-two-hit", "two-hit events contain down-up-down events",
-          _check_prop32_two_hit)
-_register("cor33-equivalences", "five-way equivalence holds/fails as one",
-          _check_cor33)
-_register("nonlinear-supmax", "nonlinear paths peak at window endpoints",
-          _check_nonlinear_supmax)
-_register("final-h", "two-branch hitting curve matches (1-e^x-x)e^x",
-          _check_final_h)
-_register("final-integral-3/2", "two-branch hitting integral equals 3/2",
-          _check_final_integral)
-_register("final-two-hit", "two-branch two-hit probability closed form",
-          _check_final_two_hit)
-_register("final-no-three-hit", "no level is hit in three disjoint intervals",
-          _check_final_no_three_hit)
-_register("shared-draw-invariants", "per-draw monotonicity and containment",
-          _check_shared_draw_invariants)
-_register("stopping-exactness", "extra arrivals never change stopped paths",
-          _check_stopping_exactness)
+# --- runner -------------------------------------------------------------------
 
 PAPER_SUITE: tuple[str, ...] = tuple(_CHECKS)
 
@@ -802,7 +789,8 @@ def run_checks(
     ``suite`` is "paper" (everything) or an explicit list of ids; unknown
     ids fail before anything executes. Checks derive independent
     substreams from (master seed, check id) and may run in parallel;
-    report contents are independent of ``threads``.
+    report contents are independent of ``threads``. The first check that
+    raises ends the run: the checks that have not started never do.
     """
     if isinstance(suite, str):
         if suite != "paper":
@@ -814,13 +802,20 @@ def run_checks(
             if cid not in _CHECKS:
                 raise UnknownCheckError(cid)
     grid = make_grid(grid_points)
+    failed = threading.Event()
 
     def run_one(cid: str) -> CheckResult:
+        if failed.is_set():
+            raise CancelledError(cid)
         ctx = CheckContext(
             check_id=cid, master_seed=master_seed, n=n_default, grid=grid
         )
         start = time.perf_counter()
-        assertions = _CHECKS[cid].runner(ctx)
+        try:
+            assertions = _CHECKS[cid].runner(ctx)
+        except BaseException:
+            failed.set()
+            raise
         seconds = time.perf_counter() - start
         return CheckResult(
             check_id=cid,
@@ -830,6 +825,8 @@ def run_checks(
         )
 
     if threads > 1:
+        # checks start in suite order, so the first error in that order is
+        # a real one, never the CancelledError of a check that started later
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_one, ids))
     else:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from maxhit import CompleteDependence, verify
 from maxhit.cli import UsageError, _build_parser, main, parse_invocation
 from maxhit.verify import check_ids
 
@@ -251,12 +252,13 @@ class TestDispatch:
             ["verify", "--suite", "margins-ks", "--grid", "1000"],
             ["verify", "--suite", "cor33-equivalences", "--grid", "3"],
             ["simulate", "--generator", "NOT_UTF8"],
+            ["multihit", "--x0", "-1", "--intervals", "-5,0.5;0.6,7"],
         ],
         ids=["x-nan", "levels-inf", "x0-nan", "collapsed-interval",
              "bogus-shape", "threads-outside-verify", "hitting-seed-negative",
              "verify-seed-negative", "split-snaps-to-end", "intervals-overlap",
              "dnorm-n-1", "verify-n-4", "margins-grid-2", "margins-grid-1000",
-             "cor33-grid-3", "generator-not-utf8"],
+             "cor33-grid-3", "generator-not-utf8", "intervals-outside-unit"],
     )
     def test_usage_errors_exit_2_quietly(self, argv, two_branch_json, tmp_path,
                                          capsys):
@@ -285,7 +287,8 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "time 0.37 " in err and "grid of 1000 points" in err
 
-    def test_non_finite_result_exits_1(self, two_branch_json, tmp_path, capsys):
+    def test_non_finite_result_exits_1(self, two_branch_json, tmp_path, capsys,
+                                       recwarn):
         f = tmp_path / "huge.json"
         f.write_text(json.dumps({"shape": "constant", "level": -1e308}))
         code = main(["dnorm", "--generator", two_branch_json, "--level-function",
@@ -294,6 +297,31 @@ class TestDispatch:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: result is not finite\n"
+        assert not recwarn.list
+
+    def test_failed_eq1_still_writes_a_finite_report(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a mutant generator whose complete-dependence paths are doubled:
+        # every grid point then has mean 2 and se 0
+        real = verify.generator_blocks
+
+        def doubled(spec, *args):
+            for z in real(spec, *args):
+                yield 2.0 * z if isinstance(spec, CompleteDependence) else z
+
+        monkeypatch.setattr(verify, "generator_blocks", doubled)
+        out = tmp_path / "report.json"
+        code = main(["verify", "--suite", "eq1-moments", "--n", "500",
+                     "--grid", "11", "--out", str(out), "--no-timestamp"])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("FAIL  eq1-moments")
+        (entry,) = json.loads(out.read_text())["checks"]
+        assert entry["pass"] is False
+        assert entry["parts"][0] == "complete_dependence:mean"
+        assert (entry["observed"][0], entry["se"][0]) == (2.0, 0.0)
+        for key in ("observed", "expected", "tol", "se"):
+            assert len(entry[key]) == len(entry["parts"])
+            assert all(math.isfinite(v) for v in entry[key])
 
     def test_verify_without_fixed_times_runs_on_any_grid(self, capsys):
         code = main(["verify", "--suite", "example2-m", "--grid", "11",

@@ -12,7 +12,6 @@ from maxhit import (
     TwoBranch,
     dnorm_estimate,
     dnorm_estimates,
-    dnorm_indicator,
     generator_moments,
     make_grid,
     survivor_lower_bound,
@@ -103,27 +102,32 @@ class TestDnormEstimate:
         assert est.value <= generator_bound(any_spec) * 0.8 + 3 * est.se + 1e-12
 
 
+def _indicator_norm(spec, interval, grid, n, seed):
+    f = LevelFunction.indicator_step(grid, interval, inside=-1.0)
+    return dnorm_estimate(spec, f, n, seed)
+
+
 class TestDnormIndicator:
     def test_full_interval_equals_moments_bitwise(self, any_spec, grid101):
-        norm = dnorm_indicator(any_spec, Interval(0.0, 1.0), grid101, 2000, 37)
+        norm = _indicator_norm(any_spec, Interval(0.0, 1.0), grid101, 2000, 37)
         mom = generator_moments(any_spec, grid101, 2000, 37)
         assert norm.value == mom.m_hat.value
         assert norm.se == mom.m_hat.se
 
     def test_two_branch_upper_half(self, grid201):
-        est = dnorm_indicator(TwoBranch(), Interval(0.5, 1.0), grid201, 20_000, 38)
+        est = _indicator_norm(TwoBranch(), Interval(0.5, 1.0), grid201, 20_000, 38)
         # falling branch sups at 2(1-0.5) = 1, rising at 2; mean 1.5
         assert abs(est.value - 1.5) <= 3 * est.se
 
     def test_complete_dependence_any_interval(self, grid101):
-        est = dnorm_indicator(
+        est = _indicator_norm(
             CompleteDependence(), Interval(0.25, 0.5), grid101, 500, 39
         )
         assert est.value == 1.0
 
     def test_monotone_in_interval_shared_draws(self, any_spec, grid101):
-        inner = dnorm_indicator(any_spec, Interval(0.25, 0.75), grid101, 2000, 40)
-        outer = dnorm_indicator(any_spec, Interval(0.0, 1.0), grid101, 2000, 40)
+        inner = _indicator_norm(any_spec, Interval(0.25, 0.75), grid101, 2000, 40)
+        outer = _indicator_norm(any_spec, Interval(0.0, 1.0), grid101, 2000, 40)
         assert inner.value <= outer.value + 1e-15
 
 

@@ -1,18 +1,22 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 from maxhit import (
     PAPER_SUITE,
+    OffGridError,
     UnknownCheckError,
     check_ids,
     final_example_integral_below,
     final_example_reference,
     run_checks,
+    verify,
 )
+from maxhit.verify import Assertion, CheckDef
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,7 +59,56 @@ class TestFinalExampleReference:
         assert deriv == pytest.approx(final_example_reference(x).h, rel=1e-5)
 
 
+class TestAssertion:
+    # (sense, observed that meets the tolerance exactly, direction of the
+    # ulp that breaks it); expected 2.0 and tol = 2 * 0.25 + 0 = 0.5, so
+    # every difference and bound below is exact in floating point
+    @pytest.mark.parametrize("sense, boundary, step", [
+        ("==", 2.5, math.inf),
+        ("==", 1.5, -math.inf),
+        ("<=", 2.5, math.inf),
+        (">=", 1.5, -math.inf),
+        ("gap", 2.5, -math.inf),
+    ])
+    def test_tolerance_met_exactly_passes_one_ulp_beyond_fails(
+            self, sense, boundary, step):
+        def at(observed):
+            return Assertion("a", observed, 2.0, sense, se=0.25, z=2.0)
+
+        assert at(boundary).tol == 0.5
+        assert at(boundary).passed
+        assert not at(math.nextafter(boundary, step)).passed
+
+    def test_slack_adds_to_the_statistical_tolerance(self):
+        a = Assertion("a", 1.0, 1.0, se=0.25, z=2.0, slack=0.005)
+        assert a.tol == 2.0 * 0.25 + 0.005
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match="sense"):
+            Assertion("a", 1.0, 1.0, "<")
+
+
 class TestRunChecks:
+    def test_first_error_cancels_checks_not_started(self, monkeypatch):
+        ran = []
+
+        def boom(ctx):
+            raise OffGridError(f"time 0.5 is not on the grid of {len(ctx.grid)} points")
+
+        def record(ctx):
+            time.sleep(0.2)  # keeps the second thread busy past the error
+            ran.append(ctx.check_id)
+            return []
+
+        ids = ["boom", "r1", "r2", "r3", "r4"]
+        monkeypatch.setitem(verify._CHECKS, "boom", CheckDef("boom", "raises", boom))
+        for cid in ids[1:]:
+            monkeypatch.setitem(verify._CHECKS, cid, CheckDef(cid, "records", record))
+        with pytest.raises(OffGridError, match="not on the grid"):
+            run_checks(ids, master_seed=7, n_default=5, grid_points=11, threads=2)
+        # r1 starts beside boom; the checks queued behind them never start
+        assert set(ran) <= {"r1"}
+
     def test_unknown_id_fails_before_running(self):
         with pytest.raises(UnknownCheckError, match="no-such-check"):
             run_checks(["no-such-check"], master_seed=7)
@@ -73,7 +126,9 @@ class TestRunChecks:
         doc = report.as_dict()
         assert set(doc) >= {"suite", "seed", "n_default", "checks", "pass"}
         entry = doc["checks"][0]
-        assert set(entry) >= {"id", "observed", "expected", "tol", "pass", "seconds"}
+        assert set(entry) >= {"id", "observed", "expected", "tol", "se", "pass",
+                              "seconds", "parts"}
+        assert len(entry["se"]) == len(entry["parts"])
         assert entry["id"] == "example2-m"
 
     def test_deterministic_given_seed(self):
