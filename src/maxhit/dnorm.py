@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import Z95, Estimate, RunningMean, seed_echo, stream_means
-from .generators import GeneratorSpec, generator_blocks
+from .estimates import (
+    Z95, Estimate, RunningMean, per_path, seed_echo, stream_means
+)
+from .generators import GeneratorSpec, shape_blocks
 from .paths import Interval, TimeGrid, _frozen_array
 from .streams import Seed
 
@@ -91,15 +93,16 @@ class LevelFunction:
 def _dnorm_pass(
     spec: GeneratorSpec, fs: list[LevelFunction], n: int, seed: Seed, *extra
 ) -> RunningMean:
-    """Means of sup |f| Z for every f, then of each ``extra`` statistic, all
-    from one shared set of generator paths."""
+    """Means of sup |f| Z for every f, then of each row-wise ``extra``
+    statistic, all from one shared set of generator paths."""
     if n < 2:
         raise ValueError("n must be >= 2")
     sups = [
         lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
     ]
     return stream_means(
-        generator_blocks(spec, LevelFunction.common_grid(fs), n, seed), *sups, *extra
+        shape_blocks(spec, LevelFunction.common_grid(fs), n, seed),
+        *map(per_path, (*sups, *extra)),
     )
 
 
@@ -135,8 +138,8 @@ def survivor_lower_bound(
     """
     absf = np.abs(f.values)
     v = stream_means(
-        generator_blocks(spec, f.grid, n, seed),
-        lambda z: np.min(z * absf[None, :], axis=1),
+        shape_blocks(spec, f.grid, n, seed),
+        per_path(lambda z: np.min(z * absf[None, :], axis=1)),
     ).estimate(0)
     value = 1.0 - math.exp(-v.value)
     se = math.exp(-v.value) * v.se

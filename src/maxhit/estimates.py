@@ -8,6 +8,9 @@ testable form of "this probability is zero" used by the verification suite.
 Every estimator streams seeded blocks of paths and reduces each block in
 one of two ways: ``count_events`` counts rows whose event mask holds, and
 ``stream_means`` accumulates per-row statistics into a ``RunningMean``.
+Generator paths also come as ``(rows, index)`` shape blocks
+(``generators.shape_blocks``); ``per_path`` turns a row-wise statistic into
+one on such blocks, so both reducers take them unchanged.
 """
 
 from __future__ import annotations
@@ -134,6 +137,16 @@ class RunningMean:
         return mean_estimate_from_sums(
             float(self.total[i]), float(self.total_sq[i]), self.n, seed
         )
+
+
+def per_path(stat: Callable) -> Callable:
+    """``stat`` on a ``(rows, index)`` shape block: evaluated once per
+    distinct row, then gathered to one value per path.
+
+    Exact for a row-wise ``stat`` (each output row depends on its input row
+    alone): ``stat(rows)[index]`` equals ``stat(rows[index])``.
+    """
+    return lambda block: stat(block[0])[block[1]]
 
 
 def count_events(blocks: Iterable[np.ndarray], *events: Callable) -> list:

@@ -46,6 +46,17 @@ Draw layout (fixed; regression tests rely on it): a path consumes one
 uniform per threshold of its atom table (SineBump: one, for W), in
 threshold order. Batched sampling draws the ``(count, k)`` uniform block
 row-major (``draw_uniforms``), so replica ``i`` of a block owns row ``i``.
+
+Shape blocks: an atom generator's block of paths repeats at most K
+distinct rows, so ``shape_blocks`` streams each block as ``(rows,
+index)``, the K-row shape table and the block's atom index, and
+``generator_blocks`` is ``rows[index]`` of that one stream. Estimators
+whose statistic is a row max, min or comparison of an elementwise product
+with a fixed vector evaluate it on the K rows and gather by index
+(``estimates.per_path``): the products are the same floats and a max or
+min does not round, so the per-path values, and the sums over them, equal
+those of the materialized block bit for bit. SineBump blocks are built in
+full, with index ``slice(None)``.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ import numpy as np
 
 from .errors import InvalidSpecError
 from .estimates import (
-    Estimate, binomial_estimate, count_events, seed_echo, stream_means
+    Estimate, binomial_estimate, count_events, per_path, seed_echo, stream_means
 )
 from .paths import Interval, TimeGrid
 from .streams import Seed, block_streams
@@ -352,6 +363,38 @@ def sample_paths(
     return z
 
 
+def shape_blocks(
+    spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
+) -> Iterator[tuple[np.ndarray, np.ndarray | slice]]:
+    """Stream blocks of generator paths as ``(rows, index)``; the block's
+    paths are ``rows[index]``.
+
+    An atom generator's ``rows`` is its read-only (K, len(grid))
+    ``shape_table``, built once per call, and ``index`` is the block's
+    ``atom_index``; SineBump's ``rows`` is the built (block, len(grid))
+    array and ``index`` is ``slice(None)``. Each block draws the same
+    uniforms from the same child stream as ``generator_blocks``, which is
+    ``rows[index]`` of these blocks.
+
+    A row-wise statistic (each output row a function of its input row
+    alone, such as a row max or min of ``z * v`` for a fixed vector v, or
+    a comparison of such values) may be evaluated on ``rows`` and gathered
+    by ``index``: ``stat(rows)[index]`` equals ``stat(rows[index])`` bit for
+    bit, because the elementwise products are the same floats and a max or
+    min does not round. ``estimates.per_path`` does that gather.
+    """
+    validate_spec(spec)
+    table = shape_table(spec, grid.points)
+    if table is not None:
+        table.flags.writeable = False
+    for count, rng in block_streams(seed, n):
+        u = draw_uniforms(spec, rng, count)
+        if table is None:
+            yield sample_paths(spec, grid.points, u), slice(None)
+        else:
+            yield table, atom_index(spec, u)
+
+
 def generator_blocks(
     spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
 ) -> Iterator[np.ndarray]:
@@ -359,10 +402,10 @@ def generator_blocks(
 
     Block ``b`` draws from child stream ``b`` of ``seed``, so the
     concatenation over blocks is a deterministic function of (seed, n, grid).
+    Each block is ``rows[index]`` of the matching ``shape_blocks`` block.
     """
-    validate_spec(spec)
-    for count, rng in block_streams(seed, n):
-        yield sample_paths(spec, grid.points, draw_uniforms(spec, rng, count))
+    for rows, index in shape_blocks(spec, grid, n, seed):
+        yield rows[index]
 
 
 def generator_corpus(
@@ -392,12 +435,10 @@ def generator_moments(
     spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
 ) -> GeneratorMoments:
     """Estimate the generator constants m = E sup Z and m~ = E inf Z."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     acc = stream_means(
-        generator_blocks(spec, grid, n, seed),
-        lambda z: z.max(axis=1),
-        lambda z: z.min(axis=1),
+        shape_blocks(spec, grid, n, seed),
+        per_path(lambda z: z.max(axis=1)),
+        per_path(lambda z: z.min(axis=1)),
     )
     return GeneratorMoments(
         m_hat=acc.estimate(0, seed_echo(seed)),
@@ -451,7 +492,9 @@ def sup_equals_max_rate(
         zi = z[:, sl]
         return np.abs(zi.max(axis=1) - np.maximum(zi[:, 0], zi[:, -1])) <= tol
 
-    (successes,) = count_events(generator_blocks(spec, grid, n, seed), sup_at_endpoint)
+    (successes,) = count_events(
+        shape_blocks(spec, grid, n, seed), per_path(sup_at_endpoint)
+    )
     return binomial_estimate(int(successes), n, seed_echo(seed))
 
 

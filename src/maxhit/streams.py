@@ -50,9 +50,11 @@ def block_streams(
     """Yield ``(count, rng)`` pairs covering ``n`` replicas in blocks.
 
     Block ``b`` uses the child sequence ``spawn_key + (b,)`` of ``seed``.
+    Raises ``ValueError`` for ``n < 1``, so every estimator refuses an
+    empty sample in the same way.
     """
-    if n < 0:
-        raise ValueError(f"replication count must be >= 0, got {n}")
+    if n < 1:
+        raise ValueError(f"replication count must be >= 1, got {n}")
     b = 0
     remaining = n
     while remaining > 0:

@@ -3,20 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CATALOGUE
 from maxhit import (
     CompleteDependence,
+    Estimate,
+    GeneratorMoments,
     Interval,
     LevelFunction,
     PiecewiseExample,
     SineBump,
     TwoBranch,
+    binomial_estimate,
     dnorm_estimate,
     dnorm_estimates,
     generator_moments,
     make_grid,
+    sup_equals_max_rate,
     survivor_lower_bound,
     takahashi_check,
 )
+from maxhit.estimates import Z95, count_events, stream_means
+from maxhit.generators import SUP_EQ_TOL, draw_uniforms, sample_paths
+from maxhit.streams import block_streams
 
 
 class TestLevelFunction:
@@ -162,7 +170,8 @@ class TestSurvivorLowerBound:
 
 
 class TestTakahashi:
-    def probes(self, grid):
+    @staticmethod
+    def probes(grid):
         return [
             LevelFunction.constant(grid, -1.0),
             LevelFunction.indicator_step(
@@ -198,3 +207,63 @@ class TestTakahashi:
     def test_needs_three_probes(self, grid101):
         with pytest.raises(ValueError, match="3 probe"):
             takahashi_check(TwoBranch(), self.probes(grid101)[:2], 100, 49)
+
+
+class TestPerShapeReductions:
+    """Every estimator that reduces shape blocks row by row against the
+    same statistics on materialized paths, field by field with ==."""
+
+    @staticmethod
+    def reference_blocks(spec, grid, n, seed):
+        """Generator paths built in full per block, as sampled everywhere."""
+        return [
+            sample_paths(spec, grid.points, draw_uniforms(spec, rng, count))
+            for count, rng in block_streams(seed, n)
+        ]
+
+    @pytest.mark.parametrize("points", [37, 1001])
+    @pytest.mark.parametrize(
+        "spec", [*CATALOGUE, PiecewiseExample(n=5, a=0.1, b=0.3)], ids=repr
+    )
+    def test_equal_to_materialized_paths(self, spec, points):
+        # n = 4097: a second block of one path runs too
+        grid, n, seed = make_grid(points), 4097, 7
+        fs = [
+            *TestTakahashi.probes(grid),
+            LevelFunction.indicator_step(grid, Interval(0.25, 0.75), inside=-1.0),
+        ]
+        blocks = self.reference_blocks(spec, grid, n, seed)
+        sups = [lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1)
+                for f in fs]
+        sup_z = stream_means(blocks, lambda z: z.max(axis=1)).estimate(0, seed)
+
+        acc = stream_means(blocks, *sups)
+        want = [acc.estimate(i, seed) for i in range(len(fs))]
+        assert dnorm_estimates(spec, fs, n, seed) == want
+        rep = takahashi_check(spec, fs, n, seed)
+        assert [c.dnorm for c in rep.probes] == want
+        assert rep.m_hat == sup_z
+
+        for f in fs:
+            absf = np.abs(f.values)
+            v = stream_means(
+                blocks, lambda z: np.min(z * absf[None, :], axis=1)
+            ).estimate(0)
+            value, se = 1.0 - math.exp(-v.value), math.exp(-v.value) * v.se
+            assert survivor_lower_bound(spec, f, n, seed) == Estimate(
+                value, se, (value - Z95 * se, value + Z95 * se), n, seed
+            )
+
+        m_tilde = stream_means(blocks, lambda z: z.min(axis=1)).estimate(0, seed)
+        assert generator_moments(spec, grid, n, seed) == GeneratorMoments(
+            sup_z, m_tilde
+        )
+
+        window = Interval(0.25, 0.75)
+        sl = grid.slice_of(window)
+        (hits,) = count_events(blocks, lambda z: np.abs(
+            z[:, sl].max(axis=1) - np.maximum(z[:, sl][:, 0], z[:, sl][:, -1])
+        ) <= SUP_EQ_TOL)
+        assert sup_equals_max_rate(spec, window, grid, n, seed) == binomial_estimate(
+            int(hits), n, seed
+        )

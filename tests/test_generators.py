@@ -26,7 +26,7 @@ from maxhit import (
     validate_spec,
 )
 from maxhit.generators import (
-    atom_index, draw_uniforms, sample_paths, shape_table
+    atom_index, draw_uniforms, sample_paths, shape_blocks, shape_table
 )
 from maxhit.streams import block_streams
 
@@ -205,6 +205,29 @@ class TestShapeTable:
         spec = SineBump(amp=0.5)
         assert shape_table(spec, grid101.points) is None
         assert atom_index(spec, np.zeros((3, 1))) is None
+
+
+class TestShapeBlocks:
+    def test_contract(self, any_spec, grid101):
+        # per block: the documented uniforms of the block's child stream
+        # build rows[index], which is also generator_blocks' block; atom
+        # specs hand out their K shapes, SineBump its built block
+        k = DOCUMENTED_UNIFORMS[type(any_spec)]
+        atoms = any_spec.atoms()
+        n, seed = 4097, 123
+        blocks = zip(shape_blocks(any_spec, grid101, n, seed),
+                     generator_blocks(any_spec, grid101, n, seed),
+                     block_streams(seed, n), strict=True)
+        for (rows, index), z, (count, rng) in blocks:
+            u = rng.random((count, k))
+            paths = rows[index]
+            assert np.array_equal(paths, sample_paths(any_spec, grid101.points, u))
+            assert np.array_equal(paths, z)
+            if atoms is None:
+                assert rows.shape == (count, 101) and index == slice(None)
+            else:
+                assert rows.shape == (len(atoms.values), 101)
+                assert index.shape == (count,)
 
 
 class TestMoments:
