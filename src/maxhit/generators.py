@@ -33,6 +33,11 @@ follow from that table. SineBump, a continuous mixture, has no table
 (``atoms()`` is None); its three constants and its path build each sit in
 one place below.
 
+Paths on a grid are built from the spec's ``path_basis``: the shape table
+of an atom generator, SineBump's row sin(2 pi t). It depends on (spec,
+grid) alone, so a sampling call computes it once. ``sample_paths`` builds
+rows from it and ``path_maxima`` gives their maxima without building them.
+
 ======================  ==  ================================================
 CompleteDependence       1  the constant 1; no uniform
 TwoBranch                2  2(1-t), drawn when u0 < 1/2, and 2t
@@ -345,22 +350,67 @@ def shape_table(spec: GeneratorSpec, grid_points: np.ndarray) -> np.ndarray | No
     return out
 
 
-def sample_paths(
-    spec: GeneratorSpec, grid_points: np.ndarray, uniforms: np.ndarray
-) -> np.ndarray:
-    """Build generator paths from uniforms; shape (count, len(grid_points)).
+def path_basis(spec: GeneratorSpec, grid_points: np.ndarray) -> np.ndarray:
+    """The read-only grid rows every path of the spec is built from.
 
-    ``uniforms`` comes from ``draw_uniforms``. This is the deterministic
-    core of the sampler: equal uniforms give equal paths on every platform.
+    An atom spec's basis is its (K, len(grid_points)) ``shape_table``;
+    SineBump's is the one row sin(2 pi t) that each path scales by W. It
+    depends on (spec, grid) alone, so a sampling call computes it once and
+    hands it to ``sample_paths`` and ``path_maxima`` for every block.
     """
     t = np.asarray(grid_points, dtype=float)
-    table = shape_table(spec, t)
-    if table is not None:
-        return table[atom_index(spec, uniforms)]
-    w = (spec.amp / 2.0) * (2.0 * uniforms[:, 0] - 1.0)
-    z = w[:, None] * np.sin(2.0 * np.pi * t)
+    basis = shape_table(spec, t)
+    if basis is None:
+        basis = np.sin(2.0 * np.pi * t)[None, :]
+    basis.flags.writeable = False
+    return basis
+
+
+def _sine_weights(spec: SineBump, uniforms: np.ndarray) -> np.ndarray:
+    """W = (amp/2)(2u - 1) per uniform row."""
+    return (spec.amp / 2.0) * (2.0 * uniforms[:, 0] - 1.0)
+
+
+def sample_paths(
+    spec: GeneratorSpec, basis: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Build generator paths from uniforms; shape (count, len(grid)).
+
+    ``basis`` is ``path_basis(spec, grid_points)`` and ``uniforms`` comes
+    from ``draw_uniforms``. An atom path is its shape's basis row; a
+    SineBump path is fl(1 + fl(W sin 2 pi t)). This is the deterministic
+    core of the sampler: equal uniforms give equal paths on every
+    platform, and ``path_maxima`` gives each path's maximum without
+    building it.
+    """
+    index = atom_index(spec, uniforms)
+    if index is not None:
+        return basis[index]
+    z = _sine_weights(spec, uniforms)[:, None] * basis[0]
     z += 1.0
     return z
+
+
+def path_maxima(
+    spec: GeneratorSpec, basis: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """The largest grid value of each path, without building the paths.
+
+    Equal bit for bit to ``sample_paths(spec, basis, uniforms).max(axis=1)``.
+    An atom path's maximum is the maximum of its shape's row. A SineBump
+    value fl(1 + fl(W s)) is monotone in s under round-to-nearest,
+    nondecreasing for W >= 0 and nonincreasing for W < 0, so the path peaks
+    where s = sin 2 pi t, read from the same basis row, is largest (W >= 0)
+    or smallest (W < 0).
+    """
+    index = atom_index(spec, uniforms)
+    if index is not None:
+        return basis.max(axis=1)[index]
+    s = basis[0]
+    w = _sine_weights(spec, uniforms)
+    peak = w * np.where(w >= 0.0, s.max(), s.min())
+    peak += 1.0
+    return peak
 
 
 def shape_blocks(
@@ -384,15 +434,14 @@ def shape_blocks(
     min does not round. ``estimates.per_path`` does that gather.
     """
     validate_spec(spec)
-    table = shape_table(spec, grid.points)
-    if table is not None:
-        table.flags.writeable = False
+    basis = path_basis(spec, grid.points)
     for count, rng in block_streams(seed, n):
         u = draw_uniforms(spec, rng, count)
-        if table is None:
-            yield sample_paths(spec, grid.points, u), slice(None)
+        index = atom_index(spec, u)
+        if index is None:
+            yield sample_paths(spec, basis, u), slice(None)
         else:
-            yield table, atom_index(spec, u)
+            yield basis, index
 
 
 def generator_blocks(

@@ -11,17 +11,30 @@ sup Z almost surely; past that point no later arrival can raise xi at any
 grid point, so the returned values are exact on the grid (a property the
 verification suite asserts bit-for-bit by pushing extra arrivals).
 
-Skip rule: a generator with an atom table (see ``generators``) draws one
-of K fixed shapes z_k per arrival. Only a replica's first draw of each
-shape is built, divided and max-accumulated; a later draw of z_k is
-skipped. Gamma never decreases and IEEE division is correctly rounded,
-hence monotone, so fl(z_k / Gamma_later) <= fl(z_k / Gamma_first) <= xi at
-every grid point: the skipped maximum would be a no-op, and the output is
-bit-for-bit that of building every draw. Every draw is still consumed from
-the stream. SineBump has no shapes, so all of its draws are built. A built
-row whose largest value does not exceed min xi is not max-accumulated
-either: it lies below xi at every grid point, so the maximum would again be
-a no-op.
+Skip rules: a draw that cannot change xi is never built. Both rules are
+decided before the row exists, and both are exact because IEEE division
+by Gamma > 0 is correctly rounded, hence monotone, and Gamma never
+decreases.
+
+* Row-max pretest: ``generators.path_maxima`` gives each draw's exact grid
+  maximum M without building the row (an atom shape's table maximum;
+  SineBump's fl(1 + fl(W s*)) at the extreme s* of the same sin array the
+  row is built from). Monotone rounding gives max_t fl(z(t) / Gamma) =
+  fl(M / Gamma), so a draw with fl(M / Gamma) <= min xi lies at or below
+  xi at every grid point and its maximum would be a no-op.
+* Seen shapes: a generator with an atom table (see ``generators``) draws
+  one of K fixed shapes z_k per arrival. Only a replica's first draw of
+  each shape can raise xi, since fl(z_k / Gamma_later) <= fl(z_k /
+  Gamma_first) <= xi at every grid point. SineBump has no shapes.
+
+Every draw is still consumed from the stream, so the output is bit for bit
+that of building, dividing and max-accumulating every draw. The rows that
+remain are built, divided, merged into xi and reduced to their new min xi
+in row tiles of about ``_TILE_BYTES``, so each tile's passes run in cache
+instead of streaming whole-block temporaries through memory; a row's
+values do not depend on its tile, so tiling changes no bit. The path
+basis (``generators.path_basis``), the grid rows every path is built
+from, is computed once per sampling call.
 
 Draw layout per block and round (fixed; see ``streams``): one standard
 exponential per still-active replica in ascending replica order, then the
@@ -46,6 +59,8 @@ from .generators import (
     atom_index,
     draw_uniforms,
     generator_bound,
+    path_basis,
+    path_maxima,
     sample_paths,
     validate_spec,
 )
@@ -53,6 +68,9 @@ from .paths import SubGrid, TimeGrid
 from .streams import Seed, block_streams
 
 DEFAULT_MAX_POINTS = 10**6
+#: Bytes of xi an arrival round builds, divides and merges at a time (at
+#: least one row), so that a tile's passes stay in cache.
+_TILE_BYTES = 1 << 18
 
 
 class _Live:
@@ -78,7 +96,7 @@ class _Live:
 
 def _arrival_round(
     spec: GeneratorSpec,
-    grid_points: np.ndarray,
+    basis: np.ndarray,
     rng: np.random.Generator,
     live: _Live,
     xi: np.ndarray,
@@ -87,34 +105,31 @@ def _arrival_round(
     """One arrival for every live replica; ``live`` and ``xi`` are updated
     in place.
 
-    Draws the exponential spacings, then the uniforms. Only rows whose
-    shape is new to their replica are built and divided by the new Gamma;
-    of those, only rows with a value above min xi are max-accumulated into
-    xi. Returns the live rows whose stopping rule C / Gamma < min xi now
-    holds.
+    Draws the exponential spacings, then the uniforms. A draw is built only
+    if its exact row maximum over Gamma exceeds min xi and, for an atom
+    generator, its shape is new to its replica; those rows are built,
+    divided and max-accumulated into xi tile by tile. Returns the live rows
+    whose stopping rule C / Gamma < min xi now holds.
     """
     gamma = live.gamma
     gamma += rng.standard_exponential(gamma.size)
     u = draw_uniforms(spec, rng, gamma.size)
+    todo = path_maxima(spec, basis, u) / gamma > live.lo
     shape = atom_index(spec, u)
-    if shape is None:
-        todo = np.ones(gamma.size, dtype=bool)
-    else:
+    if shape is not None:
         bit = 1 << shape
-        todo = (live.seen & bit) == 0
+        todo &= (live.seen & bit) == 0
         live.seen |= bit
-    if todo.any():
-        z = sample_paths(spec, grid_points, u[todo])
-        z /= gamma[todo, None]
-        # a row nowhere above min xi leaves xi as it is
-        rises = z.max(axis=1) > live.lo[todo]
-        if not rises.all():
-            z = z[rises]
-            todo[todo] = rises
-        rows = live.rows[todo]
+    todo = np.flatnonzero(todo)
+    step = max(1, _TILE_BYTES // (xi.itemsize * xi.shape[1]))
+    for start in range(0, todo.size, step):
+        tile = todo[start:start + step]
+        z = sample_paths(spec, basis, u[tile])
+        z /= gamma[tile, None]
+        rows = live.rows[tile]
         np.maximum(xi[rows], z, out=z)
         xi[rows] = z
-        live.lo[todo] = z.min(axis=1)
+        live.lo[tile] = z.min(axis=1)
     return bound / gamma < live.lo
 
 
@@ -126,24 +141,24 @@ def _too_loose(bound: float, live: _Live, arrivals: int) -> BoundTooLooseError:
 
 def _spectral_block(
     spec: GeneratorSpec,
-    grid_points: np.ndarray,
+    basis: np.ndarray,
     rng: np.random.Generator,
     count: int,
     max_points: int,
 ) -> np.ndarray:
-    """xi values for one block of replicas; shape (count, len(grid_points)).
+    """xi values for one block of replicas; shape (count, len(grid)).
 
     Rows leave the live set the round their stopping rule fires.
     """
     bound = generator_bound(spec)
-    xi = np.zeros((count, grid_points.size))
+    xi = np.zeros((count, basis.shape[1]))
     live = _Live(count)
     arrivals = 0
     while live.rows.size:
         if arrivals >= max_points:
             raise _too_loose(bound, live, arrivals)
         arrivals += 1
-        done = _arrival_round(spec, grid_points, rng, live, xi, bound)
+        done = _arrival_round(spec, basis, rng, live, xi, bound)
         if done.any():
             live.keep(~done)
     return xi
@@ -165,8 +180,9 @@ def msp_path_blocks(
     validate_spec(spec)
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
+    basis = path_basis(spec, grid.points)
     for count, rng in block_streams(seed, n):
-        xi = _spectral_block(spec, grid.points, rng, count, max_points)
+        xi = _spectral_block(spec, basis, rng, count, max_points)
         yield np.divide(-1.0, xi, out=xi)
 
 
@@ -237,10 +253,11 @@ def stopping_exactness_violations(
     at least ``extra`` further arrivals are then consumed for every path
     and the final xi is compared bit-for-bit. The expected count is 0: the
     rule fires only when no later arrival can contribute. Draws the skip
-    rule leaves unbuilt (see the module docstring) cannot show up here.
+    rules leave unbuilt (see the module docstring) cannot show up here.
     """
     validate_spec(spec)
     bound = generator_bound(spec)
+    basis = path_basis(spec, grid.points)
     violations = 0
     for count, rng in block_streams(seed, n):
         live = _Live(count)
@@ -254,7 +271,7 @@ def stopping_exactness_violations(
                 raise _too_loose(bound, live, arrivals)
             arrivals += 1
             since_stop[stopped] += 1
-            newly = ~stopped & _arrival_round(spec, grid.points, rng, live, xi, bound)
+            newly = ~stopped & _arrival_round(spec, basis, rng, live, xi, bound)
             snap[newly] = xi[newly]
             stopped |= newly
         violations += int(np.count_nonzero(np.any(snap != xi, axis=1)))

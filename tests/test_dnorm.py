@@ -23,7 +23,7 @@ from maxhit import (
     takahashi_check,
 )
 from maxhit.estimates import Z95, count_events, stream_means
-from maxhit.generators import SUP_EQ_TOL, draw_uniforms, sample_paths
+from maxhit.generators import SUP_EQ_TOL, draw_uniforms, path_basis, sample_paths
 from maxhit.streams import block_streams
 
 
@@ -216,8 +216,9 @@ class TestPerShapeReductions:
     @staticmethod
     def reference_blocks(spec, grid, n, seed):
         """Generator paths built in full per block, as sampled everywhere."""
+        basis = path_basis(spec, grid.points)
         return [
-            sample_paths(spec, grid.points, draw_uniforms(spec, rng, count))
+            sample_paths(spec, basis, draw_uniforms(spec, rng, count))
             for count, rng in block_streams(seed, n)
         ]
 

@@ -12,6 +12,8 @@ from maxhit import (
     NonlinearExample,
     PiecewiseExample,
     SineBump,
+    SubGrid,
+    TimeGrid,
     TwoBranch,
     closed_form_m,
     closed_form_m_tilde,
@@ -26,7 +28,8 @@ from maxhit import (
     validate_spec,
 )
 from maxhit.generators import (
-    atom_index, draw_uniforms, sample_paths, shape_blocks, shape_table
+    atom_index, draw_uniforms, path_basis, path_maxima, sample_paths, shape_blocks,
+    shape_table,
 )
 from maxhit.streams import block_streams
 
@@ -94,43 +97,44 @@ class TestValidateSpec:
 
 class TestSamplePaths:
     def test_complete_dependence_is_unit(self):
-        grid = make_grid(5)
-        z = sample_paths(CompleteDependence(), grid.points, np.empty((3, 0)))
+        spec = CompleteDependence()
+        z = sample_paths(spec, path_basis(spec, make_grid(5).points), np.empty((3, 0)))
         assert (z == 1.0).all()
 
     def test_piecewise_case_structure(self):
         # u0 >= n/(n+1) draws the high endpoint n, u1 < n/(n+1) draws 1/n
         grid = make_grid(5)
         spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-        z = sample_paths(spec, grid.points, np.array([[0.9, 0.1]]))
+        z = sample_paths(spec, path_basis(spec, grid.points), np.array([[0.9, 0.1]]))
         assert z[0].tolist() == [2.0, 1.0, 1.0, 1.0, 0.5]
 
     def test_two_branch_falling(self):
-        grid = make_grid(3)
-        z = sample_paths(TwoBranch(), grid.points, np.array([[0.1]]))
+        basis = path_basis(TwoBranch(), make_grid(3).points)
+        z = sample_paths(TwoBranch(), basis, np.array([[0.1]]))
         assert z[0].tolist() == [2.0, 1.0, 0.0]
 
     def test_two_branch_rising(self):
-        grid = make_grid(3)
-        z = sample_paths(TwoBranch(), grid.points, np.array([[0.9]]))
+        basis = path_basis(TwoBranch(), make_grid(3).points)
+        z = sample_paths(TwoBranch(), basis, np.array([[0.9]]))
         assert z[0].tolist() == [0.0, 1.0, 2.0]
 
     def test_nonlinear_atom_values(self):
         grid = make_grid(5)
         spec = NonlinearExample(**NONLINEAR_DEFAULTS)
         # (Y=1, Yt=1): Z_0 = a = 2, Z_1 = kappa d = 7/6; V-shaped through 1
-        z = sample_paths(spec, grid.points, np.array([[0.0, 0.0]]))
+        z = sample_paths(spec, path_basis(spec, grid.points), np.array([[0.0, 0.0]]))
         assert z[0, 0] == pytest.approx(2.0)
         assert z[0, 2] == pytest.approx(1.0)
         assert z[0, 4] == pytest.approx(7.0 / 6.0)
         # (Y=0, Yt=0): Z_0 = b, Z_1 = c + kappa e = 4/3; increasing
-        z = sample_paths(spec, grid.points, np.array([[0.99, 0.99]]))
+        z = sample_paths(spec, path_basis(spec, grid.points), np.array([[0.99, 0.99]]))
         assert z[0, 0] == pytest.approx(0.5)
         assert z[0, 4] == pytest.approx(4.0 / 3.0)
 
     def test_sine_bump_amplitude_is_half_width(self):
-        grid = make_grid(5)
-        z = sample_paths(SineBump(amp=0.5), grid.points, np.array([[1.0], [0.0]]))
+        spec = SineBump(amp=0.5)
+        basis = path_basis(spec, make_grid(5).points)
+        z = sample_paths(spec, basis, np.array([[1.0], [0.0]]))
         # u = 1 gives W = +amp/2 = 0.25; peak at t = 0.25
         assert z[0, 1] == pytest.approx(1.25)
         # u = 0 gives W = -0.25
@@ -138,7 +142,7 @@ class TestSamplePaths:
 
     def test_paths_nonnegative(self, any_spec, grid101, rng):
         u = draw_uniforms(any_spec, rng, 500)
-        z = sample_paths(any_spec, grid101.points, u)
+        z = sample_paths(any_spec, path_basis(any_spec, grid101.points), u)
         assert (z >= 0.0).all()
 
     def test_documented_draw_count(self, any_spec, grid101):
@@ -148,7 +152,8 @@ class TestSamplePaths:
         (z,) = generator_blocks(any_spec, grid101, 300, 123)
         ((count, rng),) = block_streams(123, 300)
         u = rng.random((count, k))
-        assert np.array_equal(z, sample_paths(any_spec, grid101.points, u))
+        basis = path_basis(any_spec, grid101.points)
+        assert np.array_equal(z, sample_paths(any_spec, basis, u))
         used = np.random.default_rng(5)
         draw_uniforms(any_spec, used, count)
         assert used.random() == np.random.default_rng(5).random(count * k + 1)[-1]
@@ -172,7 +177,8 @@ class TestShapeTable:
         u = draw_uniforms(spec, np.random.default_rng(5), 4000)
         k = atom_index(spec, u)
         assert sorted(set(k.tolist())) == list(range(shapes))
-        assert np.array_equal(sample_paths(spec, grid101.points, u), table[k])
+        basis = path_basis(spec, grid101.points)
+        assert np.array_equal(sample_paths(spec, basis, u), table[k])
 
     def test_nonlinear_endpoints_are_the_atoms(self, grid101):
         # the class docstring's Z_0 and Z_1 for (Y, Yt) = (1, 1), (1, 0),
@@ -215,19 +221,53 @@ class TestShapeBlocks:
         k = DOCUMENTED_UNIFORMS[type(any_spec)]
         atoms = any_spec.atoms()
         n, seed = 4097, 123
+        basis = path_basis(any_spec, grid101.points)
         blocks = zip(shape_blocks(any_spec, grid101, n, seed),
                      generator_blocks(any_spec, grid101, n, seed),
                      block_streams(seed, n), strict=True)
         for (rows, index), z, (count, rng) in blocks:
             u = rng.random((count, k))
             paths = rows[index]
-            assert np.array_equal(paths, sample_paths(any_spec, grid101.points, u))
+            assert np.array_equal(paths, sample_paths(any_spec, basis, u))
             assert np.array_equal(paths, z)
             if atoms is None:
                 assert rows.shape == (count, 101) and index == slice(None)
             else:
                 assert rows.shape == (len(atoms.values), 101)
                 assert index.shape == (count,)
+
+
+_PRETEST_SPECS = [*CATALOGUE, PiecewiseExample(n=5, a=0.1, b=0.3)]
+# W = -amp/2, W = 0 and the largest W a uniform below 1 gives
+_EDGE_UNIFORMS = st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53])
+
+
+@st.composite
+def _grid_points(draw):
+    """Points of a random increasing TimeGrid, or of a window of one."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=60, unique=True))
+    points = np.array([0.0, *sorted(inner), 1.0])
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, points.size - 1))
+        hi = draw(st.integers(lo, points.size - 1))
+        return SubGrid(points[lo:hi + 1]).points
+    return TimeGrid(points).points
+
+
+@given(data=st.data(), spec=st.sampled_from(_PRETEST_SPECS), t=_grid_points())
+@settings(max_examples=300, deadline=None)
+def test_path_maxima_are_built_row_maxima(data, spec, t):
+    # the arrival loop's pretest reads these maxima in place of building
+    # the rows, so they must agree bit for bit
+    k = DOCUMENTED_UNIFORMS[type(spec)]
+    value = st.one_of(_EDGE_UNIFORMS, st.floats(0.0, 1.0, exclude_max=True))
+    rows = data.draw(st.integers(1, 12))
+    u = np.array(data.draw(st.lists(value, min_size=rows * k, max_size=rows * k)),
+                 dtype=float).reshape(rows, k)
+    basis = path_basis(spec, t)
+    built = sample_paths(spec, basis, u).max(axis=1)
+    assert path_maxima(spec, basis, u).tobytes() == built.tobytes()
 
 
 class TestMoments:

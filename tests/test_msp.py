@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,20 @@ from maxhit import (
     NonlinearExample,
     PiecewiseExample,
     SineBump,
+    SubGrid,
     TwoBranch,
     generator_bound,
+    generator_corpus,
     joint_cdf_estimates,
     ks_band,
     make_grid,
     marginal_gof,
     msp_corpus,
+    msp_path_blocks,
     stopping_exactness_violations,
 )
+from maxhit import generators, msp
+from maxhit.generators import path_basis, sample_paths, shape_table
 from maxhit.msp import ks_distance_neg_exponential
 from maxhit.streams import block_streams
 
@@ -111,25 +117,83 @@ class TestGeneratorBound:
         corpus = msp_corpus(any_spec, grid101, 500, 13)
         assert corpus.shape == (500, 101)
         # eta = -1/xi with xi <= C / Gamma_1 is not directly checkable here;
-        # instead check the defining property on generator paths
-        from maxhit import generator_corpus
-
+        # instead check the defining property on generator paths, exactly:
+        # the row-max pretest and the stopping rule rest on it
+        bound = generator_bound(any_spec)
         z = generator_corpus(any_spec, grid101, 2000, 13)
-        assert z.max() <= generator_bound(any_spec) + 1e-12
+        assert z.max() <= bound
+        # every shape an atom spec can take; SineBump rows at W = -amp/2,
+        # 0 and just below amp/2, plus random ones
+        u = np.concatenate([[[0.0], [0.5], [1.0 - 2.0**-53]],
+                            np.random.default_rng(13).random((50, 1))])
+        for points in [*range(2, 401), 1001, 4097]:
+            t = make_grid(points).points
+            rows = shape_table(any_spec, t)
+            if rows is None:
+                rows = sample_paths(any_spec, path_basis(any_spec, t), u)
+            assert rows.max() <= bound, points
 
 
-@pytest.mark.parametrize("points", [37, 1001])
+#: (grid, n) of the dense-loop cases that are not a whole grid at n 4097:
+#: cor33's window (0.2, 0.9) of grid 1001, and a grid so fine that an
+#: arrival round's tile holds one row.
+_WINDOW_AND_FINE = {
+    "cor33-window": (SubGrid(make_grid(1001).points[200:901]), 4097),
+    "40001": (make_grid(40001), 64),
+}
+
+
+@pytest.mark.parametrize("points", [37, 1001, *_WINDOW_AND_FINE])
 @pytest.mark.parametrize(
     "spec",
     CATALOGUE + [PiecewiseExample(n=5, a=0.1, b=0.3)],
     ids=repr,
 )
 def test_corpus_equals_dense_arrival_loop(spec, points):
-    # draws of a shape a replica has already drawn are skipped; n spans
-    # two blocks
-    grid = make_grid(points)
-    got = msp_corpus(spec, grid, 4097, 31)
-    assert np.array_equal(got, _dense_corpus(spec, grid, 4097, 31))
+    # draws whose row max cannot raise min xi, and draws of a shape a
+    # replica has already drawn, are never built; n spans two blocks
+    if points in _WINDOW_AND_FINE:
+        grid, n = _WINDOW_AND_FINE[points]
+        assert stopping_exactness_violations(spec, grid, n, 31) == 0
+    else:
+        grid, n = make_grid(points), 4097
+    got = msp_corpus(spec, grid, n, 31)
+    assert np.array_equal(got, _dense_corpus(spec, grid, n, 31))
+
+
+@pytest.mark.parametrize("spec", CATALOGUE, ids=repr)
+def test_shape_table_built_once_per_call(spec, monkeypatch):
+    # one table serves every round of both blocks
+    tables, rounds = [], []
+
+    def counted(fn, log):
+        def wrapper(*args):
+            log.append(1)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        generators, "shape_table", counted(generators.shape_table, tables)
+    )
+    monkeypatch.setattr(msp, "draw_uniforms", counted(msp.draw_uniforms, rounds))
+    blocks = list(msp_path_blocks(spec, make_grid(101), 4097, 32))
+    assert len(blocks) == 2 and len(rounds) > 2
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize("spec", CATALOGUE, ids=repr)
+def test_block_memory_stays_near_the_block(spec):
+    # the rows an arrival round builds live one tile at a time, so
+    # producing a 4096-path block needs little beyond the block itself
+    blocks = msp_path_blocks(spec, make_grid(1001), 4096, 33)
+    tracemalloc.start()
+    try:
+        block = next(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (4096, 1001)
+    assert peak <= 1.25 * block.nbytes
 
 
 class TestSampleMsp:
