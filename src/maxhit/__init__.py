@@ -9,7 +9,6 @@ closed form and bound the library claims to a named, seeded check.
 
 from .dnorm import (
     LevelFunction,
-    TakahashiReport,
     dnorm_estimate,
     dnorm_estimates,
     survivor_lower_bound,
@@ -45,7 +44,6 @@ from .generators import (
 )
 from .hitting import (
     HittingCurve,
-    MultiHitQuery,
     curve_hit_prob,
     down_up_down_prob,
     hitting_bound,
@@ -64,12 +62,12 @@ from .msp import (
 )
 from .paths import Interval, SubGrid, TimeGrid, make_grid
 from .verify import (
-    PAPER_SUITE,
     CheckReport,
     CheckResult,
     check_ids,
     final_example_integral_below,
     final_example_reference,
+    final_example_two_hit,
     ks_band,
     run_checks,
 )
@@ -89,15 +87,12 @@ __all__ = [
     "InvalidSpecError",
     "LevelFunction",
     "MaxhitError",
-    "MultiHitQuery",
     "OffGridError",
     "NONLINEAR_DEFAULTS",
     "NonlinearExample",
-    "PAPER_SUITE",
     "PiecewiseExample",
     "SineBump",
     "SubGrid",
-    "TakahashiReport",
     "TimeGrid",
     "TwoBranch",
     "UnknownCheckError",
@@ -111,6 +106,7 @@ __all__ = [
     "down_up_down_prob",
     "final_example_integral_below",
     "final_example_reference",
+    "final_example_two_hit",
     "generator_blocks",
     "generator_bound",
     "generator_corpus",

@@ -39,7 +39,7 @@ from .dnorm import LevelFunction, dnorm_estimate
 from .errors import (BoundTooLooseError, InvalidSpecError, OffGridError,
                      UnknownCheckError)
 from .generators import GeneratorSpec, generator_from_json
-from .hitting import MultiHitQuery, hitting_curve, multi_hit_prob, two_hit_prob
+from .hitting import hitting_curve, multi_hit_prob, two_hit_prob
 from .msp import DEFAULT_MAX_POINTS, msp_corpus
 from .paths import Interval, TimeGrid, make_grid
 from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, MIN_N, check_ids, run_checks
@@ -238,8 +238,7 @@ def _multihit(ns: argparse.Namespace) -> int:
         if not 0.0 < t0 < 1.0:
             raise UsageError(f"--split {ns.split} snapped to the end point {t0}")
         query = {"x0": ns.x0, "split": t0}
-        est = two_hit_prob(spec, MultiHitQuery(x0=ns.x0, split=t0), grid,
-                           ns.n, ns.seed)
+        est = two_hit_prob(spec, ns.x0, t0, grid, ns.n, ns.seed)
     else:
         ivs = [_snap_interval(grid, iv, f"--intervals[{k}]")
                for k, iv in enumerate(pairs)]
@@ -247,8 +246,9 @@ def _multihit(ns: argparse.Namespace) -> int:
         if any(b[0] < a[1] for a, b in zip(ordered, ordered[1:])):
             raise UsageError(f"--intervals overlap after snapping: {ordered}")
         query = {"x0": ns.x0, "intervals": [[iv.lo, iv.hi] for iv in ivs]}
-        est = multi_hit_prob(spec, ns.x0, len(ivs), ivs, grid, ns.n, ns.seed)
-    _write_json(ns.out, {"query": query, "estimate": est.as_dict()})
+        est = multi_hit_prob(spec, ns.x0, ivs, grid, ns.n, ns.seed)
+    estimate = {**est.as_dict(), "seed": ns.seed}
+    _write_json(ns.out, {"query": query, "estimate": estimate})
     return 0
 
 

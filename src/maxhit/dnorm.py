@@ -5,7 +5,9 @@ E sup_t |f(t)| Z_t; it interpolates between the sup-norm (complete
 dependence, E sup Z = 1) and C times the sup-norm, where C bounds sup Z.
 Estimators stream generator paths in seeded blocks; comparative checks
 reuse one set of paths across several functions ("shared draws"), which
-turns ordering statements into exact per-draw assertions.
+turns ordering statements into exact per-draw assertions. Takahashi's
+criterion (m = 1 exactly when every D-norm equals the sup-norm) is one such
+shared-draw pass, and ``takahashi_check`` returns only its verdict.
 """
 
 from __future__ import annotations
@@ -15,34 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import (
-    Z95, Estimate, RunningMean, per_path, seed_echo, stream_means
-)
+from .estimates import Z95, Estimate, per_path, stream_means
 from .generators import GeneratorSpec, shape_blocks
 from .paths import Interval, TimeGrid, _frozen_array
 from .streams import Seed
 
-SHAPE_TAGS = ("constant", "indicator_step", "piecewise_linear")
-
-
 @dataclass(frozen=True)
 class LevelFunction:
-    """Nonpositive function on a grid, somewhere strictly negative.
-
-    ``shape`` records how the values were built (one of SHAPE_TAGS); the
-    estimators only ever read ``values``.
-    """
+    """Nonpositive function on a grid, somewhere strictly negative."""
 
     grid: TimeGrid
     values: np.ndarray
-    shape: str
 
     def __post_init__(self):
         vals = _frozen_array(self.values)
         if vals.shape != self.grid.points.shape:
             raise ValueError("level function and grid lengths differ")
-        if self.shape not in SHAPE_TAGS:
-            raise ValueError(f"unknown shape tag {self.shape!r}")
         if np.any(vals > 0.0):
             raise ValueError("level function must be nonpositive everywhere")
         if not np.any(vals < 0.0):
@@ -62,7 +52,7 @@ class LevelFunction:
 
     @staticmethod
     def constant(grid: TimeGrid, level: float) -> LevelFunction:
-        return LevelFunction(grid, np.full(len(grid), float(level)), "constant")
+        return LevelFunction(grid, np.full(len(grid), float(level)))
 
     @staticmethod
     def indicator_step(
@@ -72,7 +62,7 @@ class LevelFunction:
         sl = grid.slice_of(interval)
         values = np.full(len(grid), float(outside))
         values[sl] = float(inside)
-        return LevelFunction(grid, values, "indicator_step")
+        return LevelFunction(grid, values)
 
     @staticmethod
     def piecewise_linear(
@@ -87,23 +77,7 @@ class LevelFunction:
             raise ValueError("breakpoint times must be strictly increasing")
         if t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError("breakpoints must span [0, 1]")
-        return LevelFunction(grid, np.interp(grid.points, t, v), "piecewise_linear")
-
-
-def _dnorm_pass(
-    spec: GeneratorSpec, fs: list[LevelFunction], n: int, seed: Seed, *extra
-) -> RunningMean:
-    """Means of sup |f| Z for every f, then of each row-wise ``extra``
-    statistic, all from one shared set of generator paths."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    sups = [
-        lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
-    ]
-    return stream_means(
-        shape_blocks(spec, LevelFunction.common_grid(fs), n, seed),
-        *map(per_path, (*sups, *extra)),
-    )
+        return LevelFunction(grid, np.interp(grid.points, t, v))
 
 
 def dnorm_estimates(
@@ -117,8 +91,16 @@ def dnorm_estimates(
     """
     if not fs:
         return []
-    acc = _dnorm_pass(spec, fs, n, seed)
-    return [acc.estimate(i, seed_echo(seed)) for i in range(len(fs))]
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    sups = [
+        lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
+    ]
+    acc = stream_means(
+        shape_blocks(spec, LevelFunction.common_grid(fs), n, seed),
+        *map(per_path, sups),
+    )
+    return [acc.estimate(i) for i in range(len(fs))]
 
 
 def dnorm_estimate(
@@ -143,61 +125,21 @@ def survivor_lower_bound(
     ).estimate(0)
     value = 1.0 - math.exp(-v.value)
     se = math.exp(-v.value) * v.se
-    return Estimate(value=value, se=se, ci=(value - Z95 * se, value + Z95 * se),
-                    n=n, seed=seed_echo(seed))
-
-
-@dataclass(frozen=True)
-class ProbeComparison:
-    dnorm: Estimate
-    sup_norm: float
-
-    @property
-    def gap(self) -> float:
-        return self.dnorm.value - self.sup_norm
-
-
-@dataclass(frozen=True)
-class TakahashiReport:
-    """Outcome of the complete-dependence criterion m = 1.
-
-    The D-norm equals the sup-norm (for every probe) exactly when the
-    generator constant is 1.
-    """
-
-    complete_dependence: bool
-    m_hat: Estimate
-    probes: list[ProbeComparison]
+    return Estimate(value=value, se=se, ci=(value - Z95 * se, value + Z95 * se), n=n)
 
 
 def takahashi_check(
-    spec: GeneratorSpec,
-    probes: list[LevelFunction],
-    n: int,
-    seed: Seed,
-    atol: float = 1e-12,
-) -> TakahashiReport:
-    """Decide complete dependence by comparing D-norms with sup-norms.
+    spec: GeneratorSpec, probes: list[LevelFunction], n: int, seed: Seed
+) -> bool:
+    """Decide complete dependence (m = 1) by comparing D-norms with sup-norms.
 
-    True iff every probe satisfies |dnorm - supnorm| <= 3 se + atol; the
-    absolute term absorbs float accumulation in the exact-equality case.
-    Requires at least three probes.
+    True iff every probe satisfies |dnorm - supnorm| <= 3 se + 1e-12, all
+    D-norms from one shared set of paths; the absolute term absorbs float
+    accumulation in the exact-equality case. Requires at least three probes.
     """
     if len(probes) < 3:
         raise ValueError("need at least 3 probe functions")
-    # sup Z rides along as one more statistic of the same draws; it equals
-    # generator_moments' m_hat bit for bit at the same seed
-    acc = _dnorm_pass(spec, probes, n, seed, lambda z: z.max(axis=1))
-    comps = [
-        ProbeComparison(
-            dnorm=acc.estimate(i, seed_echo(seed)),
-            sup_norm=float(np.max(np.abs(f.values))),
-        )
-        for i, f in enumerate(probes)
-    ]
-    ok = all(abs(c.gap) <= 3.0 * c.dnorm.se + atol for c in comps)
-    return TakahashiReport(
-        complete_dependence=ok,
-        m_hat=acc.estimate(len(probes), seed_echo(seed)),
-        probes=comps,
+    return all(
+        abs(est.value - float(np.max(np.abs(f.values)))) <= 3.0 * est.se + 1e-12
+        for est, f in zip(dnorm_estimates(spec, probes, n, seed), probes)
     )

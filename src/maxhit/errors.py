@@ -43,8 +43,9 @@ class OffGridError(MaxhitError, ValueError):
 
 
 class UnknownCheckError(MaxhitError, ValueError):
-    """A verification suite was asked to run an unregistered check id."""
+    """A verification suite names an unregistered check id, names one twice
+    or names none; ``check_id`` is the offending id ("" for none)."""
 
-    def __init__(self, check_id: str):
+    def __init__(self, check_id: str, problem: str = "unknown check id"):
         self.check_id = check_id
-        super().__init__(f"unknown check id: {check_id!r}")
+        super().__init__(f"{problem}: {check_id!r}" if check_id else problem)

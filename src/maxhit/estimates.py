@@ -11,6 +11,10 @@ one of two ways: ``count_events`` counts rows whose event mask holds, and
 Generator paths also come as ``(rows, index)`` shape blocks
 (``generators.shape_blocks``); ``per_path`` turns a row-wise statistic into
 one on such blocks, so both reducers take them unchanged.
+
+An ``Estimate`` records what was estimated (value, se, CI, n), not how it
+was seeded: the caller holds the seed, and the CLI writes it beside the
+estimate in its JSON output.
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate with standard error, 95% CI, and provenance."""
+    """Point estimate with standard error and 95% CI from ``n`` replicas."""
 
     value: float
     se: float
     ci: tuple[float, float]
     n: int
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -48,21 +51,16 @@ class Estimate:
             "se": self.se,
             "ci": [self.ci[0], self.ci[1]],
             "n": self.n,
-            "seed": self.seed,
         }
 
 
-def seed_echo(seed: object) -> int | None:
-    """The seed an estimate reports: integer seeds only, None for a SeedSequence."""
-    return seed if isinstance(seed, int) else None
-
-
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= successes <= n:
         raise ValueError(f"successes {successes} outside [0, {n}]")
+    z = Z95
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -75,7 +73,7 @@ def rule_of_three(n: int) -> float:
     return 3.0 / n
 
 
-def binomial_estimate(successes: int, n: int, seed: int | None = None) -> Estimate:
+def binomial_estimate(successes: int, n: int) -> Estimate:
     """Frequency estimate with Wilson CI (rule-of-three at the boundaries)."""
     p = successes / n
     se = math.sqrt(p * (1.0 - p) / n)
@@ -85,12 +83,10 @@ def binomial_estimate(successes: int, n: int, seed: int | None = None) -> Estima
         ci = (1.0 - rule_of_three(n), 1.0)
     else:
         ci = wilson_interval(successes, n)
-    return Estimate(value=p, se=se, ci=ci, n=n, seed=seed)
+    return Estimate(value=p, se=se, ci=ci, n=n)
 
 
-def mean_estimate_from_sums(
-    total: float, total_sq: float, n: int, seed: int | None = None
-) -> Estimate:
+def mean_estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
     """Sample-mean estimate from running sums, normal 95% CI.
 
     The variance is clipped at zero: for degenerate samples (all values
@@ -101,9 +97,7 @@ def mean_estimate_from_sums(
     mean = total / n
     var = max(0.0, total_sq / n - mean * mean)
     se = math.sqrt(var / n)
-    return Estimate(
-        value=mean, se=se, ci=(mean - Z95 * se, mean + Z95 * se), n=n, seed=seed
-    )
+    return Estimate(value=mean, se=se, ci=(mean - Z95 * se, mean + Z95 * se), n=n)
 
 
 class RunningMean:
@@ -115,7 +109,7 @@ class RunningMean:
     identical no matter how many statistics share the accumulator.
     """
 
-    def __init__(self, k: int = 1):
+    def __init__(self, k: int):
         self.k = k
         self.n = 0
         self.total = [0.0] * k
@@ -133,9 +127,9 @@ class RunningMean:
             self.total_sq[i] = self.total_sq[i] + np.square(c).sum(axis=0)
         self.n += rows
 
-    def estimate(self, i: int = 0, seed: int | None = None) -> Estimate:
+    def estimate(self, i: int) -> Estimate:
         return mean_estimate_from_sums(
-            float(self.total[i]), float(self.total_sq[i]), self.n, seed
+            float(self.total[i]), float(self.total_sq[i]), self.n
         )
 
 

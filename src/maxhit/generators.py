@@ -74,9 +74,7 @@ from typing import Union, get_type_hints
 import numpy as np
 
 from .errors import InvalidSpecError
-from .estimates import (
-    Estimate, binomial_estimate, count_events, per_path, seed_echo, stream_means
-)
+from .estimates import Estimate, binomial_estimate, count_events, per_path, stream_means
 from .paths import Interval, TimeGrid
 from .streams import Seed, block_streams
 
@@ -490,8 +488,8 @@ def generator_moments(
         per_path(lambda z: z.min(axis=1)),
     )
     return GeneratorMoments(
-        m_hat=acc.estimate(0, seed_echo(seed)),
-        m_tilde_hat=acc.estimate(1, seed_echo(seed)),
+        m_hat=acc.estimate(0),
+        m_tilde_hat=acc.estimate(1),
     )
 
 
@@ -523,28 +521,24 @@ def closed_form_m_tilde(spec: GeneratorSpec) -> float:
 
 
 def sup_equals_max_rate(
-    spec: GeneratorSpec,
-    interval: Interval,
-    grid: TimeGrid,
-    n: int,
-    seed: Seed,
-    tol: float = SUP_EQ_TOL,
+    spec: GeneratorSpec, interval: Interval, grid: TimeGrid, n: int, seed: Seed
 ) -> Estimate:
     """P(sup of Z over the interval equals the max of its two endpoint values).
 
-    Equality is tested to ``tol``; the Wilson/rule-of-three CI comes from
-    the observed frequency.
+    Equality is tested to ``SUP_EQ_TOL``; the Wilson/rule-of-three CI comes
+    from the observed frequency.
     """
     sl = grid.slice_of(interval)
 
     def sup_at_endpoint(z: np.ndarray) -> np.ndarray:
         zi = z[:, sl]
-        return np.abs(zi.max(axis=1) - np.maximum(zi[:, 0], zi[:, -1])) <= tol
+        gap = zi.max(axis=1) - np.maximum(zi[:, 0], zi[:, -1])
+        return np.abs(gap) <= SUP_EQ_TOL
 
     (successes,) = count_events(
         shape_blocks(spec, grid, n, seed), per_path(sup_at_endpoint)
     )
-    return binomial_estimate(int(successes), n, seed_echo(seed))
+    return binomial_estimate(int(successes), n)
 
 
 # --- JSON interchange ------------------------------------------------------

@@ -7,6 +7,11 @@ rule-of-three interval [0, 3/n], the operational form of "probability
 zero". h(0) = 0 holds by convention and is never simulated: the level 0
 is almost surely not attained.
 
+The estimators take plain arguments: a level and an interval, an interval
+list (``multi_hit_prob``), a split time (``two_hit_prob``) or an ordered
+time triple (``down_up_down_prob``). Every level, a single one or a curve's
+ladder, passes one check (``_checked_levels``): finite and negative.
+
 Grid detection can only miss sub-grid excursions, so every frequency here
 is biased downward by at most a small discretization allowance (the
 verification tolerances budget ``verify.GRID_ALLOWANCE`` = 0.005 at 1001
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnorm import LevelFunction
-from .estimates import Estimate, binomial_estimate, count_events, seed_echo
+from .estimates import Estimate, binomial_estimate, count_events
 from .generators import GeneratorSpec, closed_form_m, closed_form_m_tilde
 from .msp import msp_path_blocks
 from .paths import Interval, TimeGrid
@@ -43,32 +48,6 @@ def hitting_bound(m: float, m_tilde: float, x: float) -> float:
     if not -math.inf < x <= 0.0:
         raise ValueError(f"level must be finite and <= 0, got {x}")
     return max(0.0, math.exp(x * m_tilde) - math.exp(x * m))
-
-
-@dataclass(frozen=True)
-class MultiHitQuery:
-    """Level plus either a split time (two-hit) or an ordered time triple.
-
-    ``split`` t0 asks for hits in both [0, t0] and [t0, 1]; a ``triple``
-    (t', t0, t'') addresses the three-point event
-    {eta_t' <= x0, eta_t0 > x0, eta_t'' <= x0}.
-    """
-
-    x0: float
-    split: float | None = None
-    triple: tuple[float, float, float] | None = None
-
-    def __post_init__(self):
-        if not self.x0 < 0.0:
-            raise ValueError(f"level must be negative, got {self.x0}")
-        if (self.split is None) == (self.triple is None):
-            raise ValueError("provide exactly one of split or triple")
-        if self.split is not None and not 0.0 < self.split < 1.0:
-            raise ValueError(f"split must be interior to (0, 1), got {self.split}")
-        if self.triple is not None:
-            lo, mid, hi = self.triple
-            if not (0.0 <= lo < mid < hi <= 1.0):
-                raise ValueError(f"triple must be strictly ordered, got {self.triple}")
 
 
 def hit_mask(eta: np.ndarray, sl: slice, x: float) -> np.ndarray:
@@ -96,7 +75,7 @@ def hitting_prob(
     seed: Seed,
 ) -> Estimate:
     """Frequency of paths meeting level ``x`` somewhere in ``interval``."""
-    return multi_hit_prob(spec, x, 1, [interval], grid, n, seed)
+    return multi_hit_prob(spec, x, [interval], grid, n, seed)
 
 
 def curve_hit_prob(
@@ -110,7 +89,7 @@ def curve_hit_prob(
         msp_path_blocks(spec, f.grid, n, seed),
         lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0),
     )
-    return binomial_estimate(int(successes), n, seed_echo(seed))
+    return binomial_estimate(int(successes), n)
 
 
 @dataclass(frozen=True)
@@ -123,13 +102,15 @@ class HittingCurve:
 
     def __post_init__(self):
         lv = _checked_levels(self.levels)
-        if len(self.estimates) != lv.size or self.upper_bounds.shape != lv.shape:
+        ub = np.asarray(self.upper_bounds, dtype=float)
+        if len(self.estimates) != lv.size or ub.shape != lv.shape:
             raise ValueError("levels, estimates, and bounds must align")
         if any(not 0.0 <= e.value <= 1.0 for e in self.estimates):
             raise ValueError("hitting estimates must lie in [0, 1]")
-        if not np.all(np.isfinite(self.upper_bounds) & (self.upper_bounds >= 0.0)):
+        if not np.all(np.isfinite(ub) & (ub >= 0.0)):
             raise ValueError("upper bounds must be finite and nonnegative")
         object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "upper_bounds", ub)
 
 
 def _checked_levels(levels) -> np.ndarray:
@@ -171,7 +152,7 @@ def hitting_curve(
     (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), levels_hit)
     m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
     bounds = np.array([hitting_bound(m, m_tilde, x) for x in lv])
-    ests = [binomial_estimate(int(c), n, seed_echo(seed)) for c in counts]
+    ests = [binomial_estimate(int(c), n) for c in counts]
     return HittingCurve(levels=lv, estimates=ests, upper_bounds=bounds)
 
 
@@ -191,8 +172,6 @@ def hitting_integral(
         raise ValueError(f"m_tilde must be >= 0, got {m_tilde}")
     xs = np.append(curve.levels[::-1], 0.0)
     hs = np.append([e.value for e in curve.estimates][::-1], 0.0)
-    if np.any(np.diff(xs) <= 0.0):
-        raise ValueError("levels must be sorted strictly decreasing")
     integral = float(np.sum(0.5 * (hs[1:] + hs[:-1]) * np.diff(xs)))
     x_min = float(curve.levels[-1])
     tail = math.exp(x_min * m_tilde) / m_tilde if m_tilde > 0.0 else math.inf
@@ -201,46 +180,47 @@ def hitting_integral(
 
 def down_up_down_prob(
     spec: GeneratorSpec,
-    query: MultiHitQuery,
+    x0: float,
+    triple: tuple[float, float, float],
     grid: TimeGrid,
     n: int,
     seed: Seed,
 ) -> Estimate:
-    """Frequency of {eta_t' <= x0, eta_t0 > x0, eta_t'' <= x0}.
+    """Frequency of {eta_t' <= x0, eta_t0 > x0, eta_t'' <= x0} for the
+    ordered grid times ``triple`` = (t', t0, t'').
 
     A three-point event: exact on the grid, no discretization allowance.
     """
-    if query.triple is None:
-        raise ValueError("query must carry a time triple")
-    cols = tuple(grid.index_of(t) for t in query.triple)
+    _checked_levels([x0])
+    if not 0.0 <= triple[0] < triple[1] < triple[2] <= 1.0:
+        raise ValueError(f"triple must be strictly ordered, got {triple}")
+    cols = tuple(grid.index_of(t) for t in triple)
     (successes,) = count_events(
         msp_path_blocks(spec, grid, n, seed),
-        lambda eta: down_up_down_mask(eta, cols, query.x0),
+        lambda eta: down_up_down_mask(eta, cols, x0),
     )
-    return binomial_estimate(int(successes), n, seed_echo(seed))
+    return binomial_estimate(int(successes), n)
 
 
 def two_hit_prob(
     spec: GeneratorSpec,
-    query: MultiHitQuery,
+    x0: float,
+    split: float,
     grid: TimeGrid,
     n: int,
     seed: Seed,
 ) -> Estimate:
-    """Frequency of paths hitting x0 in both [0, t0] and [t0, 1]."""
-    if query.split is None:
-        raise ValueError("query must carry a split time")
-    i0 = grid.index_of(query.split)
-    if i0 in (0, len(grid) - 1):
+    """Frequency of paths hitting x0 in both [0, t0] and [t0, 1], where the
+    interior grid point ``split`` is t0."""
+    if grid.index_of(split) in (0, len(grid) - 1):
         raise ValueError("split must be an interior grid point")
-    halves = [Interval(0.0, query.split), Interval(query.split, 1.0)]
-    return multi_hit_prob(spec, query.x0, 2, halves, grid, n, seed)
+    halves = [Interval(0.0, split), Interval(split, 1.0)]
+    return multi_hit_prob(spec, x0, halves, grid, n, seed)
 
 
 def multi_hit_prob(
     spec: GeneratorSpec,
     x0: float,
-    k: int,
     intervals: list[Interval],
     grid: TimeGrid,
     n: int,
@@ -249,13 +229,10 @@ def multi_hit_prob(
     """Frequency of paths hitting x0 inside every listed interval.
 
     Intervals may touch at endpoints but must not overlap with positive
-    length; ``k`` must match their number.
+    length.
     """
-    if not x0 < 0.0:
-        raise ValueError(f"level must be negative, got {x0}")
-    if k != len(intervals):
-        raise ValueError(f"k={k} but {len(intervals)} intervals given")
-    if k < 1:
+    _checked_levels([x0])
+    if not intervals:
         raise ValueError("need at least one interval")
     ordered = sorted(intervals, key=lambda iv: iv.lo)
     for prev, nxt in zip(ordered, ordered[1:]):
@@ -268,4 +245,4 @@ def multi_hit_prob(
         msp_path_blocks(spec, grid, n, seed),
         lambda eta: np.logical_and.reduce([hit_mask(eta, sl, x0) for sl in slices]),
     )
-    return binomial_estimate(int(successes), n, seed_echo(seed))
+    return binomial_estimate(int(successes), n)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dnorm import LevelFunction
 from .errors import BoundTooLooseError
-from .estimates import Estimate, binomial_estimate, count_events, seed_echo
+from .estimates import Estimate, binomial_estimate, count_events
 from .generators import (
     GeneratorSpec,
     atom_index,
@@ -208,7 +208,7 @@ def joint_cdf_estimates(
         msp_path_blocks(spec, LevelFunction.common_grid(fs), n, seed),
         *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs),
     )
-    return [binomial_estimate(int(c), n, seed_echo(seed)) for c in counts]
+    return [binomial_estimate(int(c), n) for c in counts]
 
 
 def marginal_gof(
@@ -216,8 +216,6 @@ def marginal_gof(
 ) -> list[float]:
     """Kolmogorov-Smirnov distances of simulated eta_t against exp(x),
     x <= 0, one per time in ``times``, all from one shared set of paths."""
-    if n < 1:
-        raise ValueError("n must be >= 1 for a KS distance")
     cols = [grid.index_of(t) for t in times]
     samples = np.concatenate(
         [eta[:, cols] for eta in msp_path_blocks(spec, grid, n, seed)]
@@ -244,7 +242,6 @@ def stopping_exactness_violations(
     n: int,
     seed: Seed,
     extra: int = 100,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> int:
     """Count paths whose grid values change when arrivals continue past the
     stopping rule.
@@ -267,7 +264,7 @@ def stopping_exactness_violations(
         since_stop = np.zeros(count, dtype=int)
         arrivals = 0
         while not (stopped.all() and since_stop.min() >= extra):
-            if arrivals >= max_points + extra:
+            if arrivals >= DEFAULT_MAX_POINTS + extra:
                 raise _too_loose(bound, live, arrivals)
             arrivals += 1
             since_stop[stopped] += 1

@@ -17,8 +17,8 @@ from .errors import OffGridError
 GRID_TOL = 1e-9
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -42,10 +42,10 @@ class TimeGrid:
     def __len__(self) -> int:
         return int(self.points.size)
 
-    def index_of(self, t: float, tol: float = GRID_TOL) -> int:
-        """Index of the grid point equal to ``t`` within ``tol``."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid point equal to ``t`` within ``GRID_TOL``."""
         i = int(np.argmin(np.abs(self.points - t)))
-        if abs(self.points[i] - t) > tol:
+        if abs(self.points[i] - t) > GRID_TOL:
             raise OffGridError(
                 f"time {float(t)!r} is not on the grid of {len(self)} points"
             )
@@ -54,9 +54,9 @@ class TimeGrid:
     def nearest_index(self, t: float) -> int:
         return int(np.argmin(np.abs(self.points - t)))
 
-    def slice_of(self, interval: Interval, tol: float = GRID_TOL) -> slice:
+    def slice_of(self, interval: Interval) -> slice:
         """Index slice covering ``interval``; endpoints must be on-grid."""
-        lo, hi = self.index_of(interval.lo, tol), self.index_of(interval.hi, tol)
+        lo, hi = self.index_of(interval.lo), self.index_of(interval.hi)
         return slice(lo, hi + 1)
 
 

@@ -44,10 +44,9 @@ def label_key(label: str) -> int:
     return crc32(label.encode("utf-8"))
 
 
-def block_streams(
-    seed: Seed, n: int, block_size: int = BLOCK_SIZE
-) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield ``(count, rng)`` pairs covering ``n`` replicas in blocks.
+def block_streams(seed: Seed, n: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """Yield ``(count, rng)`` pairs covering ``n`` replicas in blocks of
+    ``BLOCK_SIZE``.
 
     Block ``b`` uses the child sequence ``spawn_key + (b,)`` of ``seed``.
     Raises ``ValueError`` for ``n < 1``, so every estimator refuses an
@@ -58,7 +57,7 @@ def block_streams(
     b = 0
     remaining = n
     while remaining > 0:
-        count = min(block_size, remaining)
+        count = min(BLOCK_SIZE, remaining)
         yield count, np.random.default_rng(substream(seed, b))
         remaining -= count
         b += 1

@@ -62,7 +62,7 @@ from .generators import (
     sup_equals_max_rate,
 )
 from .hitting import (
-    MultiHitQuery,
+    _checked_levels,
     curve_hit_prob,
     down_up_down_mask,
     down_up_down_prob,
@@ -113,32 +113,20 @@ CATALOGUE: list[tuple[str, GeneratorSpec]] = [
 # --- closed forms of the two-branch model -----------------------------------
 
 
-@dataclass(frozen=True)
-class FinalExampleReference:
-    """Exact values for the two-branch process at one level."""
-
-    h: float
-    m: float
-    two_hit: float | None = None
+def final_example_reference(x: float) -> float:
+    """Two-branch hitting probability h(x) = (1 - e^x - x) e^x at a level
+    x < 0."""
+    _checked_levels([x])
+    return (1.0 - math.exp(x) - x) * math.exp(x)
 
 
-def final_example_reference(x: float, t0: float | None = None) -> FinalExampleReference:
-    """Closed forms for the two-branch model: hitting probability
-    h(x) = (1 - e^x - x) e^x, generator constant m = 2, and (given an
-    interior split t0) the two-hit probability
-    (e^{x(1-t0)} - e^x)(e^{x t0} - e^x).
-    """
-    if x >= 0.0:
-        raise ValueError(f"level must be negative, got {x}")
-    h = (1.0 - math.exp(x) - x) * math.exp(x)
-    two_hit = None
-    if t0 is not None:
-        if not 0.0 < t0 < 1.0:
-            raise ValueError(f"split must be interior to (0, 1), got {t0}")
-        two_hit = (math.exp(x * (1.0 - t0)) - math.exp(x)) * (
-            math.exp(x * t0) - math.exp(x)
-        )
-    return FinalExampleReference(h=h, m=2.0, two_hit=two_hit)
+def final_example_two_hit(x: float, t0: float) -> float:
+    """Two-branch probability of hitting x < 0 in both [0, t0] and [t0, 1],
+    (e^{x(1-t0)} - e^x)(e^{x t0} - e^x), for an interior split t0."""
+    _checked_levels([x])
+    if not 0.0 < t0 < 1.0:
+        raise ValueError(f"split must be interior to (0, 1), got {t0}")
+    return (math.exp(x * (1.0 - t0)) - math.exp(x)) * (math.exp(x * t0) - math.exp(x))
 
 
 def final_example_integral_below(x: float) -> float:
@@ -411,9 +399,9 @@ def _check_takahashi(ctx: CheckContext) -> list[Assertion]:
     for gi, (name, spec) in enumerate(CATALOGUE):
         if name not in expected:
             continue
-        rep = takahashi_check(spec, probes, ctx.n, ctx.seed(gi))
+        complete = takahashi_check(spec, probes, ctx.n, ctx.seed(gi))
         out.append(Assertion(f"{name}:complete_dependence",
-                             1.0 if rep.complete_dependence else 0.0, expected[name]))
+                             1.0 if complete else 0.0, expected[name]))
     return out
 
 
@@ -505,10 +493,10 @@ def _check_hcurve_bound(ctx: CheckContext) -> list[Assertion]:
     ]
 
 
-def _integral_levels(depth: float = -12.0, count: int = 25) -> np.ndarray:
-    """Quadratically spaced levels, dense near 0, decreasing to ``depth``."""
-    i = np.arange(1, count + 1)
-    return depth * (i / count) ** 2
+def _integral_levels() -> np.ndarray:
+    """25 quadratically spaced levels, dense near 0, decreasing to -12."""
+    i = np.arange(1, 26)
+    return -12.0 * (i / 25) ** 2
 
 
 @check("hintegral-bound", "hitting integral within (m - m~)/(m m~)")
@@ -531,13 +519,13 @@ def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
 def _check_lemma31(ctx: CheckContext) -> list[Assertion]:
     grid = ctx.grid
     sine = SineBump(amp=0.5)
-    q = MultiHitQuery(x0=-1.0, triple=(0.0, 0.25, 0.5))
-    est = down_up_down_prob(sine, q, grid, ctx.n, ctx.seed(0))
+    triple = (0.0, 0.25, 0.5)
+    est = down_up_down_prob(sine, -1.0, triple, grid, ctx.n, ctx.seed(0))
     # E max(Z_0, Z_0.5) = 1; E max with the peak included = 1 + amp/8.
     target = math.exp(-1.0) - math.exp(-(1.0 + sine.amp / 8.0))
     out = [Assertion("sine_bump:closed_form", est.value, target, se=est.se, z=Z_STAT)]
     nl = NonlinearExample(**NONLINEAR_DEFAULTS)
-    est_nl = down_up_down_prob(nl, q, grid, ctx.n, ctx.seed(1))
+    est_nl = down_up_down_prob(nl, -1.0, triple, grid, ctx.n, ctx.seed(1))
     return out + _null_probability(est_nl, "nonlinear:")
 
 
@@ -673,7 +661,7 @@ def _check_final_h(ctx: CheckContext) -> list[Assertion]:
         TwoBranch(), levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
     )
     return [
-        Assertion(f"x={lvl}", est.value, final_example_reference(float(lvl)).h,
+        Assertion(f"x={lvl}", est.value, final_example_reference(float(lvl)),
                   se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)
         for lvl, est in zip(curve.levels, curve.estimates)
     ]
@@ -694,9 +682,8 @@ def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
 
 @check("final-two-hit", "two-branch two-hit probability closed form")
 def _check_final_two_hit(ctx: CheckContext) -> list[Assertion]:
-    q = MultiHitQuery(x0=-1.0, split=0.5)
-    est = two_hit_prob(TwoBranch(), q, ctx.grid, ctx.n, ctx.seed(0))
-    target = final_example_reference(-1.0, t0=0.5).two_hit
+    est = two_hit_prob(TwoBranch(), -1.0, 0.5, ctx.grid, ctx.n, ctx.seed(0))
+    target = final_example_two_hit(-1.0, 0.5)
     return [Assertion("two_hit", est.value, target,
                       se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)]
 
@@ -704,7 +691,7 @@ def _check_final_two_hit(ctx: CheckContext) -> list[Assertion]:
 @check("final-no-three-hit", "no level is hit in three disjoint intervals")
 def _check_final_no_three_hit(ctx: CheckContext) -> list[Assertion]:
     intervals = [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)]
-    est = multi_hit_prob(TwoBranch(), -1.0, 3, intervals, ctx.grid, ctx.n, ctx.seed(0))
+    est = multi_hit_prob(TwoBranch(), -1.0, intervals, ctx.grid, ctx.n, ctx.seed(0))
     return _null_probability(est)
 
 
@@ -753,7 +740,6 @@ def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
 
 
 _EXACTNESS_PATHS = 100
-_EXACTNESS_EXTRA = 100
 
 
 @check("stopping-exactness", "extra arrivals never change stopped paths")
@@ -761,16 +747,13 @@ def _check_stopping_exactness(ctx: CheckContext) -> list[Assertion]:
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         v = stopping_exactness_violations(
-            spec, ctx.grid, _EXACTNESS_PATHS, ctx.seed(gi), extra=_EXACTNESS_EXTRA
+            spec, ctx.grid, _EXACTNESS_PATHS, ctx.seed(gi)
         )
         out.append(Assertion(f"{name}:changed_paths", v, 0.0))
     return out
 
 
 # --- runner -------------------------------------------------------------------
-
-PAPER_SUITE: tuple[str, ...] = tuple(_CHECKS)
-
 
 def check_ids() -> list[str]:
     return list(_CHECKS)
@@ -786,8 +769,9 @@ def run_checks(
 ) -> CheckReport:
     """Run a suite of checks deterministically from one master seed.
 
-    ``suite`` is "paper" (everything) or an explicit list of ids; unknown
-    ids fail before anything executes. Checks derive independent
+    ``suite`` is "paper" (everything) or an explicit list of ids; an
+    unknown or repeated id, or an empty list, fails before anything
+    executes. Checks derive independent
     substreams from (master seed, check id) and may run in parallel;
     report contents are independent of ``threads``. The first check that
     raises ends the run: the checks that have not started never do.
@@ -795,12 +779,16 @@ def run_checks(
     if isinstance(suite, str):
         if suite != "paper":
             raise UnknownCheckError(suite)
-        ids = list(PAPER_SUITE)
+        ids = check_ids()
     else:
         ids = list(suite)
+        if not ids:
+            raise UnknownCheckError("", "the suite names no check")
         for cid in ids:
             if cid not in _CHECKS:
                 raise UnknownCheckError(cid)
+            if ids.count(cid) > 1:
+                raise UnknownCheckError(cid, "check id listed twice")
     grid = make_grid(grid_points)
     failed = threading.Event()
 

@@ -152,6 +152,7 @@ class TestDispatch:
         assert doc["query"] == {"x0": -1.0, "split": 0.5}
         assert set(doc["estimate"]) == {"value", "se", "ci", "n", "seed"}
         assert doc["estimate"]["n"] == 2000
+        assert doc["estimate"]["seed"] == 3
 
     def test_multihit_intervals_json(self, two_branch_json, tmp_path, capsys):
         code = main([
@@ -253,12 +254,16 @@ class TestDispatch:
             ["verify", "--suite", "cor33-equivalences", "--grid", "3"],
             ["simulate", "--generator", "NOT_UTF8"],
             ["multihit", "--x0", "-1", "--intervals", "-5,0.5;0.6,7"],
+            ["verify", "--suite", ""],
+            ["verify", "--suite", ","],
+            ["verify", "--suite", "eq1-moments,eq1-moments"],
         ],
         ids=["x-nan", "levels-inf", "x0-nan", "collapsed-interval",
              "bogus-shape", "threads-outside-verify", "hitting-seed-negative",
              "verify-seed-negative", "split-snaps-to-end", "intervals-overlap",
              "dnorm-n-1", "verify-n-4", "margins-grid-2", "margins-grid-1000",
-             "cor33-grid-3", "generator-not-utf8", "intervals-outside-unit"],
+             "cor33-grid-3", "generator-not-utf8", "intervals-outside-unit",
+             "suite-empty", "suite-comma", "suite-repeated-id"],
     )
     def test_usage_errors_exit_2_quietly(self, argv, two_branch_json, tmp_path,
                                          capsys):

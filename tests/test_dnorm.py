@@ -30,19 +30,15 @@ from maxhit.streams import block_streams
 class TestLevelFunction:
     def test_rejects_positive_values(self, grid101):
         with pytest.raises(ValueError, match="nonpositive"):
-            LevelFunction(grid101, np.full(101, 0.5), "constant")
+            LevelFunction(grid101, np.full(101, 0.5))
 
     def test_rejects_identically_zero(self, grid101):
         with pytest.raises(ValueError, match="strictly negative somewhere"):
-            LevelFunction(grid101, np.zeros(101), "constant")
+            LevelFunction(grid101, np.zeros(101))
 
     def test_rejects_length_mismatch(self, grid101):
         with pytest.raises(ValueError):
-            LevelFunction(grid101, np.full(50, -1.0), "constant")
-
-    def test_rejects_unknown_shape(self, grid101):
-        with pytest.raises(ValueError, match="shape"):
-            LevelFunction(grid101, np.full(101, -1.0), "parabola")
+            LevelFunction(grid101, np.full(50, -1.0))
 
     def test_indicator_step(self):
         grid = make_grid(5)
@@ -145,7 +141,7 @@ class TestSurvivorLowerBound:
         got = survivor_lower_bound(CompleteDependence(), f, 1000, 41)
         assert got.value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
         assert got.se == pytest.approx(0.0, abs=1e-9)
-        assert got.n == 1000 and got.seed == 41
+        assert got.n == 1000
 
     def test_two_branch_vanishing_infimum(self, grid101):
         f = LevelFunction.constant(grid101, -1.0)
@@ -181,28 +177,15 @@ class TestTakahashi:
         ]
 
     def test_complete_dependence_true(self, grid101):
-        rep = takahashi_check(CompleteDependence(), self.probes(grid101), 2000, 46)
-        assert rep.complete_dependence
-        assert rep.m_hat.value == 1.0
+        assert takahashi_check(CompleteDependence(), self.probes(grid101), 2000, 46)
 
     def test_piecewise_false(self, grid101):
-        rep = takahashi_check(
+        assert not takahashi_check(
             PiecewiseExample(n=2, a=0.25, b=0.75), self.probes(grid101), 5000, 47
         )
-        assert not rep.complete_dependence
 
     def test_two_branch_false(self, grid101):
-        rep = takahashi_check(TwoBranch(), self.probes(grid101), 5000, 48)
-        assert not rep.complete_dependence
-        assert abs(rep.m_hat.value - 2.0) <= 4 * rep.m_hat.se
-
-    def test_m_hat_equals_moments_bitwise(self, any_spec, grid101):
-        # one pass: sup Z is a fourth statistic of the D-norm draws
-        rep = takahashi_check(any_spec, self.probes(grid101), 2000, 50)
-        mom = generator_moments(any_spec, grid101, 2000, 50)
-        assert rep.m_hat.value == mom.m_hat.value
-        assert rep.m_hat.se == mom.m_hat.se
-        assert rep.m_hat == mom.m_hat
+        assert not takahashi_check(TwoBranch(), self.probes(grid101), 5000, 48)
 
     def test_needs_three_probes(self, grid101):
         with pytest.raises(ValueError, match="3 probe"):
@@ -236,14 +219,15 @@ class TestPerShapeReductions:
         blocks = self.reference_blocks(spec, grid, n, seed)
         sups = [lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1)
                 for f in fs]
-        sup_z = stream_means(blocks, lambda z: z.max(axis=1)).estimate(0, seed)
+        sup_z = stream_means(blocks, lambda z: z.max(axis=1)).estimate(0)
 
         acc = stream_means(blocks, *sups)
-        want = [acc.estimate(i, seed) for i in range(len(fs))]
+        want = [acc.estimate(i) for i in range(len(fs))]
         assert dnorm_estimates(spec, fs, n, seed) == want
-        rep = takahashi_check(spec, fs, n, seed)
-        assert [c.dnorm for c in rep.probes] == want
-        assert rep.m_hat == sup_z
+        assert takahashi_check(spec, fs, n, seed) == all(
+            abs(e.value - np.max(np.abs(f.values))) <= 3.0 * e.se + 1e-12
+            for e, f in zip(want, fs)
+        )
 
         for f in fs:
             absf = np.abs(f.values)
@@ -252,10 +236,10 @@ class TestPerShapeReductions:
             ).estimate(0)
             value, se = 1.0 - math.exp(-v.value), math.exp(-v.value) * v.se
             assert survivor_lower_bound(spec, f, n, seed) == Estimate(
-                value, se, (value - Z95 * se, value + Z95 * se), n, seed
+                value, se, (value - Z95 * se, value + Z95 * se), n
             )
 
-        m_tilde = stream_means(blocks, lambda z: z.min(axis=1)).estimate(0, seed)
+        m_tilde = stream_means(blocks, lambda z: z.min(axis=1)).estimate(0)
         assert generator_moments(spec, grid, n, seed) == GeneratorMoments(
             sup_z, m_tilde
         )
@@ -266,5 +250,5 @@ class TestPerShapeReductions:
             z[:, sl].max(axis=1) - np.maximum(z[:, sl][:, 0], z[:, sl][:, -1])
         ) <= SUP_EQ_TOL)
         assert sup_equals_max_rate(spec, window, grid, n, seed) == binomial_estimate(
-            int(hits), n, seed
+            int(hits), n
         )

@@ -49,11 +49,11 @@ class TestBinomialEstimate:
         assert est.ci == (1.0 - 3.0 / 50, 1.0)
 
     def test_interior(self):
-        est = binomial_estimate(600, 1000, seed=9)
+        est = binomial_estimate(600, 1000)
         assert est.value == 0.6
         assert est.se == pytest.approx(math.sqrt(0.6 * 0.4 / 1000))
         assert est.ci[0] < 0.6 < est.ci[1]
-        assert est.n == 1000 and est.seed == 9
+        assert est.n == 1000
 
 
 class TestEstimate:
@@ -66,9 +66,9 @@ class TestEstimate:
             Estimate(value=0.0, se=0.0, ci=(0.0, 0.0), n=0)
 
     def test_as_dict_round(self):
-        est = binomial_estimate(3, 7, seed=1)
+        est = binomial_estimate(3, 7)
         d = est.as_dict()
-        assert set(d) == {"value", "se", "ci", "n", "seed"}
+        assert set(d) == {"value", "se", "ci", "n"}
 
 
 class TestMeanEstimate:

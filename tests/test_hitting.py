@@ -10,7 +10,6 @@ from maxhit import (
     HittingCurve,
     Interval,
     LevelFunction,
-    MultiHitQuery,
     NonlinearExample,
     NONLINEAR_DEFAULTS,
     PiecewiseExample,
@@ -20,6 +19,7 @@ from maxhit import (
     curve_hit_prob,
     down_up_down_prob,
     final_example_reference,
+    final_example_two_hit,
     hitting_bound,
     hitting_curve,
     hitting_integral,
@@ -77,7 +77,7 @@ class TestHittingProb:
 
     def test_two_branch_closed_form(self, grid201):
         est = hitting_prob(TwoBranch(), -1.0, Interval(0.0, 1.0), grid201, 20_000, 52)
-        target = final_example_reference(-1.0).h
+        target = final_example_reference(-1.0)
         assert abs(est.value - target) <= 3 * est.se + GRID_SLACK
 
     def test_piecewise_plateau_interval_never_hits(self, grid201):
@@ -108,7 +108,7 @@ class TestHittingCurve:
             TwoBranch(), levels, Interval(0.0, 1.0), grid201, 20_000, 56
         )
         for lvl, est in zip(curve.levels, curve.estimates):
-            target = final_example_reference(float(lvl)).h
+            target = final_example_reference(float(lvl))
             assert abs(est.value - target) <= 3 * est.se + GRID_SLACK
 
     def test_bounds_use_closed_form_moments(self, grid101):
@@ -151,8 +151,22 @@ class TestHittingCurve:
         with pytest.raises(ValueError, match="finite"):
             HittingCurve(
                 levels=np.array([level]),
-                estimates=[binomial_estimate(0, 10, 1)],
+                estimates=[binomial_estimate(0, 10)],
                 upper_bounds=np.array([bound]),
+            )
+
+    def test_bounds_may_be_a_list(self):
+        curve = HittingCurve(
+            levels=np.array([-1.0]),
+            estimates=[binomial_estimate(0, 10)],
+            upper_bounds=[0.0],
+        )
+        assert isinstance(curve.upper_bounds, np.ndarray)
+        with pytest.raises(ValueError, match="finite"):
+            HittingCurve(
+                levels=np.array([-1.0]),
+                estimates=[binomial_estimate(0, 10)],
+                upper_bounds=[math.nan],
             )
 
     def test_levels_must_be_negative(self, grid101):
@@ -197,38 +211,59 @@ class TestHittingIntegral:
             hitting_integral(curve, m_tilde=-0.1)
 
 
+#: Each event estimator on 100 TwoBranch paths at level x0 on a grid.
+EVENT_ESTIMATORS = {
+    "hitting_prob": lambda x0, grid: hitting_prob(
+        TwoBranch(), x0, Interval(0.0, 1.0), grid, 100, 1),
+    "multi_hit_prob": lambda x0, grid: multi_hit_prob(
+        TwoBranch(), x0, [Interval(0.0, 0.5), Interval(0.5, 1.0)], grid, 100, 1),
+    "two_hit_prob": lambda x0, grid: two_hit_prob(TwoBranch(), x0, 0.5, grid, 100, 1),
+    "down_up_down_prob": lambda x0, grid: down_up_down_prob(
+        TwoBranch(), x0, (0.0, 0.25, 0.5), grid, 100, 1),
+}
+
+
+@pytest.mark.parametrize("x0", [-math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("call", EVENT_ESTIMATORS.values(), ids=EVENT_ESTIMATORS)
+def test_event_level_must_be_finite_and_negative(call, x0, grid101):
+    with pytest.raises(ValueError, match="levels must be"):
+        call(x0, grid101)
+
+
 class TestMultiHitQuery:
-    def test_needs_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            MultiHitQuery(x0=-1.0)
-        with pytest.raises(ValueError):
-            MultiHitQuery(x0=-1.0, split=0.5, triple=(0.0, 0.25, 0.5))
+    """The split and triple estimators check their own arguments."""
 
-    def test_level_must_be_negative(self):
+    def test_level_must_be_negative(self, grid101):
         with pytest.raises(ValueError):
-            MultiHitQuery(x0=0.0, split=0.5)
+            two_hit_prob(TwoBranch(), 0.0, 0.5, grid101, 100, 1)
+        with pytest.raises(ValueError):
+            down_up_down_prob(TwoBranch(), 0.0, (0.0, 0.25, 0.5), grid101, 100, 1)
 
-    def test_triple_ordering(self):
+    def test_triple_ordering(self, grid101):
         with pytest.raises(ValueError):
-            MultiHitQuery(x0=-1.0, triple=(0.5, 0.25, 0.9))
+            down_up_down_prob(TwoBranch(), -1.0, (0.5, 0.25, 0.9), grid101, 100, 1)
 
 
 class TestDownUpDown:
+    TRIPLE = (0.0, 0.25, 0.5)
+
     def test_complete_dependence_zero(self, grid101):
-        q = MultiHitQuery(x0=-1.0, triple=(0.0, 0.25, 0.5))
-        est = down_up_down_prob(CompleteDependence(), q, grid101, 2000, 61)
+        est = down_up_down_prob(
+            CompleteDependence(), -1.0, self.TRIPLE, grid101, 2000, 61
+        )
         assert est.value == 0.0
 
     def test_sine_bump_closed_form(self, grid201):
-        q = MultiHitQuery(x0=-1.0, triple=(0.0, 0.25, 0.5))
-        est = down_up_down_prob(SineBump(amp=0.5), q, grid201, 30_000, 62)
+        est = down_up_down_prob(
+            SineBump(amp=0.5), -1.0, self.TRIPLE, grid201, 30_000, 62
+        )
         target = math.exp(-1.0) - math.exp(-1.0625)
         assert abs(est.value - target) <= 3 * est.se
 
     def test_nonlinear_zero(self, grid201):
-        q = MultiHitQuery(x0=-1.0, triple=(0.0, 0.25, 0.5))
         est = down_up_down_prob(
-            NonlinearExample(**NONLINEAR_DEFAULTS), q, grid201, 5000, 63
+            NonlinearExample(**NONLINEAR_DEFAULTS), -1.0, self.TRIPLE, grid201,
+            5000, 63,
         )
         assert est.value == 0.0
         assert est.ci[1] == 3.0 / 5000
@@ -236,15 +271,13 @@ class TestDownUpDown:
 
 class TestTwoHit:
     def test_two_branch_closed_form(self, grid201):
-        q = MultiHitQuery(x0=-1.0, split=0.5)
-        est = two_hit_prob(TwoBranch(), q, grid201, 20_000, 64)
-        target = final_example_reference(-1.0, t0=0.5).two_hit
+        est = two_hit_prob(TwoBranch(), -1.0, 0.5, grid201, 20_000, 64)
+        target = final_example_two_hit(-1.0, 0.5)
         assert target == pytest.approx(0.056954, abs=1e-6)
         assert abs(est.value - target) <= 3 * est.se + GRID_SLACK
 
     def test_complete_dependence_zero(self, grid101):
-        q = MultiHitQuery(x0=-1.0, split=0.5)
-        est = two_hit_prob(CompleteDependence(), q, grid101, 2000, 65)
+        est = two_hit_prob(CompleteDependence(), -1.0, 0.5, grid101, 2000, 65)
         assert est.value == 0.0
 
     def test_dominates_down_up_down_shared_draws(self, grid201):
@@ -263,37 +296,31 @@ class TestTwoHit:
         assert not (dud & ~two).any()
 
     def test_split_must_be_interior_grid_point(self, grid101):
-        q = MultiHitQuery(x0=-1.0, split=0.505)
         with pytest.raises(ValueError, match="not on the grid"):
-            two_hit_prob(TwoBranch(), q, grid101, 100, 67)
+            two_hit_prob(TwoBranch(), -1.0, 0.505, grid101, 100, 67)
 
 
 class TestMultiHit:
     def test_three_disjoint_intervals_never_hit(self, grid201):
         intervals = [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)]
-        est = multi_hit_prob(TwoBranch(), -1.0, 3, intervals, grid201, 10_000, 68)
+        est = multi_hit_prob(TwoBranch(), -1.0, intervals, grid201, 10_000, 68)
         assert est.value == 0.0
         assert est.ci[1] == 3.0 / 10_000
 
     def test_touching_pair_matches_two_hit(self, grid201):
         intervals = [Interval(0.0, 0.5), Interval(0.5, 1.0)]
-        est_multi = multi_hit_prob(TwoBranch(), -1.0, 2, intervals, grid201, 5000, 69)
-        q = MultiHitQuery(x0=-1.0, split=0.5)
-        est_two = two_hit_prob(TwoBranch(), q, grid201, 5000, 69)
+        est_multi = multi_hit_prob(TwoBranch(), -1.0, intervals, grid201, 5000, 69)
+        est_two = two_hit_prob(TwoBranch(), -1.0, 0.5, grid201, 5000, 69)
         assert est_multi.value == est_two.value  # same event, same draws
 
     def test_overlap_rejected(self, grid101):
         intervals = [Interval(0.0, 0.5), Interval(0.25, 1.0)]
         with pytest.raises(ValueError, match="overlap"):
-            multi_hit_prob(TwoBranch(), -1.0, 2, intervals, grid101, 100, 70)
-
-    def test_k_mismatch_rejected(self, grid101):
-        with pytest.raises(ValueError, match="k="):
-            multi_hit_prob(TwoBranch(), -1.0, 3, [Interval(0.0, 0.5)], grid101, 100, 71)
+            multi_hit_prob(TwoBranch(), -1.0, intervals, grid101, 100, 70)
 
     def test_single_interval_matches_hitting_prob(self, grid101):
         est_multi = multi_hit_prob(
-            TwoBranch(), -1.0, 1, [Interval(0.0, 1.0)], grid101, 3000, 72
+            TwoBranch(), -1.0, [Interval(0.0, 1.0)], grid101, 3000, 72
         )
         est_hit = hitting_prob(TwoBranch(), -1.0, Interval(0.0, 1.0), grid101, 3000, 72)
         assert est_multi.value == est_hit.value

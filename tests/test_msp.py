@@ -242,7 +242,7 @@ class TestJointCdf:
         ests = joint_cdf_estimates(CompleteDependence(), fs, 20_000, 17)
         for x, est in zip((-1.0, -2.0), ests):
             assert abs(est.value - math.exp(x)) <= 3 * est.se
-            assert est.n == 20_000 and est.seed == 17
+            assert est.n == 20_000
         # shared draws: a lower level is never met more often
         assert ests[1].value <= ests[0].value
 

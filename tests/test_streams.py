@@ -6,13 +6,17 @@ from maxhit import (
     LevelFunction,
     TwoBranch,
     curve_hit_prob,
+    down_up_down_prob,
     generator_corpus,
     hitting_curve,
     hitting_prob,
     joint_cdf_estimates,
     make_grid,
+    marginal_gof,
     msp_corpus,
+    multi_hit_prob,
     sup_equals_max_rate,
+    two_hit_prob,
 )
 from maxhit.generators import shape_blocks
 from maxhit.streams import block_streams
@@ -32,6 +36,12 @@ EMPTY_SAMPLE_CALLS = {
     "hitting_curve": lambda n: hitting_curve(SPEC, np.array([-1.0]), UNIT, GRID, n, 1),
     "generator_corpus": lambda n: generator_corpus(SPEC, GRID, n, 1),
     "msp_corpus": lambda n: msp_corpus(SPEC, GRID, n, 1),
+    "marginal_gof": lambda n: marginal_gof(SPEC, [0.0], GRID, n, 1),
+    "multi_hit_prob": lambda n: multi_hit_prob(SPEC, -1.0, [UNIT], GRID, n, 1),
+    "two_hit_prob": lambda n: two_hit_prob(SPEC, -1.0, 0.5, GRID, n, 1),
+    "down_up_down_prob": lambda n: down_up_down_prob(
+        SPEC, -1.0, (0.0, 0.5, 1.0), GRID, n, 1
+    ),
 }
 
 

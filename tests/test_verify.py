@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from maxhit import (
-    PAPER_SUITE,
     OffGridError,
     UnknownCheckError,
     check_ids,
     final_example_integral_below,
     final_example_reference,
+    final_example_two_hit,
     run_checks,
     verify,
 )
@@ -23,30 +23,35 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 class TestFinalExampleReference:
     def test_hitting_value(self):
-        ref = final_example_reference(-1.0)
-        assert ref.h == pytest.approx((2.0 - math.exp(-1.0)) * math.exp(-1.0))
-        assert ref.h == pytest.approx(0.6004236, abs=1e-6)
-        assert ref.m == 2.0
-        assert ref.two_hit is None
+        h = final_example_reference(-1.0)
+        assert h == pytest.approx((2.0 - math.exp(-1.0)) * math.exp(-1.0))
+        assert h == pytest.approx(0.6004236, abs=1e-6)
 
     def test_two_hit_value(self):
-        ref = final_example_reference(-1.0, t0=0.5)
-        assert ref.two_hit == pytest.approx((math.exp(-0.5) - math.exp(-1.0)) ** 2)
-        assert ref.two_hit == pytest.approx(0.056954, abs=1e-6)
+        two_hit = final_example_two_hit(-1.0, 0.5)
+        assert two_hit == pytest.approx((math.exp(-0.5) - math.exp(-1.0)) ** 2)
+        assert two_hit == pytest.approx(0.056954, abs=1e-6)
 
     def test_vanishes_at_zero(self):
         # h(x) ~ -2x near 0
-        assert final_example_reference(-1e-9).h == pytest.approx(0.0, abs=5e-9)
+        assert final_example_reference(-1e-9) == pytest.approx(0.0, abs=5e-9)
 
     def test_rejects_nonnegative_level(self):
         with pytest.raises(ValueError):
             final_example_reference(0.0)
         with pytest.raises(ValueError):
-            final_example_reference(0.5, t0=0.5)
+            final_example_two_hit(0.5, 0.5)
+
+    @pytest.mark.parametrize("x", [-math.inf, math.nan])
+    def test_rejects_non_finite_level(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            final_example_reference(x)
+        with pytest.raises(ValueError, match="finite"):
+            final_example_two_hit(x, 0.5)
 
     def test_rejects_boundary_split(self):
         with pytest.raises(ValueError):
-            final_example_reference(-1.0, t0=1.0)
+            final_example_two_hit(-1.0, 1.0)
 
     def test_integral_antiderivative(self):
         assert final_example_integral_below(0.0) == pytest.approx(1.5)
@@ -56,7 +61,7 @@ class TestFinalExampleReference:
         deriv = (
             final_example_integral_below(x + dx) - final_example_integral_below(x - dx)
         ) / (2 * dx)
-        assert deriv == pytest.approx(final_example_reference(x).h, rel=1e-5)
+        assert deriv == pytest.approx(final_example_reference(x), rel=1e-5)
 
 
 class TestAssertion:
@@ -112,6 +117,15 @@ class TestRunChecks:
     def test_unknown_id_fails_before_running(self):
         with pytest.raises(UnknownCheckError, match="no-such-check"):
             run_checks(["no-such-check"], master_seed=7)
+
+    @pytest.mark.parametrize("ids", [[], ["example2-m", "example2-m"]])
+    def test_empty_or_repeated_ids_fail_before_running(self, ids, monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
+            "example2-m", "records", lambda ctx: ran.append(ctx.check_id) or []))
+        with pytest.raises(UnknownCheckError):
+            run_checks(ids, master_seed=7, n_default=5, grid_points=11)
+        assert ran == []
 
     def test_unknown_suite_name(self):
         with pytest.raises(UnknownCheckError):
@@ -184,7 +198,7 @@ class TestSuiteRegistry:
             "final-h", "final-integral-3/2", "final-two-hit",
             "final-no-three-hit",
         }
-        assert required <= set(PAPER_SUITE)
+        assert required <= set(check_ids())
 
     def test_matrix_document_covers_registry(self):
         text = (REPO_ROOT / "docs" / "verification_matrix.md").read_text()
