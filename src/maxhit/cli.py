@@ -165,9 +165,14 @@ def _simulate(ns: argparse.Namespace) -> int:
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
     paths = msp_corpus(spec, grid, ns.paths, ns.seed, max_points=ns.max_points)
+    if not (np.isfinite(grid.points).all() and np.isfinite(paths).all()):
+        raise FloatingPointError("result is not finite")
+    # "%.17g" % x is the conversion format(x, ".17g") makes in _fmt; one
+    # grid row is listed at a time, as a whole-table list costs more memory
+    row = ",".join(["%.17g"] * (ns.paths + 1))
     lines = ["t," + ",".join(f"path_{j}" for j in range(ns.paths))]
-    for i, t in enumerate(grid.points):
-        lines.append(",".join(_fmt(v) for v in (t, *paths[:, i])))
+    for i, t in enumerate(grid.points.tolist()):
+        lines.append(row % (t, *paths[:, i].tolist()))
     _write_text(ns.out, "\n".join(lines) + "\n")
     return 0
 

@@ -370,7 +370,10 @@ def _sine_weights(spec: SineBump, uniforms: np.ndarray) -> np.ndarray:
 
 
 def sample_paths(
-    spec: GeneratorSpec, basis: np.ndarray, uniforms: np.ndarray
+    spec: GeneratorSpec,
+    basis: np.ndarray,
+    uniforms: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Build generator paths from uniforms; shape (count, len(grid)).
 
@@ -380,11 +383,17 @@ def sample_paths(
     core of the sampler: equal uniforms give equal paths on every
     platform, and ``path_maxima`` gives each path's maximum without
     building it.
+
+    ``out``, a float array of the result's shape, receives the paths in
+    place of a new array and is returned; the values are the same bits.
     """
     index = atom_index(spec, uniforms)
     if index is not None:
-        return basis[index]
-    z = _sine_weights(spec, uniforms)[:, None] * basis[0]
+        if out is None:
+            return basis[index]
+        # the index is in range by construction; mode="raise" would copy
+        return np.take(basis, index, axis=0, out=out, mode="clip")
+    z = np.multiply(_sine_weights(spec, uniforms)[:, None], basis[0], out=out)
     z += 1.0
     return z
 

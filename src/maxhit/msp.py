@@ -36,6 +36,14 @@ values do not depend on its tile, so tiling changes no bit. The path
 basis (``generators.path_basis``), the grid rows every path is built
 from, is computed once per sampling call.
 
+Round one writes each tile of first arrivals straight into its rows of
+xi (``sample_paths(..., out=)``) and divides there: merging into an xi of
++0 would give the same bits, since every generator value is >= 0 and
+max(0, z) = z. It writes every row, so xi needs no zero fill, and a
+sampling call allocates one xi buffer, for its first block, and reuses
+it for every later block. A stream therefore holds one full-size array,
+and a block it yields is overwritten by the next.
+
 Draw layout per block and round (fixed; see ``streams``): one standard
 exponential per still-active replica in ascending replica order, then the
 generator's uniform block of shape (active, k) row-major
@@ -94,6 +102,42 @@ class _Live:
         self.seen = self.seen[mask]
 
 
+def _first_round(
+    spec: GeneratorSpec,
+    basis: np.ndarray,
+    rng: np.random.Generator,
+    live: _Live,
+    xi: np.ndarray,
+    bound: float,
+) -> np.ndarray:
+    """Every replica's first arrival, written straight into its row of xi.
+
+    Same draws and bits as ``_arrival_round`` on an xi of +0: every
+    generator value is >= 0, so max(0, z / Gamma) = z / Gamma, and a row
+    that round's pretest would skip has maximum 0, so it is +0 either way.
+    Every row of ``xi`` is written, tile by tile, so the buffer may hold
+    anything when the round starts.
+    """
+    gamma = live.gamma
+    gamma += rng.standard_exponential(gamma.size)
+    u = draw_uniforms(spec, rng, gamma.size)
+    shape = atom_index(spec, u)
+    if shape is not None:
+        live.seen |= 1 << shape
+    step = _tile_rows(xi)
+    for start in range(0, gamma.size, step):
+        tile = slice(start, start + step)
+        z = sample_paths(spec, basis, u[tile], out=xi[tile])
+        z /= gamma[tile, None]
+        live.lo[tile] = z.min(axis=1)
+    return bound / gamma < live.lo
+
+
+def _tile_rows(xi: np.ndarray) -> int:
+    """Rows of xi per tile: about ``_TILE_BYTES``, at least one."""
+    return max(1, _TILE_BYTES // (xi.itemsize * xi.shape[1]))
+
+
 def _arrival_round(
     spec: GeneratorSpec,
     basis: np.ndarray,
@@ -121,7 +165,7 @@ def _arrival_round(
         todo &= (live.seen & bit) == 0
         live.seen |= bit
     todo = np.flatnonzero(todo)
-    step = max(1, _TILE_BYTES // (xi.itemsize * xi.shape[1]))
+    step = _tile_rows(xi)
     for start in range(0, todo.size, step):
         tile = todo[start:start + step]
         z = sample_paths(spec, basis, u[tile])
@@ -143,22 +187,23 @@ def _spectral_block(
     spec: GeneratorSpec,
     basis: np.ndarray,
     rng: np.random.Generator,
-    count: int,
+    xi: np.ndarray,
     max_points: int,
 ) -> np.ndarray:
-    """xi values for one block of replicas; shape (count, len(grid)).
+    """Fill ``xi``, of shape (count, len(grid)), with one block of replicas
+    and return it; its prior contents are overwritten by round one.
 
     Rows leave the live set the round their stopping rule fires.
     """
     bound = generator_bound(spec)
-    xi = np.zeros((count, basis.shape[1]))
-    live = _Live(count)
+    live = _Live(xi.shape[0])
     arrivals = 0
     while live.rows.size:
         if arrivals >= max_points:
             raise _too_loose(bound, live, arrivals)
+        step = _arrival_round if arrivals else _first_round
         arrivals += 1
-        done = _arrival_round(spec, basis, rng, live, xi, bound)
+        done = step(spec, basis, rng, live, xi, bound)
         if done.any():
             live.keep(~done)
     return xi
@@ -174,15 +219,20 @@ def msp_path_blocks(
     """Stream blocks of eta paths as (block, len(grid)) arrays.
 
     The concatenation over blocks is a deterministic function of
-    (seed, n, grid); blocks are independent and may be consumed in any
-    order that preserves their association with block indices.
+    (seed, n, grid). Every block is written into one buffer that the call
+    allocates when its first block arrives, so a yielded block is valid
+    only until the next one is requested: reduce it before then, or copy
+    what must be kept.
     """
     validate_spec(spec)
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
     basis = path_basis(spec, grid.points)
+    buffer = None
     for count, rng in block_streams(seed, n):
-        xi = _spectral_block(spec, basis, rng, count, max_points)
+        if buffer is None:  # the first block is the largest
+            buffer = np.empty((count, basis.shape[1]))
+        xi = _spectral_block(spec, basis, rng, buffer[:count], max_points)
         yield np.divide(-1.0, xi, out=xi)
 
 
@@ -193,10 +243,19 @@ def msp_corpus(
     seed: Seed,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> np.ndarray:
-    """Materialize ``n`` eta paths as an (n, len(grid)) array."""
-    return np.concatenate(
-        list(msp_path_blocks(spec, grid, n, seed, max_points)), axis=0
-    )
+    """Materialize ``n`` eta paths as an (n, len(grid)) array.
+
+    Each block is copied into the result, allocated when the first block
+    arrives, before the next block overwrites the stream's buffer.
+    """
+    corpus = None
+    start = 0
+    for eta in msp_path_blocks(spec, grid, n, seed, max_points):
+        if corpus is None:
+            corpus = np.empty((n, eta.shape[1]))
+        corpus[start:start + eta.shape[0]] = eta
+        start += eta.shape[0]
+    return corpus
 
 
 def joint_cdf_estimates(
@@ -249,7 +308,8 @@ def stopping_exactness_violations(
     For each path, xi is snapshotted the round its stopping rule fires;
     at least ``extra`` further arrivals are then consumed for every path
     and the final xi is compared bit-for-bit. The expected count is 0: the
-    rule fires only when no later arrival can contribute. Draws the skip
+    rule fires only when no later arrival can contribute. The rounds are
+    those ``msp_path_blocks`` runs, round one included. Draws the skip
     rules leave unbuilt (see the module docstring) cannot show up here.
     """
     validate_spec(spec)
@@ -258,7 +318,7 @@ def stopping_exactness_violations(
     violations = 0
     for count, rng in block_streams(seed, n):
         live = _Live(count)
-        xi = np.zeros((count, len(grid)))
+        xi = np.empty((count, len(grid)))
         snap = np.zeros_like(xi)
         stopped = np.zeros(count, dtype=bool)
         since_stop = np.zeros(count, dtype=int)
@@ -266,9 +326,10 @@ def stopping_exactness_violations(
         while not (stopped.all() and since_stop.min() >= extra):
             if arrivals >= DEFAULT_MAX_POINTS + extra:
                 raise _too_loose(bound, live, arrivals)
+            step = _arrival_round if arrivals else _first_round
             arrivals += 1
             since_stop[stopped] += 1
-            newly = ~stopped & _arrival_round(spec, basis, rng, live, xi, bound)
+            newly = ~stopped & step(spec, basis, rng, live, xi, bound)
             snap[newly] = xi[newly]
             stopped |= newly
         violations += int(np.count_nonzero(np.any(snap != xi, axis=1)))

@@ -43,9 +43,10 @@ class TimeGrid:
         return int(self.points.size)
 
     def index_of(self, t: float) -> int:
-        """Index of the grid point equal to ``t`` within ``GRID_TOL``."""
+        """Index of the grid point equal to ``t`` within ``GRID_TOL``; NaN
+        is on no grid."""
         i = int(np.argmin(np.abs(self.points - t)))
-        if abs(self.points[i] - t) > GRID_TOL:
+        if not abs(self.points[i] - t) <= GRID_TOL:
             raise OffGridError(
                 f"time {float(t)!r} is not on the grid of {len(self)} points"
             )

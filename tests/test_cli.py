@@ -3,11 +3,12 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maxhit import CompleteDependence, verify
+from maxhit import CompleteDependence, TwoBranch, cli, make_grid, msp_corpus, verify
 from maxhit.cli import UsageError, _build_parser, main, parse_invocation
 from maxhit.verify import check_ids
 
@@ -125,6 +126,35 @@ class TestDispatch:
             main(["simulate", "--generator", two_branch_json, "--paths", "2",
                   "--grid", "101", "--seed", "4", "--out", str(out)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_simulate_csv_formats_every_value_17g(self, two_branch_json, tmp_path):
+        # two blocks of paths; each value as format(v, ".17g") spells it
+        out = tmp_path / "paths.csv"
+        assert main(["simulate", "--generator", two_branch_json, "--paths", "4097",
+                     "--grid", "11", "--seed", "5", "--out", str(out)]) == 0
+        grid = make_grid(11)
+        paths = msp_corpus(TwoBranch(), grid, 4097, 5)
+        lines = ["t," + ",".join(f"path_{j}" for j in range(4097))]
+        for i, t in enumerate(grid.points):
+            lines.append(",".join(format(float(v), ".17g")
+                                  for v in (t, *paths[:, i])))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_simulate_non_finite_path_exits_1(self, two_branch_json, tmp_path,
+                                              capsys, monkeypatch):
+        def one_nan(spec, grid, n, seed, max_points):
+            paths = np.full((n, len(grid)), -1.0)
+            paths[n - 1, 3] = math.nan
+            return paths
+
+        monkeypatch.setattr(cli, "msp_corpus", one_nan)
+        out = tmp_path / "paths.csv"
+        code = main(["simulate", "--generator", two_branch_json, "--paths", "3",
+                     "--grid", "11", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: result is not finite\n"
+        assert not out.exists()
 
     def test_hitting_csv(self, two_branch_json, tmp_path):
         out = tmp_path / "curve.csv"

@@ -9,14 +9,17 @@ from maxhit import (
     NONLINEAR_DEFAULTS,
     BoundTooLooseError,
     CompleteDependence,
+    Interval,
     LevelFunction,
     NonlinearExample,
+    OffGridError,
     PiecewiseExample,
     SineBump,
     SubGrid,
     TwoBranch,
     generator_bound,
     generator_corpus,
+    hitting_curve,
     joint_cdf_estimates,
     ks_band,
     make_grid,
@@ -28,7 +31,7 @@ from maxhit import (
 from maxhit import generators, msp
 from maxhit.generators import path_basis, sample_paths, shape_table
 from maxhit.msp import ks_distance_neg_exponential
-from maxhit.streams import block_streams
+from maxhit.streams import BLOCK_SIZE, block_streams
 
 
 def _dense_paths(spec, t, u):
@@ -134,6 +137,23 @@ class TestGeneratorBound:
             assert rows.max() <= bound, points
 
 
+@pytest.mark.parametrize("spec", CATALOGUE, ids=repr)
+def test_first_round_overwrites_every_row(spec):
+    # round one into a buffer of NaN gives the bits of the general round
+    # merging into +0; grid 1001 splits the block into several tiles
+    grid = make_grid(1001)
+    basis = path_basis(spec, grid.points)
+    results = []
+    for fill, step in ((math.nan, msp._first_round), (0.0, msp._arrival_round)):
+        ((count, rng),) = block_streams(39, 4096)
+        live = msp._Live(count)
+        xi = np.full((count, len(grid)), fill)
+        done = step(spec, basis, rng, live, xi, generator_bound(spec))
+        results.append((xi, done, live.gamma, live.lo, live.seen))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 #: (grid, n) of the dense-loop cases that are not a whole grid at n 4097:
 #: cor33's window (0.2, 0.9) of grid 1001, and a grid so fine that an
 #: arrival round's tile holds one row.
@@ -194,6 +214,67 @@ def test_block_memory_stays_near_the_block(spec):
         tracemalloc.stop()
     assert block.shape == (4096, 1001)
     assert peak <= 1.25 * block.nbytes
+
+
+def _peak_bytes(fn):
+    """tracemalloc's peak while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("spec", CATALOGUE, ids=repr)
+def test_estimator_memory_stays_near_one_block(spec):
+    # the stream writes every block into one buffer, so a two-block
+    # estimate holds one block of paths, not the last block and the next
+    grid = make_grid(1001)
+    levels = np.array([-0.5, -1.0, -2.0])
+    peak = _peak_bytes(
+        lambda: hitting_curve(spec, levels, Interval(0.0, 1.0), grid, 8192, 34)
+    )
+    assert peak <= 1.25 * BLOCK_SIZE * len(grid) * 8
+
+
+def test_corpus_memory_is_corpus_plus_one_block():
+    grid = make_grid(1001)
+    peak = _peak_bytes(lambda: msp_corpus(TwoBranch(), grid, 8192, 35))
+    assert peak <= 1.6 * 8192 * len(grid) * 8
+
+
+def test_consecutive_blocks_share_one_buffer():
+    blocks = msp_path_blocks(TwoBranch(), make_grid(101), 4097, 36)
+    first = next(blocks)
+    assert np.shares_memory(first, next(blocks))
+
+
+def test_interleaved_streams_keep_their_own_buffers():
+    # one buffer per call: two streams consumed in turn give the blocks
+    # each gives alone
+    grid, specs = make_grid(101), (TwoBranch(), SineBump(amp=0.5))
+    alone = [msp_corpus(spec, grid, 4097, 37) for spec in specs]
+    streams = [msp_path_blocks(spec, grid, 4097, 37) for spec in specs]
+    for lo, hi in ((0, 4096), (4096, 4097)):
+        pair = [next(s) for s in streams]
+        assert not np.shares_memory(*pair)
+        for eta, corpus in zip(pair, alone):
+            assert np.array_equal(eta, corpus[lo:hi])
+
+
+def test_stopping_exactness_runs_the_shipped_first_round(monkeypatch):
+    # the check covers the round one that msp_path_blocks runs
+    first_round, calls = msp._first_round, []
+
+    def counted(*args):
+        calls.append(1)
+        return first_round(*args)
+
+    monkeypatch.setattr(msp, "_first_round", counted)
+    assert stopping_exactness_violations(TwoBranch(), make_grid(11), 4097, 38, 5) == 0
+    assert len(calls) == 2
 
 
 class TestSampleMsp:
@@ -272,6 +353,11 @@ class TestMarginalGof:
         assert all(d <= ks_band(5000) for d in ds)
         # each time sees the same paths as when it is asked for alone
         assert marginal_gof(TwoBranch(), [0.5], grid101, 5000, 21) == ds[1:2]
+
+    def test_nan_time_rejected(self):
+        # NaN is on no grid; it must not fall back to column 0 (t = 0)
+        with pytest.raises(OffGridError):
+            marginal_gof(TwoBranch(), [math.nan], make_grid(11), 200, 1)
 
     def test_empty_sample_rejected(self, grid101):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhit import Interval, TimeGrid, make_grid
+from maxhit import Interval, OffGridError, TimeGrid, make_grid
 from maxhit.hitting import hit_mask
 
 
@@ -43,6 +43,11 @@ class TestTimeGrid:
         g = make_grid(3)
         with pytest.raises(ValueError, match="not on the grid"):
             g.index_of(0.1)
+
+    def test_index_of_nan_is_off_grid(self):
+        # |points - nan| compares False against any tolerance
+        with pytest.raises(OffGridError, match="time nan is not on the grid"):
+            make_grid(11).index_of(float("nan"))
 
     def test_points_are_read_only(self):
         g = make_grid(5)
