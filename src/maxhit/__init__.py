@@ -16,6 +16,7 @@ from .dnorm import (
 )
 from .errors import (
     BoundTooLooseError,
+    InvalidArgumentError,
     InvalidSpecError,
     MaxhitError,
     OffGridError,
@@ -84,6 +85,7 @@ __all__ = [
     "GeneratorSpec",
     "HittingCurve",
     "Interval",
+    "InvalidArgumentError",
     "InvalidSpecError",
     "LevelFunction",
     "MaxhitError",

@@ -9,9 +9,13 @@ Subcommands::
     maxhit verify   --suite paper --seed 7 --out report.json
 
 Each subcommand is one function of the parsed arguments, registered in the
-parser table ``_COMMANDS``. It checks its own flags, raising UsageError
-before any simulation starts, then runs and writes its result;
-``parse_invocation`` checks only the flags every subcommand shares.
+parser table ``_COMMANDS``. It passes the values of its flags to the
+library, whose argument checks refuse a bad one with
+``InvalidArgumentError`` before any sampling; the CLI adds only the flag or
+file name to the message. It checks itself only what no library call sees:
+required and exclusive flags, and text that must parse. ``parse_invocation``
+checks the flags every subcommand shares, as ``verify --list`` runs no
+library check.
 
 All randomness flows from --seed; two identical invocations produce
 byte-identical output files (the verify report carries a timestamp unless
@@ -36,18 +40,17 @@ import sys
 import numpy as np
 
 from .dnorm import LevelFunction, dnorm_estimate
-from .errors import (BoundTooLooseError, InvalidSpecError, OffGridError,
-                     UnknownCheckError)
+from .errors import BoundTooLooseError, InvalidArgumentError, InvalidSpecError
 from .generators import GeneratorSpec, generator_from_json
 from .hitting import hitting_curve, multi_hit_prob, two_hit_prob
 from .msp import DEFAULT_MAX_POINTS, msp_corpus
 from .paths import Interval, TimeGrid, make_grid
-from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, MIN_N, check_ids, run_checks
+from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, check_ids, run_checks
 
 ENV_DEFAULT_N = "MSHIT_DEFAULT_N"
 
 
-class UsageError(Exception):
+class UsageError(InvalidArgumentError):
     """Bad invocation; maps to exit code 2."""
 
 
@@ -78,20 +81,12 @@ def _load_generator(path: str | None) -> GeneratorSpec:
         raise UsageError(f"invalid generator in {path!r}: {exc}")
 
 
-def _parse_interval(text: str, label: str) -> tuple[float, float]:
-    """``lo,hi`` with 0 <= lo < hi <= 1."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{label} must be lo,hi; got {text!r}")
+def _interval(lo: float, hi: float, label: str) -> Interval:
+    """``Interval(lo, hi)``; a refusal names the flag ``label``."""
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"{label} must be numeric; got {text!r}")
-    if not lo < hi:
-        raise UsageError(f"{label} must satisfy lo < hi; got {text!r}")
-    if not (0.0 <= lo and hi <= 1.0):
-        raise UsageError(f"{label} must sit inside [0,1], got {text!r}")
-    return lo, hi
+        return Interval(lo, hi)
+    except InvalidArgumentError as exc:
+        raise UsageError(f"{label}: {exc}")
 
 
 def _snap(grid: TimeGrid, t: float, label: str) -> float:
@@ -103,12 +98,20 @@ def _snap(grid: TimeGrid, t: float, label: str) -> float:
     return snapped
 
 
-def _snap_interval(grid: TimeGrid, iv: tuple[float, float], label: str) -> Interval:
-    lo = _snap(grid, iv[0], f"{label}.lo")
-    hi = _snap(grid, iv[1], f"{label}.hi")
-    if not lo < hi:
-        raise UsageError(f"{label} collapsed after snapping: [{lo}, {hi}]")
-    return Interval(lo, hi)
+def _snap_interval(grid: TimeGrid, lo: float, hi: float, label: str) -> Interval:
+    """The interval between the grid points nearest ``lo`` and ``hi``."""
+    return _interval(_snap(grid, lo, f"{label}.lo"), _snap(grid, hi, f"{label}.hi"),
+                     label)
+
+
+def _parse_interval(text: str, label: str, grid: TimeGrid) -> Interval:
+    """The interval ``lo,hi``, its ends then snapped to ``grid``."""
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:  # not two fields, or one is not a number
+        raise UsageError(f"{label} must be lo,hi with numeric bounds; got {text!r}")
+    iv = _interval(lo, hi, label)
+    return _snap_interval(grid, iv.lo, iv.hi, label)
 
 
 def _level_function_from_doc(doc: dict, grid: TimeGrid) -> LevelFunction:
@@ -120,7 +123,7 @@ def _level_function_from_doc(doc: dict, grid: TimeGrid) -> LevelFunction:
             return LevelFunction.constant(grid, float(doc["level"]))
         if shape == "indicator_step":
             lo, hi = doc["interval"]
-            iv = _snap_interval(grid, (float(lo), float(hi)), "interval")
+            iv = _snap_interval(grid, float(lo), float(hi), "interval")
             return LevelFunction.indicator_step(
                 grid, iv, inside=float(doc["inside"]),
                 outside=float(doc.get("outside", 0.0)),
@@ -158,10 +161,6 @@ def _write_json(out: str | None, doc: dict) -> None:
 
 
 def _simulate(ns: argparse.Namespace) -> int:
-    if ns.paths < 1:
-        raise UsageError(f"--paths must be >= 1, got {ns.paths}")
-    if ns.max_points < 1:
-        raise UsageError(f"--max-points must be >= 1, got {ns.max_points}")
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
     paths = msp_corpus(spec, grid, ns.paths, ns.seed, max_points=ns.max_points)
@@ -178,8 +177,6 @@ def _simulate(ns: argparse.Namespace) -> int:
 
 
 def _dnorm(ns: argparse.Namespace) -> int:
-    if ns.n < 2:
-        raise UsageError(f"--n must be >= 2 for dnorm, got {ns.n}")
     if not ns.level_function:
         raise UsageError("--level-function is required")
     doc = _read_json(ns.level_function, "")
@@ -191,27 +188,17 @@ def _dnorm(ns: argparse.Namespace) -> int:
 
 
 def _hitting(ns: argparse.Namespace) -> int:
-    if ns.levels is not None and ns.x is not None:
-        raise UsageError("give either --x or --levels, not both")
+    if (ns.x is None) == (ns.levels is None):
+        raise UsageError("give exactly one of --x or --levels")
+    levels = [ns.x]
     if ns.levels is not None:
         try:
             levels = [float(s) for s in ns.levels.split(",")]
         except ValueError:
             raise UsageError(f"--levels must be numeric, got {ns.levels!r}")
-    elif ns.x is not None:
-        levels = [ns.x]
-    else:
-        raise UsageError("one of --x or --levels is required")
-    if not all(math.isfinite(x) for x in levels):
-        raise UsageError("levels must be finite")
-    if any(x >= 0 for x in levels):
-        raise UsageError("level must be negative")
-    if any(b >= a for a, b in zip(levels, levels[1:])):
-        raise UsageError("--levels must be strictly decreasing")
-    interval = _parse_interval(ns.interval, "--interval")
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
-    interval = _snap_interval(grid, interval, "--interval")
+    interval = _parse_interval(ns.interval, "--interval", grid)
     curve = hitting_curve(spec, np.array(levels), interval, grid, ns.n, ns.seed)
     lines = ["x,estimate,ci_lo,ci_hi,bound"]
     for lvl, est, bound in zip(curve.levels, curve.estimates, curve.upper_bounds):
@@ -223,33 +210,18 @@ def _hitting(ns: argparse.Namespace) -> int:
 def _multihit(ns: argparse.Namespace) -> int:
     if ns.x0 is None:
         raise UsageError("--x0 is required")
-    if not math.isfinite(ns.x0):
-        raise UsageError("--x0 must be finite")
-    if ns.x0 >= 0:
-        raise UsageError("level must be negative")
     if (ns.split is None) == (ns.intervals is None):
         raise UsageError("give exactly one of --split or --intervals")
-    if ns.split is not None and not 0.0 < ns.split < 1.0:
-        raise UsageError(f"--split must be interior to (0,1), got {ns.split}")
-    if ns.intervals is not None:
-        pairs = [_parse_interval(part, "--intervals")
-                 for part in ns.intervals.split(";") if part]
-        if not pairs:
-            raise UsageError("--intervals must list at least one interval")
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
     if ns.split is not None:
         t0 = _snap(grid, ns.split, "--split")
-        if not 0.0 < t0 < 1.0:
-            raise UsageError(f"--split {ns.split} snapped to the end point {t0}")
         query = {"x0": ns.x0, "split": t0}
         est = two_hit_prob(spec, ns.x0, t0, grid, ns.n, ns.seed)
     else:
-        ivs = [_snap_interval(grid, iv, f"--intervals[{k}]")
-               for k, iv in enumerate(pairs)]
-        ordered = sorted((iv.lo, iv.hi) for iv in ivs)
-        if any(b[0] < a[1] for a, b in zip(ordered, ordered[1:])):
-            raise UsageError(f"--intervals overlap after snapping: {ordered}")
+        parts = [part for part in ns.intervals.split(";") if part]
+        ivs = [_parse_interval(part, f"--intervals[{k}]", grid)
+               for k, part in enumerate(parts)]
         query = {"x0": ns.x0, "intervals": [[iv.lo, iv.hi] for iv in ivs]}
         est = multi_hit_prob(spec, ns.x0, ivs, grid, ns.n, ns.seed)
     estimate = {**est.as_dict(), "seed": ns.seed}
@@ -263,8 +235,6 @@ def _verify(ns: argparse.Namespace) -> int:
     if ns.list_checks:
         _write_text(ns.out, "\n".join(check_ids()) + "\n")
         return 0
-    if ns.n < MIN_N:
-        raise UsageError(f"--n must be >= {MIN_N} for verify, got {ns.n}")
     suite = ns.suite if ns.suite == "paper" else [s for s in ns.suite.split(",") if s]
     # --no-timestamp also drops runtimes: stdout and the report file are
     # then pure functions of (suite, seed, n, grid)
@@ -343,7 +313,7 @@ def parse_invocation(argv: list[str]) -> argparse.Namespace:
     """Parse argv and check the flags every subcommand shares.
 
     Raises UsageError on a problem. ``ns.run(ns)`` runs the subcommand,
-    which checks its own flags first.
+    whose library calls check the other flags before any sampling.
     """
     parser = _build_parser()
     try:
@@ -379,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         # _write_json), so numpy's warning about it would only add noise
         with np.errstate(over="ignore", invalid="ignore"):
             return ns.run(ns)
-    except (UsageError, UnknownCheckError, OffGridError) as exc:
+    except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BoundTooLooseError, FloatingPointError, OSError) as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .estimates import Z95, Estimate, per_path, stream_means
 from .generators import GeneratorSpec, shape_blocks
 from .paths import Interval, TimeGrid, _frozen_array
@@ -92,7 +93,7 @@ def dnorm_estimates(
     if not fs:
         return []
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidArgumentError("n must be >= 2")
     sups = [
         lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
     ]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Usage errors (CLI exit 2) are
+``InvalidArgumentError`` and its subclasses; internal invariants stay plain
+``ValueError``, so a program fault never reads as a usage error."""
 
 from __future__ import annotations
 
@@ -7,7 +9,11 @@ class MaxhitError(Exception):
     """Base class for package-specific failures."""
 
 
-class InvalidSpecError(MaxhitError, ValueError):
+class InvalidArgumentError(MaxhitError, ValueError):
+    """An argument outside its function's documented domain."""
+
+
+class InvalidSpecError(InvalidArgumentError):
     """A generator specification violates one or more parameter constraints.
 
     ``violations`` lists each broken constraint by name, e.g.
@@ -38,11 +44,11 @@ class BoundTooLooseError(MaxhitError, RuntimeError):
         )
 
 
-class OffGridError(MaxhitError, ValueError):
+class OffGridError(InvalidArgumentError):
     """A time that must be a grid point is not one."""
 
 
-class UnknownCheckError(MaxhitError, ValueError):
+class UnknownCheckError(InvalidArgumentError):
     """A verification suite names an unregistered check id, names one twice
     or names none; ``check_id`` is the offending id ("" for none)."""
 

@@ -8,6 +8,7 @@ testable form of "this probability is zero" used by the verification suite.
 Every estimator streams seeded blocks of paths and reduces each block in
 one of two ways: ``count_events`` counts rows whose event mask holds, and
 ``stream_means`` accumulates per-row statistics into a ``RunningMean``.
+``stack_blocks`` keeps the rows instead, for the corpus functions.
 Generator paths also come as ``(rows, index)`` shape blocks
 (``generators.shape_blocks``); ``per_path`` turns a row-wise statistic into
 one on such blocks, so both reducers take them unchanged.
@@ -162,3 +163,17 @@ def stream_means(blocks: Iterable[np.ndarray], *stats: Callable) -> RunningMean:
     for block in blocks:
         acc.add(*(stat(block) for stat in stats))
     return acc
+
+
+def stack_blocks(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The ``n`` rows of all blocks as one array. Each block is copied in and
+    let go before the next is requested, so only the stream holds a block."""
+    out = None
+    start = 0
+    for block in blocks:
+        if out is None:
+            out = np.empty((n, block.shape[1]))
+        out[start:start + block.shape[0]] = block
+        start += block.shape[0]
+        del block
+    return out

@@ -69,12 +69,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import starmap
+from operator import getitem
 from typing import Union, get_type_hints
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .estimates import Estimate, binomial_estimate, count_events, per_path, stream_means
+from .estimates import (Estimate, binomial_estimate, count_events, per_path,
+                        stack_blocks, stream_means)
 from .paths import Interval, TimeGrid
 from .streams import Seed, block_streams
 
@@ -458,21 +461,18 @@ def generator_blocks(
 
     Block ``b`` draws from child stream ``b`` of ``seed``, so the
     concatenation over blocks is a deterministic function of (seed, n, grid).
-    Each block is ``rows[index]`` of the matching ``shape_blocks`` block.
+    Each block is ``rows[index]`` of the matching ``shape_blocks`` block;
+    no block is held while the next is built.
     """
-    for rows, index in shape_blocks(spec, grid, n, seed):
-        yield rows[index]
+    yield from starmap(getitem, shape_blocks(spec, grid, n, seed))
 
 
 def generator_corpus(
     spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
 ) -> np.ndarray:
-    """Materialize ``n`` paths as an (n, len(grid)) array.
-
-    Identical draws to the streaming estimators for the same seed; intended
-    for shared-draw property checks at moderate n.
-    """
-    return np.concatenate(list(generator_blocks(spec, grid, n, seed)), axis=0)
+    """Materialize ``n`` paths as an (n, len(grid)) array, for shared-draw
+    checks at moderate n: the blocks of ``generator_blocks``."""
+    return stack_blocks(generator_blocks(spec, grid, n, seed), n)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnorm import LevelFunction
+from .errors import InvalidArgumentError
 from .estimates import Estimate, binomial_estimate, count_events
 from .generators import GeneratorSpec, closed_form_m, closed_form_m_tilde
 from .msp import msp_path_blocks
@@ -101,7 +102,10 @@ class HittingCurve:
     upper_bounds: np.ndarray
 
     def __post_init__(self):
-        lv = _checked_levels(self.levels)
+        try:  # hitting_curve checked its levels; a bad ladder here is a fault
+            lv = _checked_levels(self.levels)
+        except InvalidArgumentError as err:
+            raise ValueError(str(err)) from None
         ub = np.asarray(self.upper_bounds, dtype=float)
         if len(self.estimates) != lv.size or ub.shape != lv.shape:
             raise ValueError("levels, estimates, and bounds must align")
@@ -117,13 +121,13 @@ def _checked_levels(levels) -> np.ndarray:
     """``levels`` as floats: a nonempty, finite, negative, decreasing row."""
     lv = np.asarray(levels, dtype=float)
     if lv.ndim != 1 or lv.size < 1:
-        raise ValueError("need at least one level")
+        raise InvalidArgumentError("need at least one level")
     if not np.all(np.isfinite(lv)):
-        raise ValueError("levels must be finite")
+        raise InvalidArgumentError("levels must be finite")
     if np.any(lv >= 0.0):
-        raise ValueError("levels must be strictly negative")
+        raise InvalidArgumentError("levels must be strictly negative")
     if np.any(np.diff(lv) >= 0.0):
-        raise ValueError("levels must be strictly decreasing")
+        raise InvalidArgumentError("levels must be strictly decreasing")
     return lv
 
 
@@ -193,7 +197,7 @@ def down_up_down_prob(
     """
     _checked_levels([x0])
     if not 0.0 <= triple[0] < triple[1] < triple[2] <= 1.0:
-        raise ValueError(f"triple must be strictly ordered, got {triple}")
+        raise InvalidArgumentError(f"triple must be strictly ordered, got {triple}")
     cols = tuple(grid.index_of(t) for t in triple)
     (successes,) = count_events(
         msp_path_blocks(spec, grid, n, seed),
@@ -213,7 +217,8 @@ def two_hit_prob(
     """Frequency of paths hitting x0 in both [0, t0] and [t0, 1], where the
     interior grid point ``split`` is t0."""
     if grid.index_of(split) in (0, len(grid) - 1):
-        raise ValueError("split must be an interior grid point")
+        raise InvalidArgumentError(
+            f"split must be an interior grid point, got {split}")
     halves = [Interval(0.0, split), Interval(split, 1.0)]
     return multi_hit_prob(spec, x0, halves, grid, n, seed)
 
@@ -233,11 +238,11 @@ def multi_hit_prob(
     """
     _checked_levels([x0])
     if not intervals:
-        raise ValueError("need at least one interval")
+        raise InvalidArgumentError("need at least one interval")
     ordered = sorted(intervals, key=lambda iv: iv.lo)
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.lo < prev.hi:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"intervals overlap: [{prev.lo}, {prev.hi}] and [{nxt.lo}, {nxt.hi}]"
             )
     slices = [grid.slice_of(iv) for iv in ordered]

@@ -60,8 +60,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .dnorm import LevelFunction
-from .errors import BoundTooLooseError
-from .estimates import Estimate, binomial_estimate, count_events
+from .errors import BoundTooLooseError, InvalidArgumentError
+from .estimates import Estimate, binomial_estimate, count_events, stack_blocks
 from .generators import (
     GeneratorSpec,
     atom_index,
@@ -226,7 +226,7 @@ def msp_path_blocks(
     """
     validate_spec(spec)
     if max_points < 1:
-        raise ValueError("max_points must be >= 1")
+        raise InvalidArgumentError(f"max_points must be >= 1, got {max_points}")
     basis = path_basis(spec, grid.points)
     buffer = None
     for count, rng in block_streams(seed, n):
@@ -243,19 +243,9 @@ def msp_corpus(
     seed: Seed,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> np.ndarray:
-    """Materialize ``n`` eta paths as an (n, len(grid)) array.
-
-    Each block is copied into the result, allocated when the first block
-    arrives, before the next block overwrites the stream's buffer.
-    """
-    corpus = None
-    start = 0
-    for eta in msp_path_blocks(spec, grid, n, seed, max_points):
-        if corpus is None:
-            corpus = np.empty((n, eta.shape[1]))
-        corpus[start:start + eta.shape[0]] = eta
-        start += eta.shape[0]
-    return corpus
+    """Materialize ``n`` eta paths as an (n, len(grid)) array; each block is
+    copied in (``stack_blocks``) before the next overwrites the buffer."""
+    return stack_blocks(msp_path_blocks(spec, grid, n, seed, max_points), n)
 
 
 def joint_cdf_estimates(

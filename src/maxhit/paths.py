@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OffGridError
+from .errors import InvalidArgumentError, OffGridError
 
 # Times this close to a grid point count as on-grid: user-supplied decimals
 # rarely equal the binary double of i/(n-1) bit for bit.
@@ -53,6 +53,9 @@ class TimeGrid:
         return i
 
     def nearest_index(self, t: float) -> int:
+        """Index of the grid point nearest ``t``; NaN or inf is near none."""
+        if not np.isfinite(t):
+            raise OffGridError(f"time {float(t)!r} is near no grid point")
         return int(np.argmin(np.abs(self.points - t)))
 
     def slice_of(self, interval: Interval) -> slice:
@@ -82,7 +85,7 @@ class SubGrid:
 def make_grid(n: int) -> TimeGrid:
     """Uniform grid of ``n`` points including both endpoints of [0, 1]."""
     if n < 2:
-        raise ValueError(f"grid needs at least 2 points, got {n}")
+        raise InvalidArgumentError(f"grid needs at least 2 points, got {n}")
     return TimeGrid(np.arange(n) / (n - 1))
 
 
@@ -95,4 +98,6 @@ class Interval:
 
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi <= 1.0):
-            raise ValueError(f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
+            raise InvalidArgumentError(
+                f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]"
+            )

@@ -18,6 +18,8 @@ from zlib import crc32
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # Replicas per RNG block. Fixed: changing it changes which uniforms land on
 # which replica, hence the sampled values for a given seed.
 BLOCK_SIZE = 4096
@@ -49,11 +51,11 @@ def block_streams(seed: Seed, n: int) -> Iterator[tuple[int, np.random.Generator
     ``BLOCK_SIZE``.
 
     Block ``b`` uses the child sequence ``spawn_key + (b,)`` of ``seed``.
-    Raises ``ValueError`` for ``n < 1``, so every estimator refuses an
-    empty sample in the same way.
+    Raises ``InvalidArgumentError`` for ``n < 1``, so every estimator
+    refuses an empty sample in the same way.
     """
     if n < 1:
-        raise ValueError(f"replication count must be >= 1, got {n}")
+        raise InvalidArgumentError(f"replication count must be >= 1, got {n}")
     b = 0
     remaining = n
     while remaining > 0:

@@ -38,7 +38,7 @@ from .dnorm import (
     survivor_lower_bound,
     takahashi_check,
 )
-from .errors import UnknownCheckError
+from .errors import InvalidArgumentError, UnknownCheckError
 from .estimates import (
     Estimate,
     binomial_estimate,
@@ -770,12 +770,14 @@ def run_checks(
     """Run a suite of checks deterministically from one master seed.
 
     ``suite`` is "paper" (everything) or an explicit list of ids; an
-    unknown or repeated id, or an empty list, fails before anything
-    executes. Checks derive independent
+    unknown or repeated id, an empty list or ``n_default < MIN_N`` fails
+    before anything executes. Checks derive independent
     substreams from (master seed, check id) and may run in parallel;
     report contents are independent of ``threads``. The first check that
     raises ends the run: the checks that have not started never do.
     """
+    if n_default < MIN_N:
+        raise InvalidArgumentError(f"checks need n_default >= {MIN_N}, got {n_default}")
     if isinstance(suite, str):
         if suite != "paper":
             raise UnknownCheckError(suite)

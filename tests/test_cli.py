@@ -8,8 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maxhit import CompleteDependence, TwoBranch, cli, make_grid, msp_corpus, verify
+from maxhit import (CompleteDependence, Interval, LevelFunction, TwoBranch, cli,
+                    dnorm_estimate, errors, hitting_curve, make_grid, msp_corpus,
+                    multi_hit_prob, two_hit_prob, verify)
 from maxhit.cli import UsageError, _build_parser, main, parse_invocation
+from maxhit.errors import InvalidArgumentError
 from maxhit.verify import check_ids
 
 
@@ -50,9 +53,10 @@ class TestParseInvocation:
         assert ns.out == "report.json"
         assert ns.threads == 1 and not ns.no_timestamp
 
-    def test_nonnegative_level_rejected(self, capsys):
-        assert main(["multihit", "--x0", "0.5", "--split", "0.5"]) == 2
-        assert "level must be negative" in capsys.readouterr().err
+    def test_nonnegative_level_rejected(self, two_branch_json, capsys):
+        assert main(["multihit", "--generator", two_branch_json, "--x0", "0.5",
+                     "--split", "0.5"]) == 2
+        assert "levels must be strictly negative" in capsys.readouterr().err
 
     def test_unknown_flag(self, two_branch_json):
         with pytest.raises(UsageError):
@@ -218,7 +222,8 @@ class TestDispatch:
         assert "snapped" in capsys.readouterr().err
 
     def test_verify_list(self, capsys):
-        assert main(["verify", "--list"]) == 0
+        # --list returns before run_checks, which refuses n < MIN_N
+        assert main(["verify", "--list", "--n", "4"]) == 0
         out = capsys.readouterr().out
         assert "final-integral-3/2" in out
 
@@ -365,9 +370,71 @@ class TestDispatch:
         assert capsys.readouterr().out.endswith(("overall: PASS\n",
                                                  "overall: FAIL\n"))
 
-    def test_usage_error_exit_code(self, capsys):
-        assert main(["hitting", "--x", "0.5"]) == 2
-        assert "level must be negative" in capsys.readouterr().err
+    def test_usage_error_exit_code(self, two_branch_json, capsys):
+        assert main(["hitting", "--generator", two_branch_json, "--x", "0.5"]) == 2
+        assert "levels must be strictly negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, library_call",
+        [
+            (["hitting", "--x", "0.5"],
+             lambda g: hitting_curve(TwoBranch(), [0.5], Interval(0.0, 1.0), g, 100, 0)),
+            (["hitting", "--x", "-1", "--interval", "0.5,1.5"],
+             lambda g: Interval(0.5, 1.5)),
+            (["multihit", "--x0", "-1", "--split", "1"],
+             lambda g: two_hit_prob(TwoBranch(), -1.0, 1.0, g, 100, 0)),
+            (["multihit", "--x0", "-1", "--intervals", "0,0.5;0.4,1"],
+             lambda g: multi_hit_prob(TwoBranch(), -1.0, [Interval(0.0, 0.5),
+                                                          Interval(0.4, 1.0)],
+                                      g, 100, 0)),
+            (["simulate", "--paths", "0"],
+             lambda g: msp_corpus(TwoBranch(), g, 0, 0)),
+            (["simulate", "--paths", "10", "--max-points", "0"],
+             lambda g: msp_corpus(TwoBranch(), g, 10, 0, max_points=0)),
+            (["dnorm", "--level-function", "CONSTANT", "--n", "1"],
+             lambda g: dnorm_estimate(TwoBranch(), LevelFunction.constant(g, -1.0),
+                                      1, 0)),
+        ],
+        ids=["level", "interval", "split", "overlap", "paths-0", "max-points-0",
+             "dnorm-n-1"],
+    )
+    def test_refusal_is_the_library_message(self, argv, library_call,
+                                            two_branch_json, tmp_path, capsys):
+        with pytest.raises(InvalidArgumentError) as refused:
+            library_call(make_grid(11))
+        constant = tmp_path / "constant.json"
+        constant.write_text('{"shape": "constant", "level": -1}')
+        argv = [str(constant) if a == "CONSTANT" else a for a in argv]
+        code = main([argv[0], "--generator", two_branch_json, "--grid", "11",
+                     "--n", "100", *argv[1:]])
+        (line,) = [x for x in capsys.readouterr().err.splitlines()
+                   if x.startswith("error: ")]
+        assert code == 2
+        assert str(refused.value) in line
+
+    def test_split_nan_names_the_time(self, two_branch_json, capsys):
+        code = main(["multihit", "--generator", two_branch_json, "--x0", "-1",
+                     "--split", "nan", "--grid", "11", "--n", "100"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: time nan is near no grid point\n"
+
+    def test_program_fault_propagates_but_bad_argument_exits_2(
+            self, two_branch_json, capsys, monkeypatch):
+        argv = ["hitting", "--generator", two_branch_json, "--x", "-1",
+                "--grid", "11", "--n", "10"]
+
+        def raises(exc):
+            def run(*args):
+                raise exc
+            return run
+
+        monkeypatch.setattr(cli, "hitting_curve", raises(ValueError("a fault")))
+        with pytest.raises(ValueError, match="a fault"):
+            main(argv)
+        monkeypatch.setattr(cli, "hitting_curve",
+                            raises(InvalidArgumentError("a bad argument")))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: a bad argument\n"
 
     @pytest.mark.parametrize("n", [2.5, True])
     def test_fractional_or_boolean_n_exits_2(self, n, tmp_path, capsys):
@@ -387,6 +454,39 @@ class TestDispatch:
         ])
         assert code == 1
         assert "stopping rule" in capsys.readouterr().err
+
+
+# --- exit codes per error class ----------------------------------------------
+
+#: One instance of each error class with the exit code the README gives it.
+_ERROR_EXIT_CODES = [
+    (errors.InvalidArgumentError("bad argument"), 2),
+    (errors.InvalidSpecError(["a > 0 violated"]), 2),
+    (errors.OffGridError("time 0.3 is not on the grid of 11 points"), 2),
+    (errors.UnknownCheckError("bogus"), 2),
+    (UsageError("--x0 is required"), 2),
+    (errors.BoundTooLooseError(deficit=1.0, arrivals=10), 1),
+]
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    # MaxhitError is only the common base; nothing raises it
+    assert {type(exc) for exc, _ in _ERROR_EXIT_CODES} == (
+        classes - {errors.MaxhitError}) | {UsageError}
+
+
+@pytest.mark.parametrize("exc, code", _ERROR_EXIT_CODES,
+                         ids=[type(e).__name__ for e, _ in _ERROR_EXIT_CODES])
+def test_error_class_exit_code(exc, code, two_branch_json, capsys, monkeypatch):
+    def raises(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "hitting_curve", raises)
+    assert main(["hitting", "--generator", two_branch_json, "--x", "-1",
+                 "--grid", "11", "--n", "10"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 # --- argv fuzzing ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,25 @@ class TestCorpus:
         a = generator_corpus(TwoBranch(), grid101, 300, 11)
         b = generator_corpus(TwoBranch(), grid101, 300, 12)
         assert not np.array_equal(a, b)
+
+    def test_equals_concatenated_blocks(self, any_spec, grid101):
+        n = 2 * 4096 + 5  # three blocks, the last one short
+        blocks = list(generator_blocks(any_spec, grid101, n, 13))
+        assert len(blocks) == 3
+        corpus = generator_corpus(any_spec, grid101, n, 13)
+        assert np.array_equal(corpus, np.concatenate(blocks))
+
+    def test_memory_is_corpus_plus_one_block(self):
+        # each block is copied into the result as it arrives, so no list
+        # of blocks is held beside the result
+        grid, n = make_grid(1001), 8192
+        tracemalloc.start()
+        try:
+            generator_corpus(SineBump(amp=0.5), grid, n, 14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * n * len(grid) * 8
 
 
 class TestJson:

@@ -9,6 +9,7 @@ from maxhit import (
     CompleteDependence,
     HittingCurve,
     Interval,
+    InvalidArgumentError,
     LevelFunction,
     NonlinearExample,
     NONLINEAR_DEFAULTS,
@@ -176,6 +177,18 @@ class TestHittingCurve:
                 grid101, 100, 60,
             )
 
+    def test_bad_ladder_is_an_argument_error_only_at_entry(self, grid101):
+        # hitting_curve refuses the ladder as an argument; a HittingCurve
+        # built with one is an internal fault, a plain ValueError
+        with pytest.raises(InvalidArgumentError, match="decreasing"):
+            hitting_curve(TwoBranch(), [-2.0, -1.0], Interval(0.0, 1.0),
+                          grid101, 100, 60)
+        with pytest.raises(ValueError, match="decreasing") as err:
+            HittingCurve(levels=[-2.0, -1.0],
+                         estimates=[binomial_estimate(0, 10)] * 2,
+                         upper_bounds=[0.0, 0.0])
+        assert not isinstance(err.value, InvalidArgumentError)
+
 
 class TestHittingIntegral:
     def synthetic_curve(self, levels, values):
@@ -298,6 +311,12 @@ class TestTwoHit:
     def test_split_must_be_interior_grid_point(self, grid101):
         with pytest.raises(ValueError, match="not on the grid"):
             two_hit_prob(TwoBranch(), -1.0, 0.505, grid101, 100, 67)
+
+    @pytest.mark.parametrize("split", [0.0, 1.0])
+    def test_end_point_split_names_the_value(self, grid101, split):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"interior grid point, got {split}$"):
+            two_hit_prob(TwoBranch(), -1.0, split, grid101, 100, 67)
 
 
 class TestMultiHit:

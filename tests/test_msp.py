@@ -313,7 +313,7 @@ class TestSampleMsp:
         assert err.value.deficit > 0
 
     def test_max_points_validation(self, grid101):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_points must be >= 1, got 0"):
             msp_corpus(TwoBranch(), grid101, 10, 0, max_points=0)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhit import Interval, OffGridError, TimeGrid, make_grid
+from maxhit import Interval, InvalidArgumentError, OffGridError, TimeGrid, make_grid
 from maxhit.hitting import hit_mask
 
 
@@ -19,7 +19,7 @@ class TestMakeGrid:
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_too_few_points(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             make_grid(n)
 
     def test_default_scale_times_are_exact(self):
@@ -49,6 +49,17 @@ class TestTimeGrid:
         with pytest.raises(OffGridError, match="time nan is not on the grid"):
             make_grid(11).index_of(float("nan"))
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_nearest_index_refuses_non_finite_times(self, t):
+        # argmin over |points - nan| would otherwise pick index 0
+        with pytest.raises(OffGridError, match=f"time {t!r} is near no grid point"):
+            make_grid(11).nearest_index(t)
+
+    def test_nearest_index_rounds_to_nearest(self):
+        g = make_grid(11)
+        assert [g.nearest_index(t) for t in (-5.0, 0.04, 0.06, 0.5, 7.0)] == [
+            0, 0, 1, 5, 10]
+
     def test_points_are_read_only(self):
         g = make_grid(5)
         with pytest.raises(ValueError):
@@ -58,7 +69,7 @@ class TestTimeGrid:
 class TestInterval:
     @pytest.mark.parametrize("lo,hi", [(0.5, 0.5), (0.7, 0.3), (-0.1, 0.5), (0.5, 1.2)])
     def test_bad_intervals(self, lo, hi):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="need 0 <= lo < hi <= 1"):
             Interval(lo, hi)
 
 

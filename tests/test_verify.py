@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from maxhit import (
+    InvalidArgumentError,
     OffGridError,
     UnknownCheckError,
     check_ids,
@@ -125,6 +126,17 @@ class TestRunChecks:
             "example2-m", "records", lambda ctx: ran.append(ctx.check_id) or []))
         with pytest.raises(UnknownCheckError):
             run_checks(ids, master_seed=7, n_default=5, grid_points=11)
+        assert ran == []
+
+    def test_n_below_min_n_fails_before_running(self, monkeypatch):
+        # max-stability needs one group of MIN_N paths; eq1 must not run first
+        ran = []
+        for cid in ("eq1-moments", "max-stability"):
+            monkeypatch.setitem(verify._CHECKS, cid, CheckDef(
+                cid, "records", lambda ctx: ran.append(ctx.check_id) or []))
+        with pytest.raises(InvalidArgumentError, match=f">= {verify.MIN_N}, got 4"):
+            run_checks(["eq1-moments", "max-stability"], 7, n_default=4,
+                       grid_points=101)
         assert ran == []
 
     def test_unknown_suite_name(self):
