@@ -33,13 +33,15 @@ class LevelFunction:
     def __post_init__(self):
         vals = _frozen_array(self.values)
         if vals.shape != self.grid.points.shape:
-            raise ValueError("level function and grid lengths differ")
+            raise InvalidArgumentError("level function and grid lengths differ")
         if np.any(vals > 0.0):
-            raise ValueError("level function must be nonpositive everywhere")
+            raise InvalidArgumentError("level function must be nonpositive everywhere")
         if not np.any(vals < 0.0):
-            raise ValueError("level function must be strictly negative somewhere")
+            raise InvalidArgumentError(
+                "level function must be strictly negative somewhere"
+            )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("level function values must be finite")
+            raise InvalidArgumentError("level function values must be finite")
         object.__setattr__(self, "values", vals)
 
     @staticmethod
@@ -48,7 +50,7 @@ class LevelFunction:
         grid = fs[0].grid
         for f in fs[1:]:
             if not np.array_equal(f.grid.points, grid.points):
-                raise ValueError("shared-draw estimates need a common grid")
+                raise InvalidArgumentError("shared-draw estimates need a common grid")
         return grid
 
     @staticmethod
@@ -73,11 +75,13 @@ class LevelFunction:
         t = np.asarray(times, dtype=float)
         v = np.asarray(levels, dtype=float)
         if t.size != v.size or t.size < 2:
-            raise ValueError("need matching times/levels with at least 2 breakpoints")
+            raise InvalidArgumentError(
+                "need matching times/levels with at least 2 breakpoints"
+            )
         if not np.all(np.diff(t) > 0):
-            raise ValueError("breakpoint times must be strictly increasing")
+            raise InvalidArgumentError("breakpoint times must be strictly increasing")
         if t[0] != 0.0 or t[-1] != 1.0:
-            raise ValueError("breakpoints must span [0, 1]")
+            raise InvalidArgumentError("breakpoints must span [0, 1]")
         return LevelFunction(grid, np.interp(grid.points, t, v))
 
 
@@ -139,7 +143,7 @@ def takahashi_check(
     accumulation in the exact-equality case. Requires at least three probes.
     """
     if len(probes) < 3:
-        raise ValueError("need at least 3 probe functions")
+        raise InvalidArgumentError("need at least 3 probe functions")
     return all(
         abs(est.value - float(np.max(np.abs(f.values)))) <= 3.0 * est.se + 1e-12
         for est, f in zip(dnorm_estimates(spec, probes, n, seed), probes)

@@ -27,11 +27,11 @@ piecewise-linear shapes z_k, and ``spec.atoms()`` describes it as data
 threshold theta_j per uniform. The path draws uniforms u_0, u_1, ...;
 shape k is the binary number whose digits, first uniform leading, are
 [u_j >= theta_j], so p_k is a product of theta_j and 1 - theta_j. The
-uniform count, ``atom_index``, ``shape_table``, the closed forms of
-m = E sup Z and m~ = E inf Z, and the a.s. bound ``generator_bound`` all
-follow from that table. SineBump, a continuous mixture, has no table
-(``atoms()`` is None); its three constants and its path build each sit in
-one place below.
+uniform count, ``atom_index``, the shape rows of ``path_basis``, the
+closed forms of m = E sup Z and m~ = E inf Z, and the a.s. bound
+``generator_bound`` all follow from that table. SineBump, a continuous
+mixture, has no table (``atoms()`` is None); its three constants and its
+path build each sit in one place below.
 
 Paths on a grid are built from the spec's ``path_basis``: the shape table
 of an atom generator, SineBump's row sin(2 pi t). It depends on (spec,
@@ -307,7 +307,7 @@ def draw_uniforms(
 
 
 def atom_index(spec: GeneratorSpec, uniforms: np.ndarray) -> np.ndarray | None:
-    """The shape each uniform row selects, as a row index of ``shape_table``.
+    """The shape each uniform row selects, as a row index of ``path_basis``.
 
     ``uniforms`` comes from ``draw_uniforms``. SineBump has no shapes and
     gives None.
@@ -321,48 +321,39 @@ def atom_index(spec: GeneratorSpec, uniforms: np.ndarray) -> np.ndarray | None:
     return k
 
 
-def shape_table(spec: GeneratorSpec, grid_points: np.ndarray) -> np.ndarray | None:
-    """The K fixed path shapes on the grid; shape (K, len(grid_points)).
-
-    ``grid_points`` must increase, as those of every ``TimeGrid`` and
-    ``SubGrid`` do. Row k is the path of every uniform row with
-    ``atom_index`` k. Between knots s < s' the value is
-    z(s) (s' - t)/(s' - s) + z(s') (t - s)/(s' - s), which equals z at
-    either knot; a flat segment gives its value exactly. SineBump has no
-    shapes and gives None.
-    """
-    atoms = spec.atoms()
-    if atoms is None:
-        return None
-    t = np.asarray(grid_points, dtype=float)
-    knots, values = atoms.knots, np.asarray(atoms.values)
-    out = np.empty((values.shape[0], t.size))
-    cuts = [0, *np.searchsorted(t, knots[1:-1]), t.size]
-    for s in range(len(knots) - 1):
-        cols = slice(cuts[s], cuts[s + 1])
-        lo, hi = knots[s], knots[s + 1]
-        z_lo, z_hi = values[:, s], values[:, s + 1]
-        ts = t[cols]
-        flat = z_lo == z_hi
-        if not flat.all():
-            out[:, cols] = z_lo[:, None] * ((hi - ts) / (hi - lo))
-            out[:, cols] += z_hi[:, None] * ((ts - lo) / (hi - lo))
-        out[flat, cols] = z_lo[flat, None]
-    return out
-
-
 def path_basis(spec: GeneratorSpec, grid_points: np.ndarray) -> np.ndarray:
     """The read-only grid rows every path of the spec is built from.
 
-    An atom spec's basis is its (K, len(grid_points)) ``shape_table``;
-    SineBump's is the one row sin(2 pi t) that each path scales by W. It
-    depends on (spec, grid) alone, so a sampling call computes it once and
-    hands it to ``sample_paths`` and ``path_maxima`` for every block.
+    SineBump's basis is the one row sin(2 pi t) that each path scales by W.
+    An atom spec's basis is its shape table: the K fixed path shapes, of
+    shape (K, len(grid_points)), row k being the path of every uniform row
+    with ``atom_index`` k. Between knots s < s' the value is
+    z(s) (s' - t)/(s' - s) + z(s') (t - s)/(s' - s), which equals z at
+    either knot; a flat segment gives its value exactly. ``grid_points``
+    must increase, as those of every ``TimeGrid`` and ``SubGrid`` do.
+
+    The basis depends on (spec, grid) alone, so a sampling call computes it
+    once and hands it to ``sample_paths`` and ``path_maxima`` for every
+    block.
     """
     t = np.asarray(grid_points, dtype=float)
-    basis = shape_table(spec, t)
-    if basis is None:
+    atoms = spec.atoms()
+    if atoms is None:
         basis = np.sin(2.0 * np.pi * t)[None, :]
+    else:
+        knots, values = atoms.knots, np.asarray(atoms.values)
+        basis = np.empty((values.shape[0], t.size))
+        cuts = [0, *np.searchsorted(t, knots[1:-1]), t.size]
+        for s in range(len(knots) - 1):
+            cols = slice(cuts[s], cuts[s + 1])
+            lo, hi = knots[s], knots[s + 1]
+            z_lo, z_hi = values[:, s], values[:, s + 1]
+            ts = t[cols]
+            flat = z_lo == z_hi
+            if not flat.all():
+                basis[:, cols] = z_lo[:, None] * ((hi - ts) / (hi - lo))
+                basis[:, cols] += z_hi[:, None] * ((ts - lo) / (hi - lo))
+            basis[flat, cols] = z_lo[flat, None]
     basis.flags.writeable = False
     return basis
 
@@ -430,7 +421,7 @@ def shape_blocks(
     paths are ``rows[index]``.
 
     An atom generator's ``rows`` is its read-only (K, len(grid))
-    ``shape_table``, built once per call, and ``index`` is the block's
+    ``path_basis``, built once per call, and ``index`` is the block's
     ``atom_index``; SineBump's ``rows`` is the built (block, len(grid))
     array and ``index`` is ``slice(None)``. Each block draws the same
     uniforms from the same child stream as ``generator_blocks``, which is

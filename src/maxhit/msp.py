@@ -8,8 +8,9 @@ Poisson process and Z_1, Z_2, ... independent generator paths,
 
 Arrivals are consumed until C / Gamma_i < min_t xi(t), where C bounds
 sup Z almost surely; past that point no later arrival can raise xi at any
-grid point, so the returned values are exact on the grid (a property the
-verification suite asserts bit-for-bit by pushing extra arrivals).
+grid point, so the returned values are exact on the grid. The
+verification suite asserts this bit-for-bit: it runs the shipped loop,
+then continues every path from C / min xi for extra arrivals.
 
 Skip rules: a draw that cannot change xi is never built. Both rules are
 decided before the row exists, and both are exact because IEEE division
@@ -177,12 +178,6 @@ def _arrival_round(
     return bound / gamma < live.lo
 
 
-def _too_loose(bound: float, live: _Live, arrivals: int) -> BoundTooLooseError:
-    """The error for rows still short of their stopping rule."""
-    deficit = float((bound / live.gamma - live.lo).max())
-    return BoundTooLooseError(deficit=deficit, arrivals=arrivals)
-
-
 def _spectral_block(
     spec: GeneratorSpec,
     basis: np.ndarray,
@@ -200,7 +195,8 @@ def _spectral_block(
     arrivals = 0
     while live.rows.size:
         if arrivals >= max_points:
-            raise _too_loose(bound, live, arrivals)
+            deficit = float((bound / live.gamma - live.lo).max())
+            raise BoundTooLooseError(deficit=deficit, arrivals=arrivals)
         step = _arrival_round if arrivals else _first_round
         arrivals += 1
         done = step(spec, basis, rng, live, xi, bound)
@@ -266,8 +262,8 @@ def marginal_gof(
     """Kolmogorov-Smirnov distances of simulated eta_t against exp(x),
     x <= 0, one per time in ``times``, all from one shared set of paths."""
     cols = [grid.index_of(t) for t in times]
-    samples = np.concatenate(
-        [eta[:, cols] for eta in msp_path_blocks(spec, grid, n, seed)]
+    samples = stack_blocks(
+        (eta[:, cols] for eta in msp_path_blocks(spec, grid, n, seed)), n
     )
     return [ks_distance_neg_exponential(samples[:, j]) for j in range(len(cols))]
 
@@ -295,32 +291,27 @@ def stopping_exactness_violations(
     """Count paths whose grid values change when arrivals continue past the
     stopping rule.
 
-    For each path, xi is snapshotted the round its stopping rule fires;
-    at least ``extra`` further arrivals are then consumed for every path
-    and the final xi is compared bit-for-bit. The expected count is 0: the
-    rule fires only when no later arrival can contribute. The rounds are
-    those ``msp_path_blocks`` runs, round one included. Draws the skip
-    rules leave unbuilt (see the module docstring) cannot show up here.
+    Each block is filled by the loop ``msp_path_blocks`` runs, then every
+    path continues from Gamma = C / min xi, the earliest arrival time at
+    which its rule C / Gamma < min xi holds (so at or before the time the
+    loop stopped it), for ``extra`` further arrivals drawn from the
+    block's stream; xi is then compared bit-for-bit with the stopped
+    block. The expected count is 0: past that time no arrival can raise xi
+    unless C falls below sup Z. Draws the skip rules leave unbuilt (see
+    the module docstring) cannot show up here.
     """
     validate_spec(spec)
     bound = generator_bound(spec)
     basis = path_basis(spec, grid.points)
     violations = 0
     for count, rng in block_streams(seed, n):
-        live = _Live(count)
         xi = np.empty((count, len(grid)))
-        snap = np.zeros_like(xi)
-        stopped = np.zeros(count, dtype=bool)
-        since_stop = np.zeros(count, dtype=int)
-        arrivals = 0
-        while not (stopped.all() and since_stop.min() >= extra):
-            if arrivals >= DEFAULT_MAX_POINTS + extra:
-                raise _too_loose(bound, live, arrivals)
-            step = _arrival_round if arrivals else _first_round
-            arrivals += 1
-            since_stop[stopped] += 1
-            newly = ~stopped & step(spec, basis, rng, live, xi, bound)
-            snap[newly] = xi[newly]
-            stopped |= newly
-        violations += int(np.count_nonzero(np.any(snap != xi, axis=1)))
+        _spectral_block(spec, basis, rng, xi, DEFAULT_MAX_POINTS)
+        shipped = xi.copy()
+        live = _Live(count)
+        live.lo = xi.min(axis=1)
+        live.gamma = bound / live.lo
+        for _ in range(extra):
+            _arrival_round(spec, basis, rng, live, xi, bound)
+        violations += int(np.count_nonzero(np.any(shipped != xi, axis=1)))
     return violations

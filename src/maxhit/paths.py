@@ -32,11 +32,11 @@ class TimeGrid:
     def __post_init__(self):
         pts = _frozen_array(self.points)
         if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least 2 points")
+            raise InvalidArgumentError("grid needs at least 2 points")
         if not np.all(np.diff(pts) > 0):
-            raise ValueError("grid points must be strictly increasing")
+            raise InvalidArgumentError("grid points must be strictly increasing")
         if pts[0] != 0.0 or pts[-1] != 1.0:
-            raise ValueError("grid must start at 0 and end at 1")
+            raise InvalidArgumentError("grid must start at 0 and end at 1")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -73,9 +73,9 @@ class SubGrid:
     def __post_init__(self):
         pts = _frozen_array(self.points)
         if pts.ndim != 1 or pts.size < 1:
-            raise ValueError("empty grid")
+            raise InvalidArgumentError("empty grid")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
-            raise ValueError("grid points must be strictly increasing")
+            raise InvalidArgumentError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:

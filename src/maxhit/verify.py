@@ -44,6 +44,7 @@ from .estimates import (
     binomial_estimate,
     count_events,
     rule_of_three,
+    stack_blocks,
     stream_means,
 )
 from .generators import (
@@ -125,7 +126,7 @@ def final_example_two_hit(x: float, t0: float) -> float:
     (e^{x(1-t0)} - e^x)(e^{x t0} - e^x), for an interior split t0."""
     _checked_levels([x])
     if not 0.0 < t0 < 1.0:
-        raise ValueError(f"split must be interior to (0, 1), got {t0}")
+        raise InvalidArgumentError(f"split must be interior to (0, 1), got {t0}")
     return (math.exp(x * (1.0 - t0)) - math.exp(x)) * (math.exp(x * t0) - math.exp(x))
 
 
@@ -135,7 +136,7 @@ def final_example_integral_below(x: float) -> float:
     Antiderivative of (1 - e^u - u) e^u; evaluates to 3/2 at x = 0.
     """
     if x > 0.0:
-        raise ValueError(f"need x <= 0, got {x}")
+        raise InvalidArgumentError(f"need x <= 0, got {x}")
     return math.exp(x) * (2.0 - x) - 0.5 * math.exp(2.0 * x)
 
 
@@ -382,7 +383,7 @@ def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
     for gi, (name, spec) in enumerate([CATALOGUE[3], CATALOGUE[4]]):
         col = ctx.grid.index_of(col_t)
         blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
-        vals = np.concatenate([eta[:, col].copy() for eta in blocks])
+        vals = stack_blocks((eta[:, [col]] for eta in blocks), ctx.n)[:, 0]
         for k in (2, 5):
             groups = ctx.n // k
             scaled = k * vals[: groups * k].reshape(groups, k).max(axis=1)

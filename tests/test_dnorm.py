@@ -9,13 +9,18 @@ from maxhit import (
     Estimate,
     GeneratorMoments,
     Interval,
+    InvalidArgumentError,
     LevelFunction,
     PiecewiseExample,
     SineBump,
+    SubGrid,
+    TimeGrid,
     TwoBranch,
     binomial_estimate,
     dnorm_estimate,
     dnorm_estimates,
+    final_example_integral_below,
+    final_example_two_hit,
     generator_moments,
     make_grid,
     sup_equals_max_rate,
@@ -25,6 +30,40 @@ from maxhit import (
 from maxhit.estimates import Z95, count_events, stream_means
 from maxhit.generators import SUP_EQ_TOL, draw_uniforms, path_basis, sample_paths
 from maxhit.streams import block_streams
+
+_G11 = make_grid(11)
+_REFUSALS = {
+    "level-positive": lambda: LevelFunction(_G11, np.full(11, 0.5)),
+    "level-zero": lambda: LevelFunction(_G11, np.zeros(11)),
+    "level-length": lambda: LevelFunction(_G11, np.full(3, -1.0)),
+    "level-nan": lambda: LevelFunction(_G11, np.r_[-1.0, np.full(10, np.nan)]),
+    "common-grid": lambda: LevelFunction.common_grid(
+        [LevelFunction.constant(_G11, -1.0), LevelFunction.constant(make_grid(5), -1.0)]
+    ),
+    "breakpoints-few": lambda: LevelFunction.piecewise_linear(_G11, [0.0], [-1.0]),
+    "breakpoints-order": lambda: LevelFunction.piecewise_linear(
+        _G11, [0.0, 0.5, 0.5, 1.0], [-1.0] * 4
+    ),
+    "breakpoints-span": lambda: LevelFunction.piecewise_linear(
+        _G11, [0.0, 0.9], [-1.0, -1.0]
+    ),
+    "takahashi-probes": lambda: takahashi_check(
+        TwoBranch(), [LevelFunction.constant(_G11, -1.0)] * 2, 10, 1
+    ),
+    "two-hit-split": lambda: final_example_two_hit(-1.0, 1.0),
+    "integral-x": lambda: final_example_integral_below(0.5),
+    "timegrid-size": lambda: TimeGrid(np.array([0.0])),
+    "timegrid-order": lambda: TimeGrid(np.array([0.0, 0.6, 0.4, 1.0])),
+    "timegrid-span": lambda: TimeGrid(np.array([0.0, 0.5])),
+    "subgrid-empty": lambda: SubGrid(np.array([])),
+    "subgrid-order": lambda: SubGrid(np.array([0.5, 0.2])),
+}
+
+
+@pytest.mark.parametrize("refusal", _REFUSALS.values(), ids=_REFUSALS)
+def test_argument_refusals_are_argument_errors(refusal):
+    with pytest.raises(InvalidArgumentError):
+        refusal()
 
 
 class TestLevelFunction:

@@ -31,7 +31,6 @@ from maxhit import (
 )
 from maxhit.generators import (
     atom_index, draw_uniforms, path_basis, path_maxima, sample_paths, shape_blocks,
-    shape_table,
 )
 from maxhit.streams import block_streams
 
@@ -174,13 +173,12 @@ class TestShapeTable:
         ids=str,
     )
     def test_rows_are_table_rows(self, spec, shapes, grid101):
-        table = shape_table(spec, grid101.points)
+        table = path_basis(spec, grid101.points)
         assert table.shape == (shapes, 101)
         u = draw_uniforms(spec, np.random.default_rng(5), 4000)
         k = atom_index(spec, u)
         assert sorted(set(k.tolist())) == list(range(shapes))
-        basis = path_basis(spec, grid101.points)
-        assert np.array_equal(sample_paths(spec, basis, u), table[k])
+        assert np.array_equal(sample_paths(spec, table, u), table[k])
 
     def test_nonlinear_endpoints_are_the_atoms(self, grid101):
         # the class docstring's Z_0 and Z_1 for (Y, Yt) = (1, 1), (1, 0),
@@ -193,7 +191,7 @@ class TestShapeTable:
             for y in (1, 0)
             for yt in (1, 0)
         ]
-        table = shape_table(spec, grid101.points)
+        table = path_basis(spec, grid101.points)
         assert list(zip(table[:, 0].tolist(), table[:, -1].tolist())) == atoms
 
     @pytest.mark.parametrize("spec", ATOM_SPECS, ids=repr)
@@ -211,7 +209,8 @@ class TestShapeTable:
 
     def test_sine_bump_has_no_shapes(self, grid101):
         spec = SineBump(amp=0.5)
-        assert shape_table(spec, grid101.points) is None
+        sin_row = np.sin(2.0 * np.pi * grid101.points)[None, :]
+        assert np.array_equal(path_basis(spec, grid101.points), sin_row)
         assert atom_index(spec, np.zeros((3, 1))) is None
 
 

@@ -28,8 +28,8 @@ from maxhit import (
     msp_path_blocks,
     stopping_exactness_violations,
 )
-from maxhit import generators, msp
-from maxhit.generators import path_basis, sample_paths, shape_table
+from maxhit import msp
+from maxhit.generators import path_basis, sample_paths
 from maxhit.msp import ks_distance_neg_exponential
 from maxhit.streams import BLOCK_SIZE, block_streams
 
@@ -131,9 +131,9 @@ class TestGeneratorBound:
                             np.random.default_rng(13).random((50, 1))])
         for points in [*range(2, 401), 1001, 4097]:
             t = make_grid(points).points
-            rows = shape_table(any_spec, t)
-            if rows is None:
-                rows = sample_paths(any_spec, path_basis(any_spec, t), u)
+            rows = path_basis(any_spec, t)
+            if any_spec.atoms() is None:
+                rows = sample_paths(any_spec, rows, u)
             assert rows.max() <= bound, points
 
 
@@ -183,7 +183,7 @@ def test_corpus_equals_dense_arrival_loop(spec, points):
 
 @pytest.mark.parametrize("spec", CATALOGUE, ids=repr)
 def test_shape_table_built_once_per_call(spec, monkeypatch):
-    # one table serves every round of both blocks
+    # one basis serves every round of both blocks
     tables, rounds = [], []
 
     def counted(fn, log):
@@ -192,9 +192,7 @@ def test_shape_table_built_once_per_call(spec, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(
-        generators, "shape_table", counted(generators.shape_table, tables)
-    )
+    monkeypatch.setattr(msp, "path_basis", counted(msp.path_basis, tables))
     monkeypatch.setattr(msp, "draw_uniforms", counted(msp.draw_uniforms, rounds))
     blocks = list(msp_path_blocks(spec, make_grid(101), 4097, 32))
     assert len(blocks) == 2 and len(rounds) > 2
@@ -275,6 +273,16 @@ def test_stopping_exactness_runs_the_shipped_first_round(monkeypatch):
     monkeypatch.setattr(msp, "_first_round", counted)
     assert stopping_exactness_violations(TwoBranch(), make_grid(11), 4097, 38, 5) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec", [TwoBranch(), CompleteDependence()], ids=repr)
+@pytest.mark.parametrize("seed", [1, 8, 15])
+def test_stopping_exactness_catches_a_bound_below_sup_z(spec, seed, monkeypatch):
+    # with C at 0.9 sup Z the loop stops paths that later arrivals still
+    # raise, and continuing every path from C / min xi finds some of them
+    bound = generator_bound(spec)
+    monkeypatch.setattr(msp, "generator_bound", lambda _: 0.9 * bound)
+    assert stopping_exactness_violations(spec, make_grid(101), 300, seed, extra=50) > 0
 
 
 class TestSampleMsp:
