@@ -41,7 +41,6 @@ from .generators import (
     generator_moments,
     generator_to_json,
     sup_equals_max_rate,
-    validate_spec,
 )
 from .hitting import (
     HittingCurve,
@@ -133,6 +132,5 @@ __all__ = [
     "survivor_lower_bound",
     "takahashi_check",
     "two_hit_prob",
-    "validate_spec",
     "wilson_interval",
 ]

@@ -43,7 +43,7 @@ from .dnorm import LevelFunction, dnorm_estimate
 from .errors import BoundTooLooseError, InvalidArgumentError, InvalidSpecError
 from .generators import GeneratorSpec, generator_from_json
 from .hitting import hitting_curve, multi_hit_prob, two_hit_prob
-from .msp import DEFAULT_MAX_POINTS, msp_corpus
+from .msp import msp_corpus
 from .paths import Interval, TimeGrid, make_grid
 from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, check_ids, run_checks
 
@@ -163,7 +163,7 @@ def _write_json(out: str | None, doc: dict) -> None:
 def _simulate(ns: argparse.Namespace) -> int:
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
-    paths = msp_corpus(spec, grid, ns.paths, ns.seed, max_points=ns.max_points)
+    paths = msp_corpus(spec, grid, ns.paths, ns.seed)
     if not (np.isfinite(grid.points).all() and np.isfinite(paths).all()):
         raise FloatingPointError("result is not finite")
     # "%.17g" % x is the conversion format(x, ".17g") makes in _fmt; one
@@ -263,7 +263,6 @@ _SHARED_FLAGS = {
 _COMMANDS = {
     "simulate": (_simulate, "write simulated paths as CSV", {
         "--paths": dict(type=int, default=1, help="number of paths"),
-        "--max-points": dict(type=int, default=DEFAULT_MAX_POINTS),
     }),
     "dnorm": (_dnorm, "estimate the D-norm of a level function", {
         "--level-function": dict(help="level function JSON file"),

@@ -16,8 +16,9 @@ class InvalidArgumentError(MaxhitError, ValueError):
 class InvalidSpecError(InvalidArgumentError):
     """A generator specification violates one or more parameter constraints.
 
-    ``violations`` lists each broken constraint by name, e.g.
-    ``"c < (a-b)/(a-1) violated"``.
+    Raised when such a spec is constructed, and when a generator document
+    cannot describe one. ``violations`` lists each broken constraint by
+    name, e.g. ``"c < (a-b)/(a-1) violated"``.
     """
 
     def __init__(self, violations: list[str]):
@@ -26,8 +27,8 @@ class InvalidSpecError(InvalidArgumentError):
 
 
 class BoundTooLooseError(MaxhitError, RuntimeError):
-    """The spectral sampler hit ``max_points`` arrivals before its stopping
-    rule fired.
+    """The spectral sampler drew ``msp.MAX_ARRIVALS`` arrivals for a block
+    before its stopping rule fired.
 
     ``deficit`` is how far the rule still was from firing (the current
     envelope ``C / gamma`` minus the running grid minimum); ``arrivals`` is
@@ -39,8 +40,7 @@ class BoundTooLooseError(MaxhitError, RuntimeError):
         self.arrivals = int(arrivals)
         super().__init__(
             f"stopping rule not met within {arrivals} arrivals "
-            f"(deficit {deficit:.3e}); the generator bound is too loose "
-            "or max_points is too small"
+            f"(deficit {deficit:.3e}); the generator bound is too loose"
         )
 
 

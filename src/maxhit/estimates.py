@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -58,9 +60,9 @@ class Estimate:
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgumentError("n must be >= 1")
     if not 0 <= successes <= n:
-        raise ValueError(f"successes {successes} outside [0, {n}]")
+        raise InvalidArgumentError(f"successes {successes} outside [0, {n}]")
     z = Z95
     phat = successes / n
     denom = 1.0 + z * z / n
@@ -94,7 +96,7 @@ def mean_estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
     identical) cancellation can leave a tiny negative residual.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgumentError("n must be >= 1")
     mean = total / n
     var = max(0.0, total_sq / n - mean * mean)
     se = math.sqrt(var / n)

@@ -21,6 +21,10 @@ SineBump                Z = 1 + sin(2*pi*t) W with W uniform on
                         multiple-hit checks. E sup Z = 1 + amp/4.
 ======================  ====================================================
 
+A spec is valid from the moment it exists: the constructor of each
+parametrized variant raises ``InvalidSpecError`` listing every constraint
+its parameters violate, so no library function checks a spec again.
+
 Atom tables: every generator but SineBump is a finite mixture of K fixed
 piecewise-linear shapes z_k, and ``spec.atoms()`` describes it as data
 (``Atoms``): the knot times, each shape's values at the knots, and one
@@ -67,6 +71,7 @@ full, with index ``slice(None)``.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import starmap
@@ -134,11 +139,11 @@ class PiecewiseExample:
     a: float
     b: float
 
-    def violations(self) -> list[str]:
+    def __post_init__(self):
         out = []
         # bool subclasses int, but True is not a valid n
-        if not (isinstance(self.n, int) and not isinstance(self.n, bool)
-                and self.n >= 1):
+        integer = isinstance(self.n, int) and not isinstance(self.n, bool)
+        if not (integer and self.n >= 1):
             out.append("integer n >= 1 violated")
         if not 0.0 < self.a:
             out.append("0 < a violated")
@@ -146,7 +151,11 @@ class PiecewiseExample:
             out.append("a < b violated")
         if not self.b < 1.0:
             out.append("b < 1 violated")
-        return out
+        # the atom table holds float(n)
+        if integer and not self.n <= sys.float_info.max:
+            out.append("n <= max float violated")
+        if out:
+            raise InvalidSpecError(out)
 
     def atoms(self) -> Atoms:
         levels = (1.0 / self.n, float(self.n))
@@ -179,13 +188,11 @@ class NonlinearExample:
     d: float
     e: float
 
-    def violations(self) -> list[str]:
-        out = []
-        for name in ("a", "b", "c", "d", "e"):
-            if not getattr(self, name) > 0.0:
-                out.append(f"{name} > 0 violated")
+    def __post_init__(self):
+        out = [f"{name} > 0 violated" for name in ("a", "b", "c", "d", "e")
+               if not getattr(self, name) > 0.0]
         if out:
-            return out
+            raise InvalidSpecError(out)
         a, b, c, d, e = self.a, self.b, self.c, self.d, self.e
         if not 1.0 < a:
             out.append("1 < a violated")
@@ -196,11 +203,17 @@ class NonlinearExample:
         if 1.0 < a and not c < (a - b) / (a - 1.0):
             out.append("c < (a-b)/(a-1) violated")
         if not out:
-            if not (a - b) / (a - b - c * (a - 1.0)) < d:
+            # positive in exact arithmetic; a rounded 0 puts d's bound at inf
+            gap = a - b - c * (a - 1.0)
+            if not (gap > 0.0 and (a - b) / gap < d):
                 out.append("(a-b)/(a-b-c(a-1)) < d violated")
         if not e < 1.0:
             out.append("e < 1 violated")
-        return out
+        # an infinite d puts inf in the atom table and in generator_bound
+        if d == math.inf:
+            out.append("d < inf violated")
+        if out:
+            raise InvalidSpecError(out)
 
     @property
     def p(self) -> float:
@@ -254,10 +267,9 @@ class SineBump:
 
     amp: float
 
-    def violations(self) -> list[str]:
+    def __post_init__(self):
         if not 0.0 < self.amp < 1.0:
-            return ["0 < amp < 1 violated"]
-        return []
+            raise InvalidSpecError(["0 < amp < 1 violated"])
 
     def atoms(self) -> None:
         """None: W is continuous, so there is no finite atom table."""
@@ -269,17 +281,6 @@ GeneratorSpec = Union[
 ]
 
 
-def validate_spec(spec: GeneratorSpec) -> None:
-    """Raise ``InvalidSpecError`` listing every violated constraint."""
-    if not isinstance(spec, GeneratorSpec.__args__):
-        raise InvalidSpecError([f"unknown generator type {type(spec).__name__}"])
-    if isinstance(spec, (CompleteDependence, TwoBranch)):
-        return
-    violations = spec.violations()
-    if violations:
-        raise InvalidSpecError(violations)
-
-
 def generator_bound(spec: GeneratorSpec) -> float:
     """A constant C with sup Z <= C almost surely.
 
@@ -287,7 +288,6 @@ def generator_bound(spec: GeneratorSpec) -> float:
     Looser is slower but still exact; SineBump uses 1 + amp even though
     1 + amp/2 would do.
     """
-    validate_spec(spec)
     atoms = spec.atoms()
     if atoms is None:
         return 1.0 + spec.amp
@@ -434,7 +434,6 @@ def shape_blocks(
     bit, because the elementwise products are the same floats and a max or
     min does not round. ``estimates.per_path`` does that gather.
     """
-    validate_spec(spec)
     basis = path_basis(spec, grid.points)
     for count, rng in block_streams(seed, n):
         u = draw_uniforms(spec, rng, count)
@@ -560,7 +559,8 @@ def generator_to_json(spec: GeneratorSpec) -> dict:
 
 
 def generator_from_json(doc: dict) -> GeneratorSpec:
-    """Parse and validate a generator document."""
+    """The spec a generator document describes; its constructor refuses
+    parameters that violate the variant's constraints."""
     if not isinstance(doc, dict) or "variant" not in doc:
         raise InvalidSpecError(['generator document needs a "variant" field'])
     tag = doc["variant"]
@@ -579,9 +579,7 @@ def generator_from_json(doc: dict) -> GeneratorSpec:
     missing = sorted(set(types) - set(params))
     if missing:
         raise InvalidSpecError([f"missing parameter {p!r} for {tag}" for p in missing])
-    spec = cls(**{k: _coerce(tag, k, v, types[k]) for k, v in params.items()})
-    validate_spec(spec)
-    return spec
+    return cls(**{k: _coerce(tag, k, v, types[k]) for k, v in params.items()})
 
 
 def _coerce(tag: str, name: str, value, kind: type) -> float | int:

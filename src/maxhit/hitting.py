@@ -40,14 +40,14 @@ def hitting_bound(m: float, m_tilde: float, x: float) -> float:
     Requires 0 <= m~ <= 1 <= m (the complete-dependence corner m = m~ = 1
     is allowed and gives 0). Clipped at zero.
     """
-    if m < m_tilde:
-        raise ValueError(f"need m >= m_tilde, got m={m}, m_tilde={m_tilde}")
+    if not m >= m_tilde:
+        raise InvalidArgumentError(f"need m >= m_tilde, got m={m}, m_tilde={m_tilde}")
     if not 0.0 <= m_tilde <= 1.0:
-        raise ValueError(f"m_tilde must lie in [0, 1], got {m_tilde}")
-    if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise InvalidArgumentError(f"m_tilde must lie in [0, 1], got {m_tilde}")
+    if not m >= 1.0:
+        raise InvalidArgumentError(f"m must be >= 1, got {m}")
     if not -math.inf < x <= 0.0:
-        raise ValueError(f"level must be finite and <= 0, got {x}")
+        raise InvalidArgumentError(f"level must be finite and <= 0, got {x}")
     return max(0.0, math.exp(x * m_tilde) - math.exp(x * m))
 
 
@@ -171,9 +171,9 @@ def hitting_integral(
     and callers need model-specific tails).
     """
     if curve.levels.size < 3:
-        raise ValueError("need at least 3 levels to integrate")
-    if m_tilde < 0.0:
-        raise ValueError(f"m_tilde must be >= 0, got {m_tilde}")
+        raise InvalidArgumentError("need at least 3 levels to integrate")
+    if not m_tilde >= 0.0:
+        raise InvalidArgumentError(f"m_tilde must be >= 0, got {m_tilde}")
     xs = np.append(curve.levels[::-1], 0.0)
     hs = np.append([e.value for e in curve.estimates][::-1], 0.0)
     integral = float(np.sum(0.5 * (hs[1:] + hs[:-1]) * np.diff(xs)))

@@ -61,7 +61,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .dnorm import LevelFunction
-from .errors import BoundTooLooseError, InvalidArgumentError
+from .errors import BoundTooLooseError
 from .estimates import Estimate, binomial_estimate, count_events, stack_blocks
 from .generators import (
     GeneratorSpec,
@@ -71,12 +71,13 @@ from .generators import (
     path_basis,
     path_maxima,
     sample_paths,
-    validate_spec,
 )
 from .paths import SubGrid, TimeGrid
 from .streams import Seed, block_streams
 
-DEFAULT_MAX_POINTS = 10**6
+#: Arrivals a block may draw before its stopping rule must have fired;
+#: past it the sampler raises ``BoundTooLooseError``.
+MAX_ARRIVALS = 10**6
 #: Bytes of xi an arrival round builds, divides and merges at a time (at
 #: least one row), so that a tile's passes stay in cache.
 _TILE_BYTES = 1 << 18
@@ -183,18 +184,18 @@ def _spectral_block(
     basis: np.ndarray,
     rng: np.random.Generator,
     xi: np.ndarray,
-    max_points: int,
 ) -> np.ndarray:
     """Fill ``xi``, of shape (count, len(grid)), with one block of replicas
     and return it; its prior contents are overwritten by round one.
 
-    Rows leave the live set the round their stopping rule fires.
+    Rows leave the live set the round their stopping rule fires; a block
+    still live after ``MAX_ARRIVALS`` arrivals raises ``BoundTooLooseError``.
     """
     bound = generator_bound(spec)
     live = _Live(xi.shape[0])
     arrivals = 0
     while live.rows.size:
-        if arrivals >= max_points:
+        if arrivals >= MAX_ARRIVALS:
             deficit = float((bound / live.gamma - live.lo).max())
             raise BoundTooLooseError(deficit=deficit, arrivals=arrivals)
         step = _arrival_round if arrivals else _first_round
@@ -210,7 +211,6 @@ def msp_path_blocks(
     grid: TimeGrid | SubGrid,
     n: int,
     seed: Seed,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> Iterator[np.ndarray]:
     """Stream blocks of eta paths as (block, len(grid)) arrays.
 
@@ -220,15 +220,12 @@ def msp_path_blocks(
     only until the next one is requested: reduce it before then, or copy
     what must be kept.
     """
-    validate_spec(spec)
-    if max_points < 1:
-        raise InvalidArgumentError(f"max_points must be >= 1, got {max_points}")
     basis = path_basis(spec, grid.points)
     buffer = None
     for count, rng in block_streams(seed, n):
         if buffer is None:  # the first block is the largest
             buffer = np.empty((count, basis.shape[1]))
-        xi = _spectral_block(spec, basis, rng, buffer[:count], max_points)
+        xi = _spectral_block(spec, basis, rng, buffer[:count])
         yield np.divide(-1.0, xi, out=xi)
 
 
@@ -237,11 +234,10 @@ def msp_corpus(
     grid: TimeGrid | SubGrid,
     n: int,
     seed: Seed,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> np.ndarray:
     """Materialize ``n`` eta paths as an (n, len(grid)) array; each block is
     copied in (``stack_blocks``) before the next overwrites the buffer."""
-    return stack_blocks(msp_path_blocks(spec, grid, n, seed, max_points), n)
+    return stack_blocks(msp_path_blocks(spec, grid, n, seed), n)
 
 
 def joint_cdf_estimates(
@@ -300,13 +296,12 @@ def stopping_exactness_violations(
     unless C falls below sup Z. Draws the skip rules leave unbuilt (see
     the module docstring) cannot show up here.
     """
-    validate_spec(spec)
     bound = generator_bound(spec)
     basis = path_basis(spec, grid.points)
     violations = 0
     for count, rng in block_streams(seed, n):
         xi = np.empty((count, len(grid)))
-        _spectral_block(spec, basis, rng, xi, DEFAULT_MAX_POINTS)
+        _spectral_block(spec, basis, rng, xi)
         shipped = xi.copy()
         live = _Live(count)
         live.lo = xi.min(axis=1)

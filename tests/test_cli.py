@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from maxhit import (CompleteDependence, Interval, LevelFunction, TwoBranch, cli,
-                    dnorm_estimate, errors, hitting_curve, make_grid, msp_corpus,
+                    dnorm_estimate, errors, hitting_curve, make_grid, msp, msp_corpus,
                     multi_hit_prob, two_hit_prob, verify)
 from maxhit.cli import UsageError, _build_parser, main, parse_invocation
 from maxhit.errors import InvalidArgumentError
@@ -146,7 +146,7 @@ class TestDispatch:
 
     def test_simulate_non_finite_path_exits_1(self, two_branch_json, tmp_path,
                                               capsys, monkeypatch):
-        def one_nan(spec, grid, n, seed, max_points):
+        def one_nan(spec, grid, n, seed):
             paths = np.full((n, len(grid)), -1.0)
             paths[n - 1, 3] = math.nan
             return paths
@@ -389,14 +389,11 @@ class TestDispatch:
                                       g, 100, 0)),
             (["simulate", "--paths", "0"],
              lambda g: msp_corpus(TwoBranch(), g, 0, 0)),
-            (["simulate", "--paths", "10", "--max-points", "0"],
-             lambda g: msp_corpus(TwoBranch(), g, 10, 0, max_points=0)),
             (["dnorm", "--level-function", "CONSTANT", "--n", "1"],
              lambda g: dnorm_estimate(TwoBranch(), LevelFunction.constant(g, -1.0),
                                       1, 0)),
         ],
-        ids=["level", "interval", "split", "overlap", "paths-0", "max-points-0",
-             "dnorm-n-1"],
+        ids=["level", "interval", "split", "overlap", "paths-0", "dnorm-n-1"],
     )
     def test_refusal_is_the_library_message(self, argv, library_call,
                                             two_branch_json, tmp_path, capsys):
@@ -446,14 +443,22 @@ class TestDispatch:
         assert code == 2
         assert "whole number" in capsys.readouterr().err
 
-    def test_bound_too_loose_exit_code(self, two_branch_json, tmp_path, capsys):
+    def test_bound_too_loose_exit_code(self, two_branch_json, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setattr(msp, "MAX_ARRIVALS", 1)
         code = main([
             "simulate", "--generator", two_branch_json, "--paths", "1",
-            "--grid", "101", "--seed", "9", "--max-points", "1",
-            "--out", str(tmp_path / "x.csv"),
+            "--grid", "101", "--seed", "9", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 1
         assert "stopping rule" in capsys.readouterr().err
+
+    def test_max_points_is_not_an_option(self, two_branch_json, capsys):
+        # the arrival cap is msp.MAX_ARRIVALS, not a flag
+        code = main(["simulate", "--generator", two_branch_json, "--grid", "11",
+                     "--max-points", "5"])
+        assert code == 2
+        assert "unrecognized arguments: --max-points 5" in capsys.readouterr().err
 
 
 # --- exit codes per error class ----------------------------------------------
@@ -576,7 +581,7 @@ def _value(flag: str, files: dict[str, list[str]]):
                        .map(",".join))
     return {"--grid": _ints(-1, 1001, 2, 3, 11, 101, 201),
             "--n": _ints(-1, 64, 1, 2, 5), "--seed": _ints(-3, 2**70, 0),
-            "--paths": _ints(-1, 50, 1), "--max-points": _ints(-1, 5, 10**6),
+            "--paths": _ints(-1, 50, 1),
             "--threads": st.sampled_from(["-1", "0", "1", "2"])}[flag]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxhit import Estimate, binomial_estimate, rule_of_three, wilson_interval
+from maxhit.errors import InvalidArgumentError
 from maxhit.estimates import (
     RunningMean,
     count_events,
@@ -33,6 +34,15 @@ class TestWilson:
             wilson_interval(5, 3)
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize(
+        "successes, n, needle",
+        [(5, 3, "successes 5 outside"), (-1, 3, "successes -1 outside"),
+         (0, 0, "n must be >= 1")],
+    )
+    def test_refusals_are_argument_errors(self, successes, n, needle):
+        with pytest.raises(InvalidArgumentError, match=needle):
+            wilson_interval(successes, n)
 
 
 class TestBinomialEstimate:
@@ -72,6 +82,10 @@ class TestEstimate:
 
 
 class TestMeanEstimate:
+    def test_empty_sample_is_an_argument_error(self):
+        with pytest.raises(InvalidArgumentError, match="n must be >= 1"):
+            mean_estimate_from_sums(0.0, 0.0, 0)
+
     def test_degenerate_sample_has_small_se(self):
         # cancellation in sumsq/n - mean^2 leaves float noise, nothing more
         vals = np.full(1000, 0.1)

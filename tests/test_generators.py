@@ -1,4 +1,5 @@
 import tracemalloc
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from maxhit import (
     generator_to_json,
     make_grid,
     sup_equals_max_rate,
-    validate_spec,
 )
 from maxhit.generators import (
     atom_index, draw_uniforms, path_basis, path_maxima, sample_paths, shape_blocks,
@@ -44,33 +44,33 @@ ATOM_SPECS = [
 
 
 class TestValidateSpec:
+    """Each spec constructor refuses parameters that violate a constraint."""
+
     def test_nonlinear_defaults_ok(self):
         # thresholds for these parameters: c < (a-b)/(a-1) = 1.5 and
         # d > (a-b)/(a-b-c(a-1)) = 6
-        validate_spec(NonlinearExample(a=2, b=0.5, c=1.25, d=7, e=0.5))
+        NonlinearExample(a=2, b=0.5, c=1.25, d=7, e=0.5)
 
     def test_nonlinear_c_too_large(self):
         with pytest.raises(InvalidSpecError, match=r"c < \(a-b\)/\(a-1\) violated"):
-            validate_spec(NonlinearExample(a=2, b=0.5, c=1.6, d=7, e=0.5))
+            NonlinearExample(a=2, b=0.5, c=1.6, d=7, e=0.5)
 
     def test_nonlinear_c_boundary_rejected(self):
         with pytest.raises(InvalidSpecError):
-            validate_spec(NonlinearExample(a=2, b=0.5, c=1.5, d=7, e=0.5))
+            NonlinearExample(a=2, b=0.5, c=1.5, d=7, e=0.5)
 
     def test_nonlinear_d_too_small(self):
         with pytest.raises(InvalidSpecError, match="< d violated"):
-            validate_spec(NonlinearExample(a=2, b=0.5, c=1.25, d=6, e=0.5))
+            NonlinearExample(a=2, b=0.5, c=1.25, d=6, e=0.5)
 
     def test_nonlinear_several_violations_listed(self):
         with pytest.raises(InvalidSpecError) as err:
-            validate_spec(NonlinearExample(a=0.9, b=1.2, c=0.8, d=7, e=1.5))
-        msgs = err.value.violations
-        assert any("1 < a" in m for m in msgs)
-        assert any("b < 1" in m for m in msgs)
-        assert any("e < 1" in m for m in msgs)
+            NonlinearExample(a=0.9, b=1.2, c=0.8, d=7, e=1.5)
+        assert err.value.violations == [
+            "1 < a violated", "b < 1 violated", "1 < c violated", "e < 1 violated"]
 
     def test_piecewise_ok(self):
-        validate_spec(PiecewiseExample(n=2, a=0.25, b=0.75))
+        PiecewiseExample(n=2, a=0.25, b=0.75)
 
     @pytest.mark.parametrize(
         "kwargs,needle",
@@ -84,16 +84,51 @@ class TestValidateSpec:
     )
     def test_piecewise_violations(self, kwargs, needle):
         with pytest.raises(InvalidSpecError, match=needle):
-            validate_spec(PiecewiseExample(**kwargs))
+            PiecewiseExample(**kwargs)
 
     @pytest.mark.parametrize("amp", [0.0, 1.0, -0.3, 2.0])
     def test_sine_bump_amp_range(self, amp):
         with pytest.raises(InvalidSpecError):
-            validate_spec(SineBump(amp=amp))
+            SineBump(amp=amp)
 
     def test_parameterless_variants_always_valid(self):
-        validate_spec(CompleteDependence())
-        validate_spec(TwoBranch())
+        CompleteDependence()
+        TwoBranch()
+
+    @pytest.mark.parametrize(
+        "make, violations",
+        [
+            # each was constructible before the constructors checked, and
+            # closed_form_m gave 2.25, gave 1.556 or divided by zero
+            (lambda: SineBump(amp=5.0), ["0 < amp < 1 violated"]),
+            (lambda: PiecewiseExample(n=2, a=0.9, b=0.1), ["a < b violated"]),
+            (lambda: PiecewiseExample(n=0, a=0.25, b=0.75),
+             ["integer n >= 1 violated"]),
+            (lambda: NonlinearExample(a=1.0, b=1.0, c=1.25, d=7.0, e=0.5),
+             ["1 < a violated", "b < 1 violated"]),
+            # valid parameter types whose paths or atom table do not exist
+            (lambda: NonlinearExample(**{**NONLINEAR_DEFAULTS, "d": float("inf")}),
+             ["d < inf violated"]),
+            (lambda: PiecewiseExample(n=2**1024, a=0.25, b=0.75),
+             ["n <= max float violated"]),
+        ],
+        ids=["sine-amp-5", "piecewise-a-above-b", "piecewise-n-0", "nonlinear-a-1",
+             "nonlinear-d-inf", "piecewise-n-huge"],
+    )
+    def test_invalid_spec_cannot_be_constructed(self, make, violations):
+        with pytest.raises(InvalidSpecError) as err:
+            make()
+        assert err.value.violations == violations
+
+    def test_rounded_d_threshold_is_refused(self):
+        # c sits one ulp below (a-b)/(a-1), so a-b-c(a-1) rounds to 0 and
+        # no finite d clears the threshold (this divided by zero before)
+        a, b = 2.486305261275823, 0.4494910647887381
+        c = np.nextafter((a - b) / (a - 1.0), 0.0)
+        assert a - b - c * (a - 1.0) == 0.0
+        with pytest.raises(InvalidSpecError) as err:
+            NonlinearExample(a=a, b=b, c=float(c), d=1e300, e=0.5)
+        assert err.value.violations == ["(a-b)/(a-b-c(a-1)) < d violated"]
 
 
 class TestSamplePaths:
@@ -470,3 +505,28 @@ def test_document_loads_exactly_or_is_invalid(data, template):
         got = getattr(spec, name)
         assert got == value
         assert type(got) is type(getattr(template, name))
+
+
+_typed_values = {
+    int: st.one_of(st.integers(min_value=-3, max_value=60), st.integers(),
+                   st.integers(min_value=2**1020)),
+    float: st.one_of(st.floats(min_value=0.0, max_value=8.0), st.floats()),
+}
+
+
+@given(data=st.data(),
+       template=st.sampled_from([s for s in CATALOGUE if get_type_hints(type(s))]))
+@settings(max_examples=400, deadline=None)
+def test_spec_is_invalid_or_round_trips(data, template):
+    # any parameters of the fields' types either fail to construct a spec
+    # or give one whose document loads back as the same spec
+    kind = type(template)
+    # keeping some of the template's values makes valid specs common
+    params = {name: data.draw(st.one_of(st.just(getattr(template, name)),
+                                        _typed_values[t]), label=name)
+              for name, t in get_type_hints(kind).items()}
+    try:
+        spec = kind(**params)
+    except InvalidSpecError:
+        return
+    assert generator_from_json(generator_to_json(spec)) == spec

@@ -63,6 +63,23 @@ class TestHittingBound:
         with pytest.raises(ValueError):
             hitting_bound(2.0, 1.5, -1.0)
 
+    @pytest.mark.parametrize(
+        "m, m_tilde, x, needle",
+        [
+            (0.9, 1.0, -1.0, "need m >= m_tilde"),
+            (math.nan, 0.5, -1.0, "need m >= m_tilde"),
+            (2.0, 1.5, -1.0, "m_tilde must lie in"),
+            (2.0, math.nan, -1.0, "need m >= m_tilde"),
+            (0.99, 0.5, -1.0, "m must be >= 1"),
+            (2.0, 0.5, 0.5, "level must be finite"),
+            (2.0, 0.5, math.nan, "level must be finite"),
+        ],
+    )
+    def test_refusals_are_argument_errors(self, m, m_tilde, x, needle):
+        # a NaN constant is refused, not turned into a bound of 0
+        with pytest.raises(InvalidArgumentError, match=needle):
+            hitting_bound(m, m_tilde, x)
+
 
 class TestHittingProb:
     def test_complete_dependence_never_hits(self, grid101):
@@ -222,6 +239,19 @@ class TestHittingIntegral:
         curve = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
         with pytest.raises(ValueError):
             hitting_integral(curve, m_tilde=-0.1)
+
+    @pytest.mark.parametrize(
+        "levels, m_tilde, needle",
+        [
+            ([-1.0, -2.0], 0.5, "3 levels"),
+            ([-1.0, -2.0, -3.0], -0.1, "m_tilde must be >= 0"),
+            ([-1.0, -2.0, -3.0], math.nan, "m_tilde must be >= 0"),
+        ],
+    )
+    def test_refusals_are_argument_errors(self, levels, m_tilde, needle):
+        curve = self.synthetic_curve(levels, [0.4, 0.2, 0.1][:len(levels)])
+        with pytest.raises(InvalidArgumentError, match=needle):
+            hitting_integral(curve, m_tilde=m_tilde)
 
 
 #: Each event estimator on 100 TwoBranch paths at level x0 on a grid.

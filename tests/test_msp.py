@@ -312,17 +312,14 @@ class TestSampleMsp:
         se = math.sqrt(target * (1 - target) / 20_000)
         assert abs(freq - target) <= 3 * se + 0.005
 
-    def test_bound_too_loose_raises(self, grid101):
+    def test_bound_too_loose_raises(self, grid101, monkeypatch):
         # a two-branch path needs at least two arrivals: one branch alone
         # leaves a zero at an endpoint
+        monkeypatch.setattr(msp, "MAX_ARRIVALS", 1)
         with pytest.raises(BoundTooLooseError) as err:
-            msp_corpus(TwoBranch(), grid101, 10, 0, max_points=1)
+            msp_corpus(TwoBranch(), grid101, 10, 0)
         assert err.value.arrivals == 1
         assert err.value.deficit > 0
-
-    def test_max_points_validation(self, grid101):
-        with pytest.raises(ValueError, match="max_points must be >= 1, got 0"):
-            msp_corpus(TwoBranch(), grid101, 10, 0, max_points=0)
 
 
 class TestJointCdf:

@@ -1,0 +1,70 @@
+"""Smoke test of the benchmark's tracer (``perfbench/tracing.py``).
+
+The tracer finds the functions it counts by name (``sample_paths``,
+``block_streams``, ``run_checks``), so renaming one would silently zero its
+per-layer counters; this test runs two small CLI calls under a ``Tracer``
+and asserts the counters are positive and every binding is restored.
+"""
+
+import importlib.util
+import inspect
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import maxhit.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def _bindings():
+    """Every function bound in a ``maxhit`` module, by (module, name)."""
+    return {
+        (modname, name): obj
+        for modname, mod in list(sys.modules.items())
+        if modname == "maxhit" or modname.startswith("maxhit.")
+        for name, obj in vars(mod).items()
+        if inspect.isfunction(obj)
+    }
+
+
+def test_tracer_counts_layers_and_restores_bindings(tracing, tmp_path, capsys):
+    generator = tmp_path / "g.json"
+    generator.write_text(json.dumps({"variant": "two_branch", "params": {}}))
+    level = tmp_path / "f.json"
+    level.write_text(json.dumps({"shape": "constant", "level": -1.0}))
+    common = ["--generator", str(generator), "--grid", "101", "--n", "500",
+              "--seed", "3"]
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert maxhit.cli.main is not before[("maxhit.cli", "main")]
+        # looked up per call: install() rebinds maxhit.cli.main
+        assert maxhit.cli.main(["hitting", "--x", "-1", *common]) == 0
+        assert maxhit.cli.main(["dnorm", "--level-function", str(level),
+                                *common]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    summary = tracer.summary()
+    for counter in ("msp.rounds", "generators.rows", "streams.blocks"):
+        assert summary[counter] > 0, counter
+    after = _bindings()
+    assert after.keys() == before.keys()
+    moved = [key for key, obj in after.items() if obj is not before[key]]
+    assert moved == []
