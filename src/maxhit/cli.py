@@ -21,8 +21,7 @@ All randomness flows from --seed; two identical invocations produce
 byte-identical output files (the verify report carries a timestamp unless
 --no-timestamp is given). Numeric output uses 17 significant digits so
 files round-trip through float parsing exactly; a non-finite result is
-refused, never printed. The environment variable MSHIT_DEFAULT_N overrides
-the default replication count of 100000.
+refused, never printed.
 
 Exit codes: 0 success, 1 runtime failure (a failed check, a too-loose
 simulation bound, a non-finite result, an I/O error), 2 usage error.
@@ -33,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -46,8 +44,6 @@ from .hitting import hitting_curve, multi_hit_prob, two_hit_prob
 from .msp import msp_corpus
 from .paths import Interval, TimeGrid, make_grid
 from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, check_ids, run_checks
-
-ENV_DEFAULT_N = "MSHIT_DEFAULT_N"
 
 
 class UsageError(InvalidArgumentError):
@@ -254,7 +250,7 @@ _SHARED_FLAGS = {
     "--grid": dict(type=int, default=DEFAULT_GRID_POINTS,
                    help="grid points (default 1001)"),
     "--seed": dict(type=int, default=0, help="master seed"),
-    "--n": dict(type=int, help=f"replications (default 100000 or ${ENV_DEFAULT_N})"),
+    "--n": dict(type=int, help="replications (default 100000)"),
     "--out": dict(help="output file (default stdout)"),
 }
 
@@ -323,14 +319,8 @@ def parse_invocation(argv: list[str]) -> argparse.Namespace:
         raise UsageError("invalid arguments (see usage above)") from None
     if ns.command is None:
         raise UsageError(f"a subcommand is required ({' | '.join(_COMMANDS)})")
-    if ns.n is None:
-        raw = os.environ.get(ENV_DEFAULT_N, str(DEFAULT_N))
-        try:
-            ns.n = int(raw)
-        except ValueError:
-            raise UsageError(f"{ENV_DEFAULT_N} must be an integer, got {raw!r}")
-        if ns.n < 1:
-            raise UsageError(f"{ENV_DEFAULT_N} must be >= 1, got {ns.n}")
+    if ns.n is None:  # read at call time, not fixed in _SHARED_FLAGS
+        ns.n = DEFAULT_N
     if ns.n < 1:
         raise UsageError(f"--n must be >= 1, got {ns.n}")
     if ns.grid < 2:

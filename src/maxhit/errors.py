@@ -14,11 +14,11 @@ class InvalidArgumentError(MaxhitError, ValueError):
 
 
 class InvalidSpecError(InvalidArgumentError):
-    """A generator specification violates one or more parameter constraints.
+    """A generator spec holds a mistyped number or violates a constraint.
 
     Raised when such a spec is constructed, and when a generator document
-    cannot describe one. ``violations`` lists each broken constraint by
-    name, e.g. ``"c < (a-b)/(a-1) violated"``.
+    cannot describe one. ``violations`` lists each mistyped parameter
+    (``"'d' must be a finite float"``), or else each broken constraint.
     """
 
     def __init__(self, violations: list[str]):

@@ -21,9 +21,10 @@ SineBump                Z = 1 + sin(2*pi*t) W with W uniform on
                         multiple-hit checks. E sup Z = 1 + amp/4.
 ======================  ====================================================
 
-A spec is valid from the moment it exists: the constructor of each
-parametrized variant raises ``InvalidSpecError`` listing every constraint
-its parameters violate, so no library function checks a spec again.
+A spec is valid from the moment it exists, built in Python or from a
+document: its constructor stores each number as its field's type, then
+raises ``InvalidSpecError`` listing every mistyped parameter, or else
+every violated constraint, so no library function checks it again.
 
 Atom tables: every generator but SineBump is a finite mixture of K fixed
 piecewise-linear shapes z_k, and ``spec.atoms()`` describes it as data
@@ -71,12 +72,12 @@ full, with index ``slice(None)``.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import starmap
+from numbers import Integral, Real
 from operator import getitem
-from typing import Union, get_type_hints
+from typing import Union
 
 import numpy as np
 
@@ -90,6 +91,32 @@ from .streams import Seed, block_streams
 #: interpolation is evaluated pointwise, so interior grid values of a
 #: monotone segment can overshoot the endpoint by a few ulps.
 SUP_EQ_TOL = 1e-12
+
+
+def _store_numbers(spec) -> None:
+    """Store each field as the finite number of its type (int or float)
+    equal to the value passed and held exactly by a float, or raise
+    ``InvalidSpecError`` naming every field with none (not its value: the
+    repr of a huge int fails)."""
+    bad = []
+    for f in fields(spec):
+        value, kind = getattr(spec, f.name), int if f.type == "int" else float
+        ok = isinstance(value, Real) and not isinstance(value, bool)
+        if ok:
+            # a Python int meets a float exactly, a numpy int in float64
+            value = int(value) if isinstance(value, Integral) else value
+            try:
+                number = kind(value)
+                ok = number == value == float(number) and math.isfinite(number)
+            except (OverflowError, ValueError):  # int(nan), float(10**400)
+                ok = False
+        if ok:
+            object.__setattr__(spec, f.name, number)
+        else:
+            what = "a whole number" if kind is int else "a finite float"
+            bad.append(f"{f.name!r} must be {what}")
+    if bad:
+        raise InvalidSpecError(bad)
 
 
 @dataclass(frozen=True)
@@ -140,10 +167,9 @@ class PiecewiseExample:
     b: float
 
     def __post_init__(self):
+        _store_numbers(self)
         out = []
-        # bool subclasses int, but True is not a valid n
-        integer = isinstance(self.n, int) and not isinstance(self.n, bool)
-        if not (integer and self.n >= 1):
+        if not self.n >= 1:
             out.append("integer n >= 1 violated")
         if not 0.0 < self.a:
             out.append("0 < a violated")
@@ -151,9 +177,6 @@ class PiecewiseExample:
             out.append("a < b violated")
         if not self.b < 1.0:
             out.append("b < 1 violated")
-        # the atom table holds float(n)
-        if integer and not self.n <= sys.float_info.max:
-            out.append("n <= max float violated")
         if out:
             raise InvalidSpecError(out)
 
@@ -189,6 +212,7 @@ class NonlinearExample:
     e: float
 
     def __post_init__(self):
+        _store_numbers(self)
         out = [f"{name} > 0 violated" for name in ("a", "b", "c", "d", "e")
                if not getattr(self, name) > 0.0]
         if out:
@@ -209,9 +233,6 @@ class NonlinearExample:
                 out.append("(a-b)/(a-b-c(a-1)) < d violated")
         if not e < 1.0:
             out.append("e < 1 violated")
-        # an infinite d puts inf in the atom table and in generator_bound
-        if d == math.inf:
-            out.append("d < inf violated")
         if out:
             raise InvalidSpecError(out)
 
@@ -268,6 +289,7 @@ class SineBump:
     amp: float
 
     def __post_init__(self):
+        _store_numbers(self)
         if not 0.0 < self.amp < 1.0:
             raise InvalidSpecError(["0 < amp < 1 violated"])
 
@@ -560,7 +582,7 @@ def generator_to_json(spec: GeneratorSpec) -> dict:
 
 def generator_from_json(doc: dict) -> GeneratorSpec:
     """The spec a generator document describes; its constructor refuses
-    parameters that violate the variant's constraints."""
+    mistyped parameters and those that violate the variant's constraints."""
     if not isinstance(doc, dict) or "variant" not in doc:
         raise InvalidSpecError(['generator document needs a "variant" field'])
     tag = doc["variant"]
@@ -572,26 +594,11 @@ def generator_from_json(doc: dict) -> GeneratorSpec:
     params = doc.get("params", {}) or {}
     if not isinstance(params, dict):
         raise InvalidSpecError(['"params" must be an object'])
-    types = get_type_hints(cls)
-    unknown = sorted(set(params) - set(types))
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(params) - names)
     if unknown:
         raise InvalidSpecError([f"unknown parameter {p!r} for {tag}" for p in unknown])
-    missing = sorted(set(types) - set(params))
+    missing = sorted(names - set(params))
     if missing:
         raise InvalidSpecError([f"missing parameter {p!r} for {tag}" for p in missing])
-    return cls(**{k: _coerce(tag, k, v, types[k]) for k, v in params.items()})
-
-
-def _coerce(tag: str, name: str, value, kind: type) -> float | int:
-    """A JSON number as the field's type, held exactly and finite."""
-    exact = False
-    if type(value) in (int, float):
-        try:
-            number = kind(value)
-            exact = number == value and math.isfinite(number)
-        except (OverflowError, ValueError):
-            pass
-    if not exact:
-        what = "a whole number" if kind is int else "a finite float"
-        raise InvalidSpecError([f"{tag} parameter {name!r} must be {what}, got {value!r}"])
-    return number
+    return cls(**params)

@@ -78,6 +78,8 @@ from .streams import Seed, block_streams
 #: Arrivals a block may draw before its stopping rule must have fired;
 #: past it the sampler raises ``BoundTooLooseError``.
 MAX_ARRIVALS = 10**6
+#: Arrivals ``stopping_exactness_violations`` draws past each path's stop.
+EXTRA_ARRIVALS = 100
 #: Bytes of xi an arrival round builds, divides and merges at a time (at
 #: least one row), so that a tile's passes stay in cache.
 _TILE_BYTES = 1 << 18
@@ -282,7 +284,6 @@ def stopping_exactness_violations(
     grid: TimeGrid | SubGrid,
     n: int,
     seed: Seed,
-    extra: int = 100,
 ) -> int:
     """Count paths whose grid values change when arrivals continue past the
     stopping rule.
@@ -290,7 +291,7 @@ def stopping_exactness_violations(
     Each block is filled by the loop ``msp_path_blocks`` runs, then every
     path continues from Gamma = C / min xi, the earliest arrival time at
     which its rule C / Gamma < min xi holds (so at or before the time the
-    loop stopped it), for ``extra`` further arrivals drawn from the
+    loop stopped it), for ``EXTRA_ARRIVALS`` further arrivals drawn from the
     block's stream; xi is then compared bit-for-bit with the stopped
     block. The expected count is 0: past that time no arrival can raise xi
     unless C falls below sup Z. Draws the skip rules leave unbuilt (see
@@ -306,7 +307,7 @@ def stopping_exactness_violations(
         live = _Live(count)
         live.lo = xi.min(axis=1)
         live.gamma = bound / live.lo
-        for _ in range(extra):
+        for _ in range(EXTRA_ARRIVALS):
             _arrival_round(spec, basis, rng, live, xi, bound)
         violations += int(np.count_nonzero(np.any(shipped != xi, axis=1)))
     return violations

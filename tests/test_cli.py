@@ -31,8 +31,7 @@ def sine_json(tmp_path):
 
 
 class TestParseInvocation:
-    def test_hitting_defaults_filled(self, two_branch_json, monkeypatch):
-        monkeypatch.delenv("MSHIT_DEFAULT_N", raising=False)
+    def test_hitting_defaults_filled(self, two_branch_json):
         ns = parse_invocation(
             ["hitting", "--generator", two_branch_json, "--x", "-1", "--seed", "42"]
         )
@@ -80,20 +79,6 @@ class TestParseInvocation:
         bad.write_text(json.dumps(doc))
         assert main(["simulate", "--generator", str(bad), "--seed", "1"]) == 2
         assert "c < " in capsys.readouterr().err
-
-    def test_env_var_overrides_default_n(self, two_branch_json, monkeypatch):
-        monkeypatch.setenv("MSHIT_DEFAULT_N", "321")
-        ns = parse_invocation(
-            ["hitting", "--generator", two_branch_json, "--x", "-1"]
-        )
-        assert ns.n == 321
-
-    def test_explicit_n_beats_env(self, two_branch_json, monkeypatch):
-        monkeypatch.setenv("MSHIT_DEFAULT_N", "321")
-        ns = parse_invocation(
-            ["hitting", "--generator", two_branch_json, "--x", "-1", "--n", "99"]
-        )
-        assert ns.n == 99
 
     def test_multihit_needs_one_mode(self, two_branch_json, capsys):
         for extra in ([], ["--split", "0.5", "--intervals", "0,0.5"]):
@@ -614,7 +599,8 @@ def _assert_finite_numbers(text: str) -> None:
 
 @pytest.fixture()
 def fuzz_files(tmp_path, monkeypatch):
-    monkeypatch.setenv("MSHIT_DEFAULT_N", "64")
+    # runs that give no --n stay small
+    monkeypatch.setattr(cli, "DEFAULT_N", 64)
     files = {}
     for kind, docs in _FILES.items():
         files[kind] = []

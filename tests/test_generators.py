@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from typing import get_type_hints
 
@@ -79,7 +80,9 @@ class TestValidateSpec:
             (dict(n=2, a=0.0, b=0.75), "0 < a"),
             (dict(n=2, a=0.8, b=0.75), "a < b"),
             (dict(n=2, a=0.25, b=1.0), "b < 1"),
-            (dict(n=True, a=0.25, b=0.75), "integer n >= 1"),
+            pytest.param(dict(n=True, a=0.25, b=0.75), "'n' must be a whole number",
+                         id="kwargs4-integer n >= 1"),
+            (dict(n=np.True_, a=0.25, b=0.75), "'n' must be a whole number"),
         ],
     )
     def test_piecewise_violations(self, kwargs, needle):
@@ -106,11 +109,11 @@ class TestValidateSpec:
              ["integer n >= 1 violated"]),
             (lambda: NonlinearExample(a=1.0, b=1.0, c=1.25, d=7.0, e=0.5),
              ["1 < a violated", "b < 1 violated"]),
-            # valid parameter types whose paths or atom table do not exist
+            # numbers no float holds, so no atom table either
             (lambda: NonlinearExample(**{**NONLINEAR_DEFAULTS, "d": float("inf")}),
-             ["d < inf violated"]),
+             ["'d' must be a finite float"]),
             (lambda: PiecewiseExample(n=2**1024, a=0.25, b=0.75),
-             ["n <= max float violated"]),
+             ["'n' must be a whole number"]),
         ],
         ids=["sine-amp-5", "piecewise-a-above-b", "piecewise-n-0", "nonlinear-a-1",
              "nonlinear-d-inf", "piecewise-n-huge"],
@@ -129,6 +132,49 @@ class TestValidateSpec:
         with pytest.raises(InvalidSpecError) as err:
             NonlinearExample(a=a, b=b, c=float(c), d=1e300, e=0.5)
         assert err.value.violations == ["(a-b)/(a-b-c(a-1)) < d violated"]
+
+
+class TestSpecNumbers:
+    """A spec stores each parameter as the number of its field's type that
+    equals the value passed, or refuses it before any constraint."""
+
+    @pytest.mark.parametrize("d", [10**400, 2**127 + 1, np.int64(2**62 + 1)],
+                             ids=["10**400", "2**127+1", "numpy-2**62+1"])
+    def test_int_no_float_holds_is_refused(self, d):
+        # 10**400 built a spec whose closed_form_m overflowed, 2**127+1 one
+        # whose own document did not load; a numpy int compares with a
+        # float in float64, so 2**62+1 must be compared as a Python int
+        with pytest.raises(InvalidSpecError) as err:
+            NonlinearExample(**{**NONLINEAR_DEFAULTS, "d": d})
+        assert err.value.violations == ["'d' must be a finite float"]
+
+    def test_string_is_refused(self):
+        with pytest.raises(InvalidSpecError) as err:
+            SineBump(amp="0.5")
+        assert err.value.violations == ["'amp' must be a finite float"]
+
+    def test_every_mistyped_field_is_named_before_constraints(self):
+        with pytest.raises(InvalidSpecError) as err:
+            NonlinearExample(a=0.5, b=None, c=1.25, d=float("inf"), e=float("nan"))
+        assert err.value.violations == [
+            "'b' must be a finite float", "'d' must be a finite float",
+            "'e' must be a finite float"]
+
+    @pytest.mark.parametrize("n", [2.0, np.int64(2)], ids=["float", "numpy-int"])
+    def test_whole_n_is_stored_as_int(self, n):
+        spec = PiecewiseExample(n=n, a=0.25, b=0.75)
+        assert spec == PiecewiseExample(n=2, a=0.25, b=0.75)
+        assert type(spec.n) is int
+
+    def test_numpy_float_is_stored_as_float(self):
+        spec = SineBump(amp=np.float32(0.5))
+        assert type(spec.amp) is float
+        assert json.loads(json.dumps(generator_to_json(spec)))["params"] == {"amp": 0.5}
+
+    def test_huge_n_is_refused_without_printing_it(self):
+        # the repr of an int of more than 4300 digits raises ValueError
+        with pytest.raises(InvalidSpecError):
+            PiecewiseExample(n=10**5000, a=0.25, b=0.75)
 
 
 class TestSamplePaths:
@@ -481,6 +527,7 @@ class TestJson:
 _param_values = st.one_of(
     st.integers(min_value=-3, max_value=60),
     st.integers(),
+    st.integers(min_value=2**1020),
     st.floats(min_value=0.0, max_value=8.0),
     st.floats(),
     st.booleans(),
@@ -490,43 +537,43 @@ _param_values = st.one_of(
 )
 
 
+def _built(make):
+    """``make()``, or None if it raises InvalidSpecError."""
+    try:
+        return make()
+    except InvalidSpecError:
+        return None
+
+
+def _draw_params(data, template):
+    # keeping some of the template's values makes valid specs common
+    return {name: data.draw(st.one_of(st.just(getattr(template, name)),
+                                      _param_values), label=name)
+            for name in get_type_hints(type(template))}
+
+
 @given(data=st.data(), template=st.sampled_from(CATALOGUE))
 @settings(max_examples=400, deadline=None)
 def test_document_loads_exactly_or_is_invalid(data, template):
-    # a document either gives a spec holding its numbers, typed as the
-    # fields are, or raises InvalidSpecError
-    doc = generator_to_json(template)
-    params = {name: data.draw(_param_values, label=name) for name in doc["params"]}
-    try:
-        spec = generator_from_json({"variant": doc["variant"], "params": params})
-    except InvalidSpecError:
+    # a document and Python construction from the same numbers follow one
+    # rule: both are refused, or both give the same spec, holding the
+    # numbers passed, typed as the fields are
+    kind, tag = type(template), generator_to_json(template)["variant"]
+    params = _draw_params(data, template)
+    spec = _built(lambda: generator_from_json({"variant": tag, "params": params}))
+    assert spec == _built(lambda: kind(**params))
+    if spec is None:
         return
-    for name, value in params.items():
+    for name, t in get_type_hints(kind).items():
         got = getattr(spec, name)
-        assert got == value
-        assert type(got) is type(getattr(template, name))
+        assert type(got) is t and got == params[name]
 
 
-_typed_values = {
-    int: st.one_of(st.integers(min_value=-3, max_value=60), st.integers(),
-                   st.integers(min_value=2**1020)),
-    float: st.one_of(st.floats(min_value=0.0, max_value=8.0), st.floats()),
-}
-
-
-@given(data=st.data(),
-       template=st.sampled_from([s for s in CATALOGUE if get_type_hints(type(s))]))
+@given(data=st.data(), template=st.sampled_from(CATALOGUE))
 @settings(max_examples=400, deadline=None)
 def test_spec_is_invalid_or_round_trips(data, template):
-    # any parameters of the fields' types either fail to construct a spec
-    # or give one whose document loads back as the same spec
-    kind = type(template)
-    # keeping some of the template's values makes valid specs common
-    params = {name: data.draw(st.one_of(st.just(getattr(template, name)),
-                                        _typed_values[t]), label=name)
-              for name, t in get_type_hints(kind).items()}
-    try:
-        spec = kind(**params)
-    except InvalidSpecError:
-        return
-    assert generator_from_json(generator_to_json(spec)) == spec
+    # any parameters either fail to construct a spec or give one whose
+    # document loads back as the same spec
+    spec = _built(lambda: type(template)(**_draw_params(data, template)))
+    if spec is not None:
+        assert generator_from_json(generator_to_json(spec)) == spec

@@ -271,7 +271,7 @@ def test_stopping_exactness_runs_the_shipped_first_round(monkeypatch):
         return first_round(*args)
 
     monkeypatch.setattr(msp, "_first_round", counted)
-    assert stopping_exactness_violations(TwoBranch(), make_grid(11), 4097, 38, 5) == 0
+    assert stopping_exactness_violations(TwoBranch(), make_grid(11), 4097, 38) == 0
     assert len(calls) == 2
 
 
@@ -282,7 +282,7 @@ def test_stopping_exactness_catches_a_bound_below_sup_z(spec, seed, monkeypatch)
     # raise, and continuing every path from C / min xi finds some of them
     bound = generator_bound(spec)
     monkeypatch.setattr(msp, "generator_bound", lambda _: 0.9 * bound)
-    assert stopping_exactness_violations(spec, make_grid(101), 300, seed, extra=50) > 0
+    assert stopping_exactness_violations(spec, make_grid(101), 300, seed) > 0
 
 
 class TestSampleMsp:
@@ -378,4 +378,4 @@ class TestMarginalGof:
 
 class TestStoppingExactness:
     def test_no_changes_after_rule_fires(self, any_spec, grid101):
-        assert stopping_exactness_violations(any_spec, grid101, 30, 23, extra=50) == 0
+        assert stopping_exactness_violations(any_spec, grid101, 30, 23) == 0
