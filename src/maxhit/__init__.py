@@ -7,13 +7,7 @@ reproducible Monte Carlo, and ships a verification suite tying every
 closed form and bound the library claims to a named, seeded check.
 """
 
-from .dnorm import (
-    LevelFunction,
-    dnorm_estimate,
-    dnorm_estimates,
-    survivor_lower_bound,
-    takahashi_check,
-)
+from .dnorm import LevelFunction, dnorm_estimate, dnorm_estimates
 from .errors import (
     BoundTooLooseError,
     InvalidArgumentError,
@@ -26,7 +20,6 @@ from .estimates import Estimate, binomial_estimate, rule_of_three, wilson_interv
 from .generators import (
     NONLINEAR_DEFAULTS,
     CompleteDependence,
-    GeneratorMoments,
     GeneratorSpec,
     NonlinearExample,
     PiecewiseExample,
@@ -36,30 +29,18 @@ from .generators import (
     closed_form_m_tilde,
     generator_blocks,
     generator_bound,
-    generator_corpus,
     generator_from_json,
-    generator_moments,
     generator_to_json,
-    sup_equals_max_rate,
 )
 from .hitting import (
     HittingCurve,
-    curve_hit_prob,
-    down_up_down_prob,
     hitting_bound,
     hitting_curve,
     hitting_integral,
-    hitting_prob,
     multi_hit_prob,
     two_hit_prob,
 )
-from .msp import (
-    joint_cdf_estimates,
-    marginal_gof,
-    msp_corpus,
-    msp_path_blocks,
-    stopping_exactness_violations,
-)
+from .msp import msp_corpus, msp_path_blocks, stopping_exactness_violations
 from .paths import Interval, SubGrid, TimeGrid, make_grid
 from .verify import (
     CheckReport,
@@ -80,7 +61,6 @@ __all__ = [
     "CheckResult",
     "CompleteDependence",
     "Estimate",
-    "GeneratorMoments",
     "GeneratorSpec",
     "HittingCurve",
     "Interval",
@@ -101,36 +81,26 @@ __all__ = [
     "check_ids",
     "closed_form_m",
     "closed_form_m_tilde",
-    "curve_hit_prob",
     "dnorm_estimate",
     "dnorm_estimates",
-    "down_up_down_prob",
     "final_example_integral_below",
     "final_example_reference",
     "final_example_two_hit",
     "generator_blocks",
     "generator_bound",
-    "generator_corpus",
     "generator_from_json",
-    "generator_moments",
     "generator_to_json",
     "hitting_bound",
     "hitting_curve",
     "hitting_integral",
-    "hitting_prob",
-    "joint_cdf_estimates",
     "ks_band",
     "make_grid",
-    "marginal_gof",
     "msp_corpus",
     "msp_path_blocks",
     "multi_hit_prob",
     "rule_of_three",
     "run_checks",
     "stopping_exactness_violations",
-    "sup_equals_max_rate",
-    "survivor_lower_bound",
-    "takahashi_check",
     "two_hit_prob",
     "wilson_interval",
 ]

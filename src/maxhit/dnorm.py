@@ -5,20 +5,19 @@ E sup_t |f(t)| Z_t; it interpolates between the sup-norm (complete
 dependence, E sup Z = 1) and C times the sup-norm, where C bounds sup Z.
 Estimators stream generator paths in seeded blocks; comparative checks
 reuse one set of paths across several functions ("shared draws"), which
-turns ordering statements into exact per-draw assertions. Takahashi's
-criterion (m = 1 exactly when every D-norm equals the sup-norm) is one such
-shared-draw pass, and ``takahashi_check`` returns only its verdict.
+turns ordering statements into exact per-draw assertions. The
+verification suite's Takahashi check (m = 1 exactly when every D-norm
+equals the sup-norm) is one such shared-draw pass of ``dnorm_estimates``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .estimates import Z95, Estimate, per_path, stream_means
+from .estimates import Estimate, per_path, stream_means
 from .generators import GeneratorSpec, shape_blocks
 from .paths import Interval, TimeGrid, _frozen_array
 from .streams import Seed
@@ -113,38 +112,3 @@ def dnorm_estimate(
 ) -> Estimate:
     """Monte Carlo mean of sup |f| Z over ``n`` generator paths."""
     return dnorm_estimates(spec, [f], n, seed)[0]
-
-
-def survivor_lower_bound(
-    spec: GeneratorSpec, f: LevelFunction, n: int, seed: Seed
-) -> Estimate:
-    """Estimated lower bound 1 - exp(-E inf |f| Z) for P(eta > f everywhere).
-
-    The se is the delta-method exp(-v) se(v) of the mean v = E inf |f| Z;
-    the CI is the normal interval of that se.
-    """
-    absf = np.abs(f.values)
-    v = stream_means(
-        shape_blocks(spec, f.grid, n, seed),
-        per_path(lambda z: np.min(z * absf[None, :], axis=1)),
-    ).estimate(0)
-    value = 1.0 - math.exp(-v.value)
-    se = math.exp(-v.value) * v.se
-    return Estimate(value=value, se=se, ci=(value - Z95 * se, value + Z95 * se), n=n)
-
-
-def takahashi_check(
-    spec: GeneratorSpec, probes: list[LevelFunction], n: int, seed: Seed
-) -> bool:
-    """Decide complete dependence (m = 1) by comparing D-norms with sup-norms.
-
-    True iff every probe satisfies |dnorm - supnorm| <= 3 se + 1e-12, all
-    D-norms from one shared set of paths; the absolute term absorbs float
-    accumulation in the exact-equality case. Requires at least three probes.
-    """
-    if len(probes) < 3:
-        raise InvalidArgumentError("need at least 3 probe functions")
-    return all(
-        abs(est.value - float(np.max(np.abs(f.values)))) <= 3.0 * est.se + 1e-12
-        for est, f in zip(dnorm_estimates(spec, probes, n, seed), probes)
-    )

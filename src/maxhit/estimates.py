@@ -8,7 +8,8 @@ testable form of "this probability is zero" used by the verification suite.
 Every estimator streams seeded blocks of paths and reduces each block in
 one of two ways: ``count_events`` counts rows whose event mask holds, and
 ``stream_means`` accumulates per-row statistics into a ``RunningMean``.
-``stack_blocks`` keeps the rows instead, for the corpus functions.
+``stack_blocks`` keeps the rows instead, for ``msp_corpus`` and the
+checks that need whole columns (a KS distance sorts its sample).
 Generator paths also come as ``(rows, index)`` shape blocks
 (``generators.shape_blocks``); ``per_path`` turns a row-wise statistic into
 one on such blocks, so both reducers take them unchanged.

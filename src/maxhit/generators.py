@@ -60,9 +60,10 @@ row-major (``draw_uniforms``), so replica ``i`` of a block owns row ``i``.
 Shape blocks: an atom generator's block of paths repeats at most K
 distinct rows, so ``shape_blocks`` streams each block as ``(rows,
 index)``, the K-row shape table and the block's atom index, and
-``generator_blocks`` is ``rows[index]`` of that one stream. Estimators
+``generator_blocks`` is ``rows[index]`` of that one stream. A reduction
 whose statistic is a row max, min or comparison of an elementwise product
-with a fixed vector evaluate it on the K rows and gather by index
+with a fixed vector (``dnorm_estimates``, and the generator checks in
+``verify``) evaluates it on the K rows and gathers by index
 (``estimates.per_path``): the products are the same floats and a max or
 min does not round, so the per-path values, and the sums over them, equal
 those of the materialized block bit for bit. SineBump blocks are built in
@@ -82,16 +83,8 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidSpecError
-from .estimates import (Estimate, binomial_estimate, count_events, per_path,
-                        stack_blocks, stream_means)
-from .paths import Interval, TimeGrid
+from .paths import TimeGrid
 from .streams import Seed, block_streams
-
-#: Tolerance for "supremum equals endpoint maximum" equality tests. Linear
-#: interpolation is evaluated pointwise, so interior grid values of a
-#: monotone segment can overshoot the endpoint by a few ulps.
-SUP_EQ_TOL = 1e-12
-
 
 def _store_numbers(spec) -> None:
     """Store each field as the finite number of its type (int or float)
@@ -479,41 +472,6 @@ def generator_blocks(
     yield from starmap(getitem, shape_blocks(spec, grid, n, seed))
 
 
-def generator_corpus(
-    spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
-) -> np.ndarray:
-    """Materialize ``n`` paths as an (n, len(grid)) array, for shared-draw
-    checks at moderate n: the blocks of ``generator_blocks``."""
-    return stack_blocks(generator_blocks(spec, grid, n, seed), n)
-
-
-@dataclass(frozen=True)
-class GeneratorMoments:
-    """Monte Carlo estimates of E sup Z (m_hat) and E inf Z (m_tilde_hat)."""
-
-    m_hat: Estimate
-    m_tilde_hat: Estimate
-
-    def __post_init__(self):
-        if self.m_tilde_hat.value > self.m_hat.value:
-            raise ValueError("infimum mean exceeds supremum mean")
-
-
-def generator_moments(
-    spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
-) -> GeneratorMoments:
-    """Estimate the generator constants m = E sup Z and m~ = E inf Z."""
-    acc = stream_means(
-        shape_blocks(spec, grid, n, seed),
-        per_path(lambda z: z.max(axis=1)),
-        per_path(lambda z: z.min(axis=1)),
-    )
-    return GeneratorMoments(
-        m_hat=acc.estimate(0),
-        m_tilde_hat=acc.estimate(1),
-    )
-
-
 def closed_form_m(spec: GeneratorSpec) -> float:
     """Exact generator constant m = E sup Z.
 
@@ -539,27 +497,6 @@ def closed_form_m_tilde(spec: GeneratorSpec) -> float:
     if atoms is None:
         return 1.0 - spec.amp / 4.0
     return atoms.mean(min)
-
-
-def sup_equals_max_rate(
-    spec: GeneratorSpec, interval: Interval, grid: TimeGrid, n: int, seed: Seed
-) -> Estimate:
-    """P(sup of Z over the interval equals the max of its two endpoint values).
-
-    Equality is tested to ``SUP_EQ_TOL``; the Wilson/rule-of-three CI comes
-    from the observed frequency.
-    """
-    sl = grid.slice_of(interval)
-
-    def sup_at_endpoint(z: np.ndarray) -> np.ndarray:
-        zi = z[:, sl]
-        gap = zi.max(axis=1) - np.maximum(zi[:, 0], zi[:, -1])
-        return np.abs(gap) <= SUP_EQ_TOL
-
-    (successes,) = count_events(
-        shape_blocks(spec, grid, n, seed), per_path(sup_at_endpoint)
-    )
-    return binomial_estimate(int(successes), n)
 
 
 # --- JSON interchange ------------------------------------------------------

@@ -7,10 +7,13 @@ rule-of-three interval [0, 3/n], the operational form of "probability
 zero". h(0) = 0 holds by convention and is never simulated: the level 0
 is almost surely not attained.
 
-The estimators take plain arguments: a level and an interval, an interval
-list (``multi_hit_prob``), a split time (``two_hit_prob``) or an ordered
-time triple (``down_up_down_prob``). Every level, a single one or a curve's
-ladder, passes one check (``_checked_levels``): finite and negative.
+The estimators take plain arguments: a level and an interval list
+(``multi_hit_prob``; one interval is the plain hitting probability), a
+ladder of levels and an interval (``hitting_curve``) or a split time
+(``two_hit_prob``). Every level, a single one or a curve's ladder, passes
+one check (``_checked_levels``): finite and negative. ``hit_mask`` and
+``down_up_down_mask`` are the per-block events, for callers that count
+them on their own stream (``estimates.count_events``).
 
 Grid detection can only miss sub-grid excursions, so every frequency here
 is biased downward by at most a small discretization allowance (the
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnorm import LevelFunction
 from .errors import InvalidArgumentError
 from .estimates import Estimate, binomial_estimate, count_events
 from .generators import GeneratorSpec, closed_form_m, closed_form_m_tilde
@@ -65,32 +67,6 @@ def down_up_down_mask(
     """Rows with eta <= x0 at cols[0] and cols[2] but eta > x0 at cols[1]."""
     i_lo, i_mid, i_hi = cols
     return (eta[:, i_lo] <= x0) & (eta[:, i_mid] > x0) & (eta[:, i_hi] <= x0)
-
-
-def hitting_prob(
-    spec: GeneratorSpec,
-    x: float,
-    interval: Interval,
-    grid: TimeGrid,
-    n: int,
-    seed: Seed,
-) -> Estimate:
-    """Frequency of paths meeting level ``x`` somewhere in ``interval``."""
-    return multi_hit_prob(spec, x, [interval], grid, n, seed)
-
-
-def curve_hit_prob(
-    spec: GeneratorSpec, f: LevelFunction, n: int, seed: Seed
-) -> Estimate:
-    """Frequency of paths meeting the curve f(t) at some time.
-
-    The path meets f when eta - f changes sign or touches zero on the grid.
-    """
-    (successes,) = count_events(
-        msp_path_blocks(spec, f.grid, n, seed),
-        lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0),
-    )
-    return binomial_estimate(int(successes), n)
 
 
 @dataclass(frozen=True)
@@ -180,30 +156,6 @@ def hitting_integral(
     x_min = float(curve.levels[-1])
     tail = math.exp(x_min * m_tilde) / m_tilde if m_tilde > 0.0 else math.inf
     return integral, tail
-
-
-def down_up_down_prob(
-    spec: GeneratorSpec,
-    x0: float,
-    triple: tuple[float, float, float],
-    grid: TimeGrid,
-    n: int,
-    seed: Seed,
-) -> Estimate:
-    """Frequency of {eta_t' <= x0, eta_t0 > x0, eta_t'' <= x0} for the
-    ordered grid times ``triple`` = (t', t0, t'').
-
-    A three-point event: exact on the grid, no discretization allowance.
-    """
-    _checked_levels([x0])
-    if not 0.0 <= triple[0] < triple[1] < triple[2] <= 1.0:
-        raise InvalidArgumentError(f"triple must be strictly ordered, got {triple}")
-    cols = tuple(grid.index_of(t) for t in triple)
-    (successes,) = count_events(
-        msp_path_blocks(spec, grid, n, seed),
-        lambda eta: down_up_down_mask(eta, cols, x0),
-    )
-    return binomial_estimate(int(successes), n)
 
 
 def two_hit_prob(

@@ -60,9 +60,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .dnorm import LevelFunction
 from .errors import BoundTooLooseError
-from .estimates import Estimate, binomial_estimate, count_events, stack_blocks
+from .estimates import stack_blocks
 from .generators import (
     GeneratorSpec,
     atom_index,
@@ -240,30 +239,6 @@ def msp_corpus(
     """Materialize ``n`` eta paths as an (n, len(grid)) array; each block is
     copied in (``stack_blocks``) before the next overwrites the buffer."""
     return stack_blocks(msp_path_blocks(spec, grid, n, seed), n)
-
-
-def joint_cdf_estimates(
-    spec: GeneratorSpec, fs: list[LevelFunction], n: int, seed: Seed
-) -> list[Estimate]:
-    """Estimates of P(eta_t <= f(t) at every grid point), one per function,
-    all from one shared set of paths on the functions' common grid."""
-    counts = count_events(
-        msp_path_blocks(spec, LevelFunction.common_grid(fs), n, seed),
-        *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs),
-    )
-    return [binomial_estimate(int(c), n) for c in counts]
-
-
-def marginal_gof(
-    spec: GeneratorSpec, times: list[float], grid: TimeGrid, n: int, seed: Seed
-) -> list[float]:
-    """Kolmogorov-Smirnov distances of simulated eta_t against exp(x),
-    x <= 0, one per time in ``times``, all from one shared set of paths."""
-    cols = [grid.index_of(t) for t in times]
-    samples = stack_blocks(
-        (eta[:, cols] for eta in msp_path_blocks(spec, grid, n, seed)), n
-    )
-    return [ks_distance_neg_exponential(samples[:, j]) for j in range(len(cols))]
 
 
 def ks_distance_neg_exponential(samples: np.ndarray) -> float:

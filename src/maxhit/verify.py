@@ -31,18 +31,13 @@ from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .dnorm import (
-    LevelFunction,
-    dnorm_estimate,
-    dnorm_estimates,
-    survivor_lower_bound,
-    takahashi_check,
-)
+from .dnorm import LevelFunction, dnorm_estimate, dnorm_estimates
 from .errors import InvalidArgumentError, UnknownCheckError
 from .estimates import (
     Estimate,
     binomial_estimate,
     count_events,
+    per_path,
     rule_of_three,
     stack_blocks,
     stream_means,
@@ -58,26 +53,19 @@ from .generators import (
     closed_form_m,
     closed_form_m_tilde,
     generator_blocks,
-    generator_corpus,
-    generator_moments,
-    sup_equals_max_rate,
+    shape_blocks,
 )
 from .hitting import (
     _checked_levels,
-    curve_hit_prob,
     down_up_down_mask,
-    down_up_down_prob,
     hit_mask,
     hitting_curve,
     hitting_integral,
-    hitting_prob,
     multi_hit_prob,
     two_hit_prob,
 )
 from .msp import (
-    joint_cdf_estimates,
     ks_distance_neg_exponential,
-    marginal_gof,
     msp_corpus,
     msp_path_blocks,
     stopping_exactness_violations,
@@ -94,6 +82,10 @@ GRID_ALLOWANCE = 0.005
 #: Kolmogorov one-sample critical value of the band used throughout:
 #: D_n <= KS_CRITICAL / sqrt(n).
 KS_CRITICAL = 1.63
+#: Tolerance for "supremum equals endpoint maximum" equality tests. Linear
+#: interpolation is evaluated pointwise, so interior grid values of a
+#: monotone segment can overshoot the endpoint by a few ulps.
+SUP_EQ_TOL = 1e-12
 
 
 def ks_band(n: int) -> float:
@@ -337,13 +329,19 @@ def _criterion2_functions(grid: TimeGrid) -> list[tuple[str, LevelFunction]]:
 @check("eq2-roundtrip", "joint cdf equals exp(-D-norm)")
 def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
     """For three functions and every generator; the se combines the joint
-    cdf's with the delta-method se of exp(-D-norm)."""
+    cdf's with the delta-method se of exp(-D-norm). Both sides share draws
+    across the functions: the D-norms one set of Z paths, the joint cdfs
+    (rows with eta <= f at every grid point) one set of eta paths."""
     names, fs = zip(*_criterion2_functions(ctx.grid))
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         dns = dnorm_estimates(spec, list(fs), ctx.n, ctx.seed(2 * gi))
-        joints = joint_cdf_estimates(spec, list(fs), ctx.n, ctx.seed(2 * gi + 1))
-        for fname, dn, joint in zip(names, dns, joints):
+        below = count_events(
+            msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
+            *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs),
+        )
+        for fname, dn, count in zip(names, dns, below):
+            joint = binomial_estimate(int(count), ctx.n)
             target = math.exp(-dn.value)
             se = math.sqrt(joint.se**2 + (target * dn.se) ** 2)
             out.append(Assertion(f"{name}:{fname}", joint.value, target,
@@ -366,11 +364,16 @@ _MARGIN_TIMES = (0.0, 0.37, 1.0)
 
 @check("margins-ks", "standard negative exponential margins (KS)")
 def _check_margins_ks(ctx: CheckContext) -> list[Assertion]:
+    """KS distance of each margin column against exp(x), x <= 0; the
+    columns of one generator come from one set of paths."""
     band = ks_band(ctx.n)
+    cols = [ctx.grid.index_of(t) for t in _MARGIN_TIMES]
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
-        ds = marginal_gof(spec, _MARGIN_TIMES, ctx.grid, ctx.n, ctx.seed(gi))
-        for t, d in zip(_MARGIN_TIMES, ds):
+        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
+        samples = stack_blocks((eta[:, cols] for eta in blocks), ctx.n)
+        for t, column in zip(_MARGIN_TIMES, samples.T):
+            d = ks_distance_neg_exponential(column)
             out.append(Assertion(f"{name}:t={t}", d, band, "<="))
     return out
 
@@ -394,13 +397,20 @@ def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
 
 @check("takahashi", "m = 1 iff D-norm equals sup-norm")
 def _check_takahashi(ctx: CheckContext) -> list[Assertion]:
+    """Complete dependence is decided as every probe's D-norm within
+    3 se + 1e-12 of its sup-norm, all D-norms from one shared set of
+    paths; the absolute term absorbs float accumulation when they are equal."""
     probes = [f for _, f in _criterion2_functions(ctx.grid)]
     expected = {"complete_dependence": 1.0, "piecewise_example": 0.0, "two_branch": 0.0}
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         if name not in expected:
             continue
-        complete = takahashi_check(spec, probes, ctx.n, ctx.seed(gi))
+        dns = dnorm_estimates(spec, probes, ctx.n, ctx.seed(gi))
+        complete = all(
+            abs(est.value - float(np.max(np.abs(f.values)))) <= 3.0 * est.se + 1e-12
+            for est, f in zip(dns, probes)
+        )
         out.append(Assertion(f"{name}:complete_dependence",
                              1.0 if complete else 0.0, expected[name]))
     return out
@@ -409,11 +419,18 @@ def _check_takahashi(ctx: CheckContext) -> list[Assertion]:
 @check("example1-complete-dependence",
        "constant paths miss fixed levels, meet sloped curves")
 def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
+    """A path meets the sloped curve f when eta - f changes sign or touches
+    zero on the grid."""
     spec = CompleteDependence()
-    est = hitting_prob(spec, -1.0, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0))
+    unit = [Interval(0.0, 1.0)]
+    est = multi_hit_prob(spec, -1.0, unit, ctx.grid, ctx.n, ctx.seed(0))
     out = _null_probability(est, "fixed_level:")
     f = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0])
-    curve_est = curve_hit_prob(spec, f, ctx.n, ctx.seed(1))
+    (met,) = count_events(
+        msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(1)),
+        lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0),
+    )
+    curve_est = binomial_estimate(int(met), ctx.n)
     target = math.exp(-1.0) - math.exp(-2.0)
     out.append(Assertion("sloped_curve:estimate", curve_est.value, target,
                          se=curve_est.se, z=Z_STAT))
@@ -423,7 +440,8 @@ def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
 @check("prop2-null-on-constant-interval", "no hits where the generator is degenerate")
 def _check_prop2_null(ctx: CheckContext) -> list[Assertion]:
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-    est = hitting_prob(spec, -1.0, Interval(0.25, 0.75), ctx.grid, ctx.n, ctx.seed(0))
+    plateau = [Interval(0.25, 0.75)]
+    est = multi_hit_prob(spec, -1.0, plateau, ctx.grid, ctx.n, ctx.seed(0))
     return _null_probability(est)
 
 
@@ -434,7 +452,7 @@ def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
     full = Interval(0.0, 1.0)
     indicator = LevelFunction.indicator_step(ctx.grid, full, inside=-1.0)
     norm = dnorm_estimate(spec, indicator, ctx.n, ctx.seed(0))
-    est = hitting_prob(spec, -1.0, full, ctx.grid, ctx.n, ctx.seed(1))
+    est = multi_hit_prob(spec, -1.0, [full], ctx.grid, ctx.n, ctx.seed(1))
     return [
         Assertion("indicator_norm_gt_1", norm.value, 1.0, "gap",
                   se=norm.se, z=Z_STAT),
@@ -444,20 +462,26 @@ def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
 
 @check("survivor-bound", "survivor probability lower bound")
 def _check_survivor_bound(ctx: CheckContext) -> list[Assertion]:
-    """Survivor probability dominates 1 - exp(-E inf |f| Z); the se is the
+    """Survivor probability dominates the bound 1 - exp(-v), v = E inf |f| Z,
+    whose se is the delta-method exp(-v) se(v); the assertion's se is the
     sum of both estimates' se (independent draws, a conservative bound)."""
     out = []
     gens = [CATALOGUE[0], CATALOGUE[1], CATALOGUE[4]]
+    f = LevelFunction.constant(ctx.grid, -1.0)
+    absf = np.abs(f.values)
     for gi, (name, spec) in enumerate(gens):
-        f = LevelFunction.constant(ctx.grid, -1.0)
-        bound = survivor_lower_bound(spec, f, ctx.n, ctx.seed(2 * gi))
+        v = stream_means(
+            shape_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi)),
+            per_path(lambda z: np.min(z * absf[None, :], axis=1)),
+        ).estimate(0)
+        bound, bound_se = 1.0 - math.exp(-v.value), math.exp(-v.value) * v.se
         (survived,) = count_events(
             msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
             lambda eta: np.all(eta > f.values, axis=1),
         )
         surv = binomial_estimate(int(survived), ctx.n)
-        out.append(Assertion(f"{name}:survivor_ge_bound", surv.value, bound.value,
-                             ">=", se=surv.se + bound.se, z=Z_STAT))
+        out.append(Assertion(f"{name}:survivor_ge_bound", surv.value, bound,
+                             ">=", se=surv.se + bound_se, z=Z_STAT))
     return out
 
 
@@ -469,13 +493,18 @@ def _check_example2_m(ctx: CheckContext) -> list[Assertion]:
     with the paper's 14/9 checks the table, not a restated formula.
     """
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-    mom = generator_moments(spec, ctx.grid, ctx.n, ctx.seed(0))
+    acc = stream_means(
+        shape_blocks(spec, ctx.grid, ctx.n, ctx.seed(0)),
+        per_path(lambda z: z.max(axis=1)),
+        per_path(lambda z: z.min(axis=1)),
+    )
+    m_hat, m_tilde_hat = acc.estimate(0), acc.estimate(1)
     m_exact = 14.0 / 9.0
     mt_exact = 5.0 / 9.0
     return [
-        Assertion("m_hat", mom.m_hat.value, m_exact, se=mom.m_hat.se, z=Z_STAT),
-        Assertion("m_tilde_hat", mom.m_tilde_hat.value, mt_exact,
-                  se=mom.m_tilde_hat.se, z=Z_STAT),
+        Assertion("m_hat", m_hat.value, m_exact, se=m_hat.se, z=Z_STAT),
+        Assertion("m_tilde_hat", m_tilde_hat.value, mt_exact,
+                  se=m_tilde_hat.se, z=Z_STAT),
         Assertion("closed_form_m", closed_form_m(spec), m_exact),
     ]
 
@@ -518,15 +547,23 @@ def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
 
 @check("lemma31-closedform", "down-up-down probabilities match closed forms")
 def _check_lemma31(ctx: CheckContext) -> list[Assertion]:
-    grid = ctx.grid
+    """P(eta_t' <= x0, eta_t0 > x0, eta_t'' <= x0) at (t', t0, t'') =
+    (0, 0.25, 0.5): three grid coordinates, so no grid allowance."""
+    cols = tuple(ctx.grid.index_of(t) for t in (0.0, 0.25, 0.5))
+
+    def down_up_down(spec: GeneratorSpec, seed: Seed) -> Estimate:
+        (count,) = count_events(
+            msp_path_blocks(spec, ctx.grid, ctx.n, seed),
+            lambda eta: down_up_down_mask(eta, cols, -1.0),
+        )
+        return binomial_estimate(int(count), ctx.n)
+
     sine = SineBump(amp=0.5)
-    triple = (0.0, 0.25, 0.5)
-    est = down_up_down_prob(sine, -1.0, triple, grid, ctx.n, ctx.seed(0))
+    est = down_up_down(sine, ctx.seed(0))
     # E max(Z_0, Z_0.5) = 1; E max with the peak included = 1 + amp/8.
     target = math.exp(-1.0) - math.exp(-(1.0 + sine.amp / 8.0))
     out = [Assertion("sine_bump:closed_form", est.value, target, se=est.se, z=Z_STAT)]
-    nl = NonlinearExample(**NONLINEAR_DEFAULTS)
-    est_nl = down_up_down_prob(nl, -1.0, triple, grid, ctx.n, ctx.seed(1))
+    est_nl = down_up_down(NonlinearExample(**NONLINEAR_DEFAULTS), ctx.seed(1))
     return out + _null_probability(est_nl, "nonlinear:")
 
 
@@ -549,6 +586,24 @@ def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
         _positive_probability("dud_positive", binomial_estimate(dud_hits, ctx.n)),
         Assertion("two_hit_ge_dud", two_hits / ctx.n, dud_hits / ctx.n, ">="),
     ]
+
+
+def _sup_equals_max_rate(
+    spec: GeneratorSpec, interval: Interval, grid: TimeGrid, n: int, seed: Seed
+) -> float:
+    """Share of ``n`` generator paths whose sup over ``interval`` equals
+    the larger of its two endpoint values, to ``SUP_EQ_TOL``."""
+    sl = grid.slice_of(interval)
+
+    def sup_at_endpoint(z: np.ndarray) -> np.ndarray:
+        zi = z[:, sl]
+        gap = zi.max(axis=1) - np.maximum(zi[:, 0], zi[:, -1])
+        return np.abs(gap) <= SUP_EQ_TOL
+
+    (hits,) = count_events(
+        shape_blocks(spec, grid, n, seed), per_path(sup_at_endpoint)
+    )
+    return int(hits) / n
 
 
 _COR33_WINDOW = (0.2, 0.9)
@@ -597,10 +652,10 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
     out = []
 
     # item (3): sup over the window equals the endpoint max (Z paths).
-    rate_nl = sup_equals_max_rate(nl, window, ctx.grid, ctx.n, ctx.seed(0))
-    out.append(Assertion("nonlinear:item3_rate", rate_nl.value, 1.0))
-    rate_sb = sup_equals_max_rate(sine, window, ctx.grid, ctx.n, ctx.seed(1))
-    out.append(Assertion("sine_bump:item3_rate", rate_sb.value, 0.01, "<="))
+    rate_nl = _sup_equals_max_rate(nl, window, ctx.grid, ctx.n, ctx.seed(0))
+    out.append(Assertion("nonlinear:item3_rate", rate_nl, 1.0))
+    rate_sb = _sup_equals_max_rate(sine, window, ctx.grid, ctx.n, ctx.seed(1))
+    out.append(Assertion("sine_bump:item3_rate", rate_sb, 0.01, "<="))
 
     # items (1) and (4) on a shared eta corpus per generator (window grid).
     def items_1_and_4(spec, seed, dud_t0):
@@ -650,8 +705,9 @@ def _check_nonlinear_supmax(ctx: CheckContext) -> list[Assertion]:
     spec = NonlinearExample(**NONLINEAR_DEFAULTS)
     out = []
     for k, (lo, hi) in enumerate([(0.0, 1.0), (0.1, 0.6), (0.5, 0.9)]):
-        rate = sup_equals_max_rate(spec, Interval(lo, hi), ctx.grid, ctx.n, ctx.seed(k))
-        out.append(Assertion(f"I=[{lo},{hi}]", rate.value, 1.0))
+        window = Interval(lo, hi)
+        rate = _sup_equals_max_rate(spec, window, ctx.grid, ctx.n, ctx.seed(k))
+        out.append(Assertion(f"I=[{lo},{hi}]", rate, 1.0))
     return out
 
 
@@ -707,7 +763,7 @@ def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
     i_q, i_h = grid.index_of(0.25), grid.index_of(0.5)
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
-        z = generator_corpus(spec, grid, n, ctx.seed(2 * gi))
+        z = stack_blocks(generator_blocks(spec, grid, n, ctx.seed(2 * gi)), n)
         eta = msp_corpus(spec, grid, n, ctx.seed(2 * gi + 1))
         bad = 0
 

@@ -7,7 +7,6 @@ from conftest import CATALOGUE
 from maxhit import (
     CompleteDependence,
     Estimate,
-    GeneratorMoments,
     Interval,
     InvalidArgumentError,
     LevelFunction,
@@ -16,20 +15,16 @@ from maxhit import (
     SubGrid,
     TimeGrid,
     TwoBranch,
-    binomial_estimate,
     dnorm_estimate,
     dnorm_estimates,
     final_example_integral_below,
     final_example_two_hit,
-    generator_moments,
     make_grid,
-    sup_equals_max_rate,
-    survivor_lower_bound,
-    takahashi_check,
 )
-from maxhit.estimates import Z95, count_events, stream_means
-from maxhit.generators import SUP_EQ_TOL, draw_uniforms, path_basis, sample_paths
+from maxhit.estimates import Z95, count_events, per_path, stream_means
+from maxhit.generators import draw_uniforms, path_basis, sample_paths, shape_blocks
 from maxhit.streams import block_streams
+from maxhit.verify import SUP_EQ_TOL, _sup_equals_max_rate
 
 _G11 = make_grid(11)
 _REFUSALS = {
@@ -46,9 +41,6 @@ _REFUSALS = {
     ),
     "breakpoints-span": lambda: LevelFunction.piecewise_linear(
         _G11, [0.0, 0.9], [-1.0, -1.0]
-    ),
-    "takahashi-probes": lambda: takahashi_check(
-        TwoBranch(), [LevelFunction.constant(_G11, -1.0)] * 2, 10, 1
     ),
     "two-hit-split": lambda: final_example_two_hit(-1.0, 1.0),
     "integral-x": lambda: final_example_integral_below(0.5),
@@ -150,12 +142,37 @@ def _indicator_norm(spec, interval, grid, n, seed):
     return dnorm_estimate(spec, f, n, seed)
 
 
+def survivor_bound(spec, f, n, seed):
+    """The survivor-bound check's 1 - exp(-v), v = E inf |f| Z, with the
+    delta-method se exp(-v) se(v) and its normal CI."""
+    absf = np.abs(f.values)
+    v = stream_means(
+        shape_blocks(spec, f.grid, n, seed),
+        per_path(lambda z: np.min(z * absf[None, :], axis=1)),
+    ).estimate(0)
+    value = 1.0 - math.exp(-v.value)
+    se = math.exp(-v.value) * v.se
+    return Estimate(value=value, se=se, ci=(value - Z95 * se, value + Z95 * se), n=n)
+
+
+def complete_dependence(spec, probes, n, seed):
+    """The Takahashi check's verdict: every probe's D-norm within
+    3 se + 1e-12 of its sup-norm, all from one shared set of paths."""
+    return all(
+        abs(est.value - float(np.max(np.abs(f.values)))) <= 3.0 * est.se + 1e-12
+        for est, f in zip(dnorm_estimates(spec, probes, n, seed), probes)
+    )
+
+
 class TestDnormIndicator:
     def test_full_interval_equals_moments_bitwise(self, any_spec, grid101):
         norm = _indicator_norm(any_spec, Interval(0.0, 1.0), grid101, 2000, 37)
-        mom = generator_moments(any_spec, grid101, 2000, 37)
-        assert norm.value == mom.m_hat.value
-        assert norm.se == mom.m_hat.se
+        m_hat = stream_means(
+            shape_blocks(any_spec, grid101, 2000, 37),
+            per_path(lambda z: z.max(axis=1)),
+        ).estimate(0)
+        assert norm.value == m_hat.value
+        assert norm.se == m_hat.se
 
     def test_two_branch_upper_half(self, grid201):
         est = _indicator_norm(TwoBranch(), Interval(0.5, 1.0), grid201, 20_000, 38)
@@ -177,19 +194,19 @@ class TestDnormIndicator:
 class TestSurvivorLowerBound:
     def test_complete_dependence_exact(self, grid101):
         f = LevelFunction.constant(grid101, -1.0)
-        got = survivor_lower_bound(CompleteDependence(), f, 1000, 41)
+        got = survivor_bound(CompleteDependence(), f, 1000, 41)
         assert got.value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
         assert got.se == pytest.approx(0.0, abs=1e-9)
         assert got.n == 1000
 
     def test_two_branch_vanishing_infimum(self, grid101):
         f = LevelFunction.constant(grid101, -1.0)
-        got = survivor_lower_bound(TwoBranch(), f, 1000, 42)
+        got = survivor_bound(TwoBranch(), f, 1000, 42)
         assert got.value == 0.0 and got.se == 0.0
 
     def test_sine_bump_matches_m_tilde(self, grid201):
         f = LevelFunction.constant(grid201, -1.0)
-        got = survivor_lower_bound(SineBump(amp=0.5), f, 20_000, 43)
+        got = survivor_bound(SineBump(amp=0.5), f, 20_000, 43)
         assert got.value == pytest.approx(1.0 - math.exp(-0.875), abs=0.003)
         assert 0.0 < got.se < 0.003
         assert got.ci[0] < got.value < got.ci[1]
@@ -198,7 +215,7 @@ class TestSurvivorLowerBound:
         from maxhit import msp_corpus
 
         f = LevelFunction.constant(grid101, -1.0)
-        bound = survivor_lower_bound(any_spec, f, 5000, 44)
+        bound = survivor_bound(any_spec, f, 5000, 44)
         eta = msp_corpus(any_spec, grid101, 5000, 45)
         survivor = (eta > f.values).all(axis=1).mean()
         assert survivor >= bound.value - 0.02
@@ -216,24 +233,21 @@ class TestTakahashi:
         ]
 
     def test_complete_dependence_true(self, grid101):
-        assert takahashi_check(CompleteDependence(), self.probes(grid101), 2000, 46)
+        assert complete_dependence(CompleteDependence(), self.probes(grid101), 2000, 46)
 
     def test_piecewise_false(self, grid101):
-        assert not takahashi_check(
+        assert not complete_dependence(
             PiecewiseExample(n=2, a=0.25, b=0.75), self.probes(grid101), 5000, 47
         )
 
     def test_two_branch_false(self, grid101):
-        assert not takahashi_check(TwoBranch(), self.probes(grid101), 5000, 48)
-
-    def test_needs_three_probes(self, grid101):
-        with pytest.raises(ValueError, match="3 probe"):
-            takahashi_check(TwoBranch(), self.probes(grid101)[:2], 100, 49)
+        assert not complete_dependence(TwoBranch(), self.probes(grid101), 5000, 48)
 
 
 class TestPerShapeReductions:
-    """Every estimator that reduces shape blocks row by row against the
-    same statistics on materialized paths, field by field with ==."""
+    """Every row-wise statistic the library and its checks reduce on shape
+    blocks (``per_path``) against the same statistic on materialized
+    paths, field by field with ==."""
 
     @staticmethod
     def reference_blocks(spec, grid, n, seed):
@@ -258,36 +272,28 @@ class TestPerShapeReductions:
         blocks = self.reference_blocks(spec, grid, n, seed)
         sups = [lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1)
                 for f in fs]
-        sup_z = stream_means(blocks, lambda z: z.max(axis=1)).estimate(0)
-
         acc = stream_means(blocks, *sups)
-        want = [acc.estimate(i) for i in range(len(fs))]
-        assert dnorm_estimates(spec, fs, n, seed) == want
-        assert takahashi_check(spec, fs, n, seed) == all(
-            abs(e.value - np.max(np.abs(f.values))) <= 3.0 * e.se + 1e-12
-            for e, f in zip(want, fs)
-        )
+        assert dnorm_estimates(spec, fs, n, seed) == [
+            acc.estimate(i) for i in range(len(fs))
+        ]
 
-        for f in fs:
-            absf = np.abs(f.values)
-            v = stream_means(
-                blocks, lambda z: np.min(z * absf[None, :], axis=1)
-            ).estimate(0)
-            value, se = 1.0 - math.exp(-v.value), math.exp(-v.value) * v.se
-            assert survivor_lower_bound(spec, f, n, seed) == Estimate(
-                value, se, (value - Z95 * se, value + Z95 * se), n
-            )
-
-        m_tilde = stream_means(blocks, lambda z: z.min(axis=1)).estimate(0)
-        assert generator_moments(spec, grid, n, seed) == GeneratorMoments(
-            sup_z, m_tilde
+        # survivor bound (inf |f| Z per f), then m (sup Z) and m~ (inf Z)
+        stats = [
+            *(lambda z, af=np.abs(f.values): np.min(z * af[None, :], axis=1)
+              for f in fs),
+            lambda z: z.max(axis=1),
+            lambda z: z.min(axis=1),
+        ]
+        shaped = stream_means(
+            shape_blocks(spec, grid, n, seed), *map(per_path, stats)
         )
+        built = stream_means(blocks, *stats)
+        for i in range(len(stats)):
+            assert shaped.estimate(i) == built.estimate(i)
 
         window = Interval(0.25, 0.75)
         sl = grid.slice_of(window)
         (hits,) = count_events(blocks, lambda z: np.abs(
             z[:, sl].max(axis=1) - np.maximum(z[:, sl][:, 0], z[:, sl][:, -1])
         ) <= SUP_EQ_TOL)
-        assert sup_equals_max_rate(spec, window, grid, n, seed) == binomial_estimate(
-            int(hits), n
-        )
+        assert _sup_equals_max_rate(spec, window, grid, n, seed) == int(hits) / n

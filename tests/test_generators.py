@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from typing import get_type_hints
 
@@ -23,17 +24,16 @@ from maxhit import (
     closed_form_m_tilde,
     generator_blocks,
     generator_bound,
-    generator_corpus,
     generator_from_json,
-    generator_moments,
     generator_to_json,
     make_grid,
-    sup_equals_max_rate,
 )
+from maxhit.estimates import per_path, stack_blocks, stream_means
 from maxhit.generators import (
     atom_index, draw_uniforms, path_basis, path_maxima, sample_paths, shape_blocks,
 )
 from maxhit.streams import block_streams
+from maxhit.verify import _sup_equals_max_rate
 
 ATOM_SPECS = [
     CompleteDependence(),
@@ -352,36 +352,52 @@ def test_path_maxima_are_built_row_maxima(data, spec, t):
     assert path_maxima(spec, basis, u).tobytes() == built.tobytes()
 
 
+def moments(spec, grid, n, seed):
+    """Estimates of m = E sup Z and m~ = E inf Z from one set of paths: the
+    shape-block reduction the example2-m check runs."""
+    acc = stream_means(
+        shape_blocks(spec, grid, n, seed),
+        per_path(lambda z: z.max(axis=1)),
+        per_path(lambda z: z.min(axis=1)),
+    )
+    return acc.estimate(0), acc.estimate(1)
+
+
+def corpus(spec, grid, n, seed):
+    """``n`` generator paths as one array."""
+    return stack_blocks(generator_blocks(spec, grid, n, seed), n)
+
+
 class TestMoments:
     def test_complete_dependence_exact(self, grid101):
-        mom = generator_moments(CompleteDependence(), grid101, 500, 1)
-        assert mom.m_hat.value == 1.0
-        assert mom.m_tilde_hat.value == 1.0
-        assert mom.m_hat.se == 0.0
+        m_hat, m_tilde_hat = moments(CompleteDependence(), grid101, 500, 1)
+        assert m_hat.value == 1.0
+        assert m_tilde_hat.value == 1.0
+        assert m_hat.se == 0.0
 
     def test_piecewise_matches_closed_form(self, grid201):
         spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-        mom = generator_moments(spec, grid201, 20_000, 2)
-        assert abs(mom.m_hat.value - 14.0 / 9.0) <= 4 * mom.m_hat.se
-        assert abs(mom.m_tilde_hat.value - 5.0 / 9.0) <= 4 * mom.m_tilde_hat.se
+        m_hat, m_tilde_hat = moments(spec, grid201, 20_000, 2)
+        assert abs(m_hat.value - 14.0 / 9.0) <= 4 * m_hat.se
+        assert abs(m_tilde_hat.value - 5.0 / 9.0) <= 4 * m_tilde_hat.se
 
     def test_sine_bump_matches_closed_form(self, grid201):
-        mom = generator_moments(SineBump(amp=0.5), grid201, 20_000, 3)
-        assert abs(mom.m_hat.value - 1.125) <= 4 * mom.m_hat.se + 1e-4
-        assert abs(mom.m_tilde_hat.value - 0.875) <= 4 * mom.m_tilde_hat.se + 1e-4
+        m_hat, m_tilde_hat = moments(SineBump(amp=0.5), grid201, 20_000, 3)
+        assert abs(m_hat.value - 1.125) <= 4 * m_hat.se + 1e-4
+        assert abs(m_tilde_hat.value - 0.875) <= 4 * m_tilde_hat.se + 1e-4
 
     def test_sup_dominates_inf(self, any_spec, grid101):
-        mom = generator_moments(any_spec, grid101, 2000, 4)
-        assert mom.m_tilde_hat.value <= mom.m_hat.value
+        m_hat, m_tilde_hat = moments(any_spec, grid101, 2000, 4)
+        assert m_tilde_hat.value <= m_hat.value
 
     def test_moments_bracket_the_unit_mean(self, any_spec, grid101):
         # E sup >= E Z_t = 1 >= E inf
-        mom = generator_moments(any_spec, grid101, 2000, 91)
-        assert mom.m_hat.value >= 1.0 - 3 * mom.m_hat.se - 1e-12
-        assert mom.m_tilde_hat.value <= 1.0 + 3 * mom.m_tilde_hat.se + 1e-12
+        m_hat, m_tilde_hat = moments(any_spec, grid101, 2000, 91)
+        assert m_hat.value >= 1.0 - 3 * m_hat.se - 1e-12
+        assert m_tilde_hat.value <= 1.0 + 3 * m_tilde_hat.se + 1e-12
 
     def test_unit_mean_at_grid_points(self, any_spec, grid101):
-        z = generator_corpus(any_spec, grid101, 20_000, 5)
+        z = corpus(any_spec, grid101, 20_000, 5)
         mean = z.mean(axis=0)
         se = z.std(axis=0) / np.sqrt(z.shape[0])
         assert (np.abs(mean - 1.0) <= 4 * se + 1e-12).all()
@@ -412,10 +428,10 @@ class TestClosedForms:
         ) == pytest.approx(5.0 / 13.0)
 
     def test_closed_form_agrees_with_monte_carlo(self, any_spec, grid201):
-        mom = generator_moments(any_spec, grid201, 20_000, 6)
+        m_hat, _ = moments(any_spec, grid201, 20_000, 6)
         m = closed_form_m(any_spec)
         # grid sup underestimates the path sup slightly for the sine bump
-        assert abs(mom.m_hat.value - m) <= 3 * mom.m_hat.se + 1e-3
+        assert abs(m_hat.value - m) <= 3 * m_hat.se + 1e-3
 
     def test_piecewise_is_the_paper_formula(self):
         # bit for bit at n = 2 (14/9 and 5/9); elsewhere the derived means
@@ -433,44 +449,48 @@ class TestClosedForms:
 
 
 class TestSupEqualsMaxRate:
+    """The cor33 and nonlinear-supmax statistic: the share of paths whose
+    sup over a window is its larger endpoint value."""
+
     def test_nonlinear_always(self, grid201):
         spec = NonlinearExample(**NONLINEAR_DEFAULTS)
-        est = sup_equals_max_rate(spec, Interval(0.0, 1.0), grid201, 5000, 7)
-        assert est.value == 1.0
+        assert _sup_equals_max_rate(spec, Interval(0.0, 1.0), grid201, 5000, 7) == 1.0
 
     def test_piecewise_plateau(self, grid201):
         spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-        est = sup_equals_max_rate(spec, Interval(0.25, 0.75), grid201, 5000, 8)
-        assert est.value == 1.0
+        assert _sup_equals_max_rate(spec, Interval(0.25, 0.75), grid201, 5000, 8) == 1.0
 
     def test_sine_bump_half_rate_on_first_half(self, grid201):
         # equality holds exactly when the bump points down (W <= 0): the
         # interior peak then sits below the endpoints' common value 1
-        est = sup_equals_max_rate(SineBump(amp=0.5), Interval(0.0, 0.5), grid201, 5000, 9)
-        assert est.value == pytest.approx(0.5, abs=4 * est.se)
+        sine, n = SineBump(amp=0.5), 5000
+        rate = _sup_equals_max_rate(sine, Interval(0.0, 0.5), grid201, n, 9)
+        assert rate == pytest.approx(0.5, abs=4 * math.sqrt(rate * (1 - rate) / n))
 
     def test_sine_bump_never_on_full_interval(self, grid201):
-        est = sup_equals_max_rate(SineBump(amp=0.5), Interval(0.0, 1.0), grid201, 5000, 10)
-        assert est.value == 0.0
+        sine = SineBump(amp=0.5)
+        assert _sup_equals_max_rate(sine, Interval(0.0, 1.0), grid201, 5000, 10) == 0.0
 
 
 class TestCorpus:
+    """``stack_blocks`` over ``generator_blocks``: n paths as one array."""
+
     def test_deterministic(self, any_spec, grid101):
-        a = generator_corpus(any_spec, grid101, 300, 11)
-        b = generator_corpus(any_spec, grid101, 300, 11)
+        a = corpus(any_spec, grid101, 300, 11)
+        b = corpus(any_spec, grid101, 300, 11)
         assert np.array_equal(a, b)
 
     def test_seed_sensitivity(self, grid101):
-        a = generator_corpus(TwoBranch(), grid101, 300, 11)
-        b = generator_corpus(TwoBranch(), grid101, 300, 12)
+        a = corpus(TwoBranch(), grid101, 300, 11)
+        b = corpus(TwoBranch(), grid101, 300, 12)
         assert not np.array_equal(a, b)
 
     def test_equals_concatenated_blocks(self, any_spec, grid101):
         n = 2 * 4096 + 5  # three blocks, the last one short
         blocks = list(generator_blocks(any_spec, grid101, n, 13))
         assert len(blocks) == 3
-        corpus = generator_corpus(any_spec, grid101, n, 13)
-        assert np.array_equal(corpus, np.concatenate(blocks))
+        stacked = corpus(any_spec, grid101, n, 13)
+        assert np.array_equal(stacked, np.concatenate(blocks))
 
     def test_memory_is_corpus_plus_one_block(self):
         # each block is copied into the result as it arrives, so no list
@@ -478,7 +498,7 @@ class TestCorpus:
         grid, n = make_grid(1001), 8192
         tracemalloc.start()
         try:
-            generator_corpus(SineBump(amp=0.5), grid, n, 14)
+            corpus(SineBump(amp=0.5), grid, n, 14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -17,17 +17,16 @@ from maxhit import (
     SineBump,
     TwoBranch,
     binomial_estimate,
-    curve_hit_prob,
-    down_up_down_prob,
     final_example_reference,
     final_example_two_hit,
     hitting_bound,
     hitting_curve,
     hitting_integral,
-    hitting_prob,
+    msp_path_blocks,
     multi_hit_prob,
     two_hit_prob,
 )
+from maxhit.estimates import count_events
 from maxhit.hitting import down_up_down_mask, hit_mask
 
 GRID_SLACK = 0.02  # discretization allowance at the coarse test grids
@@ -82,39 +81,55 @@ class TestHittingBound:
 
 
 class TestHittingProb:
+    """The hitting probability of one interval: ``multi_hit_prob`` with a
+    one-interval list."""
+
     def test_complete_dependence_never_hits(self, grid101):
-        est = hitting_prob(
-            CompleteDependence(), -1.0, Interval(0.0, 1.0), grid101, 5000, 50
+        est = multi_hit_prob(
+            CompleteDependence(), -1.0, [Interval(0.0, 1.0)], grid101, 5000, 50
         )
         assert est.value == 0.0
         assert est.ci == (0.0, 3.0 / 5000)
 
     def test_level_must_be_negative(self, grid101):
         with pytest.raises(ValueError, match="negative"):
-            hitting_prob(TwoBranch(), 0.0, Interval(0.0, 1.0), grid101, 100, 51)
+            multi_hit_prob(TwoBranch(), 0.0, [Interval(0.0, 1.0)], grid101, 100, 51)
 
     def test_two_branch_closed_form(self, grid201):
-        est = hitting_prob(TwoBranch(), -1.0, Interval(0.0, 1.0), grid201, 20_000, 52)
+        unit = [Interval(0.0, 1.0)]
+        est = multi_hit_prob(TwoBranch(), -1.0, unit, grid201, 20_000, 52)
         target = final_example_reference(-1.0)
         assert abs(est.value - target) <= 3 * est.se + GRID_SLACK
 
     def test_piecewise_plateau_interval_never_hits(self, grid201):
-        est = hitting_prob(
+        est = multi_hit_prob(
             PiecewiseExample(n=2, a=0.25, b=0.75), -1.0,
-            Interval(0.25, 0.75), grid201, 5000, 53,
+            [Interval(0.25, 0.75)], grid201, 5000, 53,
         )
         assert est.value == 0.0
 
     def test_monotone_in_interval(self, grid101):
-        inner = hitting_prob(TwoBranch(), -1.0, Interval(0.25, 0.75), grid101, 5000, 54)
-        outer = hitting_prob(TwoBranch(), -1.0, Interval(0.0, 1.0), grid101, 5000, 54)
-        assert inner.value <= outer.value
+        def hit(lo, hi):
+            iv = [Interval(lo, hi)]
+            return multi_hit_prob(TwoBranch(), -1.0, iv, grid101, 5000, 54)
+
+        assert hit(0.25, 0.75).value <= hit(0.0, 1.0).value
+
+
+def count_paths(spec, grid, n, seed, event):
+    """Frequency of the rows of ``n`` eta paths where ``event`` holds."""
+    (count,) = count_events(msp_path_blocks(spec, grid, n, seed), event)
+    return binomial_estimate(int(count), n)
 
 
 class TestCurveHit:
     def test_complete_dependence_meets_sloped_curve(self, grid201):
+        # the path meets f where eta - f changes sign or touches zero
         f = LevelFunction.piecewise_linear(grid201, [0.0, 1.0], [-1.0, -2.0])
-        est = curve_hit_prob(CompleteDependence(), f, 20_000, 55)
+        est = count_paths(
+            CompleteDependence(), grid201, 20_000, 55,
+            lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0),
+        )
         target = math.exp(-1.0) - math.exp(-2.0)
         assert abs(est.value - target) <= 3 * est.se
 
@@ -254,15 +269,14 @@ class TestHittingIntegral:
             hitting_integral(curve, m_tilde=m_tilde)
 
 
-#: Each event estimator on 100 TwoBranch paths at level x0 on a grid.
+#: Each event estimator on 100 TwoBranch paths at level x0 on a grid;
+#: "hitting_prob" is the hitting probability of one interval.
 EVENT_ESTIMATORS = {
-    "hitting_prob": lambda x0, grid: hitting_prob(
-        TwoBranch(), x0, Interval(0.0, 1.0), grid, 100, 1),
+    "hitting_prob": lambda x0, grid: multi_hit_prob(
+        TwoBranch(), x0, [Interval(0.0, 1.0)], grid, 100, 1),
     "multi_hit_prob": lambda x0, grid: multi_hit_prob(
         TwoBranch(), x0, [Interval(0.0, 0.5), Interval(0.5, 1.0)], grid, 100, 1),
     "two_hit_prob": lambda x0, grid: two_hit_prob(TwoBranch(), x0, 0.5, grid, 100, 1),
-    "down_up_down_prob": lambda x0, grid: down_up_down_prob(
-        TwoBranch(), x0, (0.0, 0.25, 0.5), grid, 100, 1),
 }
 
 
@@ -274,40 +288,35 @@ def test_event_level_must_be_finite_and_negative(call, x0, grid101):
 
 
 class TestMultiHitQuery:
-    """The split and triple estimators check their own arguments."""
+    """The split estimator checks its own arguments."""
 
     def test_level_must_be_negative(self, grid101):
         with pytest.raises(ValueError):
             two_hit_prob(TwoBranch(), 0.0, 0.5, grid101, 100, 1)
-        with pytest.raises(ValueError):
-            down_up_down_prob(TwoBranch(), 0.0, (0.0, 0.25, 0.5), grid101, 100, 1)
-
-    def test_triple_ordering(self, grid101):
-        with pytest.raises(ValueError):
-            down_up_down_prob(TwoBranch(), -1.0, (0.5, 0.25, 0.9), grid101, 100, 1)
 
 
 class TestDownUpDown:
-    TRIPLE = (0.0, 0.25, 0.5)
+    """P(eta_t' <= -1, eta_t0 > -1, eta_t'' <= -1) at (t', t0, t'') =
+    (0, 0.25, 0.5): the lemma31-closedform statistic."""
+
+    @staticmethod
+    def estimate(spec, grid, n, seed):
+        cols = tuple(grid.index_of(t) for t in (0.0, 0.25, 0.5))
+        return count_paths(
+            spec, grid, n, seed, lambda eta: down_up_down_mask(eta, cols, -1.0)
+        )
 
     def test_complete_dependence_zero(self, grid101):
-        est = down_up_down_prob(
-            CompleteDependence(), -1.0, self.TRIPLE, grid101, 2000, 61
-        )
+        est = self.estimate(CompleteDependence(), grid101, 2000, 61)
         assert est.value == 0.0
 
     def test_sine_bump_closed_form(self, grid201):
-        est = down_up_down_prob(
-            SineBump(amp=0.5), -1.0, self.TRIPLE, grid201, 30_000, 62
-        )
+        est = self.estimate(SineBump(amp=0.5), grid201, 30_000, 62)
         target = math.exp(-1.0) - math.exp(-1.0625)
         assert abs(est.value - target) <= 3 * est.se
 
     def test_nonlinear_zero(self, grid201):
-        est = down_up_down_prob(
-            NonlinearExample(**NONLINEAR_DEFAULTS), -1.0, self.TRIPLE, grid201,
-            5000, 63,
-        )
+        est = self.estimate(NonlinearExample(**NONLINEAR_DEFAULTS), grid201, 5000, 63)
         assert est.value == 0.0
         assert est.ci[1] == 3.0 / 5000
 
@@ -371,7 +380,10 @@ class TestMultiHit:
         est_multi = multi_hit_prob(
             TwoBranch(), -1.0, [Interval(0.0, 1.0)], grid101, 3000, 72
         )
-        est_hit = hitting_prob(TwoBranch(), -1.0, Interval(0.0, 1.0), grid101, 3000, 72)
+        est_hit = count_paths(
+            TwoBranch(), grid101, 3000, 72,
+            lambda eta: hit_mask(eta, slice(None), -1.0),
+        )
         assert est_multi.value == est_hit.value
 
 

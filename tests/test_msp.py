@@ -17,18 +17,18 @@ from maxhit import (
     SineBump,
     SubGrid,
     TwoBranch,
+    binomial_estimate,
+    generator_blocks,
     generator_bound,
-    generator_corpus,
     hitting_curve,
-    joint_cdf_estimates,
     ks_band,
     make_grid,
-    marginal_gof,
     msp_corpus,
     msp_path_blocks,
     stopping_exactness_violations,
 )
 from maxhit import msp
+from maxhit.estimates import count_events, stack_blocks
 from maxhit.generators import path_basis, sample_paths
 from maxhit.msp import ks_distance_neg_exponential
 from maxhit.streams import BLOCK_SIZE, block_streams
@@ -123,7 +123,7 @@ class TestGeneratorBound:
         # instead check the defining property on generator paths, exactly:
         # the row-max pretest and the stopping rule rest on it
         bound = generator_bound(any_spec)
-        z = generator_corpus(any_spec, grid101, 2000, 13)
+        z = stack_blocks(generator_blocks(any_spec, grid101, 2000, 13), 2000)
         assert z.max() <= bound
         # every shape an atom spec can take; SineBump rows at W = -amp/2,
         # 0 and just below amp/2, plus random ones
@@ -322,10 +322,20 @@ class TestSampleMsp:
         assert err.value.deficit > 0
 
 
+def joint_cdf(spec, fs, n, seed):
+    """P(eta <= f at every grid point) per function, all from one set of
+    paths on the functions' common grid: the eq2-roundtrip reduction."""
+    counts = count_events(
+        msp_path_blocks(spec, LevelFunction.common_grid(fs), n, seed),
+        *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs),
+    )
+    return [binomial_estimate(int(c), n) for c in counts]
+
+
 class TestJointCdf:
     def test_complete_dependence_constant_level(self, grid101):
         fs = [LevelFunction.constant(grid101, x) for x in (-1.0, -2.0)]
-        ests = joint_cdf_estimates(CompleteDependence(), fs, 20_000, 17)
+        ests = joint_cdf(CompleteDependence(), fs, 20_000, 17)
         for x, est in zip((-1.0, -2.0), ests):
             assert abs(est.value - math.exp(x)) <= 3 * est.se
             assert est.n == 20_000
@@ -334,39 +344,48 @@ class TestJointCdf:
 
     def test_two_branch_doubles_the_rate(self, grid201):
         f = LevelFunction.constant(grid201, -1.0)
-        (est,) = joint_cdf_estimates(TwoBranch(), [f], 20_000, 18)
+        (est,) = joint_cdf(TwoBranch(), [f], 20_000, 18)
         assert abs(est.value - math.exp(-2.0)) <= 3 * est.se + 0.002
 
     def test_grid_mismatch_rejected(self, grid101, grid201):
         fs = [LevelFunction.constant(g, -1.0) for g in (grid101, grid201)]
         with pytest.raises(ValueError, match="common grid"):
-            joint_cdf_estimates(TwoBranch(), fs, 100, 19)
+            joint_cdf(TwoBranch(), fs, 100, 19)
 
     def test_positive_level_function_rejected(self, grid101):
         with pytest.raises(ValueError, match="nonpositive"):
             LevelFunction.constant(grid101, 0.5)
 
 
+def marginal_ks(spec, times, grid, n, seed):
+    """KS distances of eta_t against exp(x), x <= 0, per time, all from one
+    set of paths: the margins-ks reduction."""
+    cols = [grid.index_of(t) for t in times]
+    blocks = msp_path_blocks(spec, grid, n, seed)
+    samples = stack_blocks((eta[:, cols] for eta in blocks), n)
+    return [ks_distance_neg_exponential(column) for column in samples.T]
+
+
 class TestMarginalGof:
     def test_complete_dependence_within_band(self, grid101):
-        (d,) = marginal_gof(CompleteDependence(), [0.5], grid101, 5000, 20)
+        (d,) = marginal_ks(CompleteDependence(), [0.5], grid101, 5000, 20)
         assert d <= ks_band(5000)
 
     def test_two_branch_at_zero(self, grid101):
-        ds = marginal_gof(TwoBranch(), [0.0, 0.5, 1.0], grid101, 5000, 21)
+        ds = marginal_ks(TwoBranch(), [0.0, 0.5, 1.0], grid101, 5000, 21)
         assert len(ds) == 3
         assert all(d <= ks_band(5000) for d in ds)
         # each time sees the same paths as when it is asked for alone
-        assert marginal_gof(TwoBranch(), [0.5], grid101, 5000, 21) == ds[1:2]
+        assert marginal_ks(TwoBranch(), [0.5], grid101, 5000, 21) == ds[1:2]
 
     def test_nan_time_rejected(self):
         # NaN is on no grid; it must not fall back to column 0 (t = 0)
         with pytest.raises(OffGridError):
-            marginal_gof(TwoBranch(), [math.nan], make_grid(11), 200, 1)
+            marginal_ks(TwoBranch(), [math.nan], make_grid(11), 200, 1)
 
     def test_empty_sample_rejected(self, grid101):
         with pytest.raises(ValueError):
-            marginal_gof(TwoBranch(), [0.0], grid101, 0, 22)
+            marginal_ks(TwoBranch(), [0.0], grid101, 0, 22)
 
     def test_ks_oracle_detects_wrong_law(self, rng):
         # exact inverse-transform sample passes, a shifted one fails

@@ -7,10 +7,11 @@ import pytest
 from maxhit import (
     Interval,
     LevelFunction,
-    generator_corpus,
+    generator_blocks,
     make_grid,
     msp_corpus,
 )
+from maxhit.estimates import stack_blocks
 
 N = 400
 SEED = 90210
@@ -23,7 +24,7 @@ def grid():
 
 @pytest.fixture()
 def z_corpus(any_spec, grid):
-    return generator_corpus(any_spec, grid, N, SEED)
+    return stack_blocks(generator_blocks(any_spec, grid, N, SEED), N)
 
 
 @pytest.fixture()
