@@ -33,10 +33,11 @@ threshold theta_j per uniform. The path draws uniforms u_0, u_1, ...;
 shape k is the binary number whose digits, first uniform leading, are
 [u_j >= theta_j], so p_k is a product of theta_j and 1 - theta_j. The
 uniform count, ``atom_index``, the shape rows of ``path_basis``, the
-closed forms of m = E sup Z and m~ = E inf Z, and the a.s. bound
-``generator_bound`` all follow from that table. SineBump, a continuous
-mixture, has no table (``atoms()`` is None); its three constants and its
-path build each sit in one place below.
+closed forms of m = E sup Z and m~ = E inf Z, E max over a finite set of
+times (``expected_max``), and the a.s. bound ``generator_bound`` all
+follow from that table. SineBump, a continuous mixture, has no table
+(``atoms()`` is None); its constants and its path build each sit in one
+place below.
 
 Paths on a grid are built from the spec's ``path_basis``: the shape table
 of an atom generator, SineBump's row sin(2 pi t). It depends on (spec,
@@ -497,6 +498,22 @@ def closed_form_m_tilde(spec: GeneratorSpec) -> float:
     if atoms is None:
         return 1.0 - spec.amp / 4.0
     return atoms.mean(min)
+
+
+def expected_max(spec: GeneratorSpec, times) -> float:
+    """Exact E max_{t in T} Z over a finite increasing set of times T; it
+    fixes eta's finite-dimensional laws, P(eta <= x on T) = exp(x E max_T Z).
+
+    Atom generators: sum_k p_k max_T z_k over the ``path_basis`` rows (on
+    the knots, ``closed_form_m`` bit for bit). SineBump, s = sin 2 pi t:
+    max_T (1 + s W) is 1 + W max_T s for W >= 0, else 1 + W min_T s, and
+    E max(W, 0) = amp/8. No path is drawn.
+    """
+    rows = path_basis(spec, times)
+    atoms = spec.atoms()
+    if atoms is None:
+        return 1.0 + spec.amp / 8.0 * float(rows.max() - rows.min())
+    return sum(p * float(z.max()) for p, z in zip(atoms.probabilities, rows))
 
 
 # --- JSON interchange ------------------------------------------------------

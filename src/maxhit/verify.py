@@ -18,7 +18,10 @@ default 1001-point grid for sub-grid excursions; probabilities of finitely
 many coordinates are grid-exact. A KS distance is bounded by ``ks_band``.
 A null probability is zero observed successes with rule-of-three CI upper
 bound 3/n, a positive one at least one success. Exact quantities carry
-se 0.
+se 0. A reference from eta's finite-dimensional law (``expected_max``) is
+exact up to rounding, so its tolerance adds ``SUP_EQ_TOL``. A claim that
+such a value is nonzero is certified by arithmetic: it is a ``gap`` of se 0
+over ``SUP_EQ_TOL``, and no sampled gap from 0 is needed.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .estimates import (
     Estimate,
     binomial_estimate,
     count_events,
+    mean_estimate_from_sums,
     per_path,
     rule_of_three,
     stack_blocks,
@@ -52,6 +56,7 @@ from .generators import (
     TwoBranch,
     closed_form_m,
     closed_form_m_tilde,
+    expected_max,
     generator_blocks,
     shape_blocks,
 )
@@ -82,9 +87,9 @@ GRID_ALLOWANCE = 0.005
 #: Kolmogorov one-sample critical value of the band used throughout:
 #: D_n <= KS_CRITICAL / sqrt(n).
 KS_CRITICAL = 1.63
-#: Tolerance for "supremum equals endpoint maximum" equality tests. Linear
-#: interpolation is evaluated pointwise, so interior grid values of a
-#: monotone segment can overshoot the endpoint by a few ulps.
+#: Tolerance for "supremum equals endpoint maximum" tests and for exact
+#: references from ``expected_max``. Linear interpolation is evaluated
+#: pointwise, so a monotone segment can overshoot its endpoint by ulps.
 SUP_EQ_TOL = 1e-12
 
 
@@ -608,95 +613,71 @@ def _sup_equals_max_rate(
 
 _COR33_WINDOW = (0.2, 0.9)
 _COR33_LEVELS = (-0.5, -2.0)
-# Residuals of the 2 exp(x) - 1 identity are a few parts per thousand for
-# the sine bump, so this item runs at 10x the default replication to make
-# its required >= 5 se failure margin decisive rather than borderline.
-_COR33_RESIDUAL_FACTOR = 10
-
-
-def _cor33_residuals(
-    spec: GeneratorSpec, subgrid: SubGrid, n: int, seed: Seed
-) -> dict[float, tuple[float, float]]:
-    """(residual, se) per level for item (5): P(all <= x) - P(ends > x) - (2e^x - 1).
-
-    Shared draws: the per-path statistic is 1{all <= x} - 1{both ends > x},
-    so the reported se is the exact sd of the estimator.
-    """
-    def residual(eta: np.ndarray, x: float) -> np.ndarray:
-        a = np.all(eta <= x, axis=1)
-        b = (eta[:, 0] > x) & (eta[:, -1] > x)
-        return a.astype(float) - b.astype(float)
-
-    acc = stream_means(
-        msp_path_blocks(spec, subgrid, n, seed),
-        *(lambda eta, x=x: residual(eta, x) for x in _COR33_LEVELS),
-    )
-    out = {}
-    for i, x in enumerate(_COR33_LEVELS):
-        est = acc.estimate(i)
-        out[x] = (est.value - (2.0 * math.exp(x) - 1.0), est.se)
-    return out
 
 
 @check("cor33-equivalences", "five-way equivalence holds/fails as one")
 def _check_cor33(ctx: CheckContext) -> list[Assertion]:
     """All five items hold for the nonlinear generator and all fail for
-    the sine bump, on the window (0.2, 0.9); a failing item is a gap of
-    at least 5 se from the value that would make it hold."""
-    t_lo, t_hi = _COR33_WINDOW
-    window = Interval(t_lo, t_hi)
-    sl = ctx.grid.slice_of(window)
-    subgrid = SubGrid(ctx.grid.points[sl])
+    the sine bump, on the window T = (0.2, 0.9). Item (3) reduces Z
+    paths; items (1), (4) and (5) one eta stream on T per generator.
+    By P(eta <= x on T) = exp(x m_T), m_T = ``expected_max`` over T, and
+    m_E over T's endpoints, the item-5 residual P(all <= x) - P(ends > x)
+    - (2e^x - 1) is exactly d = exp(x m_T) - exp(x m_E), and the item-4
+    rate P(ends <= x, not all <= x) is -d: both are tested two-sided at
+    4 se + ``SUP_EQ_TOL``. d is 0 to ``SUP_EQ_TOL`` where the items hold;
+    where they fail, a ``gap`` of se 0 certifies by arithmetic that it is not.
+    """
+    window = Interval(*_COR33_WINDOW)
+    subgrid = SubGrid(ctx.grid.points[ctx.grid.slice_of(window)])
+    levels = np.array(_COR33_LEVELS)
     nl = NonlinearExample(**NONLINEAR_DEFAULTS)
     sine = SineBump(amp=0.5)
-    out = []
+    out = [
+        Assertion("nonlinear:item3_rate",
+                  _sup_equals_max_rate(nl, window, ctx.grid, ctx.n, ctx.seed(0)), 1.0),
+        Assertion("sine_bump:item3_rate",
+                  _sup_equals_max_rate(sine, window, ctx.grid, ctx.n, ctx.seed(1)),
+                  0.01, "<="),
+    ]
 
-    # item (3): sup over the window equals the endpoint max (Z paths).
-    rate_nl = _sup_equals_max_rate(nl, window, ctx.grid, ctx.n, ctx.seed(0))
-    out.append(Assertion("nonlinear:item3_rate", rate_nl, 1.0))
-    rate_sb = _sup_equals_max_rate(sine, window, ctx.grid, ctx.n, ctx.seed(1))
-    out.append(Assertion("sine_bump:item3_rate", rate_sb, 0.01, "<="))
+    def items_4_and_5(eta: np.ndarray) -> np.ndarray:
+        """Per level: ends <= x but not all; all <= x; both ends > x."""
+        below = eta.max(axis=1)[:, None] <= levels
+        ends_below = (eta[:, :1] <= levels) & (eta[:, -1:] <= levels)
+        ends_above = (eta[:, :1] > levels) & (eta[:, -1:] > levels)
+        return np.hstack([ends_below & ~below, below, ends_above])
 
-    # items (1) and (4) on a shared eta corpus per generator (window grid).
-    def items_1_and_4(spec, seed, dud_t0):
+    for name, spec, k, dud_t0, sense in (("nonlinear", nl, 2, 0.5, "=="),
+                                         ("sine_bump", sine, 3, 0.25, "gap")):
         i_t0 = int(np.argmin(np.abs(subgrid.points - dud_t0)))
         cols = (0, i_t0, len(subgrid) - 1)
-
-        def viol4(eta: np.ndarray, x: float) -> np.ndarray:
-            ends = (eta[:, 0] <= x) & (eta[:, -1] <= x)
-            return ends & ~np.all(eta <= x, axis=1)
-
-        dud_count, *counts = count_events(
-            msp_path_blocks(spec, subgrid, ctx.n, seed),
+        dud, counts = count_events(
+            msp_path_blocks(spec, subgrid, ctx.n, ctx.seed(k)),
             lambda eta: down_up_down_mask(eta, cols, -1.0),
-            *(lambda eta, x=x: viol4(eta, x) for x in _COR33_LEVELS),
+            items_4_and_5,
         )
-        return int(dud_count), {x: int(c) for x, c in zip(_COR33_LEVELS, counts)}
-
-    dud_nl, viol4_nl = items_1_and_4(nl, ctx.seed(2), dud_t0=0.5)
-    out += _null_probability(binomial_estimate(dud_nl, ctx.n), "nonlinear:item1_", "dud")
-    for x in _COR33_LEVELS:
-        out.append(Assertion(f"nonlinear:item4_viol_x={x}", viol4_nl[x], 0.0))
-
-    dud_sb, viol4_sb = items_1_and_4(sine, ctx.seed(3), dud_t0=0.25)
-    out.append(_positive_probability("sine_bump:item1_dud_positive",
-                                     binomial_estimate(dud_sb, ctx.n)))
-    for x in _COR33_LEVELS:
-        diff = binomial_estimate(viol4_sb[x], ctx.n)
-        out.append(Assertion(f"sine_bump:item4_gap_x={x}", diff.value, 0.0, "gap",
-                             se=diff.se, z=5.0))
-
-    # item (5): the 2 exp(x) - 1 identity, high-replication residuals.
-    residual_n = ctx.n * _COR33_RESIDUAL_FACTOR
-    res_nl = _cor33_residuals(nl, subgrid, residual_n, ctx.seed(4))
-    for x in _COR33_LEVELS:
-        r, se = res_nl[x]
-        out.append(Assertion(f"nonlinear:item5_residual_x={x}", r, 0.0, se=se, z=4.0))
-    res_sb = _cor33_residuals(sine, subgrid, residual_n, ctx.seed(5))
-    for x in _COR33_LEVELS:
-        r, se = res_sb[x]
-        out.append(Assertion(f"sine_bump:item5_gap_x={x}", abs(r), 0.0, "gap",
-                             se=se, z=5.0))
+        dud_est = binomial_estimate(int(dud), ctx.n)
+        if sense == "==":
+            out += _null_probability(dud_est, f"{name}:item1_", "dud")
+        else:
+            out.append(_positive_probability(f"{name}:item1_dud_positive", dud_est))
+        m_t = expected_max(spec, subgrid.points)
+        m_e = expected_max(spec, subgrid.points[[0, -1]])
+        viol, below, above = np.reshape(counts, (3, -1))
+        for x, v, a, b in zip(_COR33_LEVELS, viol, below, above):
+            d = math.exp(x * m_t) - math.exp(x * m_e)
+            rate = binomial_estimate(int(v), ctx.n)
+            # a and b are disjoint, so 1{a} - 1{b} sums to a - b, squared to a + b
+            res = mean_estimate_from_sums(float(a - b), float(a + b), ctx.n)
+            out += [
+                Assertion(f"{name}:item4_viol_x={x}", rate.value, -d,
+                          se=rate.se, z=4.0, slack=SUP_EQ_TOL),
+                Assertion(f"{name}:item5_residual_x={x}",
+                          res.value - (2.0 * math.exp(x) - 1.0), d,
+                          se=res.se, z=4.0, slack=SUP_EQ_TOL),
+                Assertion(f"{name}:item45_exact_x={x}", abs(d), 0.0, sense,
+                          slack=SUP_EQ_TOL),
+            ]
     return out
 
 

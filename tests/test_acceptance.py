@@ -91,8 +91,9 @@ def test_criterion_10_down_up_down_identity(report):
 
 
 def test_criterion_11_equivalence_bundle(report):
-    _criterion(report, 11, "2e^x - 1 identity within 4 se (nonlinear), "
-               "broken by >= 5 se (sine bump)", ["cor33-equivalences"])
+    _criterion(report, 11, "window cdf and 2e^x - 1 identity within 4 se of "
+               "exact exp(x m_T) - exp(x m_E): 0 (nonlinear), nonzero by "
+               "arithmetic (sine bump)", ["cor33-equivalences"])
 
 
 def test_criterion_12_property_suites(report):

@@ -30,7 +30,8 @@ from maxhit import (
 )
 from maxhit.estimates import per_path, stack_blocks, stream_means
 from maxhit.generators import (
-    atom_index, draw_uniforms, path_basis, path_maxima, sample_paths, shape_blocks,
+    atom_index, draw_uniforms, expected_max, path_basis, path_maxima, sample_paths,
+    shape_blocks,
 )
 from maxhit.streams import block_streams
 from maxhit.verify import _sup_equals_max_rate
@@ -446,6 +447,41 @@ class TestClosedForms:
         spec = PiecewiseExample(n=2, a=0.25, b=0.75)
         assert closed_form_m(spec) == 14.0 / 9.0
         assert closed_form_m_tilde(spec) == 5.0 / 9.0
+
+
+#: Columns of grid 1001: cor33's window (0.2, 0.9) and its two endpoints.
+_WINDOW_COLUMNS = {"window": slice(200, 901), "endpoints": [200, 900]}
+
+
+class TestExpectedMax:
+    """E max_{t in T} Z, the exact oracle of eta's finite-dimensional laws."""
+
+    def test_two_branch(self):
+        assert expected_max(TwoBranch(), [0.0, 1.0]) == 2.0
+        assert expected_max(TwoBranch(), [0.5]) == 1.0
+
+    @pytest.mark.parametrize("spec", ATOM_SPECS, ids=repr)
+    def test_own_knots_give_closed_form_m(self, spec):
+        assert expected_max(spec, spec.atoms().knots) == closed_form_m(spec)
+
+    @pytest.mark.parametrize("amp", [0.1, 0.5, 0.99])
+    @pytest.mark.parametrize("times", [
+        [0.25, 0.75], [0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.25, 0.6, 0.75],
+        make_grid(101).points, make_grid(1001).points[200:901],
+    ], ids=["peaks", "quarters", "uneven", "grid101", "cor33-window"])
+    def test_sine_bump_with_both_peaks_is_m(self, amp, times):
+        spec = SineBump(amp=amp)
+        assert expected_max(spec, times) == 1.0 + amp / 4.0 == closed_form_m(spec)
+
+    @pytest.mark.parametrize("columns", _WINDOW_COLUMNS.values(), ids=list(_WINDOW_COLUMNS))
+    def test_agrees_with_monte_carlo(self, any_spec, columns):
+        grid, n = make_grid(1001), 20_000
+        m = stream_means(
+            shape_blocks(any_spec, grid, n, 14),
+            per_path(lambda z: z[:, columns].max(axis=1)),
+        ).estimate(0)
+        exact = expected_max(any_spec, grid.points[columns])
+        assert abs(m.value - exact) <= 4 * m.se + 1e-12
 
 
 class TestSupEqualsMaxRate:

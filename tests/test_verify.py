@@ -199,6 +199,44 @@ class TestRunChecks:
         assert stable[1:] == lines[1:]
 
 
+class TestCor33:
+    """Items 4 and 5 against their exact value exp(x m_T) - exp(x m_E)."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_checks(["cor33-equivalences"], 7, n_default=4096)["cor33-equivalences"]
+
+    @staticmethod
+    def _part(result, name):
+        (a,) = [a for a in result.assertions if a.name == name]
+        return a
+
+    def test_green_at_bench_scale(self, result):
+        assert result.passed, [a.name for a in result.assertions if not a.passed]
+
+    def test_sine_bump_exact_values(self, result):
+        for x, d in ((-0.5, -0.00827), (-2.0, -0.00625)):
+            residual = self._part(result, f"sine_bump:item5_residual_x={x}")
+            assert residual.expected == pytest.approx(d, abs=1e-5)
+            viol = self._part(result, f"sine_bump:item4_viol_x={x}")
+            assert viol.expected == -residual.expected
+            # the failure is certified by arithmetic, not by a sampled gap
+            exact = self._part(result, f"sine_bump:item45_exact_x={x}")
+            assert exact.observed == -residual.expected
+            assert (exact.sense, exact.se, exact.passed) == ("gap", 0.0, True)
+
+    def test_nonlinear_exact_value_is_zero(self, result):
+        for x in (-0.5, -2.0):
+            exact = self._part(result, f"nonlinear:item45_exact_x={x}")
+            assert abs(exact.observed) <= 1e-12
+            residual = self._part(result, f"nonlinear:item5_residual_x={x}")
+            assert abs(residual.expected) == exact.observed
+
+    def test_no_high_replication_residual_run(self):
+        assert not hasattr(verify, "_COR33_RESIDUAL_FACTOR")
+        assert not hasattr(verify, "_cor33_residuals")
+
+
 class TestSuiteRegistry:
     def test_spec_minimum_ids_present(self):
         required = {
