@@ -41,7 +41,7 @@ from .hitting import (
     two_hit_prob,
 )
 from .msp import msp_corpus, msp_path_blocks, stopping_exactness_violations
-from .paths import Interval, SubGrid, TimeGrid, make_grid
+from .paths import Interval, TimeGrid, make_grid
 from .verify import (
     CheckReport,
     CheckResult,
@@ -73,7 +73,6 @@ __all__ = [
     "NonlinearExample",
     "PiecewiseExample",
     "SineBump",
-    "SubGrid",
     "TimeGrid",
     "TwoBranch",
     "UnknownCheckError",

@@ -160,7 +160,7 @@ def _simulate(ns: argparse.Namespace) -> int:
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
     paths = msp_corpus(spec, grid, ns.paths, ns.seed)
-    if not (np.isfinite(grid.points).all() and np.isfinite(paths).all()):
+    if not np.isfinite(paths).all():
         raise FloatingPointError("result is not finite")
     # "%.17g" % x is the conversion format(x, ".17g") makes in _fmt; one
     # grid row is listed at a time, as a whole-table list costs more memory

@@ -58,12 +58,17 @@ class Estimate:
         }
 
 
-def wilson_interval(successes: int, n: int) -> tuple[float, float]:
-    """Wilson 95% score interval for a binomial proportion."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+def _check_trials(successes: int, n: int) -> None:
+    """Refuse fewer than one trial, or successes outside [0, n]."""
+    if not n >= 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if not 0 <= successes <= n:
         raise InvalidArgumentError(f"successes {successes} outside [0, {n}]")
+
+
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
+    _check_trials(successes, n)
     z = Z95
     phat = successes / n
     denom = 1.0 + z * z / n
@@ -73,12 +78,14 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def rule_of_three(n: int) -> float:
-    """95% upper bound for a probability after 0 successes in n trials."""
+    """95% upper bound for a probability after 0 successes in n >= 1 trials."""
+    _check_trials(0, n)
     return 3.0 / n
 
 
 def binomial_estimate(successes: int, n: int) -> Estimate:
     """Frequency estimate with Wilson CI (rule-of-three at the boundaries)."""
+    _check_trials(successes, n)
     p = successes / n
     se = math.sqrt(p * (1.0 - p) / n)
     if successes == 0:
@@ -96,8 +103,7 @@ def mean_estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
     The variance is clipped at zero: for degenerate samples (all values
     identical) cancellation can leave a tiny negative residual.
     """
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    _check_trials(0, n)
     mean = total / n
     var = max(0.0, total_sq / n - mean * mean)
     se = math.sqrt(var / n)

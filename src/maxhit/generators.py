@@ -40,9 +40,11 @@ follow from that table. SineBump, a continuous mixture, has no table
 place below.
 
 Paths on a grid are built from the spec's ``path_basis``: the shape table
-of an atom generator, SineBump's row sin(2 pi t). It depends on (spec,
-grid) alone, so a sampling call computes it once. ``sample_paths`` builds
-rows from it and ``path_maxima`` gives their maxima without building them.
+of an atom generator, SineBump's row sin(2 pi t), over a ``TimeGrid``
+(``expected_max`` makes one from its times), so no basis is built from
+unchecked times. It depends on (spec, grid) alone, so a sampling call
+computes it once. ``sample_paths`` builds rows from it and
+``path_maxima`` gives their maxima without building them.
 
 ======================  ==  ================================================
 CompleteDependence       1  the constant 1; no uniform
@@ -337,22 +339,22 @@ def atom_index(spec: GeneratorSpec, uniforms: np.ndarray) -> np.ndarray | None:
     return k
 
 
-def path_basis(spec: GeneratorSpec, grid_points: np.ndarray) -> np.ndarray:
+def path_basis(spec: GeneratorSpec, grid: TimeGrid) -> np.ndarray:
     """The read-only grid rows every path of the spec is built from.
 
     SineBump's basis is the one row sin(2 pi t) that each path scales by W.
     An atom spec's basis is its shape table: the K fixed path shapes, of
-    shape (K, len(grid_points)), row k being the path of every uniform row
-    with ``atom_index`` k. Between knots s < s' the value is
+    shape (K, len(grid)), row k being the path of every uniform row with
+    ``atom_index`` k. Between knots s < s' the value is
     z(s) (s' - t)/(s' - s) + z(s') (t - s)/(s' - s), which equals z at
-    either knot; a flat segment gives its value exactly. ``grid_points``
-    must increase, as those of every ``TimeGrid`` and ``SubGrid`` do.
+    either knot; a flat segment gives its value exactly. The grid's times
+    increase and lie in [0, 1], so each falls in one knot segment.
 
     The basis depends on (spec, grid) alone, so a sampling call computes it
     once and hands it to ``sample_paths`` and ``path_maxima`` for every
     block.
     """
-    t = np.asarray(grid_points, dtype=float)
+    t = grid.points
     atoms = spec.atoms()
     if atoms is None:
         basis = np.sin(2.0 * np.pi * t)[None, :]
@@ -387,7 +389,7 @@ def sample_paths(
 ) -> np.ndarray:
     """Build generator paths from uniforms; shape (count, len(grid)).
 
-    ``basis`` is ``path_basis(spec, grid_points)`` and ``uniforms`` comes
+    ``basis`` is ``path_basis(spec, grid)`` and ``uniforms`` comes
     from ``draw_uniforms``. An atom path is its shape's basis row; a
     SineBump path is fl(1 + fl(W sin 2 pi t)). This is the deterministic
     core of the sampler: equal uniforms give equal paths on every
@@ -450,7 +452,7 @@ def shape_blocks(
     bit, because the elementwise products are the same floats and a max or
     min does not round. ``estimates.per_path`` does that gather.
     """
-    basis = path_basis(spec, grid.points)
+    basis = path_basis(spec, grid)
     for count, rng in block_streams(seed, n):
         u = draw_uniforms(spec, rng, count)
         index = atom_index(spec, u)
@@ -501,15 +503,15 @@ def closed_form_m_tilde(spec: GeneratorSpec) -> float:
 
 
 def expected_max(spec: GeneratorSpec, times) -> float:
-    """Exact E max_{t in T} Z over a finite increasing set of times T; it
-    fixes eta's finite-dimensional laws, P(eta <= x on T) = exp(x E max_T Z).
+    """Exact E max_{t in T} Z over a finite set of times T; it fixes eta's
+    finite-dimensional laws, P(eta <= x on T) = exp(x E max_T Z).
 
-    Atom generators: sum_k p_k max_T z_k over the ``path_basis`` rows (on
-    the knots, ``closed_form_m`` bit for bit). SineBump, s = sin 2 pi t:
-    max_T (1 + s W) is 1 + W max_T s for W >= 0, else 1 + W min_T s, and
-    E max(W, 0) = amp/8. No path is drawn.
+    ``TimeGrid(times)`` refuses a bad T. Atom generators: sum_k p_k
+    max_T z_k over the ``path_basis`` rows (on the knots, ``closed_form_m``
+    bit for bit). SineBump, s = sin 2 pi t: max_T (1 + s W) is
+    1 + W max_T s for W >= 0, else 1 + W min_T s, and E max(W, 0) = amp/8.
     """
-    rows = path_basis(spec, times)
+    rows = path_basis(spec, TimeGrid(times))
     atoms = spec.atoms()
     if atoms is None:
         return 1.0 + spec.amp / 8.0 * float(rows.max() - rows.min())

@@ -1,4 +1,5 @@
-"""Exact simulation of standard max-stable processes on a grid.
+"""Exact simulation of standard max-stable processes on a ``TimeGrid``:
+a uniform grid of [0, 1], or the points of a window of one.
 
 A path of the process eta is built from a generator Z by the spectral
 construction: with Gamma_1 < Gamma_2 < ... the arrival times of a unit-rate
@@ -71,7 +72,7 @@ from .generators import (
     path_maxima,
     sample_paths,
 )
-from .paths import SubGrid, TimeGrid
+from .paths import TimeGrid
 from .streams import Seed, block_streams
 
 #: Arrivals a block may draw before its stopping rule must have fired;
@@ -209,7 +210,7 @@ def _spectral_block(
 
 def msp_path_blocks(
     spec: GeneratorSpec,
-    grid: TimeGrid | SubGrid,
+    grid: TimeGrid,
     n: int,
     seed: Seed,
 ) -> Iterator[np.ndarray]:
@@ -221,7 +222,7 @@ def msp_path_blocks(
     only until the next one is requested: reduce it before then, or copy
     what must be kept.
     """
-    basis = path_basis(spec, grid.points)
+    basis = path_basis(spec, grid)
     buffer = None
     for count, rng in block_streams(seed, n):
         if buffer is None:  # the first block is the largest
@@ -232,7 +233,7 @@ def msp_path_blocks(
 
 def msp_corpus(
     spec: GeneratorSpec,
-    grid: TimeGrid | SubGrid,
+    grid: TimeGrid,
     n: int,
     seed: Seed,
 ) -> np.ndarray:
@@ -256,7 +257,7 @@ def ks_distance_neg_exponential(samples: np.ndarray) -> float:
 
 def stopping_exactness_violations(
     spec: GeneratorSpec,
-    grid: TimeGrid | SubGrid,
+    grid: TimeGrid,
     n: int,
     seed: Seed,
 ) -> int:
@@ -273,7 +274,7 @@ def stopping_exactness_violations(
     the module docstring) cannot show up here.
     """
     bound = generator_bound(spec)
-    basis = path_basis(spec, grid.points)
+    basis = path_basis(spec, grid)
     violations = 0
     for count, rng in block_streams(seed, n):
         xi = np.empty((count, len(grid)))

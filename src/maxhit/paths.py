@@ -1,7 +1,9 @@
-"""Time grids and intervals of [0, 1].
+"""Finite sets of times in [0, 1], and intervals of [0, 1].
 
-Paths of continuous processes are represented by their values on a finite
-grid; interval endpoints must be grid points.
+A ``TimeGrid`` is any strictly increasing times in [0, 1]: ``make_grid``'s
+uniform grids span [0, 1], and a window's points or the set T of a
+finite-dimensional law are grids too. Paths are represented by their
+values on a grid; interval endpoints must be grid points.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ def _frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time points spanning [0, 1] exactly."""
+    """At least one strictly increasing time point, each in [0, 1]."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = _frozen_array(self.points)
-        if pts.ndim != 1 or pts.size < 2:
-            raise InvalidArgumentError("grid needs at least 2 points")
+        if pts.ndim != 1 or pts.size < 1:
+            raise InvalidArgumentError("grid needs at least 1 point")
         if not np.all(np.diff(pts) > 0):
             raise InvalidArgumentError("grid points must be strictly increasing")
-        if pts[0] != 0.0 or pts[-1] != 1.0:
-            raise InvalidArgumentError("grid must start at 0 and end at 1")
+        if not (0.0 <= pts[0] and pts[-1] <= 1.0):  # refuses a lone NaN too
+            raise InvalidArgumentError("grid points must lie in [0, 1]")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -62,24 +64,6 @@ class TimeGrid:
         """Index slice covering ``interval``; endpoints must be on-grid."""
         lo, hi = self.index_of(interval.lo), self.index_of(interval.hi)
         return slice(lo, hi + 1)
-
-
-@dataclass(frozen=True)
-class SubGrid:
-    """Grid points of a window of [0, 1]; strictly increasing."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = _frozen_array(self.points)
-        if pts.ndim != 1 or pts.size < 1:
-            raise InvalidArgumentError("empty grid")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
-            raise InvalidArgumentError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return int(self.points.size)
 
 
 def make_grid(n: int) -> TimeGrid:

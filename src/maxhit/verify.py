@@ -75,7 +75,7 @@ from .msp import (
     msp_path_blocks,
     stopping_exactness_violations,
 )
-from .paths import Interval, SubGrid, TimeGrid, make_grid
+from .paths import Interval, TimeGrid, make_grid
 from .streams import Seed, label_key, substream
 
 DEFAULT_N = 100_000
@@ -94,7 +94,9 @@ SUP_EQ_TOL = 1e-12
 
 
 def ks_band(n: int) -> float:
-    """Acceptance band for a KS distance at ``n`` samples."""
+    """Acceptance band for a KS distance at ``n`` >= 1 samples."""
+    if not n >= 1:
+        raise InvalidArgumentError(f"need n >= 1 samples, got {n}")
     return KS_CRITICAL / np.sqrt(n)
 
 
@@ -128,12 +130,13 @@ def final_example_two_hit(x: float, t0: float) -> float:
 
 
 def final_example_integral_below(x: float) -> float:
-    """Exact integral of the two-branch hitting curve over (-inf, x], x <= 0.
+    """Exact integral of the two-branch hitting curve over (-inf, x], for a
+    finite x <= 0.
 
     Antiderivative of (1 - e^u - u) e^u; evaluates to 3/2 at x = 0.
     """
-    if x > 0.0:
-        raise InvalidArgumentError(f"need x <= 0, got {x}")
+    if not (math.isfinite(x) and x <= 0.0):
+        raise InvalidArgumentError(f"need a finite x <= 0, got {x}")
     return math.exp(x) * (2.0 - x) - 0.5 * math.exp(2.0 * x)
 
 
@@ -565,8 +568,9 @@ def _check_lemma31(ctx: CheckContext) -> list[Assertion]:
 
     sine = SineBump(amp=0.5)
     est = down_up_down(sine, ctx.seed(0))
-    # E max(Z_0, Z_0.5) = 1; E max with the peak included = 1 + amp/8.
-    target = math.exp(-1.0) - math.exp(-(1.0 + sine.amp / 8.0))
+    # P(ends <= -1) - P(all <= -1), by P(eta <= x on T) = exp(x m_T)
+    t = ctx.grid.points[list(cols)]
+    target = math.exp(-expected_max(sine, t[[0, 2]])) - math.exp(-expected_max(sine, t))
     out = [Assertion("sine_bump:closed_form", est.value, target, se=est.se, z=Z_STAT)]
     est_nl = down_up_down(NonlinearExample(**NONLINEAR_DEFAULTS), ctx.seed(1))
     return out + _null_probability(est_nl, "nonlinear:")
@@ -628,7 +632,7 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
     where they fail, a ``gap`` of se 0 certifies by arithmetic that it is not.
     """
     window = Interval(*_COR33_WINDOW)
-    subgrid = SubGrid(ctx.grid.points[ctx.grid.slice_of(window)])
+    window_grid = TimeGrid(ctx.grid.points[ctx.grid.slice_of(window)])
     levels = np.array(_COR33_LEVELS)
     nl = NonlinearExample(**NONLINEAR_DEFAULTS)
     sine = SineBump(amp=0.5)
@@ -649,10 +653,9 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
 
     for name, spec, k, dud_t0, sense in (("nonlinear", nl, 2, 0.5, "=="),
                                          ("sine_bump", sine, 3, 0.25, "gap")):
-        i_t0 = int(np.argmin(np.abs(subgrid.points - dud_t0)))
-        cols = (0, i_t0, len(subgrid) - 1)
+        cols = (0, window_grid.index_of(dud_t0), len(window_grid) - 1)
         dud, counts = count_events(
-            msp_path_blocks(spec, subgrid, ctx.n, ctx.seed(k)),
+            msp_path_blocks(spec, window_grid, ctx.n, ctx.seed(k)),
             lambda eta: down_up_down_mask(eta, cols, -1.0),
             items_4_and_5,
         )
@@ -661,8 +664,8 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
             out += _null_probability(dud_est, f"{name}:item1_", "dud")
         else:
             out.append(_positive_probability(f"{name}:item1_dud_positive", dud_est))
-        m_t = expected_max(spec, subgrid.points)
-        m_e = expected_max(spec, subgrid.points[[0, -1]])
+        m_t = expected_max(spec, window_grid.points)
+        m_e = expected_max(spec, window_grid.points[[0, -1]])
         viol, below, above = np.reshape(counts, (3, -1))
         for x, v, a, b in zip(_COR33_LEVELS, viol, below, above):
             d = math.exp(x * m_t) - math.exp(x * m_e)

@@ -12,13 +12,13 @@ from maxhit import (
     LevelFunction,
     PiecewiseExample,
     SineBump,
-    SubGrid,
     TimeGrid,
     TwoBranch,
     dnorm_estimate,
     dnorm_estimates,
     final_example_integral_below,
     final_example_two_hit,
+    ks_band,
     make_grid,
 )
 from maxhit.estimates import Z95, count_events, per_path, stream_means
@@ -44,11 +44,13 @@ _REFUSALS = {
     ),
     "two-hit-split": lambda: final_example_two_hit(-1.0, 1.0),
     "integral-x": lambda: final_example_integral_below(0.5),
-    "timegrid-size": lambda: TimeGrid(np.array([0.0])),
+    "timegrid-empty": lambda: TimeGrid(np.array([])),  # one point is a grid
     "timegrid-order": lambda: TimeGrid(np.array([0.0, 0.6, 0.4, 1.0])),
-    "timegrid-span": lambda: TimeGrid(np.array([0.0, 0.5])),
-    "subgrid-empty": lambda: SubGrid(np.array([])),
-    "subgrid-order": lambda: SubGrid(np.array([0.5, 0.2])),
+    "timegrid-outside-unit": lambda: TimeGrid(np.array([0.0, 1.5])),
+    "ks-band-n-0": lambda: ks_band(0),
+    "ks-band-n-negative": lambda: ks_band(-4),
+    "integral-x-minus-inf": lambda: final_example_integral_below(-math.inf),
+    "integral-x-nan": lambda: final_example_integral_below(math.nan),
 }
 
 
@@ -252,7 +254,7 @@ class TestPerShapeReductions:
     @staticmethod
     def reference_blocks(spec, grid, n, seed):
         """Generator paths built in full per block, as sampled everywhere."""
-        basis = path_basis(spec, grid.points)
+        basis = path_basis(spec, grid)
         return [
             sample_paths(spec, basis, draw_uniforms(spec, rng, count))
             for count, rng in block_streams(seed, n)

@@ -46,6 +46,15 @@ class TestWilson:
 
 
 class TestBinomialEstimate:
+    @pytest.mark.parametrize(
+        "successes, n, needle",
+        [(5, 0, "n must be >= 1"), (-1, 10, "successes -1 outside"),
+         (11, 10, "successes 11 outside")],
+    )
+    def test_refusals_are_argument_errors(self, successes, n, needle):
+        with pytest.raises(InvalidArgumentError, match=needle):
+            binomial_estimate(successes, n)
+
     def test_zero_successes_uses_rule_of_three(self):
         est = binomial_estimate(0, 100_000)
         assert est.value == 0.0
@@ -64,6 +73,12 @@ class TestBinomialEstimate:
         assert est.se == pytest.approx(math.sqrt(0.6 * 0.4 / 1000))
         assert est.ci[0] < 0.6 < est.ci[1]
         assert est.n == 1000
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_rule_of_three_refuses_no_trials(n):
+    with pytest.raises(InvalidArgumentError, match="n must be >= 1"):
+        rule_of_three(n)
 
 
 class TestEstimate:

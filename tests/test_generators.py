@@ -12,12 +12,12 @@ from conftest import CATALOGUE, DOCUMENTED_UNIFORMS
 from maxhit import (
     NONLINEAR_DEFAULTS,
     CompleteDependence,
+    InvalidArgumentError,
     InvalidSpecError,
     Interval,
     NonlinearExample,
     PiecewiseExample,
     SineBump,
-    SubGrid,
     TimeGrid,
     TwoBranch,
     closed_form_m,
@@ -181,23 +181,23 @@ class TestSpecNumbers:
 class TestSamplePaths:
     def test_complete_dependence_is_unit(self):
         spec = CompleteDependence()
-        z = sample_paths(spec, path_basis(spec, make_grid(5).points), np.empty((3, 0)))
+        z = sample_paths(spec, path_basis(spec, make_grid(5)), np.empty((3, 0)))
         assert (z == 1.0).all()
 
     def test_piecewise_case_structure(self):
         # u0 >= n/(n+1) draws the high endpoint n, u1 < n/(n+1) draws 1/n
         grid = make_grid(5)
         spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-        z = sample_paths(spec, path_basis(spec, grid.points), np.array([[0.9, 0.1]]))
+        z = sample_paths(spec, path_basis(spec, grid), np.array([[0.9, 0.1]]))
         assert z[0].tolist() == [2.0, 1.0, 1.0, 1.0, 0.5]
 
     def test_two_branch_falling(self):
-        basis = path_basis(TwoBranch(), make_grid(3).points)
+        basis = path_basis(TwoBranch(), make_grid(3))
         z = sample_paths(TwoBranch(), basis, np.array([[0.1]]))
         assert z[0].tolist() == [2.0, 1.0, 0.0]
 
     def test_two_branch_rising(self):
-        basis = path_basis(TwoBranch(), make_grid(3).points)
+        basis = path_basis(TwoBranch(), make_grid(3))
         z = sample_paths(TwoBranch(), basis, np.array([[0.9]]))
         assert z[0].tolist() == [0.0, 1.0, 2.0]
 
@@ -205,18 +205,18 @@ class TestSamplePaths:
         grid = make_grid(5)
         spec = NonlinearExample(**NONLINEAR_DEFAULTS)
         # (Y=1, Yt=1): Z_0 = a = 2, Z_1 = kappa d = 7/6; V-shaped through 1
-        z = sample_paths(spec, path_basis(spec, grid.points), np.array([[0.0, 0.0]]))
+        z = sample_paths(spec, path_basis(spec, grid), np.array([[0.0, 0.0]]))
         assert z[0, 0] == pytest.approx(2.0)
         assert z[0, 2] == pytest.approx(1.0)
         assert z[0, 4] == pytest.approx(7.0 / 6.0)
         # (Y=0, Yt=0): Z_0 = b, Z_1 = c + kappa e = 4/3; increasing
-        z = sample_paths(spec, path_basis(spec, grid.points), np.array([[0.99, 0.99]]))
+        z = sample_paths(spec, path_basis(spec, grid), np.array([[0.99, 0.99]]))
         assert z[0, 0] == pytest.approx(0.5)
         assert z[0, 4] == pytest.approx(4.0 / 3.0)
 
     def test_sine_bump_amplitude_is_half_width(self):
         spec = SineBump(amp=0.5)
-        basis = path_basis(spec, make_grid(5).points)
+        basis = path_basis(spec, make_grid(5))
         z = sample_paths(spec, basis, np.array([[1.0], [0.0]]))
         # u = 1 gives W = +amp/2 = 0.25; peak at t = 0.25
         assert z[0, 1] == pytest.approx(1.25)
@@ -225,7 +225,7 @@ class TestSamplePaths:
 
     def test_paths_nonnegative(self, any_spec, grid101, rng):
         u = draw_uniforms(any_spec, rng, 500)
-        z = sample_paths(any_spec, path_basis(any_spec, grid101.points), u)
+        z = sample_paths(any_spec, path_basis(any_spec, grid101), u)
         assert (z >= 0.0).all()
 
     def test_documented_draw_count(self, any_spec, grid101):
@@ -235,7 +235,7 @@ class TestSamplePaths:
         (z,) = generator_blocks(any_spec, grid101, 300, 123)
         ((count, rng),) = block_streams(123, 300)
         u = rng.random((count, k))
-        basis = path_basis(any_spec, grid101.points)
+        basis = path_basis(any_spec, grid101)
         assert np.array_equal(z, sample_paths(any_spec, basis, u))
         used = np.random.default_rng(5)
         draw_uniforms(any_spec, used, count)
@@ -255,7 +255,7 @@ class TestShapeTable:
         ids=str,
     )
     def test_rows_are_table_rows(self, spec, shapes, grid101):
-        table = path_basis(spec, grid101.points)
+        table = path_basis(spec, grid101)
         assert table.shape == (shapes, 101)
         u = draw_uniforms(spec, np.random.default_rng(5), 4000)
         k = atom_index(spec, u)
@@ -273,7 +273,7 @@ class TestShapeTable:
             for y in (1, 0)
             for yt in (1, 0)
         ]
-        table = path_basis(spec, grid101.points)
+        table = path_basis(spec, grid101)
         assert list(zip(table[:, 0].tolist(), table[:, -1].tolist())) == atoms
 
     @pytest.mark.parametrize("spec", ATOM_SPECS, ids=repr)
@@ -292,7 +292,7 @@ class TestShapeTable:
     def test_sine_bump_has_no_shapes(self, grid101):
         spec = SineBump(amp=0.5)
         sin_row = np.sin(2.0 * np.pi * grid101.points)[None, :]
-        assert np.array_equal(path_basis(spec, grid101.points), sin_row)
+        assert np.array_equal(path_basis(spec, grid101), sin_row)
         assert atom_index(spec, np.zeros((3, 1))) is None
 
 
@@ -304,7 +304,7 @@ class TestShapeBlocks:
         k = DOCUMENTED_UNIFORMS[type(any_spec)]
         atoms = any_spec.atoms()
         n, seed = 4097, 123
-        basis = path_basis(any_spec, grid101.points)
+        basis = path_basis(any_spec, grid101)
         blocks = zip(shape_blocks(any_spec, grid101, n, seed),
                      generator_blocks(any_spec, grid101, n, seed),
                      block_streams(seed, n), strict=True)
@@ -326,21 +326,21 @@ _EDGE_UNIFORMS = st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53])
 
 
 @st.composite
-def _grid_points(draw):
-    """Points of a random increasing TimeGrid, or of a window of one."""
+def _grids(draw):
+    """A random TimeGrid spanning [0, 1], or a window of one."""
     inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                           max_size=60, unique=True))
     points = np.array([0.0, *sorted(inner), 1.0])
     if draw(st.booleans()):
         lo = draw(st.integers(0, points.size - 1))
         hi = draw(st.integers(lo, points.size - 1))
-        return SubGrid(points[lo:hi + 1]).points
-    return TimeGrid(points).points
+        return TimeGrid(points[lo:hi + 1])
+    return TimeGrid(points)
 
 
-@given(data=st.data(), spec=st.sampled_from(_PRETEST_SPECS), t=_grid_points())
+@given(data=st.data(), spec=st.sampled_from(_PRETEST_SPECS), grid=_grids())
 @settings(max_examples=300, deadline=None)
-def test_path_maxima_are_built_row_maxima(data, spec, t):
+def test_path_maxima_are_built_row_maxima(data, spec, grid):
     # the arrival loop's pretest reads these maxima in place of building
     # the rows, so they must agree bit for bit
     k = DOCUMENTED_UNIFORMS[type(spec)]
@@ -348,7 +348,7 @@ def test_path_maxima_are_built_row_maxima(data, spec, t):
     rows = data.draw(st.integers(1, 12))
     u = np.array(data.draw(st.lists(value, min_size=rows * k, max_size=rows * k)),
                  dtype=float).reshape(rows, k)
-    basis = path_basis(spec, t)
+    basis = path_basis(spec, grid)
     built = sample_paths(spec, basis, u).max(axis=1)
     assert path_maxima(spec, basis, u).tobytes() == built.tobytes()
 
@@ -459,6 +459,18 @@ class TestExpectedMax:
     def test_two_branch(self):
         assert expected_max(TwoBranch(), [0.0, 1.0]) == 2.0
         assert expected_max(TwoBranch(), [0.5]) == 1.0
+
+    def test_piecewise_on_two_ramp_times(self):
+        # on the ramps, max(Z_0.1, Z_0.9) = 0.4 + 0.6 max(Z_0, Z_1), whose
+        # mean is 0.4 + 0.6 (2 (5/9) + (1/2) (4/9)) = 1.2
+        spec = PiecewiseExample(n=2, a=0.25, b=0.75)
+        assert expected_max(spec, [0.1, 0.9]) == pytest.approx(1.2, abs=1e-15)
+
+    @pytest.mark.parametrize("times", [[0.9, 0.1], [math.nan], [1.5], []],
+                             ids=["unsorted", "nan", "above-1", "empty"])
+    def test_refuses_a_bad_set_of_times(self, times):
+        with pytest.raises(InvalidArgumentError):
+            expected_max(PiecewiseExample(n=2, a=0.25, b=0.75), times)
 
     @pytest.mark.parametrize("spec", ATOM_SPECS, ids=repr)
     def test_own_knots_give_closed_form_m(self, spec):

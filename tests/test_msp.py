@@ -15,7 +15,7 @@ from maxhit import (
     OffGridError,
     PiecewiseExample,
     SineBump,
-    SubGrid,
+    TimeGrid,
     TwoBranch,
     binomial_estimate,
     generator_blocks,
@@ -130,8 +130,7 @@ class TestGeneratorBound:
         u = np.concatenate([[[0.0], [0.5], [1.0 - 2.0**-53]],
                             np.random.default_rng(13).random((50, 1))])
         for points in [*range(2, 401), 1001, 4097]:
-            t = make_grid(points).points
-            rows = path_basis(any_spec, t)
+            rows = path_basis(any_spec, make_grid(points))
             if any_spec.atoms() is None:
                 rows = sample_paths(any_spec, rows, u)
             assert rows.max() <= bound, points
@@ -142,7 +141,7 @@ def test_first_round_overwrites_every_row(spec):
     # round one into a buffer of NaN gives the bits of the general round
     # merging into +0; grid 1001 splits the block into several tiles
     grid = make_grid(1001)
-    basis = path_basis(spec, grid.points)
+    basis = path_basis(spec, grid)
     results = []
     for fill, step in ((math.nan, msp._first_round), (0.0, msp._arrival_round)):
         ((count, rng),) = block_streams(39, 4096)
@@ -158,7 +157,7 @@ def test_first_round_overwrites_every_row(spec):
 #: cor33's window (0.2, 0.9) of grid 1001, and a grid so fine that an
 #: arrival round's tile holds one row.
 _WINDOW_AND_FINE = {
-    "cor33-window": (SubGrid(make_grid(1001).points[200:901]), 4097),
+    "cor33-window": (TimeGrid(make_grid(1001).points[200:901]), 4097),
     "40001": (make_grid(40001), 64),
 }
 

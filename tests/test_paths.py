@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxhit
 from maxhit import Interval, InvalidArgumentError, OffGridError, TimeGrid, make_grid
 from maxhit.hitting import hit_mask
 
@@ -30,14 +31,35 @@ class TestMakeGrid:
 
 class TestTimeGrid:
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
             TimeGrid(np.array([0.0, 0.6, 0.5, 1.0]))
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            TimeGrid([0.9, 0.1])
 
-    def test_rejects_wrong_span(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.1, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0, 0.5, 0.9]))
+    def test_rejects_points_outside_unit_interval(self):
+        for points in ([-0.1, 0.5], [0.5, 1.1], [-5.0, 7.0], [float("inf")],
+                       [0.5, float("inf")]):
+            with pytest.raises(InvalidArgumentError, match=r"must lie in \[0, 1\]"):
+                TimeGrid(points)
+
+    @pytest.mark.parametrize("points", [[float("nan")], [0.2, float("nan")],
+                                        [float("nan"), 0.2]])
+    def test_rejects_nan(self, points):
+        with pytest.raises(InvalidArgumentError):
+            TimeGrid(points)
+
+    @pytest.mark.parametrize("points", [[0.2, 0.9], [0.5], [0.0], [1.0]])
+    def test_accepts_any_increasing_times_in_unit_interval(self, points):
+        # a window's points, or a finite set T: no need to span [0, 1]
+        assert TimeGrid(points).points.tolist() == points
+
+    def test_window_refuses_times_off_it(self):
+        window = TimeGrid(make_grid(11).points[2:10])  # 0.2, 0.3, ..., 0.9
+        assert window.slice_of(Interval(0.3, 0.5)) == slice(1, 4)
+        with pytest.raises(OffGridError):
+            window.slice_of(Interval(0.0, 0.5))
+        with pytest.raises(OffGridError):
+            window.index_of(0.25)
 
     def test_index_of_off_grid(self):
         g = make_grid(3)
@@ -64,6 +86,13 @@ class TestTimeGrid:
         g = make_grid(5)
         with pytest.raises(ValueError):
             g.points[0] = 0.5
+
+
+def test_subgrid_is_gone():
+    # TimeGrid is the one type for a set of times
+    assert not hasattr(maxhit, "SubGrid")
+    with pytest.raises(ImportError):
+        from maxhit.paths import SubGrid  # noqa: F401
 
 
 class TestInterval:

@@ -16,7 +16,7 @@ PUBLIC = {
     "Estimate", "GeneratorSpec", "HittingCurve", "Interval",
     "InvalidArgumentError", "InvalidSpecError", "LevelFunction", "MaxhitError",
     "NONLINEAR_DEFAULTS", "NonlinearExample", "OffGridError", "PiecewiseExample",
-    "SineBump", "SubGrid", "TimeGrid", "TwoBranch", "UnknownCheckError",
+    "SineBump", "TimeGrid", "TwoBranch", "UnknownCheckError",
     "binomial_estimate", "check_ids", "closed_form_m", "closed_form_m_tilde",
     "dnorm_estimate", "dnorm_estimates", "final_example_integral_below",
     "final_example_reference", "final_example_two_hit", "generator_blocks",
@@ -37,7 +37,7 @@ REMOVED = [
 
 
 def test_all_is_the_public_set():
-    assert len(maxhit.__all__) == len(PUBLIC) == 47
+    assert len(maxhit.__all__) == len(PUBLIC) == 46
     assert set(maxhit.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(maxhit, name), name

@@ -68,3 +68,12 @@ def test_tracer_counts_layers_and_restores_bindings(tracing, tmp_path, capsys):
     assert after.keys() == before.keys()
     moved = [key for key, obj in after.items() if obj is not before[key]]
     assert moved == []
+
+
+def test_every_module_is_a_layer_or_a_helper(tracing):
+    # the sampler counts a frame of a module in neither list as
+    # unattributed, which would pull trace.coverage down unseen
+    package = TRACING.parents[1] / "src" / "maxhit"
+    modules = {path.stem for path in package.rglob("*.py")}
+    assert modules, package
+    assert modules - set(tracing.LAYERS) - set(tracing.HELPERS) == set()

@@ -9,6 +9,7 @@ import pytest
 from maxhit import (
     InvalidArgumentError,
     OffGridError,
+    SineBump,
     UnknownCheckError,
     check_ids,
     final_example_integral_below,
@@ -17,6 +18,7 @@ from maxhit import (
     run_checks,
     verify,
 )
+from maxhit.generators import expected_max
 from maxhit.verify import Assertion, CheckDef
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -197,6 +199,18 @@ class TestRunChecks:
         stable = rep.summary_lines(runtime=False)
         assert stable[0] == lines[0].split("  (")[0] + "  " + rep.checks[0].description
         assert stable[1:] == lines[1:]
+
+
+def test_lemma31_reference_is_the_oracle():
+    # P(eta <= -1 at 0, .5) - P(eta <= -1 at 0, .25, .5), each exp(-E max_T Z)
+    sine = SineBump(amp=0.5)
+    want = (math.exp(-expected_max(sine, [0.0, 0.5]))
+            - math.exp(-expected_max(sine, [0.0, 0.25, 0.5])))
+    assert want == math.exp(-1.0) - math.exp(-(1.0 + sine.amp / 8.0))
+    for points in (101, 1001):
+        report = run_checks(["lemma31-closedform"], 7, n_default=500,
+                            grid_points=points)
+        assert report["lemma31-closedform"].assertions[0].expected == want
 
 
 class TestCor33:
