@@ -7,7 +7,7 @@ reproducible Monte Carlo, and ships a verification suite tying every
 closed form and bound the library claims to a named, seeded check.
 """
 
-from .dnorm import LevelFunction, dnorm_estimate, dnorm_estimates
+from .dnorm import LevelFunction, dnorm_estimates
 from .errors import (
     BoundTooLooseError,
     InvalidArgumentError,
@@ -33,11 +33,9 @@ from .generators import (
     generator_to_json,
 )
 from .hitting import (
-    HittingCurve,
     hitting_bound,
     hitting_curve,
     hitting_integral,
-    multi_hit_prob,
     two_hit_prob,
 )
 from .msp import msp_corpus, msp_path_blocks, stopping_exactness_violations
@@ -62,7 +60,6 @@ __all__ = [
     "CompleteDependence",
     "Estimate",
     "GeneratorSpec",
-    "HittingCurve",
     "Interval",
     "InvalidArgumentError",
     "InvalidSpecError",
@@ -80,7 +77,6 @@ __all__ = [
     "check_ids",
     "closed_form_m",
     "closed_form_m_tilde",
-    "dnorm_estimate",
     "dnorm_estimates",
     "final_example_integral_below",
     "final_example_reference",
@@ -96,7 +92,6 @@ __all__ = [
     "make_grid",
     "msp_corpus",
     "msp_path_blocks",
-    "multi_hit_prob",
     "rule_of_three",
     "run_checks",
     "stopping_exactness_violations",

@@ -24,7 +24,8 @@ files round-trip through float parsing exactly; a non-finite result is
 refused, never printed.
 
 Exit codes: 0 success, 1 runtime failure (a failed check, a too-loose
-simulation bound, a non-finite result, an I/O error), 2 usage error.
+simulation bound, a non-finite result, a size too large for memory, an I/O
+error), 2 usage error.
 """
 
 from __future__ import annotations
@@ -37,10 +38,15 @@ import sys
 
 import numpy as np
 
-from .dnorm import LevelFunction, dnorm_estimate
+from .dnorm import LevelFunction, dnorm_estimates
 from .errors import BoundTooLooseError, InvalidArgumentError, InvalidSpecError
-from .generators import GeneratorSpec, generator_from_json
-from .hitting import hitting_curve, multi_hit_prob, two_hit_prob
+from .generators import (
+    GeneratorSpec,
+    closed_form_m,
+    closed_form_m_tilde,
+    generator_from_json,
+)
+from .hitting import hitting_bound, hitting_curve, two_hit_prob
 from .msp import msp_corpus
 from .paths import Interval, TimeGrid, make_grid
 from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, check_ids, run_checks
@@ -178,7 +184,7 @@ def _dnorm(ns: argparse.Namespace) -> int:
     doc = _read_json(ns.level_function, "")
     spec = _load_generator(ns.generator)
     f = _level_function_from_doc(doc, make_grid(ns.grid))
-    est = dnorm_estimate(spec, f, ns.n, ns.seed)
+    (est,) = dnorm_estimates(spec, [f], ns.n, ns.seed)
     _write_json(ns.out, {"value": est.value, "se": est.se, "n": est.n, "seed": ns.seed})
     return 0
 
@@ -195,9 +201,11 @@ def _hitting(ns: argparse.Namespace) -> int:
     spec = _load_generator(ns.generator)
     grid = make_grid(ns.grid)
     interval = _parse_interval(ns.interval, "--interval", grid)
-    curve = hitting_curve(spec, np.array(levels), interval, grid, ns.n, ns.seed)
+    ests = hitting_curve(spec, levels, [interval], grid, ns.n, ns.seed)
+    m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
     lines = ["x,estimate,ci_lo,ci_hi,bound"]
-    for lvl, est, bound in zip(curve.levels, curve.estimates, curve.upper_bounds):
+    for lvl, est in zip(levels, ests):
+        bound = hitting_bound(m, m_tilde, lvl)
         lines.append(",".join(_fmt(v) for v in (lvl, est.value, *est.ci, bound)))
     _write_text(ns.out, "\n".join(lines) + "\n")
     return 0
@@ -219,7 +227,7 @@ def _multihit(ns: argparse.Namespace) -> int:
         ivs = [_parse_interval(part, f"--intervals[{k}]", grid)
                for k, part in enumerate(parts)]
         query = {"x0": ns.x0, "intervals": [[iv.lo, iv.hi] for iv in ivs]}
-        est = multi_hit_prob(spec, ns.x0, ivs, grid, ns.n, ns.seed)
+        (est,) = hitting_curve(spec, [ns.x0], ivs, grid, ns.n, ns.seed)
     estimate = {**est.as_dict(), "seed": ns.seed}
     _write_json(ns.out, {"query": query, "estimate": estimate})
     return 0
@@ -341,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BoundTooLooseError, FloatingPointError, OSError) as exc:
+    except (BoundTooLooseError, FloatingPointError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,11 +3,12 @@
 For a level function f <= 0 and a generator Z, the D-norm is
 E sup_t |f(t)| Z_t; it interpolates between the sup-norm (complete
 dependence, E sup Z = 1) and C times the sup-norm, where C bounds sup Z.
-Estimators stream generator paths in seeded blocks; comparative checks
-reuse one set of paths across several functions ("shared draws"), which
-turns ordering statements into exact per-draw assertions. The
+One estimator, ``dnorm_estimates``, streams generator paths in seeded
+blocks and gives one estimate per level function, all from one set of
+paths ("shared draws"); a single D-norm is a one-function list. Shared
+draws turn ordering statements into exact per-draw assertions. The
 verification suite's Takahashi check (m = 1 exactly when every D-norm
-equals the sup-norm) is one such shared-draw pass of ``dnorm_estimates``.
+equals the sup-norm) is one such shared-draw pass.
 """
 
 from __future__ import annotations
@@ -105,10 +106,3 @@ def dnorm_estimates(
         *map(per_path, sups),
     )
     return [acc.estimate(i) for i in range(len(fs))]
-
-
-def dnorm_estimate(
-    spec: GeneratorSpec, f: LevelFunction, n: int, seed: Seed
-) -> Estimate:
-    """Monte Carlo mean of sup |f| Z over ``n`` generator paths."""
-    return dnorm_estimates(spec, [f], n, seed)[0]

@@ -401,8 +401,6 @@ def sample_paths(
     """
     index = atom_index(spec, uniforms)
     if index is not None:
-        if out is None:
-            return basis[index]
         # the index is in range by construction; mode="raise" would copy
         return np.take(basis, index, axis=0, out=out, mode="clip")
     z = np.multiply(_sine_weights(spec, uniforms)[:, None], basis[0], out=out)

@@ -7,13 +7,16 @@ rule-of-three interval [0, 3/n], the operational form of "probability
 zero". h(0) = 0 holds by convention and is never simulated: the level 0
 is almost surely not attained.
 
-The estimators take plain arguments: a level and an interval list
-(``multi_hit_prob``; one interval is the plain hitting probability), a
-ladder of levels and an interval (``hitting_curve``) or a split time
-(``two_hit_prob``). Every level, a single one or a curve's ladder, passes
-one check (``_checked_levels``): finite and negative. ``hit_mask`` and
-``down_up_down_mask`` are the per-block events, for callers that count
-them on their own stream (``estimates.count_events``).
+The paper's events are all "eta hits x in every interval of a list", and
+one estimator counts them: ``hitting_curve`` takes a ladder of levels (one
+level is a ladder too) and a list of intervals, and gives one estimate per
+level from a single pass over the paths. One interval is the plain hitting
+probability; ``two_hit_prob`` is the two-hit event at an interior split
+time. Every ladder passes one check (``_checked_levels``): finite, negative
+and strictly decreasing. ``hitting_integral`` integrates a ladder's
+estimates, and ``hitting_bound`` is the paper's bound at one level.
+``hit_mask`` and ``down_up_down_mask`` are the per-block events, for
+callers that count them on their own stream (``estimates.count_events``).
 
 Grid detection can only miss sub-grid excursions, so every frequency here
 is biased downward by at most a small discretization allowance (the
@@ -24,13 +27,12 @@ grid points).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .estimates import Estimate, binomial_estimate, count_events
-from .generators import GeneratorSpec, closed_form_m, closed_form_m_tilde
+from .generators import GeneratorSpec
 from .msp import msp_path_blocks
 from .paths import Interval, TimeGrid
 from .streams import Seed
@@ -69,30 +71,6 @@ def down_up_down_mask(
     return (eta[:, i_lo] <= x0) & (eta[:, i_mid] > x0) & (eta[:, i_hi] <= x0)
 
 
-@dataclass(frozen=True)
-class HittingCurve:
-    """Hitting probabilities over a decreasing ladder of negative levels."""
-
-    levels: np.ndarray
-    estimates: list[Estimate]
-    upper_bounds: np.ndarray
-
-    def __post_init__(self):
-        try:  # hitting_curve checked its levels; a bad ladder here is a fault
-            lv = _checked_levels(self.levels)
-        except InvalidArgumentError as err:
-            raise ValueError(str(err)) from None
-        ub = np.asarray(self.upper_bounds, dtype=float)
-        if len(self.estimates) != lv.size or ub.shape != lv.shape:
-            raise ValueError("levels, estimates, and bounds must align")
-        if any(not 0.0 <= e.value <= 1.0 for e in self.estimates):
-            raise ValueError("hitting estimates must lie in [0, 1]")
-        if not np.all(np.isfinite(ub) & (ub >= 0.0)):
-            raise ValueError("upper bounds must be finite and nonnegative")
-        object.__setattr__(self, "levels", lv)
-        object.__setattr__(self, "upper_bounds", ub)
-
-
 def _checked_levels(levels) -> np.ndarray:
     """``levels`` as floats: a nonempty, finite, negative, decreasing row."""
     lv = np.asarray(levels, dtype=float)
@@ -110,50 +88,65 @@ def _checked_levels(levels) -> np.ndarray:
 def hitting_curve(
     spec: GeneratorSpec,
     levels: np.ndarray,
-    interval: Interval,
+    intervals: list[Interval],
     grid: TimeGrid,
     n: int,
     seed: Seed,
-) -> HittingCurve:
-    """Hitting probability per level, all levels sharing one path corpus.
+) -> list[Estimate]:
+    """Per level, the frequency of paths hitting it in every listed interval;
+    all levels share one path corpus.
 
-    The per-level upper bounds use the spec's closed-form m and m~.
+    Intervals may touch at endpoints but must not overlap with positive
+    length.
     """
     lv = _checked_levels(levels)
-    sl = grid.slice_of(interval)
+    if not intervals:
+        raise InvalidArgumentError("need at least one interval")
+    ordered = sorted(intervals, key=lambda iv: iv.lo)
+    for prev, nxt in zip(ordered, ordered[1:]):
+        if nxt.lo < prev.hi:
+            raise InvalidArgumentError(
+                f"intervals overlap: [{prev.lo}, {prev.hi}] and [{nxt.lo}, {nxt.hi}]"
+            )
+    slices = [grid.slice_of(iv) for iv in ordered]
 
     def levels_hit(eta: np.ndarray) -> np.ndarray:
-        # one min and one max per path, broadcast over the levels
-        seg = eta[:, sl]
-        mn = seg.min(axis=1)
-        mx = seg.max(axis=1)
-        return (mn[:, None] <= lv[None, :]) & (lv[None, :] <= mx[:, None])
+        # per interval one min and one max per path, broadcast over the levels
+        hit = np.ones((eta.shape[0], lv.size), dtype=bool)
+        for sl in slices:
+            seg = eta[:, sl]
+            mn = seg.min(axis=1)
+            mx = seg.max(axis=1)
+            hit &= (mn[:, None] <= lv[None, :]) & (lv[None, :] <= mx[:, None])
+        return hit
 
     (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), levels_hit)
-    m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
-    bounds = np.array([hitting_bound(m, m_tilde, x) for x in lv])
-    ests = [binomial_estimate(int(c), n) for c in counts]
-    return HittingCurve(levels=lv, estimates=ests, upper_bounds=bounds)
+    return [binomial_estimate(int(c), n) for c in counts]
 
 
 def hitting_integral(
-    curve: HittingCurve, m_tilde: float
+    levels: np.ndarray, estimates: list[Estimate], m_tilde: float
 ) -> tuple[float, float]:
-    """Trapezoid integral of the curve on [min level, 0] plus a tail bound.
+    """Trapezoid integral of a hitting curve on [min level, 0] plus a tail
+    bound; ``estimates`` are the curve's values at the ladder ``levels``.
 
     A node h(0) = 0 is appended. The tail beyond the deepest level is
     bounded by integrating h(x) <= exp(x m~): exp(x_min m~)/m~ for
     m~ > 0, infinite when m~ = 0 (the bound then carries no information
     and callers need model-specific tails).
     """
-    if curve.levels.size < 3:
+    lv = _checked_levels(levels)
+    if len(estimates) != lv.size:
+        raise InvalidArgumentError(
+            f"{lv.size} levels but {len(estimates)} estimates")
+    if lv.size < 3:
         raise InvalidArgumentError("need at least 3 levels to integrate")
     if not m_tilde >= 0.0:
         raise InvalidArgumentError(f"m_tilde must be >= 0, got {m_tilde}")
-    xs = np.append(curve.levels[::-1], 0.0)
-    hs = np.append([e.value for e in curve.estimates][::-1], 0.0)
+    xs = np.append(lv[::-1], 0.0)
+    hs = np.append([e.value for e in estimates][::-1], 0.0)
     integral = float(np.sum(0.5 * (hs[1:] + hs[:-1]) * np.diff(xs)))
-    x_min = float(curve.levels[-1])
+    x_min = float(lv[-1])
     tail = math.exp(x_min * m_tilde) / m_tilde if m_tilde > 0.0 else math.inf
     return integral, tail
 
@@ -172,34 +165,4 @@ def two_hit_prob(
         raise InvalidArgumentError(
             f"split must be an interior grid point, got {split}")
     halves = [Interval(0.0, split), Interval(split, 1.0)]
-    return multi_hit_prob(spec, x0, halves, grid, n, seed)
-
-
-def multi_hit_prob(
-    spec: GeneratorSpec,
-    x0: float,
-    intervals: list[Interval],
-    grid: TimeGrid,
-    n: int,
-    seed: Seed,
-) -> Estimate:
-    """Frequency of paths hitting x0 inside every listed interval.
-
-    Intervals may touch at endpoints but must not overlap with positive
-    length.
-    """
-    _checked_levels([x0])
-    if not intervals:
-        raise InvalidArgumentError("need at least one interval")
-    ordered = sorted(intervals, key=lambda iv: iv.lo)
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if nxt.lo < prev.hi:
-            raise InvalidArgumentError(
-                f"intervals overlap: [{prev.lo}, {prev.hi}] and [{nxt.lo}, {nxt.hi}]"
-            )
-    slices = [grid.slice_of(iv) for iv in ordered]
-    (successes,) = count_events(
-        msp_path_blocks(spec, grid, n, seed),
-        lambda eta: np.logical_and.reduce([hit_mask(eta, sl, x0) for sl in slices]),
-    )
-    return binomial_estimate(int(successes), n)
+    return hitting_curve(spec, [x0], halves, grid, n, seed)[0]

@@ -34,7 +34,7 @@ from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .dnorm import LevelFunction, dnorm_estimate, dnorm_estimates
+from .dnorm import LevelFunction, dnorm_estimates
 from .errors import InvalidArgumentError, UnknownCheckError
 from .estimates import (
     Estimate,
@@ -64,9 +64,9 @@ from .hitting import (
     _checked_levels,
     down_up_down_mask,
     hit_mask,
+    hitting_bound,
     hitting_curve,
     hitting_integral,
-    multi_hit_prob,
     two_hit_prob,
 )
 from .msp import (
@@ -76,7 +76,7 @@ from .msp import (
     stopping_exactness_violations,
 )
 from .paths import Interval, TimeGrid, make_grid
-from .streams import Seed, label_key, substream
+from .streams import Seed, as_seedseq, label_key, substream
 
 DEFAULT_N = 100_000
 #: The smallest n every check runs at: max-stability needs one group of 5.
@@ -431,7 +431,7 @@ def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
     zero on the grid."""
     spec = CompleteDependence()
     unit = [Interval(0.0, 1.0)]
-    est = multi_hit_prob(spec, -1.0, unit, ctx.grid, ctx.n, ctx.seed(0))
+    (est,) = hitting_curve(spec, [-1.0], unit, ctx.grid, ctx.n, ctx.seed(0))
     out = _null_probability(est, "fixed_level:")
     f = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0])
     (met,) = count_events(
@@ -449,7 +449,7 @@ def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
 def _check_prop2_null(ctx: CheckContext) -> list[Assertion]:
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
     plateau = [Interval(0.25, 0.75)]
-    est = multi_hit_prob(spec, -1.0, plateau, ctx.grid, ctx.n, ctx.seed(0))
+    (est,) = hitting_curve(spec, [-1.0], plateau, ctx.grid, ctx.n, ctx.seed(0))
     return _null_probability(est)
 
 
@@ -459,8 +459,8 @@ def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
     full = Interval(0.0, 1.0)
     indicator = LevelFunction.indicator_step(ctx.grid, full, inside=-1.0)
-    norm = dnorm_estimate(spec, indicator, ctx.n, ctx.seed(0))
-    est = multi_hit_prob(spec, -1.0, [full], ctx.grid, ctx.n, ctx.seed(1))
+    (norm,) = dnorm_estimates(spec, [indicator], ctx.n, ctx.seed(0))
+    (est,) = hitting_curve(spec, [-1.0], [full], ctx.grid, ctx.n, ctx.seed(1))
     return [
         Assertion("indicator_norm_gt_1", norm.value, 1.0, "gap",
                   se=norm.se, z=Z_STAT),
@@ -520,14 +520,16 @@ def _check_example2_m(ctx: CheckContext) -> list[Assertion]:
 @check("hcurve-bound", "hitting curve under exp(x m~) - exp(x m)")
 def _check_hcurve_bound(ctx: CheckContext) -> list[Assertion]:
     """At 4 se plus the grid allowance."""
+    spec = SineBump(amp=0.5)
     levels = np.array([-0.25, -1.0, -4.0])
-    curve = hitting_curve(
-        SineBump(amp=0.5), levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
+    ests = hitting_curve(
+        spec, levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
     )
+    m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
     return [
-        Assertion(f"x={lvl}", est.value, bound, "<=",
+        Assertion(f"x={lvl}", est.value, hitting_bound(m, m_tilde, lvl), "<=",
                   se=est.se, z=4.0, slack=GRID_ALLOWANCE)
-        for lvl, est, bound in zip(curve.levels, curve.estimates, curve.upper_bounds)
+        for lvl, est in zip(levels, ests)
     ]
 
 
@@ -542,10 +544,11 @@ def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
     spec = SineBump(amp=0.5)
     m = closed_form_m(spec)
     mt = closed_form_m_tilde(spec)
-    curve = hitting_curve(
-        spec, _integral_levels(), Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
+    levels = _integral_levels()
+    ests = hitting_curve(
+        spec, levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
     )
-    integral, tail = hitting_integral(curve, mt)
+    integral, tail = hitting_integral(levels, ests, mt)
     bound = (m - mt) / (m * mt)
     return [
         Assertion("integral_le_bound", integral + tail, bound, "<=", slack=0.02),
@@ -698,13 +701,13 @@ def _check_nonlinear_supmax(ctx: CheckContext) -> list[Assertion]:
 @check("final-h", "two-branch hitting curve matches (1-e^x-x)e^x")
 def _check_final_h(ctx: CheckContext) -> list[Assertion]:
     levels = np.array([-0.5, -1.0, -2.0, -4.0])
-    curve = hitting_curve(
-        TwoBranch(), levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
+    ests = hitting_curve(
+        TwoBranch(), levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
     )
     return [
         Assertion(f"x={lvl}", est.value, final_example_reference(float(lvl)),
                   se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)
-        for lvl, est in zip(curve.levels, curve.estimates)
+        for lvl, est in zip(levels, ests)
     ]
 
 
@@ -713,10 +716,10 @@ def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
     """The generic tail bound is infinite here (E inf Z = 0), so the exact
     closed-form tail below the deepest level is used instead."""
     levels = _integral_levels()
-    curve = hitting_curve(
-        TwoBranch(), levels, Interval(0.0, 1.0), ctx.grid, ctx.n, ctx.seed(0)
+    ests = hitting_curve(
+        TwoBranch(), levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
     )
-    integral, _ = hitting_integral(curve, m_tilde=0.0)
+    integral, _ = hitting_integral(levels, ests, m_tilde=0.0)
     tail = final_example_integral_below(float(levels[-1]))
     return [Assertion("integral_plus_exact_tail", integral + tail, 1.5, slack=0.05)]
 
@@ -732,7 +735,7 @@ def _check_final_two_hit(ctx: CheckContext) -> list[Assertion]:
 @check("final-no-three-hit", "no level is hit in three disjoint intervals")
 def _check_final_no_three_hit(ctx: CheckContext) -> list[Assertion]:
     intervals = [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)]
-    est = multi_hit_prob(TwoBranch(), -1.0, intervals, ctx.grid, ctx.n, ctx.seed(0))
+    (est,) = hitting_curve(TwoBranch(), [-1.0], intervals, ctx.grid, ctx.n, ctx.seed(0))
     return _null_probability(est)
 
 
@@ -811,12 +814,13 @@ def run_checks(
     """Run a suite of checks deterministically from one master seed.
 
     ``suite`` is "paper" (everything) or an explicit list of ids; an
-    unknown or repeated id, an empty list or ``n_default < MIN_N`` fails
-    before anything executes. Checks derive independent
+    unknown or repeated id, an empty list, a seed ``streams.as_seedseq``
+    refuses or ``n_default < MIN_N`` fails before anything executes. Checks derive independent
     substreams from (master seed, check id) and may run in parallel;
     report contents are independent of ``threads``. The first check that
     raises ends the run: the checks that have not started never do.
     """
+    as_seedseq(master_seed)
     if n_default < MIN_N:
         raise InvalidArgumentError(f"checks need n_default >= {MIN_N}, got {n_default}")
     if isinstance(suite, str):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maxhit import (CompleteDependence, Interval, LevelFunction, TwoBranch, cli,
-                    dnorm_estimate, errors, hitting_curve, make_grid, msp, msp_corpus,
-                    multi_hit_prob, two_hit_prob, verify)
+from maxhit import (CompleteDependence, Interval, LevelFunction, SineBump, TwoBranch,
+                    cli, closed_form_m, closed_form_m_tilde, dnorm_estimates, errors,
+                    hitting_bound, hitting_curve, make_grid, msp, msp_corpus,
+                    two_hit_prob, verify)
 from maxhit.cli import UsageError, _build_parser, main, parse_invocation
 from maxhit.errors import InvalidArgumentError
 from maxhit.verify import check_ids
@@ -160,6 +161,36 @@ class TestDispatch:
         assert 0.0 <= float(row[1]) <= 1.0
         # two-branch bound at -1 is 1 - e^{-2}
         assert float(row[4]) == pytest.approx(1 - math.exp(-2.0))
+
+    def test_hitting_bound_column_uses_closed_form_moments(self, sine_json, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = main([
+            "hitting", "--generator", sine_json, "--levels", "-0.5,-1",
+            "--grid", "101", "--n", "2000", "--seed", "57", "--out", str(out),
+        ])
+        assert code == 0
+        spec = SineBump(amp=0.5)
+        m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [-0.5, -1.0]
+        for r in rows:
+            assert float(r[4]) == hitting_bound(m, m_tilde, float(r[0]))
+        assert float(rows[1][4]) == pytest.approx(hitting_bound(1.125, 0.875, -1.0))
+
+    @pytest.mark.parametrize("size", [["--grid", str(10**14)],
+                                      ["--paths", str(10**11), "--grid", "1001"]],
+                             ids=["grid", "paths"])
+    def test_size_too_large_for_memory_exits_1(self, size, two_branch_json,
+                                                tmp_path, capsys):
+        # each array would exceed a 2**47-byte address space, so numpy
+        # refuses it at once and nothing that size is allocated
+        out = tmp_path / "paths.csv"
+        code = main(["simulate", "--generator", two_branch_json, *size,
+                     "--out", str(out)])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert line.startswith("error: ") and "allocate" in line
+        assert not out.exists()
 
     def test_multihit_split_json(self, two_branch_json, tmp_path, capsys):
         code = main([
@@ -363,20 +394,20 @@ class TestDispatch:
         "argv, library_call",
         [
             (["hitting", "--x", "0.5"],
-             lambda g: hitting_curve(TwoBranch(), [0.5], Interval(0.0, 1.0), g, 100, 0)),
+             lambda g: hitting_curve(TwoBranch(), [0.5], [Interval(0.0, 1.0)], g, 100, 0)),
             (["hitting", "--x", "-1", "--interval", "0.5,1.5"],
              lambda g: Interval(0.5, 1.5)),
             (["multihit", "--x0", "-1", "--split", "1"],
              lambda g: two_hit_prob(TwoBranch(), -1.0, 1.0, g, 100, 0)),
             (["multihit", "--x0", "-1", "--intervals", "0,0.5;0.4,1"],
-             lambda g: multi_hit_prob(TwoBranch(), -1.0, [Interval(0.0, 0.5),
-                                                          Interval(0.4, 1.0)],
-                                      g, 100, 0)),
+             lambda g: hitting_curve(TwoBranch(), [-1.0], [Interval(0.0, 0.5),
+                                                           Interval(0.4, 1.0)],
+                                     g, 100, 0)),
             (["simulate", "--paths", "0"],
              lambda g: msp_corpus(TwoBranch(), g, 0, 0)),
             (["dnorm", "--level-function", "CONSTANT", "--n", "1"],
-             lambda g: dnorm_estimate(TwoBranch(), LevelFunction.constant(g, -1.0),
-                                      1, 0)),
+             lambda g: dnorm_estimates(TwoBranch(), [LevelFunction.constant(g, -1.0)],
+                                       1, 0)),
         ],
         ids=["level", "interval", "split", "overlap", "paths-0", "dnorm-n-1"],
     )

@@ -14,7 +14,6 @@ from maxhit import (
     SineBump,
     TimeGrid,
     TwoBranch,
-    dnorm_estimate,
     dnorm_estimates,
     final_example_integral_below,
     final_example_two_hit,
@@ -93,26 +92,27 @@ class TestLevelFunction:
 class TestDnormEstimate:
     def test_complete_dependence_is_exact(self, grid101):
         f = LevelFunction.constant(grid101, -1.0)
-        est = dnorm_estimate(CompleteDependence(), f, 1000, 30)
+        (est,) = dnorm_estimates(CompleteDependence(), [f], 1000, 30)
         assert est.value == 1.0
         assert est.se == 0.0
 
     def test_piecewise_reproduces_m(self, grid201):
         f = LevelFunction.constant(grid201, -1.0)
-        est = dnorm_estimate(PiecewiseExample(n=2, a=0.25, b=0.75), f, 20_000, 31)
+        spec = PiecewiseExample(n=2, a=0.25, b=0.75)
+        (est,) = dnorm_estimates(spec, [f], 20_000, 31)
         assert abs(est.value - 14.0 / 9.0) <= 3 * est.se
 
     def test_two_branch_linear_level(self, grid201):
         # |f| Z peaks at 2 t^2 (sup 2) on the rising branch and at
         # 2 t (1 - t) (sup 1/2) on the falling one; the mean is 5/4
         f = LevelFunction.piecewise_linear(grid201, [0.0, 1.0], [0.0, -1.0])
-        est = dnorm_estimate(TwoBranch(), f, 20_000, 32)
+        (est,) = dnorm_estimates(TwoBranch(), [f], 20_000, 32)
         assert abs(est.value - 1.25) <= 3 * est.se + 1e-3
 
     def test_requires_two_draws(self, grid101):
         f = LevelFunction.constant(grid101, -1.0)
         with pytest.raises(ValueError):
-            dnorm_estimate(TwoBranch(), f, 1, 33)
+            dnorm_estimates(TwoBranch(), [f], 1, 33)
 
     def test_shared_draws_are_monotone(self, any_spec, grid101):
         small = LevelFunction.constant(grid101, -0.5)
@@ -128,20 +128,21 @@ class TestDnormEstimate:
 
     def test_dominates_sup_norm(self, any_spec, grid101):
         f = LevelFunction.piecewise_linear(grid101, [0.0, 1.0], [-0.2, -1.0])
-        est = dnorm_estimate(any_spec, f, 2000, 36)
+        (est,) = dnorm_estimates(any_spec, [f], 2000, 36)
         assert est.value >= 1.0 - 3 * est.se - 1e-12  # sup|f| = 1
 
     def test_bounded_by_sup_bound_times_sup_norm(self, any_spec, grid101):
         from maxhit import generator_bound
 
         f = LevelFunction.constant(grid101, -0.8)
-        est = dnorm_estimate(any_spec, f, 2000, 77)
+        (est,) = dnorm_estimates(any_spec, [f], 2000, 77)
         assert est.value <= generator_bound(any_spec) * 0.8 + 3 * est.se + 1e-12
 
 
 def _indicator_norm(spec, interval, grid, n, seed):
     f = LevelFunction.indicator_step(grid, interval, inside=-1.0)
-    return dnorm_estimate(spec, f, n, seed)
+    (est,) = dnorm_estimates(spec, [f], n, seed)
+    return est
 
 
 def survivor_bound(spec, f, n, seed):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CATALOGUE
 from maxhit import (
     CompleteDependence,
-    HittingCurve,
     Interval,
     InvalidArgumentError,
     LevelFunction,
@@ -17,19 +17,27 @@ from maxhit import (
     SineBump,
     TwoBranch,
     binomial_estimate,
+    closed_form_m,
+    closed_form_m_tilde,
     final_example_reference,
     final_example_two_hit,
     hitting_bound,
     hitting_curve,
     hitting_integral,
+    make_grid,
     msp_path_blocks,
-    multi_hit_prob,
     two_hit_prob,
 )
 from maxhit.estimates import count_events
 from maxhit.hitting import down_up_down_mask, hit_mask
 
 GRID_SLACK = 0.02  # discretization allowance at the coarse test grids
+
+
+def hits(spec, x0, intervals, grid, n, seed):
+    """``hitting_curve`` at the one level ``x0``."""
+    (est,) = hitting_curve(spec, [x0], intervals, grid, n, seed)
+    return est
 
 
 class TestHittingBound:
@@ -81,11 +89,11 @@ class TestHittingBound:
 
 
 class TestHittingProb:
-    """The hitting probability of one interval: ``multi_hit_prob`` with a
+    """The hitting probability of one interval: ``hitting_curve`` with a
     one-interval list."""
 
     def test_complete_dependence_never_hits(self, grid101):
-        est = multi_hit_prob(
+        est = hits(
             CompleteDependence(), -1.0, [Interval(0.0, 1.0)], grid101, 5000, 50
         )
         assert est.value == 0.0
@@ -93,16 +101,16 @@ class TestHittingProb:
 
     def test_level_must_be_negative(self, grid101):
         with pytest.raises(ValueError, match="negative"):
-            multi_hit_prob(TwoBranch(), 0.0, [Interval(0.0, 1.0)], grid101, 100, 51)
+            hits(TwoBranch(), 0.0, [Interval(0.0, 1.0)], grid101, 100, 51)
 
     def test_two_branch_closed_form(self, grid201):
         unit = [Interval(0.0, 1.0)]
-        est = multi_hit_prob(TwoBranch(), -1.0, unit, grid201, 20_000, 52)
+        est = hits(TwoBranch(), -1.0, unit, grid201, 20_000, 52)
         target = final_example_reference(-1.0)
         assert abs(est.value - target) <= 3 * est.se + GRID_SLACK
 
     def test_piecewise_plateau_interval_never_hits(self, grid201):
-        est = multi_hit_prob(
+        est = hits(
             PiecewiseExample(n=2, a=0.25, b=0.75), -1.0,
             [Interval(0.25, 0.75)], grid201, 5000, 53,
         )
@@ -111,7 +119,7 @@ class TestHittingProb:
     def test_monotone_in_interval(self, grid101):
         def hit(lo, hi):
             iv = [Interval(lo, hi)]
-            return multi_hit_prob(TwoBranch(), -1.0, iv, grid101, 5000, 54)
+            return hits(TwoBranch(), -1.0, iv, grid101, 5000, 54)
 
         assert hit(0.25, 0.75).value <= hit(0.0, 1.0).value
 
@@ -137,33 +145,28 @@ class TestCurveHit:
 class TestHittingCurve:
     def test_two_branch_against_closed_form(self, grid201):
         levels = np.array([-0.5, -1.0, -2.0, -4.0])
-        curve = hitting_curve(
-            TwoBranch(), levels, Interval(0.0, 1.0), grid201, 20_000, 56
+        ests = hitting_curve(
+            TwoBranch(), levels, [Interval(0.0, 1.0)], grid201, 20_000, 56
         )
-        for lvl, est in zip(curve.levels, curve.estimates):
+        for lvl, est in zip(levels, ests):
             target = final_example_reference(float(lvl))
             assert abs(est.value - target) <= 3 * est.se + GRID_SLACK
 
-    def test_bounds_use_closed_form_moments(self, grid101):
-        levels = np.array([-0.5, -1.0])
-        curve = hitting_curve(
-            SineBump(amp=0.5), levels, Interval(0.0, 1.0), grid101, 2000, 57
-        )
-        for lvl, bound in zip(curve.levels, curve.upper_bounds):
-            assert bound == pytest.approx(hitting_bound(1.125, 0.875, float(lvl)))
-
     def test_estimates_respect_bounds(self, grid201):
+        spec = SineBump(amp=0.5)
         levels = np.array([-0.25, -1.0, -4.0])
-        curve = hitting_curve(
-            SineBump(amp=0.5), levels, Interval(0.0, 1.0), grid201, 10_000, 58
+        ests = hitting_curve(
+            spec, levels, [Interval(0.0, 1.0)], grid201, 10_000, 58
         )
-        for est, bound in zip(curve.estimates, curve.upper_bounds):
+        m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
+        for lvl, est in zip(levels, ests):
+            bound = hitting_bound(m, m_tilde, lvl)
             assert est.value <= bound + 4 * est.se + GRID_SLACK
 
     def test_levels_must_decrease(self, grid101):
         with pytest.raises(ValueError, match="decreasing"):
             hitting_curve(
-                TwoBranch(), np.array([-2.0, -1.0]), Interval(0.0, 1.0),
+                TwoBranch(), np.array([-2.0, -1.0]), [Interval(0.0, 1.0)],
                 grid101, 100, 59,
             )
 
@@ -173,68 +176,37 @@ class TestHittingCurve:
     def test_levels_must_be_finite(self, grid101, levels):
         with pytest.raises(ValueError, match="finite"):
             hitting_curve(
-                TwoBranch(), np.array(levels), Interval(0.0, 1.0), grid101, 100, 61
-            )
-
-    @pytest.mark.parametrize(
-        "level,bound",
-        [(math.nan, 0.0), (-math.inf, math.nan), (-1.0, math.nan), (-1.0, math.inf)],
-    )
-    def test_direct_construction_needs_finite_values(self, level, bound):
-        with pytest.raises(ValueError, match="finite"):
-            HittingCurve(
-                levels=np.array([level]),
-                estimates=[binomial_estimate(0, 10)],
-                upper_bounds=np.array([bound]),
-            )
-
-    def test_bounds_may_be_a_list(self):
-        curve = HittingCurve(
-            levels=np.array([-1.0]),
-            estimates=[binomial_estimate(0, 10)],
-            upper_bounds=[0.0],
-        )
-        assert isinstance(curve.upper_bounds, np.ndarray)
-        with pytest.raises(ValueError, match="finite"):
-            HittingCurve(
-                levels=np.array([-1.0]),
-                estimates=[binomial_estimate(0, 10)],
-                upper_bounds=[math.nan],
+                TwoBranch(), np.array(levels), [Interval(0.0, 1.0)], grid101, 100, 61
             )
 
     def test_levels_must_be_negative(self, grid101):
         with pytest.raises(ValueError, match="negative"):
             hitting_curve(
-                TwoBranch(), np.array([0.5, -1.0]), Interval(0.0, 1.0),
+                TwoBranch(), np.array([0.5, -1.0]), [Interval(0.0, 1.0)],
                 grid101, 100, 60,
             )
 
     def test_bad_ladder_is_an_argument_error_only_at_entry(self, grid101):
-        # hitting_curve refuses the ladder as an argument; a HittingCurve
-        # built with one is an internal fault, a plain ValueError
+        # both functions that take a ladder refuse a bad one as an argument
         with pytest.raises(InvalidArgumentError, match="decreasing"):
-            hitting_curve(TwoBranch(), [-2.0, -1.0], Interval(0.0, 1.0),
+            hitting_curve(TwoBranch(), [-2.0, -1.0], [Interval(0.0, 1.0)],
                           grid101, 100, 60)
-        with pytest.raises(ValueError, match="decreasing") as err:
-            HittingCurve(levels=[-2.0, -1.0],
-                         estimates=[binomial_estimate(0, 10)] * 2,
-                         upper_bounds=[0.0, 0.0])
-        assert not isinstance(err.value, InvalidArgumentError)
+        with pytest.raises(InvalidArgumentError, match="decreasing"):
+            hitting_integral([-3.0, -1.0, -2.0],
+                             [binomial_estimate(0, 10)] * 3, m_tilde=0.5)
 
 
 class TestHittingIntegral:
     def synthetic_curve(self, levels, values):
+        """A ladder and its estimates, as ``hitting_integral`` takes them."""
         ests = [
             binomial_estimate(int(round(v * 1000)), 1000) for v in values
         ]
-        bounds = np.zeros(len(levels))
-        return HittingCurve(
-            levels=np.asarray(levels), estimates=ests, upper_bounds=bounds
-        )
+        return levels, ests
 
     def test_trapezoid_against_hand_computation(self):
         curve = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
-        integral, tail = hitting_integral(curve, m_tilde=0.5)
+        integral, tail = hitting_integral(*curve, m_tilde=0.5)
         # nodes (-3, 0.1), (-2, 0.2), (-1, 0.4), (0, 0)
         by_hand = 0.5 * (0.1 + 0.2) + 0.5 * (0.2 + 0.4) + 0.5 * 0.4
         assert integral == pytest.approx(by_hand)
@@ -242,18 +214,23 @@ class TestHittingIntegral:
 
     def test_zero_m_tilde_gives_infinite_tail(self):
         curve = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
-        _, tail = hitting_integral(curve, m_tilde=0.0)
+        _, tail = hitting_integral(*curve, m_tilde=0.0)
         assert math.isinf(tail)
+
+    def test_estimates_must_match_the_ladder(self):
+        levels, ests = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
+        with pytest.raises(InvalidArgumentError, match="3 levels but 2 estimates"):
+            hitting_integral(levels, ests[:2], m_tilde=0.5)
 
     def test_needs_three_levels(self):
         curve = self.synthetic_curve([-1.0, -2.0], [0.4, 0.2])
         with pytest.raises(ValueError, match="3 levels"):
-            hitting_integral(curve, m_tilde=0.5)
+            hitting_integral(*curve, m_tilde=0.5)
 
     def test_negative_m_tilde_rejected(self):
         curve = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
         with pytest.raises(ValueError):
-            hitting_integral(curve, m_tilde=-0.1)
+            hitting_integral(*curve, m_tilde=-0.1)
 
     @pytest.mark.parametrize(
         "levels, m_tilde, needle",
@@ -266,15 +243,15 @@ class TestHittingIntegral:
     def test_refusals_are_argument_errors(self, levels, m_tilde, needle):
         curve = self.synthetic_curve(levels, [0.4, 0.2, 0.1][:len(levels)])
         with pytest.raises(InvalidArgumentError, match=needle):
-            hitting_integral(curve, m_tilde=m_tilde)
+            hitting_integral(*curve, m_tilde=m_tilde)
 
 
-#: Each event estimator on 100 TwoBranch paths at level x0 on a grid;
-#: "hitting_prob" is the hitting probability of one interval.
+#: Each hitting event on 100 TwoBranch paths at level x0 on a grid:
+#: "hitting_prob" hits one interval, "multi_hit_prob" two touching ones.
 EVENT_ESTIMATORS = {
-    "hitting_prob": lambda x0, grid: multi_hit_prob(
+    "hitting_prob": lambda x0, grid: hits(
         TwoBranch(), x0, [Interval(0.0, 1.0)], grid, 100, 1),
-    "multi_hit_prob": lambda x0, grid: multi_hit_prob(
+    "multi_hit_prob": lambda x0, grid: hits(
         TwoBranch(), x0, [Interval(0.0, 0.5), Interval(0.5, 1.0)], grid, 100, 1),
     "two_hit_prob": lambda x0, grid: two_hit_prob(TwoBranch(), x0, 0.5, grid, 100, 1),
 }
@@ -361,23 +338,27 @@ class TestTwoHit:
 class TestMultiHit:
     def test_three_disjoint_intervals_never_hit(self, grid201):
         intervals = [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)]
-        est = multi_hit_prob(TwoBranch(), -1.0, intervals, grid201, 10_000, 68)
+        est = hits(TwoBranch(), -1.0, intervals, grid201, 10_000, 68)
         assert est.value == 0.0
         assert est.ci[1] == 3.0 / 10_000
 
     def test_touching_pair_matches_two_hit(self, grid201):
         intervals = [Interval(0.0, 0.5), Interval(0.5, 1.0)]
-        est_multi = multi_hit_prob(TwoBranch(), -1.0, intervals, grid201, 5000, 69)
+        est_multi = hits(TwoBranch(), -1.0, intervals, grid201, 5000, 69)
         est_two = two_hit_prob(TwoBranch(), -1.0, 0.5, grid201, 5000, 69)
         assert est_multi.value == est_two.value  # same event, same draws
+
+    def test_needs_an_interval(self, grid101):
+        with pytest.raises(InvalidArgumentError, match="at least one interval"):
+            hitting_curve(TwoBranch(), [-1.0], [], grid101, 100, 70)
 
     def test_overlap_rejected(self, grid101):
         intervals = [Interval(0.0, 0.5), Interval(0.25, 1.0)]
         with pytest.raises(ValueError, match="overlap"):
-            multi_hit_prob(TwoBranch(), -1.0, intervals, grid101, 100, 70)
+            hits(TwoBranch(), -1.0, intervals, grid101, 100, 70)
 
     def test_single_interval_matches_hitting_prob(self, grid101):
-        est_multi = multi_hit_prob(
+        est_multi = hits(
             TwoBranch(), -1.0, [Interval(0.0, 1.0)], grid101, 3000, 72
         )
         est_hit = count_paths(
@@ -418,3 +399,36 @@ def test_hit_mask_iff_window_extrema_bracket(data):
     window = values[i : j + 1]
     got = hit_mask(np.array([values]), slice(i, j + 1), x)
     assert got.tolist() == [min(window) <= x <= max(window)]
+
+
+GRID11 = make_grid(11)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_curve_counts_hits_in_every_interval(data):
+    """Per level, ``hitting_curve`` counts the paths that ``hit_mask`` finds
+    hitting that level in every listed interval, on the same stream."""
+    spec = data.draw(st.sampled_from(CATALOGUE))
+    levels = sorted(data.draw(st.lists(
+        st.floats(min_value=-6.0, max_value=-0.01), min_size=1, max_size=4,
+        unique=True)), reverse=True)
+    # consecutive cuts give intervals that touch but never overlap
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(GRID11) - 1),
+                                    min_size=2, max_size=5)))
+    pieces = [Interval(GRID11.points[a], GRID11.points[b])
+              for a, b in zip(cuts, cuts[1:])]
+    chosen = data.draw(st.lists(st.sampled_from(pieces), min_size=1,
+                                max_size=len(pieces), unique=True))
+    intervals = data.draw(st.permutations(chosen))
+    n, seed = 300, data.draw(st.integers(0, 2**32))
+
+    ests = hitting_curve(spec, levels, intervals, GRID11, n, seed)
+    slices = [GRID11.slice_of(iv) for iv in intervals]
+    counts = count_events(
+        msp_path_blocks(spec, GRID11, n, seed),
+        *(lambda eta, x=x: np.logical_and.reduce(
+            [hit_mask(eta, sl, x) for sl in slices]) for x in levels),
+    )
+    assert [e.value for e in ests] == [binomial_estimate(int(c), n).value
+                                      for c in counts]

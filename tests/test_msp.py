@@ -231,7 +231,7 @@ def test_estimator_memory_stays_near_one_block(spec):
     grid = make_grid(1001)
     levels = np.array([-0.5, -1.0, -2.0])
     peak = _peak_bytes(
-        lambda: hitting_curve(spec, levels, Interval(0.0, 1.0), grid, 8192, 34)
+        lambda: hitting_curve(spec, levels, [Interval(0.0, 1.0)], grid, 8192, 34)
     )
     assert peak <= 1.25 * BLOCK_SIZE * len(grid) * 8
 

@@ -1,7 +1,9 @@
-"""The package's public names, and the README code that uses them."""
+"""The package's public names, and the README and benchmark code that use them."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -9,35 +11,39 @@ import pytest
 
 import maxhit
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PERFBENCH = ROOT / "perfbench"
 
 PUBLIC = {
     "BoundTooLooseError", "CheckReport", "CheckResult", "CompleteDependence",
-    "Estimate", "GeneratorSpec", "HittingCurve", "Interval",
+    "Estimate", "GeneratorSpec", "Interval",
     "InvalidArgumentError", "InvalidSpecError", "LevelFunction", "MaxhitError",
     "NONLINEAR_DEFAULTS", "NonlinearExample", "OffGridError", "PiecewiseExample",
     "SineBump", "TimeGrid", "TwoBranch", "UnknownCheckError",
     "binomial_estimate", "check_ids", "closed_form_m", "closed_form_m_tilde",
-    "dnorm_estimate", "dnorm_estimates", "final_example_integral_below",
+    "dnorm_estimates", "final_example_integral_below",
     "final_example_reference", "final_example_two_hit", "generator_blocks",
     "generator_bound", "generator_from_json", "generator_to_json",
     "hitting_bound", "hitting_curve", "hitting_integral", "ks_band", "make_grid",
-    "msp_corpus", "msp_path_blocks", "multi_hit_prob", "rule_of_three",
+    "msp_corpus", "msp_path_blocks", "rule_of_three",
     "run_checks", "stopping_exactness_violations", "two_hit_prob",
     "wilson_interval",
 }
 
-#: Single-check estimators whose reductions now live in their checks.
+#: Single-check estimators whose reductions now live in their checks, and
+#: estimators that ``hitting_curve`` and ``dnorm_estimates`` replace.
 REMOVED = [
     "joint_cdf_estimates", "marginal_gof", "generator_moments",
     "GeneratorMoments", "sup_equals_max_rate", "generator_corpus",
     "survivor_lower_bound", "takahashi_check", "hitting_prob",
-    "curve_hit_prob", "down_up_down_prob",
+    "curve_hit_prob", "down_up_down_prob", "multi_hit_prob", "HittingCurve",
+    "dnorm_estimate",
 ]
 
 
 def test_all_is_the_public_set():
-    assert len(maxhit.__all__) == len(PUBLIC) == 46
+    assert len(maxhit.__all__) == len(PUBLIC) == 43
     assert set(maxhit.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(maxhit, name), name
@@ -76,3 +82,91 @@ def test_readme_code_names_resolve():
     assert missing == []
     assert ("maxhit", "make_grid") in used  # the scan sees the alias
     assert ("maxhit.estimates", "count_events") in used
+
+
+#: What the benchmark's tracer finds by name: the functions it wraps
+#: specially (by ``__name__``) and the check registry whose runners it wraps.
+TRACER_HOOKS = [
+    ("maxhit.verify", "run_checks"),
+    ("maxhit.generators", "sample_paths"),
+    ("maxhit.streams", "block_streams"),
+]
+
+
+def _maxhit_module(node) -> str | None:
+    """The module a ``sys.modules["maxhit..."]`` or
+    ``importlib.import_module("maxhit...")`` expression names."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+    elif isinstance(node, ast.Call) and node.args:
+        key = node.args[0]
+    else:
+        return None
+    if isinstance(key, ast.Constant) and str(key.value).startswith("maxhit"):
+        return key.value
+    return None
+
+
+def _perfbench_names():
+    """(module, dotted name) for every name the benchmark scripts read
+    from ``maxhit``: imports, ``maxhit.a.b`` chains and attributes of a
+    module looked up by its name."""
+    used = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("maxhit"):
+                used += [(node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                used += [(a.name, "") for a in node.names if a.name.startswith("maxhit")]
+            elif isinstance(node, ast.Attribute):
+                chain, base = [node.attr], node.value
+                while isinstance(base, ast.Attribute):
+                    chain.insert(0, base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id == "maxhit":
+                    used.append(("maxhit", ".".join(chain)))
+                elif _maxhit_module(base):
+                    used.append((_maxhit_module(base), ".".join(chain)))
+    return used
+
+
+def _resolves(module: str, dotted: str) -> bool:
+    obj = importlib.import_module(module)
+    for part in filter(None, dotted.split(".")):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_perfbench_code_names_resolve():
+    used = _perfbench_names()
+    missing = [f"{mod}:{name}" for mod, name in used if not _resolves(mod, name)]
+    assert missing == []
+    # the scan sees each kind of use
+    assert ("maxhit", "cli.main") in used
+    assert ("maxhit.verify", "_CHECKS") in used
+    assert ("maxhit.streams", "block_streams") in used
+    assert ("maxhit", "generator_from_json") in used
+
+
+def test_tracer_hooks_resolve():
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
+    # the module lists the tracer imports as maxhit.<name>
+    layers = {t.id: ast.literal_eval(node.value)
+              for node in tracing.body if isinstance(node, ast.Assign)
+              for t in node.targets
+              if isinstance(t, ast.Name) and t.id in ("LAYERS", "HELPERS")}
+    assert set(layers) == {"LAYERS", "HELPERS"}
+    for name in (*layers["LAYERS"], *layers["HELPERS"]):
+        importlib.import_module(f"maxhit.{name}")
+    # the tracer wraps public functions defined in a layer module
+    for modname, name in TRACER_HOOKS:
+        fn = getattr(importlib.import_module(modname), name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == modname, (modname, name)
+        assert not name.startswith("_")
+    verify = importlib.import_module("maxhit.verify")
+    assert "runner" in {f.name for f in dataclasses.fields(verify.CheckDef)}
+    assert verify._CHECKS and all(
+        isinstance(d, verify.CheckDef) and callable(d.runner)
+        for d in verify._CHECKS.values())
