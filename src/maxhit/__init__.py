@@ -16,7 +16,7 @@ from .errors import (
     OffGridError,
     UnknownCheckError,
 )
-from .estimates import Estimate, binomial_estimate, rule_of_three, wilson_interval
+from .estimates import Estimate, binomial_estimate
 from .generators import (
     NONLINEAR_DEFAULTS,
     CompleteDependence,
@@ -30,24 +30,20 @@ from .generators import (
     generator_blocks,
     generator_bound,
     generator_from_json,
-    generator_to_json,
 )
 from .hitting import (
     hitting_bound,
     hitting_curve,
-    hitting_integral,
     two_hit_prob,
 )
-from .msp import msp_corpus, msp_path_blocks, stopping_exactness_violations
+from .msp import msp_corpus, msp_path_blocks
 from .paths import Interval, TimeGrid, make_grid
 from .verify import (
     CheckReport,
     CheckResult,
     check_ids,
-    final_example_integral_below,
     final_example_reference,
     final_example_two_hit,
-    ks_band,
     run_checks,
 )
 
@@ -78,23 +74,16 @@ __all__ = [
     "closed_form_m",
     "closed_form_m_tilde",
     "dnorm_estimates",
-    "final_example_integral_below",
     "final_example_reference",
     "final_example_two_hit",
     "generator_blocks",
     "generator_bound",
     "generator_from_json",
-    "generator_to_json",
     "hitting_bound",
     "hitting_curve",
-    "hitting_integral",
-    "ks_band",
     "make_grid",
     "msp_corpus",
     "msp_path_blocks",
-    "rule_of_three",
     "run_checks",
-    "stopping_exactness_violations",
     "two_hit_prob",
-    "wilson_interval",
 ]

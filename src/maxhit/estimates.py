@@ -22,6 +22,7 @@ estimate in its JSON output.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -42,6 +43,12 @@ class Estimate:
     n: int
 
     def __post_init__(self):
+        # plain Python numbers, so an estimate built from numpy scalars
+        # still serializes
+        object.__setattr__(self, "n", operator.index(self.n))
+        for name in ("value", "se"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "ci", (float(self.ci[0]), float(self.ci[1])))
         if self.n < 1:
             raise ValueError(f"replication count must be >= 1, got {self.n}")
         if not (self.ci[0] <= self.value <= self.ci[1]):

@@ -13,8 +13,9 @@ level is a ladder too) and a list of intervals, and gives one estimate per
 level from a single pass over the paths. One interval is the plain hitting
 probability; ``two_hit_prob`` is the two-hit event at an interior split
 time. Every ladder passes one check (``_checked_levels``): finite, negative
-and strictly decreasing. ``hitting_integral`` integrates a ladder's
-estimates, and ``hitting_bound`` is the paper's bound at one level.
+and strictly decreasing. ``hitting_bound`` is the paper's bound at one
+level. The curve's integral needs no ladder: as eta < 0, it is the mean
+range E[max eta - min eta] (Fubini), which ``verify`` reduces directly.
 ``hit_mask`` and ``down_up_down_mask`` are the per-block events, for
 callers that count them on their own stream (``estimates.count_events``).
 
@@ -122,33 +123,6 @@ def hitting_curve(
 
     (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), levels_hit)
     return [binomial_estimate(int(c), n) for c in counts]
-
-
-def hitting_integral(
-    levels: np.ndarray, estimates: list[Estimate], m_tilde: float
-) -> tuple[float, float]:
-    """Trapezoid integral of a hitting curve on [min level, 0] plus a tail
-    bound; ``estimates`` are the curve's values at the ladder ``levels``.
-
-    A node h(0) = 0 is appended. The tail beyond the deepest level is
-    bounded by integrating h(x) <= exp(x m~): exp(x_min m~)/m~ for
-    m~ > 0, infinite when m~ = 0 (the bound then carries no information
-    and callers need model-specific tails).
-    """
-    lv = _checked_levels(levels)
-    if len(estimates) != lv.size:
-        raise InvalidArgumentError(
-            f"{lv.size} levels but {len(estimates)} estimates")
-    if lv.size < 3:
-        raise InvalidArgumentError("need at least 3 levels to integrate")
-    if not m_tilde >= 0.0:
-        raise InvalidArgumentError(f"m_tilde must be >= 0, got {m_tilde}")
-    xs = np.append(lv[::-1], 0.0)
-    hs = np.append([e.value for e in estimates][::-1], 0.0)
-    integral = float(np.sum(0.5 * (hs[1:] + hs[:-1]) * np.diff(xs)))
-    x_min = float(lv[-1])
-    tail = math.exp(x_min * m_tilde) / m_tilde if m_tilde > 0.0 else math.inf
-    return integral, tail
 
 
 def two_hit_prob(

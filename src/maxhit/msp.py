@@ -1,5 +1,5 @@
 """Exact simulation of standard max-stable processes on a ``TimeGrid``:
-a uniform grid of [0, 1], or the points of a window of one.
+any strictly increasing set of times in [0, 1].
 
 A path of the process eta is built from a generator Z by the spectral
 construction: with Gamma_1 < Gamma_2 < ... the arrival times of a unit-rate

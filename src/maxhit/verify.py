@@ -15,10 +15,12 @@ reference by at least tol). Statistical tolerances use z = ``Z_STAT`` = 3
 unless a check states otherwise; probabilities of path functionals (hits
 anywhere in an interval) get a slack of ``GRID_ALLOWANCE`` = 0.005 at the
 default 1001-point grid for sub-grid excursions; probabilities of finitely
-many coordinates are grid-exact. A KS distance is bounded by ``ks_band``.
-A null probability is zero observed successes with rule-of-three CI upper
-bound 3/n, a positive one at least one success. Exact quantities carry
-se 0. A reference from eta's finite-dimensional law (``expected_max``) is
+many coordinates are grid-exact. A hitting integral is the mean of a
+per-path range (Fubini) and carries its se and no flat slack: a bound on
+it holds on any grid, and an equality is tested against the grid-exact
+mean. A KS distance is bounded by ``ks_band``. A null probability is zero
+observed successes with rule-of-three CI upper bound 3/n, a positive one
+at least one success. Exact quantities carry se 0. A reference from eta's finite-dimensional law (``expected_max``) is
 exact up to rounding, so its tolerance adds ``SUP_EQ_TOL``. A claim that
 such a value is nonzero is certified by arithmetic: it is a ``gap`` of se 0
 over ``SUP_EQ_TOL``, and no sampled gap from 0 is needed.
@@ -66,7 +68,6 @@ from .hitting import (
     hit_mask,
     hitting_bound,
     hitting_curve,
-    hitting_integral,
     two_hit_prob,
 )
 from .msp import (
@@ -129,15 +130,25 @@ def final_example_two_hit(x: float, t0: float) -> float:
     return (math.exp(x * (1.0 - t0)) - math.exp(x)) * (math.exp(x * t0) - math.exp(x))
 
 
-def final_example_integral_below(x: float) -> float:
-    """Exact integral of the two-branch hitting curve over (-inf, x], for a
-    finite x <= 0.
+def _final_example_grid_range(times) -> float:
+    """Exact E[max_T eta - min_T eta] of the two-branch model over a finite
+    set of times T that holds 0 and 1: 3/2 - sum over T's cells [a, b] of
+    (b - a)^2 / (1 + b - a), which is 3/2 - 1/len(T) on a uniform grid.
 
-    Antiderivative of (1 - e^u - u) e^u; evaluates to 3/2 at x = 0.
+    -eta(t) = min(E1/(1-t), E2/t) with E1, E2 iid Exp(1). Its minimum
+    over T is min(E1, E2), at t = 0 or 1, and its maximum over [0, 1] is
+    S = E1 + E2, at t = U = E2/S; S and U are independent and U is
+    uniform. In the cell [a, b] that holds U the maximum over T falls
+    short of S by S min((U-a)/(1-a), (b-U)/b), a triangle in U whose
+    integral over the cell is (b - a)^2 / (2 (1 + b - a)). With E S = 2
+    and E min(E1, E2) = 1/2, the mean range is 3/2 less twice the sum of
+    the triangles; over all of [0, 1] it is the paper's integral 3/2.
     """
-    if not (math.isfinite(x) and x <= 0.0):
-        raise InvalidArgumentError(f"need a finite x <= 0, got {x}")
-    return math.exp(x) * (2.0 - x) - 0.5 * math.exp(2.0 * x)
+    t = TimeGrid(times).points
+    if not (t[0] == 0.0 and t[-1] == 1.0):
+        raise InvalidArgumentError(f"T must hold 0 and 1, got {t[0]} to {t[-1]}")
+    d = np.diff(t)
+    return 1.5 - float(np.sum(d * d / (1.0 + d)))
 
 
 # --- check plumbing ----------------------------------------------------------
@@ -533,26 +544,35 @@ def _check_hcurve_bound(ctx: CheckContext) -> list[Assertion]:
     ]
 
 
-def _integral_levels() -> np.ndarray:
-    """25 quadratically spaced levels, dense near 0, decreasing to -12."""
-    i = np.arange(1, 26)
-    return -12.0 * (i / 25) ** 2
+def _mean_range(spec: GeneratorSpec, ctx: CheckContext) -> tuple[Estimate, Assertion]:
+    """The mean per-path range max eta - min eta over the grid, which is
+    the hitting integral over the grid (Fubini, as eta < 0), and the
+    assertion that the mean of -max eta, an Exp(m_T) variable with
+    m_T = ``expected_max`` over the grid, is exactly 1/m_T."""
+    acc = stream_means(
+        msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(0)),
+        lambda eta: eta.max(axis=1) - eta.min(axis=1),
+        lambda eta: -eta.max(axis=1),
+    )
+    minus_max = acc.estimate(1)
+    exact = 1.0 / expected_max(spec, ctx.grid.points)
+    return acc.estimate(0), Assertion("mean_minus_max", minus_max.value, exact,
+                                      se=minus_max.se, z=Z_STAT, slack=SUP_EQ_TOL)
 
 
 @check("hintegral-bound", "hitting integral within (m - m~)/(m m~)")
 def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
+    """The hitting integral is the mean range; a grid range never exceeds
+    the path's, so the paper's bound holds on any grid."""
     spec = SineBump(amp=0.5)
     m = closed_form_m(spec)
     mt = closed_form_m_tilde(spec)
-    levels = _integral_levels()
-    ests = hitting_curve(
-        spec, levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
-    )
-    integral, tail = hitting_integral(levels, ests, mt)
-    bound = (m - mt) / (m * mt)
+    span, minus_max = _mean_range(spec, ctx)
     return [
-        Assertion("integral_le_bound", integral + tail, bound, "<=", slack=0.02),
-        Assertion("integral_positive", integral, 0.001, ">="),
+        Assertion("mean_range_le_bound", span.value, (m - mt) / (m * mt), "<=",
+                  se=span.se, z=Z_STAT),
+        Assertion("mean_range_positive", span.value, 0.0, "gap", se=span.se, z=Z_STAT),
+        minus_max,
     ]
 
 
@@ -713,15 +733,14 @@ def _check_final_h(ctx: CheckContext) -> list[Assertion]:
 
 @check("final-integral-3/2", "two-branch hitting integral equals 3/2")
 def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
-    """The generic tail bound is infinite here (E inf Z = 0), so the exact
-    closed-form tail below the deepest level is used instead."""
-    levels = _integral_levels()
-    ests = hitting_curve(
-        TwoBranch(), levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
-    )
-    integral, _ = hitting_integral(levels, ests, m_tilde=0.0)
-    tail = final_example_integral_below(float(levels[-1]))
-    return [Assertion("integral_plus_exact_tail", integral + tail, 1.5, slack=0.05)]
+    """The mean range against its grid-exact value (3/2 on [0, 1])."""
+    span, minus_max = _mean_range(TwoBranch(), ctx)
+    exact = _final_example_grid_range(ctx.grid.points)
+    return [
+        Assertion("mean_range", span.value, exact,
+                  se=span.se, z=Z_STAT, slack=SUP_EQ_TOL),
+        minus_max,
+    ]
 
 
 @check("final-two-hit", "two-branch two-hit probability closed form")
@@ -814,13 +833,17 @@ def run_checks(
     """Run a suite of checks deterministically from one master seed.
 
     ``suite`` is "paper" (everything) or an explicit list of ids; an
-    unknown or repeated id, an empty list, a seed ``streams.as_seedseq``
-    refuses or ``n_default < MIN_N`` fails before anything executes. Checks derive independent
-    substreams from (master seed, check id) and may run in parallel;
+    unknown or repeated id, an empty list, a master seed that is not an
+    integer >= 0 (numpy integers are recorded as Python ints) or
+    ``n_default < MIN_N`` fails before anything executes. Checks derive
+    independent substreams from (master seed, check id) and may run in parallel;
     report contents are independent of ``threads``. The first check that
     raises ends the run: the checks that have not started never do.
     """
     as_seedseq(master_seed)
+    if isinstance(master_seed, np.random.SeedSequence):
+        raise InvalidArgumentError("a report's master seed must be an integer >= 0")
+    master_seed = int(master_seed)
     if n_default < MIN_N:
         raise InvalidArgumentError(f"checks need n_default >= {MIN_N}, got {n_default}")
     if isinstance(suite, str):

@@ -70,13 +70,13 @@ def test_criterion_06_hitting_bound(report):
 
 
 def test_criterion_07_integral_bound(report):
-    _criterion(report, 7, "0.001 <= hitting integral <= 0.2540 + 0.02",
-               ["hintegral-bound"])
+    _criterion(report, 7, "0 < hitting integral (mean range) <= 0.2540 at 3 se; "
+               "mean -max = 1/m_T (3 se)", ["hintegral-bound"])
 
 
 def test_criterion_08_two_branch_curve_and_integral(report):
     _criterion(report, 8, "two-branch curve matches (1-e^x-x)e^x "
-               "(3 se + 0.005); integral = 1.5 +- 0.05",
+               "(3 se + 0.005); integral (mean range) = 3/2 - 1/1001 (3 se)",
                ["final-h", "final-integral-3/2"])
 
 

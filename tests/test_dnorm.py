@@ -15,15 +15,13 @@ from maxhit import (
     TimeGrid,
     TwoBranch,
     dnorm_estimates,
-    final_example_integral_below,
     final_example_two_hit,
-    ks_band,
     make_grid,
 )
 from maxhit.estimates import Z95, count_events, per_path, stream_means
 from maxhit.generators import draw_uniforms, path_basis, sample_paths, shape_blocks
 from maxhit.streams import block_streams
-from maxhit.verify import SUP_EQ_TOL, _sup_equals_max_rate
+from maxhit.verify import SUP_EQ_TOL, _sup_equals_max_rate, ks_band
 
 _G11 = make_grid(11)
 _REFUSALS = {
@@ -42,14 +40,11 @@ _REFUSALS = {
         _G11, [0.0, 0.9], [-1.0, -1.0]
     ),
     "two-hit-split": lambda: final_example_two_hit(-1.0, 1.0),
-    "integral-x": lambda: final_example_integral_below(0.5),
     "timegrid-empty": lambda: TimeGrid(np.array([])),  # one point is a grid
     "timegrid-order": lambda: TimeGrid(np.array([0.0, 0.6, 0.4, 1.0])),
     "timegrid-outside-unit": lambda: TimeGrid(np.array([0.0, 1.5])),
     "ks-band-n-0": lambda: ks_band(0),
     "ks-band-n-negative": lambda: ks_band(-4),
-    "integral-x-minus-inf": lambda: final_example_integral_below(-math.inf),
-    "integral-x-nan": lambda: final_example_integral_below(math.nan),
 }
 
 

@@ -1,15 +1,25 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from maxhit import Estimate, binomial_estimate, rule_of_three, wilson_interval
+from maxhit import (
+    Estimate,
+    Interval,
+    TwoBranch,
+    binomial_estimate,
+    hitting_curve,
+    make_grid,
+)
 from maxhit.errors import InvalidArgumentError
 from maxhit.estimates import (
     RunningMean,
     count_events,
     mean_estimate_from_sums,
+    rule_of_three,
     stream_means,
+    wilson_interval,
 )
 
 
@@ -89,6 +99,23 @@ class TestEstimate:
     def test_positive_n_required(self):
         with pytest.raises(ValueError):
             Estimate(value=0.0, se=0.0, ci=(0.0, 0.0), n=0)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        est = Estimate(value=np.float64(0.5), se=np.float64(0.1),
+                       ci=(np.float64(0.3), np.float64(0.7)), n=np.int64(10))
+        assert type(est.n) is int
+        assert all(type(v) is float for v in (est.value, est.se, *est.ci))
+        json.dumps(est.as_dict())
+
+    def test_numpy_integer_n_estimate_serializes(self):
+        (est,) = hitting_curve(TwoBranch(), [-1.0], [Interval(0.0, 1.0)],
+                               make_grid(11), np.int64(100), 1)
+        assert (type(est.n), type(est.value)) == (int, float)
+        json.dumps(est.as_dict())
+
+    def test_fractional_n_is_refused(self):
+        with pytest.raises(TypeError):
+            Estimate(value=0.5, se=0.1, ci=(0.3, 0.7), n=10.5)
 
     def test_as_dict_round(self):
         est = binomial_estimate(3, 7)

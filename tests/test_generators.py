@@ -25,13 +25,12 @@ from maxhit import (
     generator_blocks,
     generator_bound,
     generator_from_json,
-    generator_to_json,
     make_grid,
 )
 from maxhit.estimates import per_path, stack_blocks, stream_means
 from maxhit.generators import (
-    atom_index, draw_uniforms, expected_max, path_basis, path_maxima, sample_paths,
-    shape_blocks,
+    atom_index, draw_uniforms, expected_max, generator_to_json, path_basis, path_maxima,
+    sample_paths, shape_blocks,
 )
 from maxhit.streams import block_streams
 from maxhit.verify import _sup_equals_max_rate

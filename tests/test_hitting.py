@@ -23,13 +23,13 @@ from maxhit import (
     final_example_two_hit,
     hitting_bound,
     hitting_curve,
-    hitting_integral,
     make_grid,
     msp_path_blocks,
     two_hit_prob,
 )
-from maxhit.estimates import count_events
+from maxhit.estimates import count_events, stream_means
 from maxhit.hitting import down_up_down_mask, hit_mask
+from maxhit.verify import CheckContext, _mean_range
 
 GRID_SLACK = 0.02  # discretization allowance at the coarse test grids
 
@@ -187,63 +187,35 @@ class TestHittingCurve:
             )
 
     def test_bad_ladder_is_an_argument_error_only_at_entry(self, grid101):
-        # both functions that take a ladder refuse a bad one as an argument
         with pytest.raises(InvalidArgumentError, match="decreasing"):
             hitting_curve(TwoBranch(), [-2.0, -1.0], [Interval(0.0, 1.0)],
                           grid101, 100, 60)
-        with pytest.raises(InvalidArgumentError, match="decreasing"):
-            hitting_integral([-3.0, -1.0, -2.0],
-                             [binomial_estimate(0, 10)] * 3, m_tilde=0.5)
 
 
-class TestHittingIntegral:
-    def synthetic_curve(self, levels, values):
-        """A ladder and its estimates, as ``hitting_integral`` takes them."""
-        ests = [
-            binomial_estimate(int(round(v * 1000)), 1000) for v in values
-        ]
-        return levels, ests
+class TestIntegralIsMeanRange:
+    """Fubini on the integral checks' own draws: a ladder of step d over
+    [x_min, 0) counts each path's range max eta - min eta to within d
+    plus the part of the range below x_min, so the mean range and d times
+    the ladder's hitting frequencies agree to within that, deterministically."""
 
-    def test_trapezoid_against_hand_computation(self):
-        curve = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
-        integral, tail = hitting_integral(*curve, m_tilde=0.5)
-        # nodes (-3, 0.1), (-2, 0.2), (-1, 0.4), (0, 0)
-        by_hand = 0.5 * (0.1 + 0.2) + 0.5 * (0.2 + 0.4) + 0.5 * 0.4
-        assert integral == pytest.approx(by_hand)
-        assert tail == pytest.approx(math.exp(-1.5) / 0.5)
-
-    def test_zero_m_tilde_gives_infinite_tail(self):
-        curve = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
-        _, tail = hitting_integral(*curve, m_tilde=0.0)
-        assert math.isinf(tail)
-
-    def test_estimates_must_match_the_ladder(self):
-        levels, ests = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
-        with pytest.raises(InvalidArgumentError, match="3 levels but 2 estimates"):
-            hitting_integral(levels, ests[:2], m_tilde=0.5)
-
-    def test_needs_three_levels(self):
-        curve = self.synthetic_curve([-1.0, -2.0], [0.4, 0.2])
-        with pytest.raises(ValueError, match="3 levels"):
-            hitting_integral(*curve, m_tilde=0.5)
-
-    def test_negative_m_tilde_rejected(self):
-        curve = self.synthetic_curve([-1.0, -2.0, -3.0], [0.4, 0.2, 0.1])
-        with pytest.raises(ValueError):
-            hitting_integral(*curve, m_tilde=-0.1)
-
-    @pytest.mark.parametrize(
-        "levels, m_tilde, needle",
-        [
-            ([-1.0, -2.0], 0.5, "3 levels"),
-            ([-1.0, -2.0, -3.0], -0.1, "m_tilde must be >= 0"),
-            ([-1.0, -2.0, -3.0], math.nan, "m_tilde must be >= 0"),
-        ],
-    )
-    def test_refusals_are_argument_errors(self, levels, m_tilde, needle):
-        curve = self.synthetic_curve(levels, [0.4, 0.2, 0.1][:len(levels)])
-        with pytest.raises(InvalidArgumentError, match=needle):
-            hitting_integral(*curve, m_tilde=m_tilde)
+    @pytest.mark.parametrize("spec", [TwoBranch(), SineBump(amp=0.5)],
+                             ids=lambda s: type(s).__name__)
+    def test_ladder_sum_is_the_mean_range(self, spec, grid101):
+        d = 0.01
+        levels = -d * np.arange(1, 801)
+        x_min = levels[-1]
+        ctx = CheckContext("hintegral-bound", 7, 2000, grid101)
+        mean_range, _ = _mean_range(spec, ctx)
+        ests = hitting_curve(spec, levels, [Interval(0.0, 1.0)], grid101, ctx.n,
+                             ctx.seed(0))
+        below = stream_means(
+            msp_path_blocks(spec, grid101, ctx.n, ctx.seed(0)),
+            lambda eta: np.maximum(0.0, np.minimum(eta.max(axis=1), x_min)
+                                   - eta.min(axis=1)),
+        ).estimate(0).value
+        ladder_sum = d * sum(e.value for e in ests)
+        assert abs(ladder_sum - mean_range.value) <= d + below + 1e-9
+        assert below < d  # the ladder reaches deep enough to matter
 
 
 #: Each hitting event on 100 TwoBranch paths at level x0 on a grid:

@@ -21,17 +21,16 @@ from maxhit import (
     generator_blocks,
     generator_bound,
     hitting_curve,
-    ks_band,
     make_grid,
     msp_corpus,
     msp_path_blocks,
-    stopping_exactness_violations,
 )
 from maxhit import msp
 from maxhit.estimates import count_events, stack_blocks
 from maxhit.generators import path_basis, sample_paths
-from maxhit.msp import ks_distance_neg_exponential
+from maxhit.msp import ks_distance_neg_exponential, stopping_exactness_violations
 from maxhit.streams import BLOCK_SIZE, block_streams
+from maxhit.verify import ks_band
 
 
 def _dense_paths(spec, t, u):

@@ -4,22 +4,32 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maxhit import (
     InvalidArgumentError,
     OffGridError,
     SineBump,
+    TimeGrid,
+    TwoBranch,
     UnknownCheckError,
     check_ids,
-    final_example_integral_below,
     final_example_reference,
     final_example_two_hit,
     run_checks,
     verify,
 )
+from maxhit.estimates import stream_means
 from maxhit.generators import expected_max
-from maxhit.verify import Assertion, CheckDef
+from maxhit.msp import msp_path_blocks
+from maxhit.verify import (
+    SUP_EQ_TOL,
+    Z_STAT,
+    Assertion,
+    CheckDef,
+    _final_example_grid_range,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,16 +65,6 @@ class TestFinalExampleReference:
     def test_rejects_boundary_split(self):
         with pytest.raises(ValueError):
             final_example_two_hit(-1.0, 1.0)
-
-    def test_integral_antiderivative(self):
-        assert final_example_integral_below(0.0) == pytest.approx(1.5)
-        assert final_example_integral_below(-40.0) == pytest.approx(0.0, abs=1e-15)
-        # numerical cross-check of d/dx F = h
-        x, dx = -1.3, 1e-6
-        deriv = (
-            final_example_integral_below(x + dx) - final_example_integral_below(x - dx)
-        ) / (2 * dx)
-        assert deriv == pytest.approx(final_example_reference(x), rel=1e-5)
 
 
 class TestAssertion:
@@ -189,6 +189,17 @@ class TestRunChecks:
                          grid_points=101, timestamp=True)
         assert "generated_at" in rep.as_dict()
 
+    def test_numpy_integer_seed_is_recorded_as_an_int(self):
+        rep = run_checks(["example2-m"], np.int64(7), n_default=1000, grid_points=101)
+        assert type(rep.seed) is int
+        json.dumps(rep.as_dict())
+        plain = run_checks(["example2-m"], 7, n_default=1000, grid_points=101)
+        assert rep["example2-m"].assertions == plain["example2-m"].assertions
+
+    def test_seed_sequence_master_seed_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            run_checks(["example2-m"], np.random.SeedSequence(7), n_default=1000)
+
     def test_summary_lines(self):
         rep = run_checks(["example2-m"], master_seed=3, n_default=1000,
                          grid_points=101, timestamp=False)
@@ -211,6 +222,73 @@ def test_lemma31_reference_is_the_oracle():
         report = run_checks(["lemma31-closedform"], 7, n_default=500,
                             grid_points=points)
         assert report["lemma31-closedform"].assertions[0].expected == want
+
+
+#: Irregular times in [0, 1] holding both ends, for the grid-range reference.
+_IRREGULAR_T = [0.0, 0.05, 0.3, 0.31, 0.62, 0.9, 1.0]
+
+
+class TestFinalExampleGridRange:
+    """3/2 - sum over cells (b - a)^2 / (1 + b - a), the mean range of the
+    two-branch model over times T that hold 0 and 1."""
+
+    @pytest.mark.parametrize("points", [2, 3, 11, 1001])
+    def test_uniform_grid_is_three_halves_minus_one_over_points(self, points):
+        got = _final_example_grid_range(np.linspace(0.0, 1.0, points))
+        assert got == pytest.approx(1.5 - 1.0 / points, rel=1e-14)
+
+    def test_matches_the_exponential_pair(self):
+        # -eta(t) = min(E1/(1-t), E2/t); its range over T, by brute force
+        rng = np.random.default_rng(5)
+        e1, e2 = rng.standard_exponential((2, 400_000, 1))
+        t = np.array(_IRREGULAR_T)
+        with np.errstate(divide="ignore"):
+            minus_eta = np.minimum(e1 / (1.0 - t), e2 / t)
+        ranges = minus_eta.max(axis=1) - minus_eta.min(axis=1)
+        se = ranges.std() / math.sqrt(ranges.size)
+        assert abs(ranges.mean() - _final_example_grid_range(t)) <= Z_STAT * se
+
+    def test_matches_the_sampler(self):
+        times = TimeGrid(_IRREGULAR_T)
+        acc = stream_means(msp_path_blocks(TwoBranch(), times, 20_000, 3),
+                           lambda eta: eta.max(axis=1) - eta.min(axis=1))
+        est = acc.estimate(0)
+        assert abs(est.value - _final_example_grid_range(_IRREGULAR_T)) <= Z_STAT * est.se
+
+    @pytest.mark.parametrize("times", [[0.0, 0.5], [0.5, 1.0], [0.5], [0.0]])
+    def test_refuses_times_without_both_ends(self, times):
+        with pytest.raises(InvalidArgumentError, match="hold 0 and 1"):
+            _final_example_grid_range(times)
+
+
+class TestIntegralChecks:
+    """The hitting integrals are mean ranges, with exact references."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_checks(["hintegral-bound", "final-integral-3/2"], 7,
+                          n_default=4096, grid_points=1001)
+
+    def test_green_with_no_flat_slack(self, report):
+        for result in report.checks:
+            assert result.passed, [a.name for a in result.assertions if not a.passed]
+            for a in result.assertions:
+                assert a.se > 0.0 and a.z == Z_STAT and a.slack <= SUP_EQ_TOL, a.name
+
+    def test_references_are_exact(self, report):
+        final = report["final-integral-3/2"].assertions
+        assert [a.expected for a in final] == [1.5 - 1.0 / 1001, 0.5]
+        sine = SineBump(amp=0.5)
+        minus_max = report["hintegral-bound"].assertions[-1]
+        assert minus_max.expected == 1.0 / expected_max(sine, np.linspace(0.0, 1.0, 1001))
+
+    def test_no_ladder_is_sampled(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hitting_curve called")
+
+        monkeypatch.setattr(verify, "hitting_curve", refuse)
+        run_checks(["hintegral-bound", "final-integral-3/2"], 7, n_default=100,
+                   grid_points=101)
 
 
 class TestCor33:
