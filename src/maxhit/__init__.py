@@ -27,7 +27,6 @@ from .generators import (
     TwoBranch,
     closed_form_m,
     closed_form_m_tilde,
-    generator_blocks,
     generator_bound,
     generator_from_json,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "dnorm_estimates",
     "final_example_reference",
     "final_example_two_hit",
-    "generator_blocks",
     "generator_bound",
     "generator_from_json",
     "hitting_bound",

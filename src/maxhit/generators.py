@@ -62,11 +62,11 @@ row-major (``draw_uniforms``), so replica ``i`` of a block owns row ``i``.
 
 Shape blocks: an atom generator's block of paths repeats at most K
 distinct rows, so ``shape_blocks`` streams each block as ``(rows,
-index)``, the K-row shape table and the block's atom index, and
-``generator_blocks`` is ``rows[index]`` of that one stream. A reduction
-whose statistic is a row max, min or comparison of an elementwise product
-with a fixed vector (``dnorm_estimates``, and the generator checks in
-``verify``) evaluates it on the K rows and gathers by index
+index)``, the K-row shape table and the block's atom index; the block's
+paths are ``rows[index]``. A reduction whose statistic is a row max, min
+or comparison of an elementwise product with a fixed vector
+(``dnorm_estimates``, and the generator checks in ``verify``) evaluates it
+on the K rows and gathers by index
 (``estimates.per_path``): the products are the same floats and a max or
 min does not round, so the per-path values, and the sums over them, equal
 those of the materialized block bit for bit. SineBump blocks are built in
@@ -78,9 +78,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import starmap
 from numbers import Integral, Real
-from operator import getitem
 from typing import Union
 
 import numpy as np
@@ -439,9 +437,9 @@ def shape_blocks(
     An atom generator's ``rows`` is its read-only (K, len(grid))
     ``path_basis``, built once per call, and ``index`` is the block's
     ``atom_index``; SineBump's ``rows`` is the built (block, len(grid))
-    array and ``index`` is ``slice(None)``. Each block draws the same
-    uniforms from the same child stream as ``generator_blocks``, which is
-    ``rows[index]`` of these blocks.
+    array and ``index`` is ``slice(None)``. Block ``b`` draws its uniforms
+    from child stream ``b`` of ``seed``, so the paths are a deterministic
+    function of (seed, n, grid).
 
     A row-wise statistic (each output row a function of its input row
     alone, such as a row max or min of ``z * v`` for a fixed vector v, or
@@ -458,19 +456,6 @@ def shape_blocks(
             yield sample_paths(spec, basis, u), slice(None)
         else:
             yield basis, index
-
-
-def generator_blocks(
-    spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
-) -> Iterator[np.ndarray]:
-    """Stream blocks of generator paths as (block, len(grid)) arrays.
-
-    Block ``b`` draws from child stream ``b`` of ``seed``, so the
-    concatenation over blocks is a deterministic function of (seed, n, grid).
-    Each block is ``rows[index]`` of the matching ``shape_blocks`` block;
-    no block is held while the next is built.
-    """
-    yield from starmap(getitem, shape_blocks(spec, grid, n, seed))
 
 
 def closed_form_m(spec: GeneratorSpec) -> float:

@@ -16,8 +16,10 @@ time. Every ladder passes one check (``_checked_levels``): finite, negative
 and strictly decreasing. ``hitting_bound`` is the paper's bound at one
 level. The curve's integral needs no ladder: as eta < 0, it is the mean
 range E[max eta - min eta] (Fubini), which ``verify`` reduces directly.
-``hit_mask`` and ``down_up_down_mask`` are the per-block events, for
-callers that count them on their own stream (``estimates.count_events``).
+``curve_event`` is ``hitting_curve``'s per-block event, and ``hit_mask``
+and ``down_up_down_mask`` are two more, for callers that count them on a
+stream of their own (``estimates.count_events``) or feed one stream's
+blocks to many events (``verify``).
 
 Grid detection can only miss sub-grid excursions, so every frequency here
 is biased downward by at most a small discretization allowance (the
@@ -28,6 +30,7 @@ grid points).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -86,16 +89,24 @@ def _checked_levels(levels) -> np.ndarray:
     return lv
 
 
-def hitting_curve(
-    spec: GeneratorSpec,
-    levels: np.ndarray,
-    intervals: list[Interval],
-    grid: TimeGrid,
-    n: int,
-    seed: Seed,
-) -> list[Estimate]:
-    """Per level, the frequency of paths hitting it in every listed interval;
-    all levels share one path corpus.
+def curve_mask(eta: np.ndarray, levels: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """A (rows, levels) mask of a path block: per level, the rows that hit
+    it in every slice."""
+    # per slice one min and one max per path, broadcast over the levels
+    hit = np.ones((eta.shape[0], levels.size), dtype=bool)
+    for sl in slices:
+        seg = eta[:, sl]
+        mn = seg.min(axis=1)
+        mx = seg.max(axis=1)
+        hit &= (mn[:, None] <= levels[None, :]) & (levels[None, :] <= mx[:, None])
+    return hit
+
+
+def curve_event(
+    levels: np.ndarray, intervals: list[Interval], grid: TimeGrid
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The per-block event of ``hitting_curve``: a path block's
+    ``curve_mask`` over the intervals' grid slices.
 
     Intervals may touch at endpoints but must not overlap with positive
     length.
@@ -110,18 +121,21 @@ def hitting_curve(
                 f"intervals overlap: [{prev.lo}, {prev.hi}] and [{nxt.lo}, {nxt.hi}]"
             )
     slices = [grid.slice_of(iv) for iv in ordered]
+    return lambda eta: curve_mask(eta, lv, slices)
 
-    def levels_hit(eta: np.ndarray) -> np.ndarray:
-        # per interval one min and one max per path, broadcast over the levels
-        hit = np.ones((eta.shape[0], lv.size), dtype=bool)
-        for sl in slices:
-            seg = eta[:, sl]
-            mn = seg.min(axis=1)
-            mx = seg.max(axis=1)
-            hit &= (mn[:, None] <= lv[None, :]) & (lv[None, :] <= mx[:, None])
-        return hit
 
-    (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), levels_hit)
+def hitting_curve(
+    spec: GeneratorSpec,
+    levels: np.ndarray,
+    intervals: list[Interval],
+    grid: TimeGrid,
+    n: int,
+    seed: Seed,
+) -> list[Estimate]:
+    """Per level, the frequency of paths hitting it in every listed interval
+    (``curve_event``); all levels share one path corpus."""
+    event = curve_event(levels, intervals, grid)
+    (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), event)
     return [binomial_estimate(int(c), n) for c in counts]
 
 

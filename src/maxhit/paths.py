@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, OffGridError
+from .streams import _is_count
 
 # Times this close to a grid point count as on-grid: user-supplied decimals
 # rarely equal the binary double of i/(n-1) bit for bit.
@@ -67,7 +68,10 @@ class TimeGrid:
 
 
 def make_grid(n: int) -> TimeGrid:
-    """Uniform grid of ``n`` points including both endpoints of [0, 1]."""
+    """Uniform grid of ``n`` points including both endpoints of [0, 1]; ``n``
+    is an integer (not a bool)."""
+    if not _is_count(n):
+        raise InvalidArgumentError(f"grid size must be an integer, got {n!r}")
     if n < 2:
         raise InvalidArgumentError(f"grid needs at least 2 points, got {n}")
     return TimeGrid(np.arange(n) / (n - 1))

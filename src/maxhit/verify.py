@@ -24,6 +24,23 @@ at least one success. Exact quantities carry se 0. A reference from eta's finite
 exact up to rounding, so its tolerance adds ``SUP_EQ_TOL``. A claim that
 such a value is nonzero is certified by arithmetic: it is a ``gap`` of se 0
 over ``SUP_EQ_TOL``, and no sampled gap from 0 is needed.
+
+Draw plan: ``run_checks`` samples each catalogue generator's eta process
+once. The shared stream of generator g (its index in ``CATALOGUE``) holds
+n paths on the full grid, seeded (master seed, crc32("margins-ks"), g).
+Every eta statistic a check uses is row-wise (hit masks, ``all(eta <= f)``,
+per-path ranges, picked columns, and a window's columns, which are an
+exact path on the window's points), so a check declares reducers of those
+streams (``check(..., eta=)``): event counts, running means or stacked
+columns, the accumulators ``estimates.EventCounts``, ``StatMeans`` and
+``RowStack`` that ``count_events``, ``stream_means`` and ``stack_blocks``
+loop over. ``feed_eta`` hands every block to every declared reducer;
+then the check's runner turns the totals in ``ctx.eta`` into
+``Assertion``s. Generator (Z) paths stay on each check's own
+substreams (``CheckContext.seed``), so eta and Z estimates stay
+independent, and so does ``stopping-exactness``'s arrival loop. Checks
+that share a stream are dependent; a check's entry is the same whichever
+checks run beside it.
 """
 
 from __future__ import annotations
@@ -31,7 +48,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
@@ -40,12 +58,14 @@ from .dnorm import LevelFunction, dnorm_estimates
 from .errors import InvalidArgumentError, UnknownCheckError
 from .estimates import (
     Estimate,
+    EventCounts,
+    RowStack,
+    StatMeans,
     binomial_estimate,
     count_events,
     mean_estimate_from_sums,
     per_path,
     rule_of_three,
-    stack_blocks,
     stream_means,
 )
 from .generators import (
@@ -59,25 +79,22 @@ from .generators import (
     closed_form_m,
     closed_form_m_tilde,
     expected_max,
-    generator_blocks,
     shape_blocks,
 )
 from .hitting import (
     _checked_levels,
+    curve_event,
     down_up_down_mask,
     hit_mask,
     hitting_bound,
-    hitting_curve,
-    two_hit_prob,
 )
 from .msp import (
     ks_distance_neg_exponential,
-    msp_corpus,
     msp_path_blocks,
     stopping_exactness_violations,
 )
 from .paths import Interval, TimeGrid, make_grid
-from .streams import Seed, as_seedseq, label_key, substream
+from .streams import Seed, _is_count, as_seedseq, label_key, substream
 
 DEFAULT_N = 100_000
 #: The smallest n every check runs at: max-stability needs one group of 5.
@@ -109,6 +126,12 @@ CATALOGUE: list[tuple[str, GeneratorSpec]] = [
     ("two_branch", TwoBranch()),
     ("sine_bump", SineBump(amp=0.5)),
 ]
+
+#: The shared eta stream of catalogue generator g is substream
+#: (crc32(this label), g) of the master seed. The label is margins-ks's
+#: check id, so that check draws what it drew on streams of its own and
+#: keeps its verdicts, the suite's most frequent chance reds.
+ETA_STREAM_LABEL = "margins-ks"
 
 
 # --- closed forms of the two-branch model -----------------------------------
@@ -207,12 +230,17 @@ def _positive_probability(name: str, est: Estimate) -> Assertion:
     return Assertion(name, est.value, 1.0 / est.n, ">=", se=est.se)
 
 
+
+
 @dataclass(frozen=True)
 class CheckContext:
     check_id: str
     master_seed: int
     n: int
     grid: TimeGrid
+    #: The check's reducers by catalogue name; ``run_checks`` feeds them the
+    #: generator's shared eta stream before the runner reads them.
+    eta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def seed(self, k: int) -> np.random.SeedSequence:
         """Substream k of this check: (master seed, crc32(check id), k)."""
@@ -291,23 +319,85 @@ class CheckDef:
     check_id: str
     description: str
     runner: object = field(repr=False)
+    #: ``ctx -> {catalogue name: reducer}``, the check's reducers of the
+    #: shared eta streams; None for a check that reads none.
+    eta: object = field(default=None, repr=False)
 
 
 #: The registry, in suite and report order.
 _CHECKS: dict[str, CheckDef] = {}
 
 
-def check(check_id: str, description: str):
-    """Register the decorated ``ctx -> list[Assertion]`` function as a check."""
+def check(check_id: str, description: str, eta: Callable | None = None):
+    """Register the decorated ``ctx -> list[Assertion]`` function as a check
+    whose shared-stream reducers ``eta`` declares (see ``CheckDef``)."""
 
     def register(runner):
-        _CHECKS[check_id] = CheckDef(check_id, description, runner)
+        _CHECKS[check_id] = CheckDef(check_id, description, runner, eta)
         return runner
 
     return register
 
 
+# --- reducers of the shared eta streams ---------------------------------------
+
+
+def feed_eta(
+    spec: GeneratorSpec,
+    grid: TimeGrid,
+    n: int,
+    seed: Seed,
+    reducers: list[Callable],
+    failed: threading.Event,
+) -> None:
+    """Feed every block of one eta stream to each reducer in turn; once
+    ``failed`` is set, stop at the next block with ``CancelledError``."""
+    for eta in msp_path_blocks(spec, grid, n, seed):
+        if failed.is_set():
+            raise CancelledError(f"eta stream of {spec!r}")
+        for reduce in reducers:
+            reduce(eta)
+
+
+def _on(*names: str, reducer: Callable) -> Callable:
+    """``eta=`` of a check with one ``reducer(ctx)`` per named generator."""
+    return lambda ctx: {name: reducer(ctx) for name in names}
+
+
+def _hits(levels, intervals: list[Interval]) -> Callable:
+    """A reducer factory counting ``hitting_curve``'s event (``curve_event``)."""
+    return lambda ctx: EventCounts(curve_event(levels, intervals, ctx.grid))
+
+
+def _hit_estimates(ctx: CheckContext, name: str) -> list[Estimate]:
+    """Per level, the frequency ``hitting_curve`` gives, from the counts of
+    a ``_hits`` reducer on generator ``name``'s stream."""
+    return [binomial_estimate(int(c), ctx.n) for c in ctx.eta[name].counts[0]]
+
+
+_ALL = tuple(name for name, _ in CATALOGUE)
+
+
 # --- the checks ---------------------------------------------------------------
+
+
+def _z_sums(
+    spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of z and of z^2 over ``n`` generator paths, per grid point.
+
+    An atom spec's paths are its K basis rows b_k, so with shape counts c_k
+    the sums are sum_k c_k b_k and sum_k c_k b_k^2, and no path is built;
+    SineBump's are summed over its built rows.
+    """
+    if spec.atoms() is None:
+        acc = stream_means(shape_blocks(spec, grid, n, seed), per_path(lambda z: z))
+        return acc.total[0], acc.total_sq[0]
+    counts = 0
+    for rows, index in shape_blocks(spec, grid, n, seed):
+        counts = counts + np.bincount(index, minlength=len(rows))
+    weighted = counts[:, None] * rows
+    return weighted.sum(axis=0), (weighted * rows).sum(axis=0)
 
 
 @check("eq1-moments", "unit mean of Z at every grid point")
@@ -317,11 +407,9 @@ def _check_eq1_moments(ctx: CheckContext) -> list[Assertion]:
     match to within the float accumulation error of the sums."""
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
-        acc = stream_means(
-            generator_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi)), lambda z: z
-        )
-        mean = acc.total[0] / ctx.n
-        var = np.maximum(0.0, acc.total_sq[0] / ctx.n - mean * mean)
+        total, total_sq = _z_sums(spec, ctx.grid, ctx.n, ctx.seed(gi))
+        mean = total / ctx.n
+        var = np.maximum(0.0, total_sq / ctx.n - mean * mean)
         se = np.sqrt(var / ctx.n)
         worst = np.argmax(np.abs(mean - 1.0) / (4.0 * se + 1e-12))
         out.append(Assertion(f"{name}:mean", mean[worst], 1.0,
@@ -345,21 +433,23 @@ def _criterion2_functions(grid: TimeGrid) -> list[tuple[str, LevelFunction]]:
     ]
 
 
-@check("eq2-roundtrip", "joint cdf equals exp(-D-norm)")
+def _joint_cdf_events(ctx: CheckContext) -> EventCounts:
+    """Rows with eta <= f at every grid point, per eq2 function f."""
+    return EventCounts(*(lambda eta, fv=f.values: np.all(eta <= fv, axis=1)
+                         for _, f in _criterion2_functions(ctx.grid)))
+
+
+@check("eq2-roundtrip", "joint cdf equals exp(-D-norm)",
+       eta=_on(*_ALL, reducer=_joint_cdf_events))
 def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
     """For three functions and every generator; the se combines the joint
-    cdf's with the delta-method se of exp(-D-norm). Both sides share draws
-    across the functions: the D-norms one set of Z paths, the joint cdfs
-    (rows with eta <= f at every grid point) one set of eta paths."""
+    cdf's with the delta-method se of exp(-D-norm). The D-norms share one
+    set of Z paths per generator, drawn apart from the eta stream."""
     names, fs = zip(*_criterion2_functions(ctx.grid))
     out = []
     for gi, (name, spec) in enumerate(CATALOGUE):
         dns = dnorm_estimates(spec, list(fs), ctx.n, ctx.seed(2 * gi))
-        below = count_events(
-            msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
-            *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs),
-        )
-        for fname, dn, count in zip(names, dns, below):
+        for fname, dn, count in zip(names, dns, ctx.eta[name].counts):
             joint = binomial_estimate(int(count), ctx.n)
             target = math.exp(-dn.value)
             se = math.sqrt(joint.se**2 + (target * dn.se) ** 2)
@@ -368,44 +458,37 @@ def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
     return out
 
 
-@check("eq3-negative-paths", "simulated paths are strictly negative")
+@check("eq3-negative-paths", "simulated paths are strictly negative",
+       eta=_on(*_ALL, reducer=lambda ctx: EventCounts(lambda eta: eta >= 0.0)))
 def _check_eq3_negative_paths(ctx: CheckContext) -> list[Assertion]:
-    out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
-        bad = int(count_events(blocks, lambda eta: eta >= 0.0)[0].sum())
-        out.append(Assertion(f"{name}:nonnegative_values", bad, 0.0))
-    return out
+    return [Assertion(f"{name}:nonnegative_values",
+                      int(ctx.eta[name].counts[0].sum()), 0.0)
+            for name in _ALL]
 
 
 _MARGIN_TIMES = (0.0, 0.37, 1.0)
 
 
-@check("margins-ks", "standard negative exponential margins (KS)")
+@check("margins-ks", "standard negative exponential margins (KS)",
+       eta=_on(*_ALL, reducer=lambda ctx: RowStack(
+           ctx.n, [ctx.grid.index_of(t) for t in _MARGIN_TIMES])))
 def _check_margins_ks(ctx: CheckContext) -> list[Assertion]:
     """KS distance of each margin column against exp(x), x <= 0; the
     columns of one generator come from one set of paths."""
     band = ks_band(ctx.n)
-    cols = [ctx.grid.index_of(t) for t in _MARGIN_TIMES]
-    out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
-        samples = stack_blocks((eta[:, cols] for eta in blocks), ctx.n)
-        for t, column in zip(_MARGIN_TIMES, samples.T):
-            d = ks_distance_neg_exponential(column)
-            out.append(Assertion(f"{name}:t={t}", d, band, "<="))
-    return out
+    return [Assertion(f"{name}:t={t}", ks_distance_neg_exponential(column), band, "<=")
+            for name in _ALL
+            for t, column in zip(_MARGIN_TIMES, ctx.eta[name].rows.T)]
 
 
-@check("max-stability", "k x (max of k paths) keeps the margins")
+@check("max-stability", "k x (max of k paths) keeps the margins",
+       eta=_on("two_branch", "sine_bump",
+               reducer=lambda ctx: RowStack(ctx.n, [ctx.grid.index_of(0.37)])))
 def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
     """KS distance of k times the pointwise max of k paths, k = 2, 5."""
     out = []
-    col_t = 0.37
-    for gi, (name, spec) in enumerate([CATALOGUE[3], CATALOGUE[4]]):
-        col = ctx.grid.index_of(col_t)
-        blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(gi))
-        vals = stack_blocks((eta[:, [col]] for eta in blocks), ctx.n)[:, 0]
+    for name in ("two_branch", "sine_bump"):
+        vals = ctx.eta[name].rows[:, 0]
         for k in (2, 5):
             groups = ctx.n // k
             scaled = k * vals[: groups * k].reshape(groups, k).max(axis=1)
@@ -435,20 +518,20 @@ def _check_takahashi(ctx: CheckContext) -> list[Assertion]:
     return out
 
 
-@check("example1-complete-dependence",
-       "constant paths miss fixed levels, meet sloped curves")
-def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
-    """A path meets the sloped curve f when eta - f changes sign or touches
-    zero on the grid."""
-    spec = CompleteDependence()
-    unit = [Interval(0.0, 1.0)]
-    (est,) = hitting_curve(spec, [-1.0], unit, ctx.grid, ctx.n, ctx.seed(0))
-    out = _null_probability(est, "fixed_level:")
+def _example1_events(ctx: CheckContext) -> EventCounts:
+    """A fixed level's hits, and the paths meeting the sloped curve f: those
+    where eta - f changes sign or touches zero on the grid."""
     f = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0])
-    (met,) = count_events(
-        msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(1)),
-        lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0),
-    )
+    return EventCounts(curve_event([-1.0], [Interval(0.0, 1.0)], ctx.grid),
+                       lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0))
+
+
+@check("example1-complete-dependence",
+       "constant paths miss fixed levels, meet sloped curves",
+       eta=_on("complete_dependence", reducer=_example1_events))
+def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
+    (fixed,), met = ctx.eta["complete_dependence"].counts
+    out = _null_probability(binomial_estimate(int(fixed), ctx.n), "fixed_level:")
     curve_est = binomial_estimate(int(met), ctx.n)
     target = math.exp(-1.0) - math.exp(-2.0)
     out.append(Assertion("sloped_curve:estimate", curve_est.value, target,
@@ -456,22 +539,21 @@ def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
     return out
 
 
-@check("prop2-null-on-constant-interval", "no hits where the generator is degenerate")
+@check("prop2-null-on-constant-interval", "no hits where the generator is degenerate",
+       eta=_on("piecewise_example", reducer=_hits([-1.0], [Interval(0.25, 0.75)])))
 def _check_prop2_null(ctx: CheckContext) -> list[Assertion]:
-    spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-    plateau = [Interval(0.25, 0.75)]
-    (est,) = hitting_curve(spec, [-1.0], plateau, ctx.grid, ctx.n, ctx.seed(0))
+    (est,) = _hit_estimates(ctx, "piecewise_example")
     return _null_probability(est)
 
 
 @check("prop2-positive-when-norm-gt-1",
-       "positive hitting probability when ||1_I||_D > 1")
+       "positive hitting probability when ||1_I||_D > 1",
+       eta=_on("piecewise_example", reducer=_hits([-1.0], [Interval(0.0, 1.0)])))
 def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-    full = Interval(0.0, 1.0)
-    indicator = LevelFunction.indicator_step(ctx.grid, full, inside=-1.0)
+    indicator = LevelFunction.indicator_step(ctx.grid, Interval(0.0, 1.0), inside=-1.0)
     (norm,) = dnorm_estimates(spec, [indicator], ctx.n, ctx.seed(0))
-    (est,) = hitting_curve(spec, [-1.0], [full], ctx.grid, ctx.n, ctx.seed(1))
+    (est,) = _hit_estimates(ctx, "piecewise_example")
     return [
         Assertion("indicator_norm_gt_1", norm.value, 1.0, "gap",
                   se=norm.se, z=Z_STAT),
@@ -479,25 +561,27 @@ def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
     ]
 
 
-@check("survivor-bound", "survivor probability lower bound")
+_SURVIVOR_GENERATORS = ("complete_dependence", "piecewise_example", "sine_bump")
+
+
+@check("survivor-bound", "survivor probability lower bound",
+       eta=_on(*_SURVIVOR_GENERATORS, reducer=lambda ctx: EventCounts(
+           lambda eta: np.all(eta > -1.0, axis=1))))
 def _check_survivor_bound(ctx: CheckContext) -> list[Assertion]:
-    """Survivor probability dominates the bound 1 - exp(-v), v = E inf |f| Z,
-    whose se is the delta-method exp(-v) se(v); the assertion's se is the
-    sum of both estimates' se (independent draws, a conservative bound)."""
+    """Survivor probability of f = -1 dominates the bound 1 - exp(-v),
+    v = E inf |f| Z, whose se is the delta-method exp(-v) se(v); the
+    assertion's se is the sum of both estimates' se (independent draws, a
+    conservative bound)."""
+    specs = dict(CATALOGUE)
+    absf = np.abs(LevelFunction.constant(ctx.grid, -1.0).values)
     out = []
-    gens = [CATALOGUE[0], CATALOGUE[1], CATALOGUE[4]]
-    f = LevelFunction.constant(ctx.grid, -1.0)
-    absf = np.abs(f.values)
-    for gi, (name, spec) in enumerate(gens):
+    for gi, name in enumerate(_SURVIVOR_GENERATORS):
         v = stream_means(
-            shape_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi)),
+            shape_blocks(specs[name], ctx.grid, ctx.n, ctx.seed(2 * gi)),
             per_path(lambda z: np.min(z * absf[None, :], axis=1)),
         ).estimate(0)
         bound, bound_se = 1.0 - math.exp(-v.value), math.exp(-v.value) * v.se
-        (survived,) = count_events(
-            msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(2 * gi + 1)),
-            lambda eta: np.all(eta > f.values, axis=1),
-        )
+        (survived,) = ctx.eta[name].counts
         surv = binomial_estimate(int(survived), ctx.n)
         out.append(Assertion(f"{name}:survivor_ge_bound", surv.value, bound,
                              ">=", se=surv.se + bound_se, z=Z_STAT))
@@ -528,46 +612,50 @@ def _check_example2_m(ctx: CheckContext) -> list[Assertion]:
     ]
 
 
-@check("hcurve-bound", "hitting curve under exp(x m~) - exp(x m)")
+_HCURVE_LEVELS = (-0.25, -1.0, -4.0)
+
+
+@check("hcurve-bound", "hitting curve under exp(x m~) - exp(x m)",
+       eta=_on("sine_bump", reducer=_hits(_HCURVE_LEVELS, [Interval(0.0, 1.0)])))
 def _check_hcurve_bound(ctx: CheckContext) -> list[Assertion]:
     """At 4 se plus the grid allowance."""
     spec = SineBump(amp=0.5)
-    levels = np.array([-0.25, -1.0, -4.0])
-    ests = hitting_curve(
-        spec, levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
-    )
     m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
     return [
         Assertion(f"x={lvl}", est.value, hitting_bound(m, m_tilde, lvl), "<=",
                   se=est.se, z=4.0, slack=GRID_ALLOWANCE)
-        for lvl, est in zip(levels, ests)
+        for lvl, est in zip(_HCURVE_LEVELS, _hit_estimates(ctx, "sine_bump"))
     ]
 
 
-def _mean_range(spec: GeneratorSpec, ctx: CheckContext) -> tuple[Estimate, Assertion]:
-    """The mean per-path range max eta - min eta over the grid, which is
-    the hitting integral over the grid (Fubini, as eta < 0), and the
-    assertion that the mean of -max eta, an Exp(m_T) variable with
-    m_T = ``expected_max`` over the grid, is exactly 1/m_T."""
-    acc = stream_means(
-        msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(0)),
-        lambda eta: eta.max(axis=1) - eta.min(axis=1),
-        lambda eta: -eta.max(axis=1),
-    )
+def _range_means() -> StatMeans:
+    """Per-path range max eta - min eta over the grid, and -max eta."""
+    return StatMeans(lambda eta: eta.max(axis=1) - eta.min(axis=1),
+                     lambda eta: -eta.max(axis=1))
+
+
+def _mean_range(
+    spec: GeneratorSpec, acc: StatMeans, grid: TimeGrid
+) -> tuple[Estimate, Assertion]:
+    """The mean per-path range, which is the hitting integral over the grid
+    (Fubini, as eta < 0), and the assertion that the mean of -max eta, an
+    Exp(m_T) variable with m_T = ``expected_max`` over the grid, is exactly
+    1/m_T; ``acc`` is a fed ``_range_means``."""
     minus_max = acc.estimate(1)
-    exact = 1.0 / expected_max(spec, ctx.grid.points)
+    exact = 1.0 / expected_max(spec, grid.points)
     return acc.estimate(0), Assertion("mean_minus_max", minus_max.value, exact,
                                       se=minus_max.se, z=Z_STAT, slack=SUP_EQ_TOL)
 
 
-@check("hintegral-bound", "hitting integral within (m - m~)/(m m~)")
+@check("hintegral-bound", "hitting integral within (m - m~)/(m m~)",
+       eta=_on("sine_bump", reducer=lambda ctx: _range_means()))
 def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
     """The hitting integral is the mean range; a grid range never exceeds
     the path's, so the paper's bound holds on any grid."""
     spec = SineBump(amp=0.5)
     m = closed_form_m(spec)
     mt = closed_form_m_tilde(spec)
-    span, minus_max = _mean_range(spec, ctx)
+    span, minus_max = _mean_range(spec, ctx.eta["sine_bump"], ctx.grid)
     return [
         Assertion("mean_range_le_bound", span.value, (m - mt) / (m * mt), "<=",
                   se=span.se, z=Z_STAT),
@@ -576,32 +664,31 @@ def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
     ]
 
 
-@check("lemma31-closedform", "down-up-down probabilities match closed forms")
+_LEMMA31_TIMES = (0.0, 0.25, 0.5)
+
+
+def _down_up_down(ctx: CheckContext) -> EventCounts:
+    cols = tuple(ctx.grid.index_of(t) for t in _LEMMA31_TIMES)
+    return EventCounts(lambda eta: down_up_down_mask(eta, cols, -1.0))
+
+
+@check("lemma31-closedform", "down-up-down probabilities match closed forms",
+       eta=_on("nonlinear_example", "sine_bump", reducer=_down_up_down))
 def _check_lemma31(ctx: CheckContext) -> list[Assertion]:
     """P(eta_t' <= x0, eta_t0 > x0, eta_t'' <= x0) at (t', t0, t'') =
     (0, 0.25, 0.5): three grid coordinates, so no grid allowance."""
-    cols = tuple(ctx.grid.index_of(t) for t in (0.0, 0.25, 0.5))
-
-    def down_up_down(spec: GeneratorSpec, seed: Seed) -> Estimate:
-        (count,) = count_events(
-            msp_path_blocks(spec, ctx.grid, ctx.n, seed),
-            lambda eta: down_up_down_mask(eta, cols, -1.0),
-        )
-        return binomial_estimate(int(count), ctx.n)
-
+    (count,) = ctx.eta["sine_bump"].counts
+    est = binomial_estimate(int(count), ctx.n)
     sine = SineBump(amp=0.5)
-    est = down_up_down(sine, ctx.seed(0))
     # P(ends <= -1) - P(all <= -1), by P(eta <= x on T) = exp(x m_T)
-    t = ctx.grid.points[list(cols)]
+    t = ctx.grid.points[[ctx.grid.index_of(t) for t in _LEMMA31_TIMES]]
     target = math.exp(-expected_max(sine, t[[0, 2]])) - math.exp(-expected_max(sine, t))
     out = [Assertion("sine_bump:closed_form", est.value, target, se=est.se, z=Z_STAT)]
-    est_nl = down_up_down(NonlinearExample(**NONLINEAR_DEFAULTS), ctx.seed(1))
-    return out + _null_probability(est_nl, "nonlinear:")
+    (count_nl,) = ctx.eta["nonlinear_example"].counts
+    return out + _null_probability(binomial_estimate(int(count_nl), ctx.n), "nonlinear:")
 
 
-@check("prop32-two-hit", "two-hit events contain down-up-down events")
-def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
-    spec = SineBump(amp=0.5)
+def _two_hit_events(ctx: CheckContext) -> EventCounts:
     i0 = ctx.grid.index_of(0.25)  # split; also the middle of the triple
     i_end = ctx.grid.index_of(0.5)
     x0 = -1.0
@@ -611,8 +698,13 @@ def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
         dud = down_up_down_mask(eta, (0, i0, i_end), x0)
         return np.column_stack([dud & ~two, dud, two])
 
-    blocks = msp_path_blocks(spec, ctx.grid, ctx.n, ctx.seed(0))
-    violations, dud_hits, two_hits = (int(c) for c in count_events(blocks, events)[0])
+    return EventCounts(events)
+
+
+@check("prop32-two-hit", "two-hit events contain down-up-down events",
+       eta=_on("sine_bump", reducer=_two_hit_events))
+def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
+    violations, dud_hits, two_hits = (int(c) for c in ctx.eta["sine_bump"].counts[0])
     return [
         Assertion("containment_violations", violations, 0.0),
         _positive_probability("dud_positive", binomial_estimate(dud_hits, ctx.n)),
@@ -640,23 +732,44 @@ def _sup_equals_max_rate(
 
 _COR33_WINDOW = (0.2, 0.9)
 _COR33_LEVELS = (-0.5, -2.0)
+#: Per generator: the middle time of its down-up-down triple on the window.
+_COR33_DUD_T0 = {"nonlinear_example": 0.5, "sine_bump": 0.25}
 
 
-@check("cor33-equivalences", "five-way equivalence holds/fails as one")
+def _cor33_events(ctx: CheckContext, name: str) -> EventCounts:
+    """Items 1, 4 and 5 on the window T's columns of the full-grid block,
+    an exact path on T."""
+    sl = ctx.grid.slice_of(Interval(*_COR33_WINDOW))
+    cols = (sl.start, ctx.grid.index_of(_COR33_DUD_T0[name]), sl.stop - 1)
+    levels = np.array(_COR33_LEVELS)
+
+    def items_4_and_5(eta: np.ndarray) -> np.ndarray:
+        """Per level: ends <= x but not all; all <= x; both ends > x."""
+        window = eta[:, sl]
+        below = window.max(axis=1)[:, None] <= levels
+        ends_below = (window[:, :1] <= levels) & (window[:, -1:] <= levels)
+        ends_above = (window[:, :1] > levels) & (window[:, -1:] > levels)
+        return np.hstack([ends_below & ~below, below, ends_above])
+
+    return EventCounts(lambda eta: down_up_down_mask(eta, cols, -1.0), items_4_and_5)
+
+
+@check("cor33-equivalences", "five-way equivalence holds/fails as one",
+       eta=lambda ctx: {name: _cor33_events(ctx, name) for name in _COR33_DUD_T0})
 def _check_cor33(ctx: CheckContext) -> list[Assertion]:
     """All five items hold for the nonlinear generator and all fail for
     the sine bump, on the window T = (0.2, 0.9). Item (3) reduces Z
-    paths; items (1), (4) and (5) one eta stream on T per generator.
-    By P(eta <= x on T) = exp(x m_T), m_T = ``expected_max`` over T, and
-    m_E over T's endpoints, the item-5 residual P(all <= x) - P(ends > x)
-    - (2e^x - 1) is exactly d = exp(x m_T) - exp(x m_E), and the item-4
-    rate P(ends <= x, not all <= x) is -d: both are tested two-sided at
-    4 se + ``SUP_EQ_TOL``. d is 0 to ``SUP_EQ_TOL`` where the items hold;
-    where they fail, a ``gap`` of se 0 certifies by arithmetic that it is not.
+    paths; items (1), (4) and (5) the window's columns of each generator's
+    eta stream. By P(eta <= x on T) = exp(x m_T), m_T = ``expected_max``
+    over T, and m_E over T's endpoints, the item-5 residual P(all <= x) -
+    P(ends > x) - (2e^x - 1) is exactly d = exp(x m_T) - exp(x m_E), and
+    the item-4 rate P(ends <= x, not all <= x) is -d: both are tested
+    two-sided at 4 se + ``SUP_EQ_TOL``. d is 0 to ``SUP_EQ_TOL`` where the
+    items hold; where they fail, a ``gap`` of se 0 certifies by arithmetic
+    that it is not.
     """
     window = Interval(*_COR33_WINDOW)
-    window_grid = TimeGrid(ctx.grid.points[ctx.grid.slice_of(window)])
-    levels = np.array(_COR33_LEVELS)
+    t = ctx.grid.points[ctx.grid.slice_of(window)]
     nl = NonlinearExample(**NONLINEAR_DEFAULTS)
     sine = SineBump(amp=0.5)
     out = [
@@ -666,29 +779,16 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
                   _sup_equals_max_rate(sine, window, ctx.grid, ctx.n, ctx.seed(1)),
                   0.01, "<="),
     ]
-
-    def items_4_and_5(eta: np.ndarray) -> np.ndarray:
-        """Per level: ends <= x but not all; all <= x; both ends > x."""
-        below = eta.max(axis=1)[:, None] <= levels
-        ends_below = (eta[:, :1] <= levels) & (eta[:, -1:] <= levels)
-        ends_above = (eta[:, :1] > levels) & (eta[:, -1:] > levels)
-        return np.hstack([ends_below & ~below, below, ends_above])
-
-    for name, spec, k, dud_t0, sense in (("nonlinear", nl, 2, 0.5, "=="),
-                                         ("sine_bump", sine, 3, 0.25, "gap")):
-        cols = (0, window_grid.index_of(dud_t0), len(window_grid) - 1)
-        dud, counts = count_events(
-            msp_path_blocks(spec, window_grid, ctx.n, ctx.seed(k)),
-            lambda eta: down_up_down_mask(eta, cols, -1.0),
-            items_4_and_5,
-        )
+    for name, spec, key, sense in (("nonlinear", nl, "nonlinear_example", "=="),
+                                   ("sine_bump", sine, "sine_bump", "gap")):
+        dud, counts = ctx.eta[key].counts
         dud_est = binomial_estimate(int(dud), ctx.n)
         if sense == "==":
             out += _null_probability(dud_est, f"{name}:item1_", "dud")
         else:
             out.append(_positive_probability(f"{name}:item1_dud_positive", dud_est))
-        m_t = expected_max(spec, window_grid.points)
-        m_e = expected_max(spec, window_grid.points[[0, -1]])
+        m_t = expected_max(spec, t)
+        m_e = expected_max(spec, t[[0, -1]])
         viol, below, above = np.reshape(counts, (3, -1))
         for x, v, a, b in zip(_COR33_LEVELS, viol, below, above):
             d = math.exp(x * m_t) - math.exp(x * m_e)
@@ -718,23 +818,24 @@ def _check_nonlinear_supmax(ctx: CheckContext) -> list[Assertion]:
     return out
 
 
-@check("final-h", "two-branch hitting curve matches (1-e^x-x)e^x")
+_FINAL_H_LEVELS = (-0.5, -1.0, -2.0, -4.0)
+
+
+@check("final-h", "two-branch hitting curve matches (1-e^x-x)e^x",
+       eta=_on("two_branch", reducer=_hits(_FINAL_H_LEVELS, [Interval(0.0, 1.0)])))
 def _check_final_h(ctx: CheckContext) -> list[Assertion]:
-    levels = np.array([-0.5, -1.0, -2.0, -4.0])
-    ests = hitting_curve(
-        TwoBranch(), levels, [Interval(0.0, 1.0)], ctx.grid, ctx.n, ctx.seed(0)
-    )
     return [
-        Assertion(f"x={lvl}", est.value, final_example_reference(float(lvl)),
+        Assertion(f"x={lvl}", est.value, final_example_reference(lvl),
                   se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)
-        for lvl, est in zip(levels, ests)
+        for lvl, est in zip(_FINAL_H_LEVELS, _hit_estimates(ctx, "two_branch"))
     ]
 
 
-@check("final-integral-3/2", "two-branch hitting integral equals 3/2")
+@check("final-integral-3/2", "two-branch hitting integral equals 3/2",
+       eta=_on("two_branch", reducer=lambda ctx: _range_means()))
 def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
     """The mean range against its grid-exact value (3/2 on [0, 1])."""
-    span, minus_max = _mean_range(TwoBranch(), ctx)
+    span, minus_max = _mean_range(TwoBranch(), ctx.eta["two_branch"], ctx.grid)
     exact = _final_example_grid_range(ctx.grid.points)
     return [
         Assertion("mean_range", span.value, exact,
@@ -743,62 +844,78 @@ def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
     ]
 
 
-@check("final-two-hit", "two-branch two-hit probability closed form")
+@check("final-two-hit", "two-branch two-hit probability closed form",
+       eta=_on("two_branch", reducer=_hits(
+           [-1.0], [Interval(0.0, 0.5), Interval(0.5, 1.0)])))
 def _check_final_two_hit(ctx: CheckContext) -> list[Assertion]:
-    est = two_hit_prob(TwoBranch(), -1.0, 0.5, ctx.grid, ctx.n, ctx.seed(0))
+    """The two-hit event of ``two_hit_prob`` at the split 0.5."""
+    (est,) = _hit_estimates(ctx, "two_branch")
     target = final_example_two_hit(-1.0, 0.5)
     return [Assertion("two_hit", est.value, target,
                       se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)]
 
 
-@check("final-no-three-hit", "no level is hit in three disjoint intervals")
+@check("final-no-three-hit", "no level is hit in three disjoint intervals",
+       eta=_on("two_branch", reducer=_hits(
+           [-1.0], [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)])))
 def _check_final_no_three_hit(ctx: CheckContext) -> list[Assertion]:
-    intervals = [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)]
-    (est,) = hitting_curve(TwoBranch(), [-1.0], intervals, ctx.grid, ctx.n, ctx.seed(0))
+    (est,) = _hit_estimates(ctx, "two_branch")
     return _null_probability(est)
 
 
+#: Generator paths per catalogue spec that shared-draw-invariants reduces.
 _SHARED_DRAW_N = 1_000
+_INNER = Interval(0.25, 0.75)
 
 
-@check("shared-draw-invariants", "per-draw monotonicity and containment")
-def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
-    grid = ctx.grid
-    n = _SHARED_DRAW_N
-    sl_inner = grid.slice_of(Interval(0.25, 0.75))
-    i_q, i_h = grid.index_of(0.25), grid.index_of(0.5)
-    out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        z = stack_blocks(generator_blocks(spec, grid, n, ctx.seed(2 * gi)), n)
-        eta = msp_corpus(spec, grid, n, ctx.seed(2 * gi + 1))
-        bad = 0
+def _eta_invariant_violations(ctx: CheckContext) -> EventCounts:
+    """Per path, the hit-set invariants at x = -1 that fail."""
+    sl_inner = ctx.grid.slice_of(_INNER)
+    i_q, i_h = ctx.grid.index_of(0.25), ctx.grid.index_of(0.5)
+    x = -1.0
 
-        # D-norm monotonicity: |f| <= |g| pointwise dominates per draw.
-        small = np.max(z * 0.5, axis=1)
-        big = np.max(z * 1.0, axis=1)
-        bad += int(np.count_nonzero(small > big))
-        # positive homogeneity with an exact binary factor
-        bad += int(np.count_nonzero(np.max(z * 2.0, axis=1) != 2.0 * big))
-        # indicator monotonicity in the interval
-        bad += int(
-            np.count_nonzero(z[:, sl_inner].max(axis=1) > z.max(axis=1))
-        )
-        # hit-set monotonicity for eta at x = -1
-        x = -1.0
+    def violations(eta: np.ndarray) -> np.ndarray:
         hit_full = hit_mask(eta, slice(None), x)
-        bad += int(np.count_nonzero(hit_mask(eta, sl_inner, x) & ~hit_full))
-        # two-hit contains down-up-down (split at 0.25 over [0, 0.5])
         two = hit_mask(eta, slice(0, i_q + 1), x) & hit_mask(eta, slice(i_q, None), x)
         dud = down_up_down_mask(eta, (0, i_q, i_h), x)
-        bad += int(np.count_nonzero(dud & ~two))
         # decomposition: 1{hit} = 1{min <= x} - 1{all < x}
-        mn = eta.min(axis=1)
-        mx = eta.max(axis=1)
-        lhs = hit_full.astype(int)
-        rhs = (mn <= x).astype(int) - (mx < x).astype(int)
-        bad += int(np.count_nonzero(lhs != rhs))
+        rhs = (eta.min(axis=1) <= x).astype(int) - (eta.max(axis=1) < x).astype(int)
+        return np.column_stack([
+            hit_mask(eta, sl_inner, x) & ~hit_full,  # hit-set monotonicity
+            dud & ~two,  # two-hit (split at 0.25) contains down-up-down
+            hit_full.astype(int) != rhs,
+        ])
 
-        out.append(Assertion(f"{name}:violations", bad, 0.0))
+    return EventCounts(violations)
+
+
+@check("shared-draw-invariants", "per-draw monotonicity and containment",
+       eta=_on(*_ALL, reducer=_eta_invariant_violations))
+def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
+    """Per generator, the D-norm invariants that fail on any of
+    ``_SHARED_DRAW_N`` generator paths plus the hit-set invariants that
+    fail on any eta path of the shared stream."""
+    sl_inner = ctx.grid.slice_of(_INNER)
+
+    def z_violations(z: np.ndarray) -> np.ndarray:
+        big = np.max(z * 1.0, axis=1)
+        return np.column_stack([
+            # D-norm monotonicity: |f| <= |g| pointwise dominates per draw
+            np.max(z * 0.5, axis=1) > big,
+            # positive homogeneity with an exact binary factor
+            np.max(z * 2.0, axis=1) != 2.0 * big,
+            # indicator monotonicity in the interval
+            z[:, sl_inner].max(axis=1) > z.max(axis=1),
+        ])
+
+    out = []
+    for gi, (name, spec) in enumerate(CATALOGUE):
+        (z_bad,) = count_events(
+            shape_blocks(spec, ctx.grid, _SHARED_DRAW_N, ctx.seed(2 * gi)),
+            per_path(z_violations),
+        )
+        (eta_bad,) = ctx.eta[name].counts
+        out.append(Assertion(f"{name}:violations", int(z_bad.sum() + eta_bad.sum()), 0.0))
     return out
 
 
@@ -822,6 +939,16 @@ def check_ids() -> list[str]:
     return list(_CHECKS)
 
 
+def _results(futures: list[Future]) -> list:
+    """Each future's result, once all are done; if any raised, the first
+    error that is not the ``CancelledError`` of a task that saw the run had
+    failed."""
+    errors = [f.exception() for f in futures if f.exception() is not None]
+    if errors:
+        raise next((e for e in errors if not isinstance(e, CancelledError)), errors[0])
+    return [f.result() for f in futures]
+
+
 def run_checks(
     suite: str | list[str],
     master_seed: int,
@@ -834,16 +961,23 @@ def run_checks(
 
     ``suite`` is "paper" (everything) or an explicit list of ids; an
     unknown or repeated id, an empty list, a master seed that is not an
-    integer >= 0 (numpy integers are recorded as Python ints) or
-    ``n_default < MIN_N`` fails before anything executes. Checks derive
-    independent substreams from (master seed, check id) and may run in parallel;
-    report contents are independent of ``threads``. The first check that
-    raises ends the run: the checks that have not started never do.
+    integer >= 0, an ``n_default`` that is not an integer >= ``MIN_N``
+    (numpy integers are recorded as Python ints) or a bad grid fails
+    before anything executes. Each catalogue generator's shared eta stream
+    feeds the reducers the checks declare, then each check's runner
+    builds its assertions (see the module docstring). With ``threads`` > 1
+    the streams, then the runners, go to a pool; report contents are
+    independent of ``threads`` and of which checks run. The first stream
+    or check that raises ends the run: streams stop at their next block,
+    and no runner starts after it.
     """
     as_seedseq(master_seed)
     if isinstance(master_seed, np.random.SeedSequence):
         raise InvalidArgumentError("a report's master seed must be an integer >= 0")
     master_seed = int(master_seed)
+    if not _is_count(n_default):
+        raise InvalidArgumentError(f"n_default must be an integer, got {n_default!r}")
+    n_default = int(n_default)
     if n_default < MIN_N:
         raise InvalidArgumentError(f"checks need n_default >= {MIN_N}, got {n_default}")
     if isinstance(suite, str):
@@ -860,35 +994,58 @@ def run_checks(
             if ids.count(cid) > 1:
                 raise UnknownCheckError(cid, "check id listed twice")
     grid = make_grid(grid_points)
+    contexts = []
+    for cid in ids:
+        ctx = CheckContext(check_id=cid, master_seed=master_seed, n=n_default, grid=grid)
+        if _CHECKS[cid].eta is not None:
+            ctx.eta.update(_CHECKS[cid].eta(ctx))
+        contexts.append(ctx)
+    # each catalogue generator some check reads: its index, spec and the
+    # reducers of its readers
+    streams = {}
+    for g, (name, spec) in enumerate(CATALOGUE):
+        reducers = [ctx.eta[name] for ctx in contexts if name in ctx.eta]
+        if reducers:
+            streams[name] = (g, spec, reducers)
     failed = threading.Event()
 
-    def run_one(cid: str) -> CheckResult:
+    def feed(name: str) -> None:
         if failed.is_set():
-            raise CancelledError(cid)
-        ctx = CheckContext(
-            check_id=cid, master_seed=master_seed, n=n_default, grid=grid
-        )
+            raise CancelledError(name)
+        g, spec, reducers = streams[name]
+        seed = substream(master_seed, label_key(ETA_STREAM_LABEL), g)
+        try:
+            feed_eta(spec, grid, n_default, seed, reducers, failed)
+        except BaseException:
+            failed.set()
+            raise
+
+    def run_one(ctx: CheckContext) -> CheckResult:
+        if failed.is_set():
+            raise CancelledError(ctx.check_id)
         start = time.perf_counter()
         try:
-            assertions = _CHECKS[cid].runner(ctx)
+            assertions = _CHECKS[ctx.check_id].runner(ctx)
         except BaseException:
             failed.set()
             raise
         seconds = time.perf_counter() - start
         return CheckResult(
-            check_id=cid,
-            description=_CHECKS[cid].description,
+            check_id=ctx.check_id,
+            description=_CHECKS[ctx.check_id].description,
             assertions=assertions,
             seconds=seconds,
         )
 
     if threads > 1:
-        # checks start in suite order, so the first error in that order is
-        # a real one, never the CancelledError of a check that started later
+        # all streams, then all runners: no runner starts once a stream failed
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, ids))
+            _results([pool.submit(feed, name) for name in streams])
+            results = _results([pool.submit(run_one, ctx) for ctx in contexts])
     else:
-        results = [run_one(cid) for cid in ids]
+        for name in streams:
+            feed(name)
+        results = [run_one(ctx) for ctx in contexts]
     generated_at = (
         time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()) if timestamp else None
     )

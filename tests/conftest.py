@@ -1,3 +1,6 @@
+from itertools import starmap
+from operator import getitem
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from maxhit import (
     TwoBranch,
     make_grid,
 )
+from maxhit.generators import shape_blocks
 
 CATALOGUE = [
     CompleteDependence(),
@@ -47,3 +51,9 @@ def rng():
 @pytest.fixture(params=CATALOGUE, ids=lambda s: type(s).__name__)
 def any_spec(request):
     return request.param
+
+
+def z_blocks(spec, grid, n, seed):
+    """Blocks of generator paths, each ``rows[index]`` of a ``shape_blocks``
+    block; no block is held while the next is built."""
+    return starmap(getitem, shape_blocks(spec, grid, n, seed))

@@ -359,13 +359,13 @@ class TestDispatch:
                                                      monkeypatch):
         # a mutant generator whose complete-dependence paths are doubled:
         # every grid point then has mean 2 and se 0
-        real = verify.generator_blocks
+        real = verify.shape_blocks
 
         def doubled(spec, *args):
-            for z in real(spec, *args):
-                yield 2.0 * z if isinstance(spec, CompleteDependence) else z
+            for rows, index in real(spec, *args):
+                yield (2.0 * rows if isinstance(spec, CompleteDependence) else rows), index
 
-        monkeypatch.setattr(verify, "generator_blocks", doubled)
+        monkeypatch.setattr(verify, "shape_blocks", doubled)
         out = tmp_path / "report.json"
         code = main(["verify", "--suite", "eq1-moments", "--n", "500",
                      "--grid", "11", "--out", str(out), "--no-timestamp"])

@@ -14,10 +14,13 @@ from maxhit import (
 )
 from maxhit.errors import InvalidArgumentError
 from maxhit.estimates import (
+    EventCounts,
+    RowStack,
     RunningMean,
     count_events,
     mean_estimate_from_sums,
     rule_of_three,
+    stack_blocks,
     stream_means,
     wilson_interval,
 )
@@ -200,3 +203,24 @@ class TestReducers:
         assert acc.n == 3
         for i in range(2):
             assert acc.estimate(i).value == pytest.approx(whole.estimate(i).value)
+
+    def test_stack_blocks_keeps_every_row(self):
+        stacked = stack_blocks(self.blocks(), 3)
+        assert stacked.tolist() == [[1.0, -1.0], [2.0, 3.0], [-4.0, 0.5]]
+        assert stack_blocks(iter([]), 3) is None
+
+    def test_row_stack_keeps_the_named_columns(self):
+        acc = RowStack(3, [1])
+        for block in self.blocks():
+            acc(block)
+        assert acc.rows.tolist() == [[-1.0], [3.0], [0.5]]
+
+    def test_one_block_feeds_several_accumulators(self):
+        """Accumulators fed block by block from one stream end where the
+        block-loop reducers end on their own pass."""
+        counts, stack = EventCounts(lambda b: b[:, 0] > 0), RowStack(3)
+        for block in self.blocks():
+            counts(block)
+            stack(block)
+        assert counts.counts == count_events(self.blocks(), lambda b: b[:, 0] > 0)
+        assert np.array_equal(stack.rows, stack_blocks(self.blocks(), 3))

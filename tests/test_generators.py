@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOGUE, DOCUMENTED_UNIFORMS
+from conftest import CATALOGUE, DOCUMENTED_UNIFORMS, z_blocks
 from maxhit import (
     NONLINEAR_DEFAULTS,
     CompleteDependence,
@@ -22,7 +22,6 @@ from maxhit import (
     TwoBranch,
     closed_form_m,
     closed_form_m_tilde,
-    generator_blocks,
     generator_bound,
     generator_from_json,
     make_grid,
@@ -231,7 +230,7 @@ class TestSamplePaths:
         # a block's paths come from one (count, k) uniform block of its
         # child stream, k the documented count, and nothing else is drawn
         k = DOCUMENTED_UNIFORMS[type(any_spec)]
-        (z,) = generator_blocks(any_spec, grid101, 300, 123)
+        (z,) = z_blocks(any_spec, grid101, 300, 123)
         ((count, rng),) = block_streams(123, 300)
         u = rng.random((count, k))
         basis = path_basis(any_spec, grid101)
@@ -298,20 +297,17 @@ class TestShapeTable:
 class TestShapeBlocks:
     def test_contract(self, any_spec, grid101):
         # per block: the documented uniforms of the block's child stream
-        # build rows[index], which is also generator_blocks' block; atom
-        # specs hand out their K shapes, SineBump its built block
+        # build rows[index]; atom specs hand out their K shapes, SineBump
+        # its built block
         k = DOCUMENTED_UNIFORMS[type(any_spec)]
         atoms = any_spec.atoms()
         n, seed = 4097, 123
         basis = path_basis(any_spec, grid101)
         blocks = zip(shape_blocks(any_spec, grid101, n, seed),
-                     generator_blocks(any_spec, grid101, n, seed),
                      block_streams(seed, n), strict=True)
-        for (rows, index), z, (count, rng) in blocks:
+        for (rows, index), (count, rng) in blocks:
             u = rng.random((count, k))
-            paths = rows[index]
-            assert np.array_equal(paths, sample_paths(any_spec, basis, u))
-            assert np.array_equal(paths, z)
+            assert np.array_equal(rows[index], sample_paths(any_spec, basis, u))
             if atoms is None:
                 assert rows.shape == (count, 101) and index == slice(None)
             else:
@@ -365,7 +361,7 @@ def moments(spec, grid, n, seed):
 
 def corpus(spec, grid, n, seed):
     """``n`` generator paths as one array."""
-    return stack_blocks(generator_blocks(spec, grid, n, seed), n)
+    return stack_blocks(z_blocks(spec, grid, n, seed), n)
 
 
 class TestMoments:
@@ -520,7 +516,7 @@ class TestSupEqualsMaxRate:
 
 
 class TestCorpus:
-    """``stack_blocks`` over ``generator_blocks``: n paths as one array."""
+    """``stack_blocks`` over generator path blocks: n paths as one array."""
 
     def test_deterministic(self, any_spec, grid101):
         a = corpus(any_spec, grid101, 300, 11)
@@ -534,7 +530,7 @@ class TestCorpus:
 
     def test_equals_concatenated_blocks(self, any_spec, grid101):
         n = 2 * 4096 + 5  # three blocks, the last one short
-        blocks = list(generator_blocks(any_spec, grid101, n, 13))
+        blocks = list(z_blocks(any_spec, grid101, n, 13))
         assert len(blocks) == 3
         stacked = corpus(any_spec, grid101, n, 13)
         assert np.array_equal(stacked, np.concatenate(blocks))

@@ -29,7 +29,7 @@ from maxhit import (
 )
 from maxhit.estimates import count_events, stream_means
 from maxhit.hitting import down_up_down_mask, hit_mask
-from maxhit.verify import CheckContext, _mean_range
+from maxhit.verify import _mean_range, _range_means
 
 GRID_SLACK = 0.02  # discretization allowance at the coarse test grids
 
@@ -204,12 +204,14 @@ class TestIntegralIsMeanRange:
         d = 0.01
         levels = -d * np.arange(1, 801)
         x_min = levels[-1]
-        ctx = CheckContext("hintegral-bound", 7, 2000, grid101)
-        mean_range, _ = _mean_range(spec, ctx)
-        ests = hitting_curve(spec, levels, [Interval(0.0, 1.0)], grid101, ctx.n,
-                             ctx.seed(0))
+        n, seed = 2000, 7
+        acc = _range_means()
+        for eta in msp_path_blocks(spec, grid101, n, seed):
+            acc(eta)
+        mean_range, _ = _mean_range(spec, acc, grid101)
+        ests = hitting_curve(spec, levels, [Interval(0.0, 1.0)], grid101, n, seed)
         below = stream_means(
-            msp_path_blocks(spec, grid101, ctx.n, ctx.seed(0)),
+            msp_path_blocks(spec, grid101, n, seed),
             lambda eta: np.maximum(0.0, np.minimum(eta.max(axis=1), x_min)
                                    - eta.min(axis=1)),
         ).estimate(0).value

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CATALOGUE, DOCUMENTED_UNIFORMS
+from conftest import CATALOGUE, DOCUMENTED_UNIFORMS, z_blocks
 from maxhit import (
     NONLINEAR_DEFAULTS,
     BoundTooLooseError,
@@ -18,7 +18,6 @@ from maxhit import (
     TimeGrid,
     TwoBranch,
     binomial_estimate,
-    generator_blocks,
     generator_bound,
     hitting_curve,
     make_grid,
@@ -122,7 +121,7 @@ class TestGeneratorBound:
         # instead check the defining property on generator paths, exactly:
         # the row-max pretest and the stopping rule rest on it
         bound = generator_bound(any_spec)
-        z = stack_blocks(generator_blocks(any_spec, grid101, 2000, 13), 2000)
+        z = stack_blocks(z_blocks(any_spec, grid101, 2000, 13), 2000)
         assert z.max() <= bound
         # every shape an atom spec can take; SineBump rows at W = -amp/2,
         # 0 and just below amp/2, plus random ones

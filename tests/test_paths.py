@@ -23,6 +23,14 @@ class TestMakeGrid:
         with pytest.raises(InvalidArgumentError):
             make_grid(n)
 
+    @pytest.mark.parametrize("n", [3.0, 11.5, True, "11"])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            make_grid(n)
+
+    def test_numpy_integer_size(self):
+        assert make_grid(np.int64(3)).points.tolist() == [0.0, 0.5, 1.0]
+
     def test_default_scale_times_are_exact(self):
         g = make_grid(1001)
         for t in (0.0, 0.2, 0.25, 0.37, 0.5, 0.75, 0.9, 1.0):

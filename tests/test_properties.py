@@ -4,10 +4,10 @@ verification suite's shared-draw-invariants and stopping-exactness checks."""
 import numpy as np
 import pytest
 
+from conftest import z_blocks
 from maxhit import (
     Interval,
     LevelFunction,
-    generator_blocks,
     make_grid,
     msp_corpus,
 )
@@ -24,7 +24,7 @@ def grid():
 
 @pytest.fixture()
 def z_corpus(any_spec, grid):
-    return stack_blocks(generator_blocks(any_spec, grid, N, SEED), N)
+    return stack_blocks(z_blocks(any_spec, grid, N, SEED), N)
 
 
 @pytest.fixture()

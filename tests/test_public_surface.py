@@ -23,15 +23,16 @@ PUBLIC = {
     "SineBump", "TimeGrid", "TwoBranch", "UnknownCheckError",
     "binomial_estimate", "check_ids", "closed_form_m", "closed_form_m_tilde",
     "dnorm_estimates", "final_example_reference", "final_example_two_hit",
-    "generator_blocks", "generator_bound", "generator_from_json",
+    "generator_bound", "generator_from_json",
     "hitting_bound", "hitting_curve", "make_grid", "msp_corpus",
     "msp_path_blocks", "run_checks", "two_hit_prob",
 }
 
 #: Single-check estimators whose reductions now live in their checks,
 #: estimators that ``hitting_curve`` and ``dnorm_estimates`` replace, the
-#: hitting-integral helpers the mean range replaces, and names only tests
-#: read (they stay in their modules).
+#: hitting-integral helpers the mean range replaces, names only tests
+#: read (they stay in their modules), and the full generator blocks that
+#: shape counts replace.
 REMOVED = [
     "joint_cdf_estimates", "marginal_gof", "generator_moments",
     "GeneratorMoments", "sup_equals_max_rate", "generator_corpus",
@@ -39,12 +40,12 @@ REMOVED = [
     "curve_hit_prob", "down_up_down_prob", "multi_hit_prob", "HittingCurve",
     "dnorm_estimate", "hitting_integral", "final_example_integral_below",
     "ks_band", "stopping_exactness_violations", "rule_of_three",
-    "wilson_interval", "generator_to_json",
+    "wilson_interval", "generator_to_json", "generator_blocks",
 ]
 
 
 def test_all_is_the_public_set():
-    assert len(maxhit.__all__) == len(PUBLIC) == 36
+    assert len(maxhit.__all__) == len(PUBLIC) == 35
     assert set(maxhit.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(maxhit, name), name

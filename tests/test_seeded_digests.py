@@ -33,45 +33,45 @@ CORPUS_N, CORPUS_GRID = 4096, 101
 #: ``--no-timestamp`` report.
 CHECK_DIGESTS = {
     "eq1-moments":
-        "6721f99275cad01be32c07fdcb514a3863414a7c3df760da6bccac6bb04257a0",
+        "b792911626197d87d651e06d1a80d110cf1e6318b7e9aa605d5b96213bd6557f",
     "eq2-roundtrip":
-        "f08bdaa813e6c14f9a4d5dc942a772b3d7ef19eb7824f3d96fd466073597bb63",
+        "acdef34c122b7101c68157ce0c808916f4abe558205cb25555ba27589bd78eaf",
     "eq3-negative-paths":
         "39979c79809e09502501d26847b7a2c7351f9143ed225ac22894b0035fc5ac57",
     "margins-ks":
         "e9943b2cb7743d381c6bee46f83733ededbc197d4ebda1fad4c8e8c99b56f108",
     "max-stability":
-        "64434423e918616a8285cc093313bcfaed6c78b3be3d9ee5ea3954e0edb2dd18",
+        "e0d4fa1e6a431ac7ce9368c936652b4bc20b6cf66b7f540bb6f8730dedea90e0",
     "takahashi":
         "c060f84a4b4bb73ef7b9a7fdd93b9ee6c240373cd76f348d5acd227b0cecc426",
     "example1-complete-dependence":
-        "cbae9ce1fb9e85d2a54905563423ef92a1f20a7dc746fa6e836ea6d971fbdfd1",
+        "c815de1a8bd5b3812cf8c9276bbeed4ecfc70ca35600548ca80f85913c68d0cf",
     "prop2-null-on-constant-interval":
         "4b777d5b3f269c454b957482baa3ddc87ce577be531751f742383d11fc8c6629",
     "prop2-positive-when-norm-gt-1":
-        "4299aed073d15cafcbe4bfa107531e9d3b9de0b9b98ed5365bf1051349fcb5f0",
+        "6b614daeca61a24b101e3f3f5dd7c157e37139575acc366679148ab85b556307",
     "survivor-bound":
-        "9372c385657534724e86380a64b80ea9784f326cc89f360e6f0dbc08a5f52fee",
+        "c7b274defeff12cb4b46303e4232293b8c6c6b86258be04a191d8ed47d59dffa",
     "example2-m":
         "af04c59fa6db3e9dec512e52870bd850ee2c6fee605fdcb1cabba3157fac9406",
     "hcurve-bound":
-        "1263d01b766a6699ab669f670739d59a190a26a0314580070f874c882a5b0bb9",
+        "67f2904f394f6789c4aaf5d8609d7e0135cacda004788e0fcb11bf5554a52e7e",
     "hintegral-bound":
-        "bc86b7684513145487a9e27ab8f99d325c309396d629cd070c01779608c3e430",
+        "2e3aedd9aebe7a6a9a62328529c8c8bd9afff9767ad964d857705edd052be713",
     "lemma31-closedform":
-        "a46cff4897d55c8629e717a58129b5f5808a9dbe6b3b55b524224b29462425d6",
+        "4a8aa6d613d7a6dc0243c09688d8b799638e276493048a706d11703518588b4d",
     "prop32-two-hit":
-        "9a4044efeffefe8d7d12fa56b45d223fbf731df3212380e2983edc72a6106ce0",
+        "7083b764868726790f92d25d09294ee206a6ec5805243bcf2a4aa532e887daf8",
     "cor33-equivalences":
-        "a5c60b8c9d8d48094e14a438c3e56efc69efa7d792b7cc11e5d9081e2f41f26d",
+        "c62d22877904c8164f01b0ff4693fe757c5c81d626ddab12ba60b5ad748f4040",
     "nonlinear-supmax":
         "f62abf59890b889484a891a70b86437a4e390a23932719dbad516735fea9c2a9",
     "final-h":
-        "ecb18299daaff6ef09cfa4b9d05b1ba36e1d95388c9af560c09871d461deff54",
+        "2eba5b76d0537789ed8114834cda0f617efce55163144393b4c186704c02e4ff",
     "final-integral-3/2":
-        "e40e524fc6c2aa8b7495c242bb696ef44339a028bcf66ed5bcba69bf75ea29dd",
+        "cc07937c690ad9942ce3bde9f3949023234c90c3a7812ca3b47c8c3b5d22d315",
     "final-two-hit":
-        "51ffedac52badc2a6646ff136f618a77a4ee67fd09ce29f2a55e309e8b1ab285",
+        "edeef38cd2909c07884b8acb7d42e05296a9f620dfd2c9a51c7d23ccd5310ec0",
     "final-no-three-hit":
         "b101e43815bf58203e38f001aaa0dd454666dabf803930208edb400a58ff853f",
     "shared-draw-invariants":

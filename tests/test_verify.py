@@ -1,12 +1,16 @@
 import json
 import math
 import re
+import sys
+import threading
 import time
+from concurrent.futures import CancelledError
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import z_blocks
 from maxhit import (
     InvalidArgumentError,
     OffGridError,
@@ -17,13 +21,16 @@ from maxhit import (
     check_ids,
     final_example_reference,
     final_example_two_hit,
+    msp,
     run_checks,
     verify,
 )
 from maxhit.estimates import stream_means
 from maxhit.generators import expected_max
 from maxhit.msp import msp_path_blocks
+from maxhit.streams import label_key
 from maxhit.verify import (
+    CATALOGUE,
     SUP_EQ_TOL,
     Z_STAT,
     Assertion,
@@ -140,6 +147,31 @@ class TestRunChecks:
             run_checks(["eq1-moments", "max-stability"], 7, n_default=4,
                        grid_points=101)
         assert ran == []
+
+    @pytest.mark.parametrize("n", [100.0, 100.5, True, "100"])
+    def test_non_integer_n_fails_before_running(self, n, monkeypatch):
+        # eq3 reads a shared stream, whose sampler would refuse the n only
+        # after the recording check had run
+        ran = []
+        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
+            "example2-m", "records", lambda ctx: ran.append(ctx.check_id) or []))
+        for ids in (["example2-m"], ["example2-m", "eq3-negative-paths"]):
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                run_checks(ids, 7, n_default=n, grid_points=11)
+        assert ran == []
+
+    def test_non_integer_grid_fails_before_running(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
+            "example2-m", "records", lambda ctx: ran.append(ctx.check_id) or []))
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            run_checks(["example2-m"], 7, n_default=100, grid_points=11.0)
+        assert ran == []
+
+    def test_numpy_integer_n_is_recorded_as_an_int(self):
+        rep = run_checks(["eq3-negative-paths"], 7, n_default=np.int64(100),
+                         grid_points=11)
+        assert type(rep.n_default) is int
 
     def test_unknown_suite_name(self):
         with pytest.raises(UnknownCheckError):
@@ -284,9 +316,9 @@ class TestIntegralChecks:
 
     def test_no_ladder_is_sampled(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("hitting_curve called")
+            raise AssertionError("curve_event called")
 
-        monkeypatch.setattr(verify, "hitting_curve", refuse)
+        monkeypatch.setattr(verify, "curve_event", refuse)
         run_checks(["hintegral-bound", "final-integral-3/2"], 7, n_default=100,
                    grid_points=101)
 
@@ -327,6 +359,113 @@ class TestCor33:
     def test_no_high_replication_residual_run(self):
         assert not hasattr(verify, "_COR33_RESIDUAL_FACTOR")
         assert not hasattr(verify, "_cor33_residuals")
+
+
+#: A small paper run: several checks per stream, one block per stream.
+_PLAN = dict(n_default=300, grid_points=101, timestamp=False)
+
+
+class TestDrawPlan:
+    """One full-grid eta stream per catalogue generator feeds every check."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return run_checks("paper", 5, **_PLAN)
+
+    def test_one_eta_stream_per_generator(self, monkeypatch):
+        # every eta block comes from the arrival loop; count its blocks
+        blocks, streams = [], []
+        loop, real_streams = msp._spectral_block, verify.msp_path_blocks
+
+        def counted_loop(spec, basis, rng, xi):
+            blocks.append((spec, xi.shape))
+            return loop(spec, basis, rng, xi)
+
+        def counted_streams(spec, grid, n, seed):
+            streams.append((spec, len(grid), n, seed.spawn_key))
+            return real_streams(spec, grid, n, seed)
+
+        monkeypatch.setattr(msp, "_spectral_block", counted_loop)
+        monkeypatch.setattr(verify, "msp_path_blocks", counted_streams)
+        run_checks("paper", 5, **_PLAN)
+        key = label_key("margins-ks")
+        assert streams == [(spec, 101, 300, (key, g))
+                           for g, (_, spec) in enumerate(CATALOGUE)]
+        # one 300-path block per stream, and stopping-exactness's own
+        # 100-path block per generator
+        assert sorted(blocks, key=repr) == sorted(
+            [(spec, (300, 101)) for _, spec in CATALOGUE]
+            + [(spec, (100, 101)) for _, spec in CATALOGUE], key=repr)
+
+    @pytest.mark.parametrize("check_id", check_ids())
+    def test_entry_alone_equals_entry_in_suite(self, suite, check_id):
+        alone = run_checks([check_id], 5, **_PLAN)
+        assert alone.as_dict(runtime=False)["checks"] == [suite[check_id].as_dict(runtime=False)]
+
+    def test_report_independent_of_threads(self):
+        # more workers than cores and frequent thread switches: a reducer
+        # fed by two streams, or read before its stream ended, would differ
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports = [run_checks("paper", 3, n_default=4500, grid_points=101,
+                                  threads=k, timestamp=False).as_dict(runtime=False)
+                       for k in (1, 2, 3, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[0] == reports[1] == reports[2] == reports[3]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_stream_error_ends_the_run(self, monkeypatch, threads):
+        ran = []
+
+        def boom(eta):
+            raise OffGridError("reducer failed")
+
+        def record(ctx):
+            ran.append(ctx.check_id)
+            return []
+
+        def noop(eta):
+            pass
+
+        # r1 waits for the failing stream; r2 also reads one that succeeds,
+        # and example2-m reads none: neither starts once the run failed
+        monkeypatch.setitem(verify._CHECKS, "boom", CheckDef(
+            "boom", "raises", record, lambda ctx: {"two_branch": boom}))
+        monkeypatch.setitem(verify._CHECKS, "r1", CheckDef(
+            "r1", "records", record, lambda ctx: {"two_branch": noop}))
+        monkeypatch.setitem(verify._CHECKS, "r2", CheckDef(
+            "r2", "records", record, lambda ctx: {"sine_bump": noop, "two_branch": noop}))
+        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
+            "example2-m", "records", record))
+        ids = ["r1", "boom", "r2", "example2-m"]
+        with pytest.raises(OffGridError, match="reducer failed"):
+            run_checks(ids, 7, n_default=5, grid_points=11, threads=threads)
+        assert ran == []
+
+    def test_stream_stops_once_the_run_failed(self):
+        fed = []
+        failed = threading.Event()
+        failed.set()
+        with pytest.raises(CancelledError):
+            verify.feed_eta(TwoBranch(), TimeGrid([0.0, 1.0]), 10, 1,
+                            [fed.append], failed)
+        assert fed == []
+
+    @pytest.mark.parametrize("spec", [s for _, s in CATALOGUE],
+                             ids=lambda s: type(s).__name__)
+    def test_eq1_sums_match_the_built_paths(self, spec):
+        # atom specs sum their shape counts, exact up to one rounding per
+        # shape; SineBump sums its built rows as stream_means does
+        grid, n, seed = TimeGrid(np.linspace(0.0, 1.0, 101)), 4096 + 300, 9
+        total, total_sq = verify._z_sums(spec, grid, n, seed)
+        built = stream_means(z_blocks(spec, grid, n, seed), lambda z: z)
+        if spec.atoms() is None:
+            assert np.array_equal(total, built.total[0])
+            assert np.array_equal(total_sq, built.total_sq[0])
+        np.testing.assert_allclose(total, built.total[0], rtol=1e-12)
+        np.testing.assert_allclose(total_sq, built.total_sq[0], rtol=1e-12)
 
 
 class TestSuiteRegistry:
