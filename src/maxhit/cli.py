@@ -283,7 +283,7 @@ _COMMANDS = {
     }),
     "verify": (_verify, "run the verification suite", {
         "--threads": dict(type=int, default=1,
-                          help="checks run in parallel (report unchanged)"),
+                          help="threads the suite's streams run on (report unchanged)"),
         "--suite": dict(default="paper", help='"paper" or comma-separated check ids'),
         "--no-timestamp": dict(action="store_true",
                                help="omit the timestamp and zero per-check "

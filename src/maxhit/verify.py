@@ -25,22 +25,20 @@ exact up to rounding, so its tolerance adds ``SUP_EQ_TOL``. A claim that
 such a value is nonzero is certified by arithmetic: it is a ``gap`` of se 0
 over ``SUP_EQ_TOL``, and no sampled gap from 0 is needed.
 
-Draw plan: ``run_checks`` samples each catalogue generator's eta process
-once. The shared stream of generator g (its index in ``CATALOGUE``) holds
-n paths on the full grid, seeded (master seed, crc32("margins-ks"), g).
-Every eta statistic a check uses is row-wise (hit masks, ``all(eta <= f)``,
-per-path ranges, picked columns, and a window's columns, which are an
-exact path on the window's points), so a check declares reducers of those
-streams (``check(..., eta=)``): event counts, running means or stacked
-columns, the accumulators ``estimates.EventCounts``, ``StatMeans`` and
-``RowStack`` that ``count_events``, ``stream_means`` and ``stack_blocks``
-loop over. ``feed_eta`` hands every block to every declared reducer;
-then the check's runner turns the totals in ``ctx.eta`` into
-``Assertion``s. Generator (Z) paths stay on each check's own
-substreams (``CheckContext.seed``), so eta and Z estimates stay
-independent, and so does ``stopping-exactness``'s arrival loop. Checks
-that share a stream are dependent; a check's entry is the same whichever
-checks run beside it.
+Draw plan: every sample of a run is a stream that ``run_checks`` opens
+and feeds once (``feed_stream``). A check (see ``check``) asks its
+``CheckContext`` for reducers of streams: event counts, running means,
+stacked columns or sums (``estimates.EventCounts``, ``StatMeans``,
+``RowStack``). ``eta(name, reducer)`` reads the shared eta stream of
+catalogue generator g, its index in ``CATALOGUE``: n full-grid paths
+seeded (master seed, crc32("margins-ks"), g). Every eta statistic is
+row-wise (hit masks, ``all(eta <= f)``, per-path ranges, columns, and a
+window's columns, an exact path on the window's points), so any number
+of checks can read one stream. ``own(k, spec, reducer)`` reads a stream
+of the check alone, seeded (master seed, crc32(check id), k): its
+generator (Z) paths, and ``stopping-exactness``'s arrival loop, so eta
+and Z estimates stay independent. Checks that share a stream are
+dependent; a check's entry is the same whichever checks run beside it.
 """
 
 from __future__ import annotations
@@ -48,13 +46,14 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .dnorm import LevelFunction, dnorm_estimates
+from .dnorm import LevelFunction
 from .errors import InvalidArgumentError, UnknownCheckError
 from .estimates import (
     Estimate,
@@ -62,11 +61,9 @@ from .estimates import (
     RowStack,
     StatMeans,
     binomial_estimate,
-    count_events,
     mean_estimate_from_sums,
     per_path,
     rule_of_three,
-    stream_means,
 )
 from .generators import (
     NONLINEAR_DEFAULTS,
@@ -94,7 +91,7 @@ from .msp import (
     stopping_exactness_violations,
 )
 from .paths import Interval, TimeGrid, make_grid
-from .streams import Seed, _is_count, as_seedseq, label_key, substream
+from .streams import _is_count, as_seedseq, label_key, substream
 
 DEFAULT_N = 100_000
 #: The smallest n every check runs at: max-stability needs one group of 5.
@@ -230,21 +227,34 @@ def _positive_probability(name: str, est: Estimate) -> Assertion:
     return Assertion(name, est.value, 1.0 / est.n, ">=", se=est.se)
 
 
-
-
-@dataclass(frozen=True)
+@dataclass
 class CheckContext:
     check_id: str
     master_seed: int
     n: int
     grid: TimeGrid
-    #: The check's reducers by catalogue name; ``run_checks`` feeds them the
-    #: generator's shared eta stream before the runner reads them.
-    eta: dict = field(default_factory=dict, compare=False, repr=False)
+    #: The run's streams by seed key, shared by the contexts of one run:
+    #: each a call that draws its blocks and the reducers they are fed to.
+    streams: dict = field(default_factory=dict, compare=False, repr=False)
+    #: The check's plan, which ``run_checks`` runs to its yield.
+    pending: Generator | None = field(default=None, compare=False, repr=False)
 
-    def seed(self, k: int) -> np.random.SeedSequence:
-        """Substream k of this check: (master seed, crc32(check id), k)."""
-        return substream(self.master_seed, label_key(self.check_id), k)
+    def eta(self, name: str, reducer: Callable) -> Callable:
+        """``reducer``, fed catalogue generator ``name``'s shared eta stream."""
+        g = _ALL.index(name)
+        return self.own(g, CATALOGUE[g][1], reducer, sampler=msp_path_blocks,
+                        label=ETA_STREAM_LABEL)
+
+    def own(self, k: int, spec: GeneratorSpec, reducer: Callable, n: int | None = None,
+            sampler: Callable | None = None, label: str | None = None) -> Callable:
+        """``reducer``, fed this check's stream k: ``n`` (default ``self.n``)
+        paths of ``spec`` drawn by ``sampler`` (default ``shape_blocks``),
+        seeded (master seed, crc32(``label``, default the check id), k)."""
+        key = (label_key(label or self.check_id), k)
+        draw = partial(sampler or shape_blocks, spec, self.grid, n or self.n,
+                       substream(self.master_seed, *key))
+        self.streams.setdefault(key, (draw, []))[1].append(reducer)
+        return reducer
 
 
 @dataclass(frozen=True)
@@ -318,61 +328,116 @@ class CheckReport:
 class CheckDef:
     check_id: str
     description: str
+    #: ``ctx -> list[Assertion]``, the step ``run_checks`` times.
     runner: object = field(repr=False)
-    #: ``ctx -> {catalogue name: reducer}``, the check's reducers of the
-    #: shared eta streams; None for a check that reads none.
-    eta: object = field(default=None, repr=False)
+    #: The check as ``check`` registers it; None for a runner alone.
+    plan: object = field(default=None, repr=False)
 
 
 #: The registry, in suite and report order.
 _CHECKS: dict[str, CheckDef] = {}
 
 
-def check(check_id: str, description: str, eta: Callable | None = None):
-    """Register the decorated ``ctx -> list[Assertion]`` function as a check
-    whose shared-stream reducers ``eta`` declares (see ``CheckDef``)."""
+def _finish(ctx: CheckContext) -> list[Assertion]:
+    """The runner of a ``check``: its plan, resumed after the streams were
+    fed, to the assertions it returns."""
+    try:
+        next(ctx.pending)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError(f"check {ctx.check_id} yields more than once")
 
-    def register(runner):
-        _CHECKS[check_id] = CheckDef(check_id, description, runner, eta)
-        return runner
+
+def check(check_id: str, description: str):
+    """Register the decorated generator of a ``CheckContext`` as a check: it
+    registers its reducers, yields once while ``run_checks`` feeds every
+    stream, then returns its assertions, the part its runner times."""
+
+    def register(plan):
+        _CHECKS[check_id] = CheckDef(check_id, description, _finish, plan)
+        return plan
 
     return register
 
 
-# --- reducers of the shared eta streams ---------------------------------------
+# --- streams and their reducers -------------------------------------------------
 
 
-def feed_eta(
-    spec: GeneratorSpec,
-    grid: TimeGrid,
-    n: int,
-    seed: Seed,
-    reducers: list[Callable],
-    failed: threading.Event,
-) -> None:
-    """Feed every block of one eta stream to each reducer in turn; once
-    ``failed`` is set, stop at the next block with ``CancelledError``."""
-    for eta in msp_path_blocks(spec, grid, n, seed):
+def feed_stream(draw: Callable, reducers: list[Callable], failed: threading.Event) -> None:
+    """Feed every block of the stream ``draw()`` to each reducer in turn. An
+    error sets ``failed``; once it is set, the stream stops before its next
+    block with ``CancelledError``."""
+    try:
         if failed.is_set():
-            raise CancelledError(f"eta stream of {spec!r}")
-        for reduce in reducers:
-            reduce(eta)
+            raise CancelledError(draw)
+        for block in draw():
+            for reduce in reducers:
+                reduce(block)
+            if failed.is_set():
+                raise CancelledError(draw)
+    except BaseException:
+        failed.set()
+        raise
 
 
-def _on(*names: str, reducer: Callable) -> Callable:
-    """``eta=`` of a check with one ``reducer(ctx)`` per named generator."""
-    return lambda ctx: {name: reducer(ctx) for name in names}
+class _Total:
+    """The sum of the blocks fed."""
+
+    total = 0
+
+    def __call__(self, block) -> None:
+        self.total += block
 
 
-def _hits(levels, intervals: list[Interval]) -> Callable:
-    """A reducer factory counting ``hitting_curve``'s event (``curve_event``)."""
-    return lambda ctx: EventCounts(curve_event(levels, intervals, ctx.grid))
+class _ZSums(StatMeans):
+    """Sums of z and of z^2 over the generator paths fed, per grid point.
+
+    An atom spec's paths are its K basis rows b_k, so with shape counts c_k
+    the sums are sum_k c_k b_k and sum_k c_k b_k^2, and no path is built;
+    SineBump's are summed over its built rows.
+    """
+
+    def __init__(self):
+        super().__init__(per_path(lambda z: z))
+        self.counts = 0
+
+    def __call__(self, block) -> None:
+        rows, index = block
+        if isinstance(index, slice):
+            return super().__call__(block)
+        self.rows, self.counts = rows, self.counts + np.bincount(index, minlength=len(rows))
+
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.n:
+            return self.total[0], self.total_sq[0]
+        weighted = self.counts[:, None] * self.rows
+        return weighted.sum(axis=0), (weighted * self.rows).sum(axis=0)
 
 
-def _hit_estimates(ctx: CheckContext, name: str) -> list[Estimate]:
-    """Per level, the frequency ``hitting_curve`` gives, from the counts of
-    a ``_hits`` reducer on generator ``name``'s stream."""
-    return [binomial_estimate(int(c), ctx.n) for c in ctx.eta[name].counts[0]]
+def _sup_means(fs: list[LevelFunction]) -> StatMeans:
+    """Per level function f, the running mean of sup |f| Z over the
+    generator paths fed: the D-norm of f, as ``dnorm_estimates`` gives it."""
+    return StatMeans(*(per_path(lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1))
+                       for f in fs))
+
+
+def _sup_at_endpoint(grid: TimeGrid, interval: Interval) -> EventCounts:
+    """Counts the generator paths whose sup over ``interval`` equals the
+    larger of its two endpoint values, to ``SUP_EQ_TOL``."""
+    sl = grid.slice_of(interval)
+    return EventCounts(per_path(lambda z: np.abs(
+        z[:, sl].max(axis=1) - np.maximum(z[:, sl.start], z[:, sl.stop - 1])) <= SUP_EQ_TOL))
+
+
+def _hits(ctx: CheckContext, name: str, levels, intervals: list[Interval]) -> EventCounts:
+    """Counts of ``hitting_curve``'s event (``curve_event``) on generator
+    ``name``'s eta stream."""
+    return ctx.eta(name, EventCounts(curve_event(levels, intervals, ctx.grid)))
+
+
+def _hit_estimates(ctx: CheckContext, hits: EventCounts) -> list[Estimate]:
+    """Per level, the frequency ``hitting_curve`` gives, from fed ``_hits``."""
+    return [binomial_estimate(int(c), ctx.n) for c in hits.counts[0]]
 
 
 _ALL = tuple(name for name, _ in CATALOGUE)
@@ -381,33 +446,16 @@ _ALL = tuple(name for name, _ in CATALOGUE)
 # --- the checks ---------------------------------------------------------------
 
 
-def _z_sums(
-    spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of z and of z^2 over ``n`` generator paths, per grid point.
-
-    An atom spec's paths are its K basis rows b_k, so with shape counts c_k
-    the sums are sum_k c_k b_k and sum_k c_k b_k^2, and no path is built;
-    SineBump's are summed over its built rows.
-    """
-    if spec.atoms() is None:
-        acc = stream_means(shape_blocks(spec, grid, n, seed), per_path(lambda z: z))
-        return acc.total[0], acc.total_sq[0]
-    counts = 0
-    for rows, index in shape_blocks(spec, grid, n, seed):
-        counts = counts + np.bincount(index, minlength=len(rows))
-    weighted = counts[:, None] * rows
-    return weighted.sum(axis=0), (weighted * rows).sum(axis=0)
-
-
 @check("eq1-moments", "unit mean of Z at every grid point")
-def _check_eq1_moments(ctx: CheckContext) -> list[Assertion]:
+def _check_eq1_moments(ctx: CheckContext):
     """Per catalogue generator, the grid point whose mean uses the largest
     share of its tolerance, 4 se plus 1e-12: a point of zero variance must
     match to within the float accumulation error of the sums."""
+    accs = [ctx.own(gi, spec, _ZSums()) for gi, (_, spec) in enumerate(CATALOGUE)]
+    yield
     out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        total, total_sq = _z_sums(spec, ctx.grid, ctx.n, ctx.seed(gi))
+    for name, acc in zip(_ALL, accs):
+        total, total_sq = acc.sums()
         mean = total / ctx.n
         var = np.maximum(0.0, total_sq / ctx.n - mean * mean)
         se = np.sqrt(var / ctx.n)
@@ -433,23 +481,22 @@ def _criterion2_functions(grid: TimeGrid) -> list[tuple[str, LevelFunction]]:
     ]
 
 
-def _joint_cdf_events(ctx: CheckContext) -> EventCounts:
-    """Rows with eta <= f at every grid point, per eq2 function f."""
-    return EventCounts(*(lambda eta, fv=f.values: np.all(eta <= fv, axis=1)
-                         for _, f in _criterion2_functions(ctx.grid)))
-
-
-@check("eq2-roundtrip", "joint cdf equals exp(-D-norm)",
-       eta=_on(*_ALL, reducer=_joint_cdf_events))
-def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
+@check("eq2-roundtrip", "joint cdf equals exp(-D-norm)")
+def _check_eq2_roundtrip(ctx: CheckContext):
     """For three functions and every generator; the se combines the joint
     cdf's with the delta-method se of exp(-D-norm). The D-norms share one
     set of Z paths per generator, drawn apart from the eta stream."""
     names, fs = zip(*_criterion2_functions(ctx.grid))
+    # rows with eta <= f at every grid point, per function f
+    joints = [ctx.eta(name, EventCounts(*(lambda eta, fv=f.values: np.all(eta <= fv, axis=1)
+                                          for f in fs)))
+              for name in _ALL]
+    dnorms = [ctx.own(2 * gi, spec, _sup_means(fs)) for gi, (_, spec) in enumerate(CATALOGUE)]
+    yield
     out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        dns = dnorm_estimates(spec, list(fs), ctx.n, ctx.seed(2 * gi))
-        for fname, dn, count in zip(names, dns, ctx.eta[name].counts):
+    for name, joint_counts, dns in zip(_ALL, joints, dnorms):
+        for i, (fname, count) in enumerate(zip(names, joint_counts.counts)):
+            dn = dns.estimate(i)
             joint = binomial_estimate(int(count), ctx.n)
             target = math.exp(-dn.value)
             se = math.sqrt(joint.se**2 + (target * dn.se) ** 2)
@@ -458,37 +505,39 @@ def _check_eq2_roundtrip(ctx: CheckContext) -> list[Assertion]:
     return out
 
 
-@check("eq3-negative-paths", "simulated paths are strictly negative",
-       eta=_on(*_ALL, reducer=lambda ctx: EventCounts(lambda eta: eta >= 0.0)))
-def _check_eq3_negative_paths(ctx: CheckContext) -> list[Assertion]:
-    return [Assertion(f"{name}:nonnegative_values",
-                      int(ctx.eta[name].counts[0].sum()), 0.0)
-            for name in _ALL]
+@check("eq3-negative-paths", "simulated paths are strictly negative")
+def _check_eq3_negative_paths(ctx: CheckContext):
+    counts = [ctx.eta(name, EventCounts(lambda eta: eta >= 0.0)) for name in _ALL]
+    yield
+    return [Assertion(f"{name}:nonnegative_values", int(c.counts[0].sum()), 0.0)
+            for name, c in zip(_ALL, counts)]
 
 
 _MARGIN_TIMES = (0.0, 0.37, 1.0)
 
 
-@check("margins-ks", "standard negative exponential margins (KS)",
-       eta=_on(*_ALL, reducer=lambda ctx: RowStack(
-           ctx.n, [ctx.grid.index_of(t) for t in _MARGIN_TIMES])))
-def _check_margins_ks(ctx: CheckContext) -> list[Assertion]:
+@check("margins-ks", "standard negative exponential margins (KS)")
+def _check_margins_ks(ctx: CheckContext):
     """KS distance of each margin column against exp(x), x <= 0; the
     columns of one generator come from one set of paths."""
+    cols = [ctx.grid.index_of(t) for t in _MARGIN_TIMES]
+    stacks = [ctx.eta(name, RowStack(ctx.n, cols)) for name in _ALL]
+    yield
     band = ks_band(ctx.n)
     return [Assertion(f"{name}:t={t}", ks_distance_neg_exponential(column), band, "<=")
-            for name in _ALL
-            for t, column in zip(_MARGIN_TIMES, ctx.eta[name].rows.T)]
+            for name, stack in zip(_ALL, stacks)
+            for t, column in zip(_MARGIN_TIMES, stack.rows.T)]
 
 
-@check("max-stability", "k x (max of k paths) keeps the margins",
-       eta=_on("two_branch", "sine_bump",
-               reducer=lambda ctx: RowStack(ctx.n, [ctx.grid.index_of(0.37)])))
-def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
+@check("max-stability", "k x (max of k paths) keeps the margins")
+def _check_max_stability(ctx: CheckContext):
     """KS distance of k times the pointwise max of k paths, k = 2, 5."""
+    col = [ctx.grid.index_of(0.37)]
+    stacks = {name: ctx.eta(name, RowStack(ctx.n, col)) for name in ("two_branch", "sine_bump")}
+    yield
     out = []
-    for name in ("two_branch", "sine_bump"):
-        vals = ctx.eta[name].rows[:, 0]
+    for name, stack in stacks.items():
+        vals = stack.rows[:, 0]
         for k in (2, 5):
             groups = ctx.n // k
             scaled = k * vals[: groups * k].reshape(groups, k).max(axis=1)
@@ -498,39 +547,37 @@ def _check_max_stability(ctx: CheckContext) -> list[Assertion]:
 
 
 @check("takahashi", "m = 1 iff D-norm equals sup-norm")
-def _check_takahashi(ctx: CheckContext) -> list[Assertion]:
+def _check_takahashi(ctx: CheckContext):
     """Complete dependence is decided as every probe's D-norm within
     3 se + 1e-12 of its sup-norm, all D-norms from one shared set of
     paths; the absolute term absorbs float accumulation when they are equal."""
     probes = [f for _, f in _criterion2_functions(ctx.grid)]
     expected = {"complete_dependence": 1.0, "piecewise_example": 0.0, "two_branch": 0.0}
+    dnorms = {name: ctx.own(gi, spec, _sup_means(probes))
+              for gi, (name, spec) in enumerate(CATALOGUE) if name in expected}
+    yield
     out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        if name not in expected:
-            continue
-        dns = dnorm_estimates(spec, probes, ctx.n, ctx.seed(gi))
+    for name, dns in dnorms.items():
         complete = all(
             abs(est.value - float(np.max(np.abs(f.values)))) <= 3.0 * est.se + 1e-12
-            for est, f in zip(dns, probes)
+            for est, f in zip(map(dns.estimate, range(len(probes))), probes)
         )
         out.append(Assertion(f"{name}:complete_dependence",
                              1.0 if complete else 0.0, expected[name]))
     return out
 
 
-def _example1_events(ctx: CheckContext) -> EventCounts:
+@check("example1-complete-dependence",
+       "constant paths miss fixed levels, meet sloped curves")
+def _check_example1_complete_dependence(ctx: CheckContext):
     """A fixed level's hits, and the paths meeting the sloped curve f: those
     where eta - f changes sign or touches zero on the grid."""
     f = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0])
-    return EventCounts(curve_event([-1.0], [Interval(0.0, 1.0)], ctx.grid),
-                       lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0))
-
-
-@check("example1-complete-dependence",
-       "constant paths miss fixed levels, meet sloped curves",
-       eta=_on("complete_dependence", reducer=_example1_events))
-def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
-    (fixed,), met = ctx.eta["complete_dependence"].counts
+    acc = ctx.eta("complete_dependence", EventCounts(
+        curve_event([-1.0], [Interval(0.0, 1.0)], ctx.grid),
+        lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0)))
+    yield
+    (fixed,), met = acc.counts
     out = _null_probability(binomial_estimate(int(fixed), ctx.n), "fixed_level:")
     curve_est = binomial_estimate(int(met), ctx.n)
     target = math.exp(-1.0) - math.exp(-2.0)
@@ -539,21 +586,24 @@ def _check_example1_complete_dependence(ctx: CheckContext) -> list[Assertion]:
     return out
 
 
-@check("prop2-null-on-constant-interval", "no hits where the generator is degenerate",
-       eta=_on("piecewise_example", reducer=_hits([-1.0], [Interval(0.25, 0.75)])))
-def _check_prop2_null(ctx: CheckContext) -> list[Assertion]:
-    (est,) = _hit_estimates(ctx, "piecewise_example")
+@check("prop2-null-on-constant-interval", "no hits where the generator is degenerate")
+def _check_prop2_null(ctx: CheckContext):
+    hits = _hits(ctx, "piecewise_example", [-1.0], [Interval(0.25, 0.75)])
+    yield
+    (est,) = _hit_estimates(ctx, hits)
     return _null_probability(est)
 
 
 @check("prop2-positive-when-norm-gt-1",
-       "positive hitting probability when ||1_I||_D > 1",
-       eta=_on("piecewise_example", reducer=_hits([-1.0], [Interval(0.0, 1.0)])))
-def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
+       "positive hitting probability when ||1_I||_D > 1")
+def _check_prop2_positive(ctx: CheckContext):
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
     indicator = LevelFunction.indicator_step(ctx.grid, Interval(0.0, 1.0), inside=-1.0)
-    (norm,) = dnorm_estimates(spec, [indicator], ctx.n, ctx.seed(0))
-    (est,) = _hit_estimates(ctx, "piecewise_example")
+    dns = ctx.own(0, spec, _sup_means([indicator]))
+    hits = _hits(ctx, "piecewise_example", [-1.0], [Interval(0.0, 1.0)])
+    yield
+    norm = dns.estimate(0)
+    (est,) = _hit_estimates(ctx, hits)
     return [
         Assertion("indicator_norm_gt_1", norm.value, 1.0, "gap",
                   se=norm.se, z=Z_STAT),
@@ -564,43 +614,41 @@ def _check_prop2_positive(ctx: CheckContext) -> list[Assertion]:
 _SURVIVOR_GENERATORS = ("complete_dependence", "piecewise_example", "sine_bump")
 
 
-@check("survivor-bound", "survivor probability lower bound",
-       eta=_on(*_SURVIVOR_GENERATORS, reducer=lambda ctx: EventCounts(
-           lambda eta: np.all(eta > -1.0, axis=1))))
-def _check_survivor_bound(ctx: CheckContext) -> list[Assertion]:
+@check("survivor-bound", "survivor probability lower bound")
+def _check_survivor_bound(ctx: CheckContext):
     """Survivor probability of f = -1 dominates the bound 1 - exp(-v),
     v = E inf |f| Z, whose se is the delta-method exp(-v) se(v); the
     assertion's se is the sum of both estimates' se (independent draws, a
     conservative bound)."""
     specs = dict(CATALOGUE)
     absf = np.abs(LevelFunction.constant(ctx.grid, -1.0).values)
+    vs = [ctx.own(2 * gi, specs[name],
+                  StatMeans(per_path(lambda z: np.min(z * absf[None, :], axis=1))))
+          for gi, name in enumerate(_SURVIVOR_GENERATORS)]
+    survived = [ctx.eta(name, EventCounts(lambda eta: np.all(eta > -1.0, axis=1)))
+                for name in _SURVIVOR_GENERATORS]
+    yield
     out = []
-    for gi, name in enumerate(_SURVIVOR_GENERATORS):
-        v = stream_means(
-            shape_blocks(specs[name], ctx.grid, ctx.n, ctx.seed(2 * gi)),
-            per_path(lambda z: np.min(z * absf[None, :], axis=1)),
-        ).estimate(0)
+    for name, v_acc, surv_acc in zip(_SURVIVOR_GENERATORS, vs, survived):
+        v = v_acc.estimate(0)
         bound, bound_se = 1.0 - math.exp(-v.value), math.exp(-v.value) * v.se
-        (survived,) = ctx.eta[name].counts
-        surv = binomial_estimate(int(survived), ctx.n)
+        surv = binomial_estimate(int(surv_acc.counts[0]), ctx.n)
         out.append(Assertion(f"{name}:survivor_ge_bound", surv.value, bound,
                              ">=", se=surv.se + bound_se, z=Z_STAT))
     return out
 
 
 @check("example2-m", "ramp-plateau generator constant (3n^2+n)/(n+1)^2")
-def _check_example2_m(ctx: CheckContext) -> list[Assertion]:
+def _check_example2_m(ctx: CheckContext):
     """Generator constants of the ramp-plateau model at n = 2.
 
     ``closed_form_m`` derives m from the atom table, so its exact match
     with the paper's 14/9 checks the table, not a restated formula.
     """
     spec = PiecewiseExample(n=2, a=0.25, b=0.75)
-    acc = stream_means(
-        shape_blocks(spec, ctx.grid, ctx.n, ctx.seed(0)),
-        per_path(lambda z: z.max(axis=1)),
-        per_path(lambda z: z.min(axis=1)),
-    )
+    acc = ctx.own(0, spec, StatMeans(per_path(lambda z: z.max(axis=1)),
+                                     per_path(lambda z: z.min(axis=1))))
+    yield
     m_hat, m_tilde_hat = acc.estimate(0), acc.estimate(1)
     m_exact = 14.0 / 9.0
     mt_exact = 5.0 / 9.0
@@ -615,16 +663,17 @@ def _check_example2_m(ctx: CheckContext) -> list[Assertion]:
 _HCURVE_LEVELS = (-0.25, -1.0, -4.0)
 
 
-@check("hcurve-bound", "hitting curve under exp(x m~) - exp(x m)",
-       eta=_on("sine_bump", reducer=_hits(_HCURVE_LEVELS, [Interval(0.0, 1.0)])))
-def _check_hcurve_bound(ctx: CheckContext) -> list[Assertion]:
+@check("hcurve-bound", "hitting curve under exp(x m~) - exp(x m)")
+def _check_hcurve_bound(ctx: CheckContext):
     """At 4 se plus the grid allowance."""
+    hits = _hits(ctx, "sine_bump", _HCURVE_LEVELS, [Interval(0.0, 1.0)])
+    yield
     spec = SineBump(amp=0.5)
     m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
     return [
         Assertion(f"x={lvl}", est.value, hitting_bound(m, m_tilde, lvl), "<=",
                   se=est.se, z=4.0, slack=GRID_ALLOWANCE)
-        for lvl, est in zip(_HCURVE_LEVELS, _hit_estimates(ctx, "sine_bump"))
+        for lvl, est in zip(_HCURVE_LEVELS, _hit_estimates(ctx, hits))
     ]
 
 
@@ -647,15 +696,16 @@ def _mean_range(
                                       se=minus_max.se, z=Z_STAT, slack=SUP_EQ_TOL)
 
 
-@check("hintegral-bound", "hitting integral within (m - m~)/(m m~)",
-       eta=_on("sine_bump", reducer=lambda ctx: _range_means()))
-def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
+@check("hintegral-bound", "hitting integral within (m - m~)/(m m~)")
+def _check_hintegral_bound(ctx: CheckContext):
     """The hitting integral is the mean range; a grid range never exceeds
     the path's, so the paper's bound holds on any grid."""
+    acc = ctx.eta("sine_bump", _range_means())
+    yield
     spec = SineBump(amp=0.5)
     m = closed_form_m(spec)
     mt = closed_form_m_tilde(spec)
-    span, minus_max = _mean_range(spec, ctx.eta["sine_bump"], ctx.grid)
+    span, minus_max = _mean_range(spec, acc, ctx.grid)
     return [
         Assertion("mean_range_le_bound", span.value, (m - mt) / (m * mt), "<=",
                   se=span.se, z=Z_STAT),
@@ -667,28 +717,25 @@ def _check_hintegral_bound(ctx: CheckContext) -> list[Assertion]:
 _LEMMA31_TIMES = (0.0, 0.25, 0.5)
 
 
-def _down_up_down(ctx: CheckContext) -> EventCounts:
-    cols = tuple(ctx.grid.index_of(t) for t in _LEMMA31_TIMES)
-    return EventCounts(lambda eta: down_up_down_mask(eta, cols, -1.0))
-
-
-@check("lemma31-closedform", "down-up-down probabilities match closed forms",
-       eta=_on("nonlinear_example", "sine_bump", reducer=_down_up_down))
-def _check_lemma31(ctx: CheckContext) -> list[Assertion]:
+@check("lemma31-closedform", "down-up-down probabilities match closed forms")
+def _check_lemma31(ctx: CheckContext):
     """P(eta_t' <= x0, eta_t0 > x0, eta_t'' <= x0) at (t', t0, t'') =
     (0, 0.25, 0.5): three grid coordinates, so no grid allowance."""
-    (count,) = ctx.eta["sine_bump"].counts
-    est = binomial_estimate(int(count), ctx.n)
+    cols = tuple(ctx.grid.index_of(t) for t in _LEMMA31_TIMES)
+    sine_acc, nl_acc = (ctx.eta(name, EventCounts(lambda eta: down_up_down_mask(eta, cols, -1.0)))
+                        for name in ("sine_bump", "nonlinear_example"))
+    yield
+    est = binomial_estimate(int(sine_acc.counts[0]), ctx.n)
     sine = SineBump(amp=0.5)
     # P(ends <= -1) - P(all <= -1), by P(eta <= x on T) = exp(x m_T)
-    t = ctx.grid.points[[ctx.grid.index_of(t) for t in _LEMMA31_TIMES]]
+    t = ctx.grid.points[list(cols)]
     target = math.exp(-expected_max(sine, t[[0, 2]])) - math.exp(-expected_max(sine, t))
     out = [Assertion("sine_bump:closed_form", est.value, target, se=est.se, z=Z_STAT)]
-    (count_nl,) = ctx.eta["nonlinear_example"].counts
-    return out + _null_probability(binomial_estimate(int(count_nl), ctx.n), "nonlinear:")
+    return out + _null_probability(binomial_estimate(int(nl_acc.counts[0]), ctx.n), "nonlinear:")
 
 
-def _two_hit_events(ctx: CheckContext) -> EventCounts:
+@check("prop32-two-hit", "two-hit events contain down-up-down events")
+def _check_prop32_two_hit(ctx: CheckContext):
     i0 = ctx.grid.index_of(0.25)  # split; also the middle of the triple
     i_end = ctx.grid.index_of(0.5)
     x0 = -1.0
@@ -698,36 +745,14 @@ def _two_hit_events(ctx: CheckContext) -> EventCounts:
         dud = down_up_down_mask(eta, (0, i0, i_end), x0)
         return np.column_stack([dud & ~two, dud, two])
 
-    return EventCounts(events)
-
-
-@check("prop32-two-hit", "two-hit events contain down-up-down events",
-       eta=_on("sine_bump", reducer=_two_hit_events))
-def _check_prop32_two_hit(ctx: CheckContext) -> list[Assertion]:
-    violations, dud_hits, two_hits = (int(c) for c in ctx.eta["sine_bump"].counts[0])
+    acc = ctx.eta("sine_bump", EventCounts(events))
+    yield
+    violations, dud_hits, two_hits = (int(c) for c in acc.counts[0])
     return [
         Assertion("containment_violations", violations, 0.0),
         _positive_probability("dud_positive", binomial_estimate(dud_hits, ctx.n)),
         Assertion("two_hit_ge_dud", two_hits / ctx.n, dud_hits / ctx.n, ">="),
     ]
-
-
-def _sup_equals_max_rate(
-    spec: GeneratorSpec, interval: Interval, grid: TimeGrid, n: int, seed: Seed
-) -> float:
-    """Share of ``n`` generator paths whose sup over ``interval`` equals
-    the larger of its two endpoint values, to ``SUP_EQ_TOL``."""
-    sl = grid.slice_of(interval)
-
-    def sup_at_endpoint(z: np.ndarray) -> np.ndarray:
-        zi = z[:, sl]
-        gap = zi.max(axis=1) - np.maximum(zi[:, 0], zi[:, -1])
-        return np.abs(gap) <= SUP_EQ_TOL
-
-    (hits,) = count_events(
-        shape_blocks(spec, grid, n, seed), per_path(sup_at_endpoint)
-    )
-    return int(hits) / n
 
 
 _COR33_WINDOW = (0.2, 0.9)
@@ -754,9 +779,8 @@ def _cor33_events(ctx: CheckContext, name: str) -> EventCounts:
     return EventCounts(lambda eta: down_up_down_mask(eta, cols, -1.0), items_4_and_5)
 
 
-@check("cor33-equivalences", "five-way equivalence holds/fails as one",
-       eta=lambda ctx: {name: _cor33_events(ctx, name) for name in _COR33_DUD_T0})
-def _check_cor33(ctx: CheckContext) -> list[Assertion]:
+@check("cor33-equivalences", "five-way equivalence holds/fails as one")
+def _check_cor33(ctx: CheckContext):
     """All five items hold for the nonlinear generator and all fail for
     the sine bump, on the window T = (0.2, 0.9). Item (3) reduces Z
     paths; items (1), (4) and (5) the window's columns of each generator's
@@ -769,19 +793,21 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
     that it is not.
     """
     window = Interval(*_COR33_WINDOW)
-    t = ctx.grid.points[ctx.grid.slice_of(window)]
     nl = NonlinearExample(**NONLINEAR_DEFAULTS)
     sine = SineBump(amp=0.5)
+    item3 = [ctx.own(k, spec, _sup_at_endpoint(ctx.grid, window))
+             for k, spec in enumerate((nl, sine))]
+    items145 = [ctx.eta(key, _cor33_events(ctx, key)) for key in _COR33_DUD_T0]
+    yield
+    t = ctx.grid.points[ctx.grid.slice_of(window)]
+    nl_rate, sine_rate = (int(acc.counts[0]) / ctx.n for acc in item3)
     out = [
-        Assertion("nonlinear:item3_rate",
-                  _sup_equals_max_rate(nl, window, ctx.grid, ctx.n, ctx.seed(0)), 1.0),
-        Assertion("sine_bump:item3_rate",
-                  _sup_equals_max_rate(sine, window, ctx.grid, ctx.n, ctx.seed(1)),
-                  0.01, "<="),
+        Assertion("nonlinear:item3_rate", nl_rate, 1.0),
+        Assertion("sine_bump:item3_rate", sine_rate, 0.01, "<="),
     ]
-    for name, spec, key, sense in (("nonlinear", nl, "nonlinear_example", "=="),
-                                   ("sine_bump", sine, "sine_bump", "gap")):
-        dud, counts = ctx.eta[key].counts
+    for name, spec, acc, sense in (("nonlinear", nl, items145[0], "=="),
+                                   ("sine_bump", sine, items145[1], "gap")):
+        dud, counts = acc.counts
         dud_est = binomial_estimate(int(dud), ctx.n)
         if sense == "==":
             out += _null_probability(dud_est, f"{name}:item1_", "dud")
@@ -807,35 +833,39 @@ def _check_cor33(ctx: CheckContext) -> list[Assertion]:
     return out
 
 
+_SUPMAX_WINDOWS = ((0.0, 1.0), (0.1, 0.6), (0.5, 0.9))
+
+
 @check("nonlinear-supmax", "nonlinear paths peak at window endpoints")
-def _check_nonlinear_supmax(ctx: CheckContext) -> list[Assertion]:
+def _check_nonlinear_supmax(ctx: CheckContext):
     spec = NonlinearExample(**NONLINEAR_DEFAULTS)
-    out = []
-    for k, (lo, hi) in enumerate([(0.0, 1.0), (0.1, 0.6), (0.5, 0.9)]):
-        window = Interval(lo, hi)
-        rate = _sup_equals_max_rate(spec, window, ctx.grid, ctx.n, ctx.seed(k))
-        out.append(Assertion(f"I=[{lo},{hi}]", rate, 1.0))
-    return out
+    accs = [ctx.own(k, spec, _sup_at_endpoint(ctx.grid, Interval(lo, hi)))
+            for k, (lo, hi) in enumerate(_SUPMAX_WINDOWS)]
+    yield
+    return [Assertion(f"I=[{lo},{hi}]", int(acc.counts[0]) / ctx.n, 1.0)
+            for (lo, hi), acc in zip(_SUPMAX_WINDOWS, accs)]
 
 
 _FINAL_H_LEVELS = (-0.5, -1.0, -2.0, -4.0)
 
 
-@check("final-h", "two-branch hitting curve matches (1-e^x-x)e^x",
-       eta=_on("two_branch", reducer=_hits(_FINAL_H_LEVELS, [Interval(0.0, 1.0)])))
-def _check_final_h(ctx: CheckContext) -> list[Assertion]:
+@check("final-h", "two-branch hitting curve matches (1-e^x-x)e^x")
+def _check_final_h(ctx: CheckContext):
+    hits = _hits(ctx, "two_branch", _FINAL_H_LEVELS, [Interval(0.0, 1.0)])
+    yield
     return [
         Assertion(f"x={lvl}", est.value, final_example_reference(lvl),
                   se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)
-        for lvl, est in zip(_FINAL_H_LEVELS, _hit_estimates(ctx, "two_branch"))
+        for lvl, est in zip(_FINAL_H_LEVELS, _hit_estimates(ctx, hits))
     ]
 
 
-@check("final-integral-3/2", "two-branch hitting integral equals 3/2",
-       eta=_on("two_branch", reducer=lambda ctx: _range_means()))
-def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
+@check("final-integral-3/2", "two-branch hitting integral equals 3/2")
+def _check_final_integral(ctx: CheckContext):
     """The mean range against its grid-exact value (3/2 on [0, 1])."""
-    span, minus_max = _mean_range(TwoBranch(), ctx.eta["two_branch"], ctx.grid)
+    acc = ctx.eta("two_branch", _range_means())
+    yield
+    span, minus_max = _mean_range(TwoBranch(), acc, ctx.grid)
     exact = _final_example_grid_range(ctx.grid.points)
     return [
         Assertion("mean_range", span.value, exact,
@@ -844,22 +874,23 @@ def _check_final_integral(ctx: CheckContext) -> list[Assertion]:
     ]
 
 
-@check("final-two-hit", "two-branch two-hit probability closed form",
-       eta=_on("two_branch", reducer=_hits(
-           [-1.0], [Interval(0.0, 0.5), Interval(0.5, 1.0)])))
-def _check_final_two_hit(ctx: CheckContext) -> list[Assertion]:
+@check("final-two-hit", "two-branch two-hit probability closed form")
+def _check_final_two_hit(ctx: CheckContext):
     """The two-hit event of ``two_hit_prob`` at the split 0.5."""
-    (est,) = _hit_estimates(ctx, "two_branch")
+    hits = _hits(ctx, "two_branch", [-1.0], [Interval(0.0, 0.5), Interval(0.5, 1.0)])
+    yield
+    (est,) = _hit_estimates(ctx, hits)
     target = final_example_two_hit(-1.0, 0.5)
     return [Assertion("two_hit", est.value, target,
                       se=est.se, z=Z_STAT, slack=GRID_ALLOWANCE)]
 
 
-@check("final-no-three-hit", "no level is hit in three disjoint intervals",
-       eta=_on("two_branch", reducer=_hits(
-           [-1.0], [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)])))
-def _check_final_no_three_hit(ctx: CheckContext) -> list[Assertion]:
-    (est,) = _hit_estimates(ctx, "two_branch")
+@check("final-no-three-hit", "no level is hit in three disjoint intervals")
+def _check_final_no_three_hit(ctx: CheckContext):
+    hits = _hits(ctx, "two_branch", [-1.0],
+                 [Interval(0.0, 0.3), Interval(0.4, 0.6), Interval(0.7, 1.0)])
+    yield
+    (est,) = _hit_estimates(ctx, hits)
     return _null_probability(est)
 
 
@@ -889,9 +920,8 @@ def _eta_invariant_violations(ctx: CheckContext) -> EventCounts:
     return EventCounts(violations)
 
 
-@check("shared-draw-invariants", "per-draw monotonicity and containment",
-       eta=_on(*_ALL, reducer=_eta_invariant_violations))
-def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
+@check("shared-draw-invariants", "per-draw monotonicity and containment")
+def _check_shared_draw_invariants(ctx: CheckContext):
     """Per generator, the D-norm invariants that fail on any of
     ``_SHARED_DRAW_N`` generator paths plus the hit-set invariants that
     fail on any eta path of the shared stream."""
@@ -908,29 +938,26 @@ def _check_shared_draw_invariants(ctx: CheckContext) -> list[Assertion]:
             z[:, sl_inner].max(axis=1) > z.max(axis=1),
         ])
 
-    out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        (z_bad,) = count_events(
-            shape_blocks(spec, ctx.grid, _SHARED_DRAW_N, ctx.seed(2 * gi)),
-            per_path(z_violations),
-        )
-        (eta_bad,) = ctx.eta[name].counts
-        out.append(Assertion(f"{name}:violations", int(z_bad.sum() + eta_bad.sum()), 0.0))
-    return out
+    z_bad = [ctx.own(2 * gi, spec, EventCounts(per_path(z_violations)), n=_SHARED_DRAW_N)
+             for gi, (_, spec) in enumerate(CATALOGUE)]
+    eta_bad = [ctx.eta(name, _eta_invariant_violations(ctx)) for name in _ALL]
+    yield
+    return [Assertion(f"{name}:violations", int(z.counts[0].sum() + e.counts[0].sum()), 0.0)
+            for name, z, e in zip(_ALL, z_bad, eta_bad)]
 
 
 _EXACTNESS_PATHS = 100
 
 
 @check("stopping-exactness", "extra arrivals never change stopped paths")
-def _check_stopping_exactness(ctx: CheckContext) -> list[Assertion]:
-    out = []
-    for gi, (name, spec) in enumerate(CATALOGUE):
-        v = stopping_exactness_violations(
-            spec, ctx.grid, _EXACTNESS_PATHS, ctx.seed(gi)
-        )
-        out.append(Assertion(f"{name}:changed_paths", v, 0.0))
-    return out
+def _check_stopping_exactness(ctx: CheckContext):
+    # one block per stream: the number of its paths that extra arrivals change
+    changed = [ctx.own(gi, spec, _Total(), n=_EXACTNESS_PATHS,
+                       sampler=lambda *args: [stopping_exactness_violations(*args)])
+               for gi, (_, spec) in enumerate(CATALOGUE)]
+    yield
+    return [Assertion(f"{name}:changed_paths", c.total, 0.0)
+            for name, c in zip(_ALL, changed)]
 
 
 # --- runner -------------------------------------------------------------------
@@ -962,14 +989,13 @@ def run_checks(
     ``suite`` is "paper" (everything) or an explicit list of ids; an
     unknown or repeated id, an empty list, a master seed that is not an
     integer >= 0, an ``n_default`` that is not an integer >= ``MIN_N``
-    (numpy integers are recorded as Python ints) or a bad grid fails
-    before anything executes. Each catalogue generator's shared eta stream
-    feeds the reducers the checks declare, then each check's runner
-    builds its assertions (see the module docstring). With ``threads`` > 1
-    the streams, then the runners, go to a pool; report contents are
+    (numpy integers are recorded as Python ints), a ``threads`` that is
+    not an integer >= 1 or a bad grid fails before anything executes.
+    Each check's plan registers its reducers, every stream feeds them, then
+    each check's runner builds its assertions (see the module docstring).
+    With ``threads`` > 1 the streams go to a pool; report contents are
     independent of ``threads`` and of which checks run. The first stream
-    or check that raises ends the run: streams stop at their next block,
-    and no runner starts after it.
+    that raises ends the run: the others stop at their next block.
     """
     as_seedseq(master_seed)
     if isinstance(master_seed, np.random.SeedSequence):
@@ -980,6 +1006,8 @@ def run_checks(
     n_default = int(n_default)
     if n_default < MIN_N:
         raise InvalidArgumentError(f"checks need n_default >= {MIN_N}, got {n_default}")
+    if not (_is_count(threads) and threads >= 1):
+        raise InvalidArgumentError(f"threads must be an integer >= 1, got {threads!r}")
     if isinstance(suite, str):
         if suite != "paper":
             raise UnknownCheckError(suite)
@@ -994,58 +1022,27 @@ def run_checks(
             if ids.count(cid) > 1:
                 raise UnknownCheckError(cid, "check id listed twice")
     grid = make_grid(grid_points)
-    contexts = []
-    for cid in ids:
-        ctx = CheckContext(check_id=cid, master_seed=master_seed, n=n_default, grid=grid)
-        if _CHECKS[cid].eta is not None:
-            ctx.eta.update(_CHECKS[cid].eta(ctx))
-        contexts.append(ctx)
-    # each catalogue generator some check reads: its index, spec and the
-    # reducers of its readers
     streams = {}
-    for g, (name, spec) in enumerate(CATALOGUE):
-        reducers = [ctx.eta[name] for ctx in contexts if name in ctx.eta]
-        if reducers:
-            streams[name] = (g, spec, reducers)
+    contexts = [CheckContext(cid, master_seed, n_default, grid, streams) for cid in ids]
+    for ctx in contexts:
+        plan = _CHECKS[ctx.check_id].plan
+        if plan is not None:
+            ctx.pending = plan(ctx)
+            next(ctx.pending)
     failed = threading.Event()
-
-    def feed(name: str) -> None:
-        if failed.is_set():
-            raise CancelledError(name)
-        g, spec, reducers = streams[name]
-        seed = substream(master_seed, label_key(ETA_STREAM_LABEL), g)
-        try:
-            feed_eta(spec, grid, n_default, seed, reducers, failed)
-        except BaseException:
-            failed.set()
-            raise
-
-    def run_one(ctx: CheckContext) -> CheckResult:
-        if failed.is_set():
-            raise CancelledError(ctx.check_id)
-        start = time.perf_counter()
-        try:
-            assertions = _CHECKS[ctx.check_id].runner(ctx)
-        except BaseException:
-            failed.set()
-            raise
-        seconds = time.perf_counter() - start
-        return CheckResult(
-            check_id=ctx.check_id,
-            description=_CHECKS[ctx.check_id].description,
-            assertions=assertions,
-            seconds=seconds,
-        )
-
     if threads > 1:
-        # all streams, then all runners: no runner starts once a stream failed
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            _results([pool.submit(feed, name) for name in streams])
-            results = _results([pool.submit(run_one, ctx) for ctx in contexts])
+            _results([pool.submit(feed_stream, *stream, failed) for stream in streams.values()])
     else:
-        for name in streams:
-            feed(name)
-        results = [run_one(ctx) for ctx in contexts]
+        for stream in streams.values():
+            feed_stream(*stream, failed)
+    results = []
+    for ctx in contexts:
+        defn = _CHECKS[ctx.check_id]
+        start = time.perf_counter()
+        assertions = defn.runner(ctx)
+        results.append(CheckResult(ctx.check_id, defn.description, assertions,
+                                   time.perf_counter() - start))
     generated_at = (
         time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()) if timestamp else None
     )

@@ -18,10 +18,10 @@ from maxhit import (
     final_example_two_hit,
     make_grid,
 )
-from maxhit.estimates import Z95, count_events, per_path, stream_means
+from maxhit.estimates import Z95, count_events, per_path, reduce_blocks, stream_means
 from maxhit.generators import draw_uniforms, path_basis, sample_paths, shape_blocks
 from maxhit.streams import block_streams
-from maxhit.verify import SUP_EQ_TOL, _sup_equals_max_rate, ks_band
+from maxhit.verify import SUP_EQ_TOL, _sup_at_endpoint, _sup_means, ks_band
 
 _G11 = make_grid(11)
 _REFUSALS = {
@@ -274,6 +274,11 @@ class TestPerShapeReductions:
         assert dnorm_estimates(spec, fs, n, seed) == [
             acc.estimate(i) for i in range(len(fs))
         ]
+        # the verification suite's D-norm reducer gives the same estimates
+        suite = reduce_blocks(shape_blocks(spec, grid, n, seed), _sup_means(fs))
+        assert [suite.estimate(i) for i in range(len(fs))] == [
+            acc.estimate(i) for i in range(len(fs))
+        ]
 
         # survivor bound (inf |f| Z per f), then m (sup Z) and m~ (inf Z)
         stats = [
@@ -294,4 +299,5 @@ class TestPerShapeReductions:
         (hits,) = count_events(blocks, lambda z: np.abs(
             z[:, sl].max(axis=1) - np.maximum(z[:, sl][:, 0], z[:, sl][:, -1])
         ) <= SUP_EQ_TOL)
-        assert _sup_equals_max_rate(spec, window, grid, n, seed) == int(hits) / n
+        acc = reduce_blocks(shape_blocks(spec, grid, n, seed), _sup_at_endpoint(grid, window))
+        assert int(acc.counts[0]) == int(hits)

@@ -1,5 +1,7 @@
 """The seeded contract, pinned: SHA-256 digests of every check entry of the
-bench-scale seed-7 report and of every catalogue generator's corpus.
+bench-scale seed-7 report, of every catalogue generator's corpus, and of
+the stdout of the benchmark's verify run and of small runs of the other
+subcommands.
 
 A change that moves a seeded value, on purpose or not, fails here and names
 the check or generator whose output moved. A change that moves one on
@@ -13,13 +15,19 @@ version's table with ``PYTHONPATH=src python tests/test_seeded_digests.py``.
 At the pinned version a mismatch always fails.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxhit import make_grid, msp_corpus, run_checks
+from maxhit.cli import main
+from maxhit.generators import generator_to_json
 from maxhit.verify import CATALOGUE
 
 NUMPY_PINNED = "2.4.6"
@@ -94,6 +102,34 @@ CORPUS_DIGESTS = {
         "284db3570cbf7fa1281ee4ef6ae6829c9ccf17d17005f1266770e67760c5f210",
 }
 
+#: ``maxhit`` command lines whose stdout is pinned: the benchmark's verify
+#: run, and small runs of the other subcommands. ``{name}`` stands for the
+#: JSON file of catalogue generator ``name``, ``{level}`` for the constant
+#: level function -1.
+CLI_RUNS = {
+    "verify": ["verify", "--suite", "paper", "--seed", "7", "--n", "4096",
+               "--no-timestamp"],
+    "simulate": ["simulate", "--generator", "{sine_bump}", "--grid", "101",
+                 "--paths", "5", "--seed", "7"],
+    "hitting": ["hitting", "--generator", "{two_branch}", "--levels", "-0.5,-1,-2",
+                "--grid", "101", "--n", "2000", "--seed", "7"],
+    "multihit": ["multihit", "--generator", "{nonlinear_example}", "--x0", "-1",
+                 "--intervals", "0,0.3;0.4,0.6;0.7,1", "--grid", "101",
+                 "--n", "2000", "--seed", "7"],
+    "dnorm": ["dnorm", "--generator", "{piecewise_example}", "--level-function",
+              "{level}", "--grid", "101", "--n", "2000", "--seed", "7"],
+}
+
+#: Per run, its exit code and the sha256 of its stdout (verify exits 1:
+#: cor33-equivalences is red at this n).
+CLI_DIGESTS = {
+    "verify": (1, "2da3ba3e6e2fdd0db5c9a13959bcad359497e30bf79272250f6747aa17868014"),
+    "simulate": (0, "910c14134e3a1d3c8fdb03fbf798cd8dd48adbb0256f731a3528caf04cc133c0"),
+    "hitting": (0, "809edb882f04ec3879846fca07fbb91e0ac20e65c749f8e298044396ebb1b551"),
+    "multihit": (0, "8d851c401b193154f1697a75328cf047fab968106958112ba84182a8a123e0cc"),
+    "dnorm": (0, "daaec23a00dec26b791907a28c4c67f15a8179456072fef0957a4179a5f4486f"),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -117,6 +153,21 @@ def corpus_digests() -> dict[str, str]:
     }
 
 
+def cli_digests(directory: Path) -> dict[str, tuple[int, str]]:
+    files = {"level": directory / "level.json"}
+    files["level"].write_text(json.dumps({"shape": "constant", "level": -1.0}))
+    for name, spec in CATALOGUE:
+        files[name] = directory / f"{name}.json"
+        files[name].write_text(json.dumps(generator_to_json(spec)))
+    out = {}
+    for run, argv in CLI_RUNS.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([arg.format(**files) for arg in argv])
+        out[run] = (code, _sha256(stdout.getvalue().encode()))
+    return out
+
+
 def _pinned_numpy():
     if np.__version__ != NUMPY_PINNED:
         pytest.skip(f"digests are pinned at numpy {NUMPY_PINNED}, this is numpy "
@@ -128,6 +179,12 @@ def _pinned_numpy():
 def report_digests():
     _pinned_numpy()
     return check_digests()
+
+
+@pytest.fixture(scope="module")
+def command_digests(tmp_path_factory):
+    _pinned_numpy()
+    return cli_digests(tmp_path_factory.mktemp("cli"))
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +213,16 @@ def test_corpus_is_pinned(generator_digests, name):
         f"the seed-{SEED} msp_corpus of {name!r} moved")
 
 
+def test_every_command_is_pinned(command_digests):
+    assert list(command_digests) == list(CLI_DIGESTS)
+
+
+@pytest.mark.parametrize("run", list(CLI_DIGESTS))
+def test_command_output_is_pinned(command_digests, run):
+    assert command_digests[run] == CLI_DIGESTS[run], (
+        f"the seed-7 stdout of `maxhit {' '.join(CLI_RUNS[run])}` moved")
+
+
 if __name__ == "__main__":
     print(f"NUMPY_PINNED = {np.__version__!r}")
     for title, table in (("CHECK_DIGESTS", check_digests()),
@@ -163,4 +230,9 @@ if __name__ == "__main__":
         print(f"{title} = {{")
         for key, digest in table.items():
             print(f'    "{key}":\n        "{digest}",')
+        print("}")
+    with tempfile.TemporaryDirectory() as directory:
+        print("CLI_DIGESTS = {")
+        for run, (code, digest) in cli_digests(Path(directory)).items():
+            print(f'    "{run}": ({code}, "{digest}"),')
         print("}")

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import maxhit.cli
+import maxhit.verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -77,3 +78,26 @@ def test_every_module_is_a_layer_or_a_helper(tracing):
     modules = {path.stem for path in package.rglob("*.py")}
     assert modules, package
     assert modules - set(tracing.LAYERS) - set(tracing.HELPERS) == set()
+
+
+def test_check_spans_cover_check_seconds(tracing):
+    # perfbench/run.py's self-check: the spans under each check:<id> span
+    # must add up to the check's CheckResult.seconds, to 1% + 2 ms
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # looked up per call: install() rebinds run_checks
+        report = maxhit.verify.run_checks("paper", 5, n_default=300, grid_points=101, threads=2)
+    finally:
+        tracer.uninstall()
+    checks = tracer.summary()["verify.checks"]
+    assert list(checks) == [c.check_id for c in report.checks]
+    for cid, c in checks.items():
+        gap = abs(c["span_self_sum"] - c["seconds"])
+        assert gap <= 0.01 * c["seconds"] + 0.002, (cid, c)
+    # at this scale a check takes well under 2 ms, so also ask that the
+    # assertion building runs inside the span: the KS distances, which only
+    # margins-ks and max-stability compute from their totals
+    parent = {s.sid: s.name for s in tracer.spans}
+    ks = [s.parent for s in tracer.spans if s.name == "ks_distance_neg_exponential"]
+    assert {parent[p] for p in ks} == {"check:margins-ks", "check:max-stability"}

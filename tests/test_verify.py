@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -25,8 +26,9 @@ from maxhit import (
     run_checks,
     verify,
 )
-from maxhit.estimates import stream_means
-from maxhit.generators import expected_max
+from maxhit import generators
+from maxhit.estimates import reduce_blocks, stream_means
+from maxhit.generators import expected_max, shape_blocks
 from maxhit.msp import msp_path_blocks
 from maxhit.streams import label_key
 from maxhit.verify import (
@@ -159,6 +161,16 @@ class TestRunChecks:
             with pytest.raises(InvalidArgumentError, match="must be an integer"):
                 run_checks(ids, 7, n_default=n, grid_points=11)
         assert ran == []
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True, "2", None])
+    def test_bad_threads_fail_before_any_stream(self, threads, monkeypatch):
+        drawn = []
+        for name in ("msp_path_blocks", "shape_blocks"):
+            monkeypatch.setattr(verify, name, lambda *args: drawn.append(args) or [])
+        with pytest.raises(InvalidArgumentError, match="threads must be an integer >= 1"):
+            run_checks(["example2-m", "eq3-negative-paths"], 7, n_default=100,
+                       grid_points=11, threads=threads)
+        assert drawn == []
 
     def test_non_integer_grid_fails_before_running(self, monkeypatch):
         ran = []
@@ -372,30 +384,61 @@ class TestDrawPlan:
     def suite(self):
         return run_checks("paper", 5, **_PLAN)
 
-    def test_one_eta_stream_per_generator(self, monkeypatch):
-        # every eta block comes from the arrival loop; count its blocks
-        blocks, streams = [], []
-        loop, real_streams = msp._spectral_block, verify.msp_path_blocks
+    def test_every_sample_is_a_stream_of_the_plan(self, monkeypatch):
+        # every sampler call, and every block drawn, with the runner that
+        # was running then (None between runners)
+        calls, running = [], [None]
 
-        def counted_loop(spec, basis, rng, xi):
-            blocks.append((spec, xi.shape))
-            return loop(spec, basis, rng, xi)
+        def recorded(name, real):
+            def sampler(spec, grid, n, seed):
+                calls.append((name, spec, len(grid), n, seed.entropy,
+                              tuple(seed.spawn_key), running[-1]))
+                return real(spec, grid, n, seed)
+            return sampler
 
-        def counted_streams(spec, grid, n, seed):
-            streams.append((spec, len(grid), n, seed.spawn_key))
-            return real_streams(spec, grid, n, seed)
+        def guarded(real):
+            def block_streams(seed, n):
+                for block in real(seed, n):
+                    assert running[-1] is None, f"a block drawn in {running[-1]}"
+                    yield block
+            return block_streams
 
-        monkeypatch.setattr(msp, "_spectral_block", counted_loop)
-        monkeypatch.setattr(verify, "msp_path_blocks", counted_streams)
+        for name in ("msp_path_blocks", "shape_blocks", "stopping_exactness_violations"):
+            monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
+        for module in (msp, generators):
+            monkeypatch.setattr(module, "block_streams", guarded(module.block_streams))
+        for cid, defn in list(verify._CHECKS.items()):
+            def runner(ctx, inner=defn.runner):
+                running.append(ctx.check_id)
+                try:
+                    return inner(ctx)
+                finally:
+                    running.pop()
+            monkeypatch.setitem(verify._CHECKS, cid, dataclasses.replace(defn, runner=runner))
         run_checks("paper", 5, **_PLAN)
-        key = label_key("margins-ks")
-        assert streams == [(spec, 101, 300, (key, g))
-                           for g, (_, spec) in enumerate(CATALOGUE)]
-        # one 300-path block per stream, and stopping-exactness's own
-        # 100-path block per generator
-        assert sorted(blocks, key=repr) == sorted(
-            [(spec, (300, 101)) for _, spec in CATALOGUE]
-            + [(spec, (100, 101)) for _, spec in CATALOGUE], key=repr)
+
+        specs = [spec for _, spec in CATALOGUE]
+        own_z = {"eq1-moments": [(g, specs[g]) for g in range(5)],
+                 "eq2-roundtrip": [(2 * g, specs[g]) for g in range(5)],
+                 "takahashi": [(g, specs[g]) for g in (0, 1, 3)],
+                 "prop2-positive-when-norm-gt-1": [(0, specs[1])],
+                 "survivor-bound": [(0, specs[0]), (2, specs[1]), (4, specs[4])],
+                 "example2-m": [(0, specs[1])],
+                 "cor33-equivalences": [(0, specs[2]), (1, specs[4])],
+                 "nonlinear-supmax": [(k, specs[2]) for k in range(3)]}
+        expected = [("msp_path_blocks", spec, 101, 300, (label_key("margins-ks"), g))
+                    for g, spec in enumerate(specs)]
+        expected += [("shape_blocks", spec, 101, 300, (label_key(cid), k))
+                     for cid, streams in own_z.items() for k, spec in streams]
+        shared = label_key("shared-draw-invariants")
+        expected += [("shape_blocks", spec, 101, 1000, (shared, 2 * g))
+                     for g, spec in enumerate(specs)]
+        expected += [("stopping_exactness_violations", spec, 101, 100,
+                      (label_key("stopping-exactness"), g)) for g, spec in enumerate(specs)]
+        assert len(expected) == 38
+        # every stream is drawn from master seed 5 and outside every runner
+        assert {(c[4], c[6]) for c in calls} == {(5, None)}
+        assert sorted((c[:4] + c[5:6] for c in calls), key=repr) == sorted(expected, key=repr)
 
     @pytest.mark.parametrize("check_id", check_ids())
     def test_entry_alone_equals_entry_in_suite(self, suite, check_id):
@@ -422,36 +465,34 @@ class TestDrawPlan:
         def boom(eta):
             raise OffGridError("reducer failed")
 
-        def record(ctx):
-            ran.append(ctx.check_id)
-            return []
+        def reading(*names, reducer=lambda eta: None):
+            def plan(ctx):
+                for name in names:
+                    ctx.eta(name, reducer)
+                yield
+                ran.append(ctx.check_id)
+                return []
+            return plan
 
-        def noop(eta):
-            pass
-
-        # r1 waits for the failing stream; r2 also reads one that succeeds,
-        # and example2-m reads none: neither starts once the run failed
-        monkeypatch.setitem(verify._CHECKS, "boom", CheckDef(
-            "boom", "raises", record, lambda ctx: {"two_branch": boom}))
-        monkeypatch.setitem(verify._CHECKS, "r1", CheckDef(
-            "r1", "records", record, lambda ctx: {"two_branch": noop}))
-        monkeypatch.setitem(verify._CHECKS, "r2", CheckDef(
-            "r2", "records", record, lambda ctx: {"sine_bump": noop, "two_branch": noop}))
-        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
-            "example2-m", "records", record))
+        # r1 reads the failing stream, r2 also one that succeeds, and
+        # example2-m none: no runner starts once the run failed
+        monkeypatch.setattr(verify, "_CHECKS", dict(verify._CHECKS))
+        verify.check("boom", "raises")(reading("two_branch", reducer=boom))
+        verify.check("r1", "records")(reading("two_branch"))
+        verify.check("r2", "records")(reading("sine_bump", "two_branch"))
+        verify.check("example2-m", "records")(reading())
         ids = ["r1", "boom", "r2", "example2-m"]
         with pytest.raises(OffGridError, match="reducer failed"):
             run_checks(ids, 7, n_default=5, grid_points=11, threads=threads)
         assert ran == []
 
     def test_stream_stops_once_the_run_failed(self):
-        fed = []
+        drawn, fed = [], []
         failed = threading.Event()
         failed.set()
         with pytest.raises(CancelledError):
-            verify.feed_eta(TwoBranch(), TimeGrid([0.0, 1.0]), 10, 1,
-                            [fed.append], failed)
-        assert fed == []
+            verify.feed_stream(lambda: drawn.append(1) or [np.zeros(1)], [fed.append], failed)
+        assert drawn == fed == []
 
     @pytest.mark.parametrize("spec", [s for _, s in CATALOGUE],
                              ids=lambda s: type(s).__name__)
@@ -459,7 +500,8 @@ class TestDrawPlan:
         # atom specs sum their shape counts, exact up to one rounding per
         # shape; SineBump sums its built rows as stream_means does
         grid, n, seed = TimeGrid(np.linspace(0.0, 1.0, 101)), 4096 + 300, 9
-        total, total_sq = verify._z_sums(spec, grid, n, seed)
+        total, total_sq = reduce_blocks(shape_blocks(spec, grid, n, seed),
+                                        verify._ZSums()).sums()
         built = stream_means(z_blocks(spec, grid, n, seed), lambda z: z)
         if spec.atoms() is None:
             assert np.array_equal(total, built.total[0])
