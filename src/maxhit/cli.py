@@ -49,7 +49,7 @@ from .generators import (
 from .hitting import hitting_bound, hitting_curve, two_hit_prob
 from .msp import msp_corpus
 from .paths import Interval, TimeGrid, make_grid
-from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, check_ids, run_checks
+from .verify import DEFAULT_GRID_POINTS, DEFAULT_N, check_ids, checked_threads, run_checks
 
 
 class UsageError(InvalidArgumentError):
@@ -234,8 +234,12 @@ def _multihit(ns: argparse.Namespace) -> int:
 
 
 def _verify(ns: argparse.Namespace) -> int:
-    if ns.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {ns.threads}")
+    # run_checks makes the same check; making it here refuses a bad value
+    # under --list too, and names the flag
+    try:
+        checked_threads(ns.threads)
+    except InvalidArgumentError as exc:
+        raise UsageError(f"--threads: {exc}")
     if ns.list_checks:
         _write_text(ns.out, "\n".join(check_ids()) + "\n")
         return 0

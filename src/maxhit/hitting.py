@@ -16,10 +16,17 @@ time. Every ladder passes one check (``_checked_levels``): finite, negative
 and strictly decreasing. ``hitting_bound`` is the paper's bound at one
 level. The curve's integral needs no ladder: as eta < 0, it is the mean
 range E[max eta - min eta] (Fubini), which ``verify`` reduces directly.
-``curve_event`` is ``hitting_curve``'s per-block event, and ``hit_mask``
-and ``down_up_down_mask`` are two more, for callers that count them on a
+
+The hit rule has one implementation, ``hit_mask``: it reads a block's
+per-row min and max over a grid slice from ``paths.RowExtremes``, which
+computes each at most once per block. ``curve_mask`` wraps an array block
+once for all its slices and levels; ``verify`` hands one wrapped block to
+the events of every check, so they share the extremes. ``curve_event`` is
+``hitting_curve``'s per-block event, and ``hit_mask`` and
+``down_up_down_mask`` are two more, for callers that count them on a
 stream of their own (``estimates.count_events``) or feed one stream's
-blocks to many events (``verify``).
+blocks to many events (``verify``). Each takes a path array or its
+``RowExtremes``.
 
 Grid detection can only miss sub-grid excursions, so every frequency here
 is biased downward by at most a small discretization allowance (the
@@ -38,7 +45,7 @@ from .errors import InvalidArgumentError
 from .estimates import Estimate, binomial_estimate, count_events
 from .generators import GeneratorSpec
 from .msp import msp_path_blocks
-from .paths import Interval, TimeGrid
+from .paths import Interval, RowExtremes, TimeGrid
 from .streams import Seed
 
 
@@ -59,18 +66,22 @@ def hitting_bound(m: float, m_tilde: float, x: float) -> float:
     return max(0.0, math.exp(x * m_tilde) - math.exp(x * m))
 
 
-def hit_mask(eta: np.ndarray, sl: slice, x: float) -> np.ndarray:
-    """Rows of a path block whose grid min and max over ``sl`` bracket ``x``."""
-    seg = eta[:, sl]
-    mn = seg.min(axis=1)
-    mx = seg.max(axis=1)
+def hit_mask(paths, sl: slice, x) -> np.ndarray:
+    """Rows of a path block (an array or its ``RowExtremes``) whose grid min
+    and max over ``sl`` bracket the level ``x``; for a row of levels, a
+    (rows, levels) mask. The package's one hit rule."""
+    ext = RowExtremes.of(paths)
+    mn, mx = ext.row_min(sl), ext.row_max(sl)
+    if np.ndim(x):
+        mn, mx = mn[:, None], mx[:, None]
     return (mn <= x) & (x <= mx)
 
 
 def down_up_down_mask(
-    eta: np.ndarray, cols: tuple[int, int, int], x0: float
+    eta, cols: tuple[int, int, int], x0: float
 ) -> np.ndarray:
-    """Rows with eta <= x0 at cols[0] and cols[2] but eta > x0 at cols[1]."""
+    """Rows with eta <= x0 at cols[0] and cols[2] but eta > x0 at cols[1]
+    (``eta`` an array or its ``RowExtremes``)."""
     i_lo, i_mid, i_hi = cols
     return (eta[:, i_lo] <= x0) & (eta[:, i_mid] > x0) & (eta[:, i_hi] <= x0)
 
@@ -89,16 +100,13 @@ def _checked_levels(levels) -> np.ndarray:
     return lv
 
 
-def curve_mask(eta: np.ndarray, levels: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """A (rows, levels) mask of a path block: per level, the rows that hit
-    it in every slice."""
-    # per slice one min and one max per path, broadcast over the levels
-    hit = np.ones((eta.shape[0], levels.size), dtype=bool)
-    for sl in slices:
-        seg = eta[:, sl]
-        mn = seg.min(axis=1)
-        mx = seg.max(axis=1)
-        hit &= (mn[:, None] <= levels[None, :]) & (levels[None, :] <= mx[:, None])
+def curve_mask(paths, levels: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """A (rows, levels) mask of a path block (an array or its
+    ``RowExtremes``): per level, the rows that hit it in every slice."""
+    ext = RowExtremes.of(paths)
+    hit = hit_mask(ext, slices[0], levels)
+    for sl in slices[1:]:
+        hit &= hit_mask(ext, sl, levels)
     return hit
 
 

@@ -3,7 +3,9 @@
 A ``TimeGrid`` is any strictly increasing times in [0, 1]: ``make_grid``'s
 uniform grids span [0, 1], and a window's points or the set T of a
 finite-dimensional law are grids too. Paths are represented by their
-values on a grid; interval endpoints must be grid points.
+values on a grid; interval endpoints must be grid points. A block of
+path rows can carry its per-row extremes over grid slices
+(``RowExtremes``), computed once for all the events that read them.
 """
 
 from __future__ import annotations
@@ -89,3 +91,42 @@ class Interval:
             raise InvalidArgumentError(
                 f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]"
             )
+
+
+class RowExtremes:
+    """A path block with its per-row min and max over grid slices, each
+    computed at most once and dropped with this object.
+
+    Indexing reads the block (``ext[:, cols]``), so an event of a block's
+    columns takes either form. The class lives here, in a module of data
+    types, so that perfbench's tracer charges an extreme to the layer of
+    the event that first asks for it.
+    """
+
+    __slots__ = ("paths", "_seen")
+
+    def __init__(self, paths: np.ndarray):
+        self.paths = paths
+        self._seen = {}
+
+    @staticmethod
+    def of(block) -> RowExtremes:
+        """``block`` if it is a ``RowExtremes``, else one over the array."""
+        return block if isinstance(block, RowExtremes) else RowExtremes(block)
+
+    def __getitem__(self, key):
+        return self.paths[key]
+
+    def row_min(self, sl: slice = slice(None)) -> np.ndarray:
+        """Per row, the min over the columns ``sl``."""
+        return self._extreme("min", sl)
+
+    def row_max(self, sl: slice = slice(None)) -> np.ndarray:
+        """Per row, the max over the columns ``sl``."""
+        return self._extreme("max", sl)
+
+    def _extreme(self, kind: str, sl: slice) -> np.ndarray:
+        key = (kind, *sl.indices(self.paths.shape[1]))
+        if key not in self._seen:
+            self._seen[key] = getattr(self.paths[:, sl], kind)(axis=1)
+        return self._seen[key]

@@ -39,6 +39,19 @@ of the check alone, seeded (master seed, crc32(check id), k): its
 generator (Z) paths, and ``stopping-exactness``'s arrival loop, so eta
 and Z estimates stay independent. Checks that share a stream are
 dependent; a check's entry is the same whichever checks run beside it.
+
+An eta block reaches its reducers as one ``paths.RowExtremes``, so the
+per-row min and max over a grid slice are computed once per block
+whichever events read them: hit masks, mean ranges, survivor-bound's
+min > -1, the shared-draw invariants and cor33's window max. Events that
+would scan the block point by point use exact extreme forms: eq2's
+eta <= f over each run of equal values v of f is max eta <= v
+(``_below``), and eq3 reads only the rows whose max is >= 0. What stays
+point by point (eq2's linear f, example1's sloped curve as eta <= f
+somewhere and eta >= f somewhere) runs a row tile at a time (``_tiled``),
+as do the statistics of built SineBump Z blocks, so no reducer allocates
+a temporary the size of its block. Every per-path value and every block
+sum is the float it was.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Iterator
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 from functools import partial
@@ -86,11 +99,12 @@ from .hitting import (
     hitting_bound,
 )
 from .msp import (
+    _tile_rows,
     ks_distance_neg_exponential,
     msp_path_blocks,
     stopping_exactness_violations,
 )
-from .paths import Interval, TimeGrid, make_grid
+from .paths import Interval, RowExtremes, TimeGrid, make_grid
 from .streams import _is_count, as_seedseq, label_key, substream
 
 DEFAULT_N = 100_000
@@ -240,9 +254,10 @@ class CheckContext:
     pending: Generator | None = field(default=None, compare=False, repr=False)
 
     def eta(self, name: str, reducer: Callable) -> Callable:
-        """``reducer``, fed catalogue generator ``name``'s shared eta stream."""
+        """``reducer``, fed catalogue generator ``name``'s shared eta stream,
+        each block as its ``RowExtremes``."""
         g = _ALL.index(name)
-        return self.own(g, CATALOGUE[g][1], reducer, sampler=msp_path_blocks,
+        return self.own(g, CATALOGUE[g][1], reducer, sampler=_eta_blocks,
                         label=ETA_STREAM_LABEL)
 
     def own(self, k: int, spec: GeneratorSpec, reducer: Callable, n: int | None = None,
@@ -363,6 +378,39 @@ def check(check_id: str, description: str):
 # --- streams and their reducers -------------------------------------------------
 
 
+def _eta_blocks(spec: GeneratorSpec, grid: TimeGrid, n: int, seed) -> Iterator[RowExtremes]:
+    """``msp_path_blocks``, each block as its ``RowExtremes``: the events of
+    every check read one per-row min and max per grid slice, which go with
+    the block."""
+    return map(RowExtremes, msp_path_blocks(spec, grid, n, seed))
+
+
+def _tiled(stat: Callable) -> Callable:
+    """A row-wise ``stat`` of a path array, evaluated per row tile of the
+    sampler's size (``msp._tile_rows``) and concatenated: the same values,
+    with the temporaries of a tile instead of a block."""
+
+    def tiled(paths: np.ndarray) -> np.ndarray:
+        step = _tile_rows(paths)
+        return np.concatenate([stat(paths[i:i + step]) for i in range(0, len(paths), step)])
+
+    return tiled
+
+
+def _column_square_sums(paths: np.ndarray) -> np.ndarray:
+    """``np.square(paths).sum(axis=0)`` bit for bit, squaring a row tile at
+    a time: a sum over axis 0 adds the rows in order, so each tile's first
+    row is given the sum so far."""
+    step = _tile_rows(paths)
+    total = None
+    for i in range(0, len(paths), step):
+        sq = np.square(paths[i:i + step])
+        if total is not None:
+            sq[0] += total
+        total = sq.sum(axis=0)
+    return total
+
+
 def feed_stream(draw: Callable, reducers: list[Callable], failed: threading.Event) -> None:
     """Feed every block of the stream ``draw()`` to each reducer in turn. An
     error sets ``failed``; once it is set, the stream stops before its next
@@ -394,7 +442,7 @@ class _ZSums(StatMeans):
 
     An atom spec's paths are its K basis rows b_k, so with shape counts c_k
     the sums are sum_k c_k b_k and sum_k c_k b_k^2, and no path is built;
-    SineBump's are summed over its built rows.
+    SineBump's are summed over its built rows, squared a tile at a time.
     """
 
     def __init__(self):
@@ -404,7 +452,10 @@ class _ZSums(StatMeans):
     def __call__(self, block) -> None:
         rows, index = block
         if isinstance(index, slice):
-            return super().__call__(block)
+            self.total[0] = self.total[0] + rows.sum(axis=0)
+            self.total_sq[0] = self.total_sq[0] + _column_square_sums(rows)
+            self.n += len(rows)
+            return
         self.rows, self.counts = rows, self.counts + np.bincount(index, minlength=len(rows))
 
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -417,7 +468,7 @@ class _ZSums(StatMeans):
 def _sup_means(fs: list[LevelFunction]) -> StatMeans:
     """Per level function f, the running mean of sup |f| Z over the
     generator paths fed: the D-norm of f, as ``dnorm_estimates`` gives it."""
-    return StatMeans(*(per_path(lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1))
+    return StatMeans(*(per_path(_tiled(lambda z, af=np.abs(f.values): np.max(z * af, axis=1)))
                        for f in fs))
 
 
@@ -481,16 +532,40 @@ def _criterion2_functions(grid: TimeGrid) -> list[tuple[str, LevelFunction]]:
     ]
 
 
+#: A level function of at most this many runs of equal values is compared
+#: with eta run by run (``_below``), from the block's row maxima.
+_MAX_RUNS = 8
+
+
+def _below(f: LevelFunction) -> Callable:
+    """The event eta <= f at every grid point. Over a run of equal values v
+    of f it is max eta <= v, exactly, so a function of at most ``_MAX_RUNS``
+    runs reads the block's row maxima over its runs; any other is compared
+    point by point, a row tile at a time."""
+    v = f.values
+    edges = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1), len(v)]
+    if len(edges) - 1 > _MAX_RUNS:
+        compare = _tiled(lambda eta: np.all(eta <= v, axis=1))
+        return lambda ext: compare(ext.paths)
+    runs = [(slice(a, b), v[a]) for a, b in zip(edges, edges[1:])]
+
+    def below(ext: RowExtremes) -> np.ndarray:
+        (sl, level), *rest = runs
+        inside = ext.row_max(sl) <= level
+        for sl, level in rest:
+            inside &= ext.row_max(sl) <= level
+        return inside
+
+    return below
+
+
 @check("eq2-roundtrip", "joint cdf equals exp(-D-norm)")
 def _check_eq2_roundtrip(ctx: CheckContext):
     """For three functions and every generator; the se combines the joint
     cdf's with the delta-method se of exp(-D-norm). The D-norms share one
     set of Z paths per generator, drawn apart from the eta stream."""
     names, fs = zip(*_criterion2_functions(ctx.grid))
-    # rows with eta <= f at every grid point, per function f
-    joints = [ctx.eta(name, EventCounts(*(lambda eta, fv=f.values: np.all(eta <= fv, axis=1)
-                                          for f in fs)))
-              for name in _ALL]
+    joints = [ctx.eta(name, EventCounts(*map(_below, fs))) for name in _ALL]
     dnorms = [ctx.own(2 * gi, spec, _sup_means(fs)) for gi, (_, spec) in enumerate(CATALOGUE)]
     yield
     out = []
@@ -505,9 +580,15 @@ def _check_eq2_roundtrip(ctx: CheckContext):
     return out
 
 
+def _nonnegative_values(ext: RowExtremes) -> np.ndarray:
+    """The values eta >= 0 of a block (counted per column), read only in the
+    rows whose max is >= 0: the other rows have none."""
+    return ext[ext.row_max() >= 0.0] >= 0.0
+
+
 @check("eq3-negative-paths", "simulated paths are strictly negative")
 def _check_eq3_negative_paths(ctx: CheckContext):
-    counts = [ctx.eta(name, EventCounts(lambda eta: eta >= 0.0)) for name in _ALL]
+    counts = [ctx.eta(name, EventCounts(_nonnegative_values)) for name in _ALL]
     yield
     return [Assertion(f"{name}:nonnegative_values", int(c.counts[0].sum()), 0.0)
             for name, c in zip(_ALL, counts)]
@@ -571,11 +652,14 @@ def _check_takahashi(ctx: CheckContext):
        "constant paths miss fixed levels, meet sloped curves")
 def _check_example1_complete_dependence(ctx: CheckContext):
     """A fixed level's hits, and the paths meeting the sloped curve f: those
-    where eta - f changes sign or touches zero on the grid."""
-    f = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0])
+    where eta - f changes sign or touches zero on the grid, which is
+    eta <= f somewhere and eta >= f somewhere (fl(a - b) has the sign of
+    a - b)."""
+    fv = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0]).values
+    meets = _tiled(lambda eta: np.any(eta <= fv, axis=1) & np.any(eta >= fv, axis=1))
     acc = ctx.eta("complete_dependence", EventCounts(
         curve_event([-1.0], [Interval(0.0, 1.0)], ctx.grid),
-        lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0)))
+        lambda ext: meets(ext.paths)))
     yield
     (fixed,), met = acc.counts
     out = _null_probability(binomial_estimate(int(fixed), ctx.n), "fixed_level:")
@@ -623,9 +707,10 @@ def _check_survivor_bound(ctx: CheckContext):
     specs = dict(CATALOGUE)
     absf = np.abs(LevelFunction.constant(ctx.grid, -1.0).values)
     vs = [ctx.own(2 * gi, specs[name],
-                  StatMeans(per_path(lambda z: np.min(z * absf[None, :], axis=1))))
+                  StatMeans(per_path(_tiled(lambda z: np.min(z * absf, axis=1)))))
           for gi, name in enumerate(_SURVIVOR_GENERATORS)]
-    survived = [ctx.eta(name, EventCounts(lambda eta: np.all(eta > -1.0, axis=1)))
+    # eta > -1 at every grid point: min eta > -1
+    survived = [ctx.eta(name, EventCounts(lambda ext: ext.row_min() > -1.0))
                 for name in _SURVIVOR_GENERATORS]
     yield
     out = []
@@ -678,9 +763,10 @@ def _check_hcurve_bound(ctx: CheckContext):
 
 
 def _range_means() -> StatMeans:
-    """Per-path range max eta - min eta over the grid, and -max eta."""
-    return StatMeans(lambda eta: eta.max(axis=1) - eta.min(axis=1),
-                     lambda eta: -eta.max(axis=1))
+    """Per-path range max eta - min eta over the grid, and -max eta, from
+    the block's row extremes."""
+
+    return StatMeans(lambda ext: ext.row_max() - ext.row_min(), lambda ext: -ext.row_max())
 
 
 def _mean_range(
@@ -740,9 +826,9 @@ def _check_prop32_two_hit(ctx: CheckContext):
     i_end = ctx.grid.index_of(0.5)
     x0 = -1.0
 
-    def events(eta: np.ndarray) -> np.ndarray:
-        two = hit_mask(eta, slice(0, i0 + 1), x0) & hit_mask(eta, slice(i0, None), x0)
-        dud = down_up_down_mask(eta, (0, i0, i_end), x0)
+    def events(ext: RowExtremes) -> np.ndarray:
+        two = hit_mask(ext, slice(0, i0 + 1), x0) & hit_mask(ext, slice(i0, None), x0)
+        dud = down_up_down_mask(ext, (0, i0, i_end), x0)
         return np.column_stack([dud & ~two, dud, two])
 
     acc = ctx.eta("sine_bump", EventCounts(events))
@@ -768,12 +854,12 @@ def _cor33_events(ctx: CheckContext, name: str) -> EventCounts:
     cols = (sl.start, ctx.grid.index_of(_COR33_DUD_T0[name]), sl.stop - 1)
     levels = np.array(_COR33_LEVELS)
 
-    def items_4_and_5(eta: np.ndarray) -> np.ndarray:
+    def items_4_and_5(ext: RowExtremes) -> np.ndarray:
         """Per level: ends <= x but not all; all <= x; both ends > x."""
-        window = eta[:, sl]
-        below = window.max(axis=1)[:, None] <= levels
-        ends_below = (window[:, :1] <= levels) & (window[:, -1:] <= levels)
-        ends_above = (window[:, :1] > levels) & (window[:, -1:] > levels)
+        below = ext.row_max(sl)[:, None] <= levels
+        first, last = ext[:, sl.start, None], ext[:, sl.stop - 1, None]
+        ends_below = (first <= levels) & (last <= levels)
+        ends_above = (first > levels) & (last > levels)
         return np.hstack([ends_below & ~below, below, ends_above])
 
     return EventCounts(lambda eta: down_up_down_mask(eta, cols, -1.0), items_4_and_5)
@@ -905,14 +991,14 @@ def _eta_invariant_violations(ctx: CheckContext) -> EventCounts:
     i_q, i_h = ctx.grid.index_of(0.25), ctx.grid.index_of(0.5)
     x = -1.0
 
-    def violations(eta: np.ndarray) -> np.ndarray:
-        hit_full = hit_mask(eta, slice(None), x)
-        two = hit_mask(eta, slice(0, i_q + 1), x) & hit_mask(eta, slice(i_q, None), x)
-        dud = down_up_down_mask(eta, (0, i_q, i_h), x)
+    def violations(ext: RowExtremes) -> np.ndarray:
+        hit_full = hit_mask(ext, slice(None), x)
+        two = hit_mask(ext, slice(0, i_q + 1), x) & hit_mask(ext, slice(i_q, None), x)
+        dud = down_up_down_mask(ext, (0, i_q, i_h), x)
         # decomposition: 1{hit} = 1{min <= x} - 1{all < x}
-        rhs = (eta.min(axis=1) <= x).astype(int) - (eta.max(axis=1) < x).astype(int)
+        rhs = (ext.row_min() <= x).astype(int) - (ext.row_max() < x).astype(int)
         return np.column_stack([
-            hit_mask(eta, sl_inner, x) & ~hit_full,  # hit-set monotonicity
+            hit_mask(ext, sl_inner, x) & ~hit_full,  # hit-set monotonicity
             dud & ~two,  # two-hit (split at 0.25) contains down-up-down
             hit_full.astype(int) != rhs,
         ])
@@ -938,7 +1024,7 @@ def _check_shared_draw_invariants(ctx: CheckContext):
             z[:, sl_inner].max(axis=1) > z.max(axis=1),
         ])
 
-    z_bad = [ctx.own(2 * gi, spec, EventCounts(per_path(z_violations)), n=_SHARED_DRAW_N)
+    z_bad = [ctx.own(2 * gi, spec, EventCounts(per_path(_tiled(z_violations))), n=_SHARED_DRAW_N)
              for gi, (_, spec) in enumerate(CATALOGUE)]
     eta_bad = [ctx.eta(name, _eta_invariant_violations(ctx)) for name in _ALL]
     yield
@@ -976,6 +1062,12 @@ def _results(futures: list[Future]) -> list:
     return [f.result() for f in futures]
 
 
+def checked_threads(threads) -> None:
+    """Refuse a ``threads`` that is not an integer >= 1 (a bool is not)."""
+    if not (_is_count(threads) and threads >= 1):
+        raise InvalidArgumentError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def run_checks(
     suite: str | list[str],
     master_seed: int,
@@ -1006,8 +1098,7 @@ def run_checks(
     n_default = int(n_default)
     if n_default < MIN_N:
         raise InvalidArgumentError(f"checks need n_default >= {MIN_N}, got {n_default}")
-    if not (_is_count(threads) and threads >= 1):
-        raise InvalidArgumentError(f"threads must be an integer >= 1, got {threads!r}")
+    checked_threads(threads)
     if isinstance(suite, str):
         if suite != "paper":
             raise UnknownCheckError(suite)

@@ -94,6 +94,19 @@ class TestParseInvocation:
         assert captured.out == ""  # nothing ran
         assert "no-such-check" in captured.err
 
+    @pytest.mark.parametrize("listing", [[], ["--list"]], ids=["run", "list"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_is_the_library_check_naming_the_flag(self, threads, listing,
+                                                              capsys, monkeypatch):
+        # one check: run_checks' own, which the CLI makes before --list too
+        monkeypatch.setattr(cli, "run_checks", lambda *a, **k: pytest.fail("suite ran"))
+        assert main(["verify", "--suite", "example2-m", "--threads", threads, *listing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(InvalidArgumentError) as library:
+            verify.checked_threads(int(threads))
+        assert captured.err.splitlines() == [f"error: --threads: {library.value}"]
+
 
 class TestDispatch:
     def test_simulate_csv_shape(self, two_branch_json, tmp_path):

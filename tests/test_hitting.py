@@ -29,6 +29,7 @@ from maxhit import (
 )
 from maxhit.estimates import count_events, stream_means
 from maxhit.hitting import down_up_down_mask, hit_mask
+from maxhit.paths import RowExtremes
 from maxhit.verify import _mean_range, _range_means
 
 GRID_SLACK = 0.02  # discretization allowance at the coarse test grids
@@ -207,7 +208,7 @@ class TestIntegralIsMeanRange:
         n, seed = 2000, 7
         acc = _range_means()
         for eta in msp_path_blocks(spec, grid101, n, seed):
-            acc(eta)
+            acc(RowExtremes(eta))
         mean_range, _ = _mean_range(spec, acc, grid101)
         ests = hitting_curve(spec, levels, [Interval(0.0, 1.0)], grid101, n, seed)
         below = stream_means(
