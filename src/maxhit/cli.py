@@ -116,28 +116,48 @@ def _parse_interval(text: str, label: str, grid: TimeGrid) -> Interval:
     return _snap_interval(grid, iv.lo, iv.hi, label)
 
 
+#: The fields each level-function shape may have.
+_LEVEL_FIELDS = {"constant": {"level"}, "indicator_step": {"interval", "inside", "outside"},
+                 "piecewise_linear": {"breakpoints"}}
+
+
+def _number(value, name: str) -> float:
+    """A JSON number in float range (not a string or a boolean) as a float;
+    anything else is refused, naming the level function's field ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, int | float)
+                                       and abs(value) <= sys.float_info.max):
+        raise UsageError(f"field {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _level_function_from_doc(doc: dict, grid: TimeGrid) -> LevelFunction:
+    """The level function a document describes: a known shape with none but
+    its fields (``_LEVEL_FIELDS``), each number a JSON number."""
     if not isinstance(doc, dict) or "shape" not in doc:
         raise UsageError('level function document needs a "shape" field')
     shape = doc["shape"]
+    if not isinstance(shape, str) or shape not in _LEVEL_FIELDS:
+        raise UsageError(f"unknown level function shape {shape!r}")
+    unknown = sorted(set(doc) - _LEVEL_FIELDS[shape] - {"shape"})
+    if unknown:
+        raise UsageError(f"unknown field {unknown[0]!r} for level function shape {shape!r}")
     try:
         if shape == "constant":
-            return LevelFunction.constant(grid, float(doc["level"]))
+            return LevelFunction.constant(grid, _number(doc["level"], "level"))
         if shape == "indicator_step":
             lo, hi = doc["interval"]
-            iv = _snap_interval(grid, float(lo), float(hi), "interval")
+            iv = _snap_interval(grid, _number(lo, "interval"), _number(hi, "interval"),
+                                "interval")
             return LevelFunction.indicator_step(
-                grid, iv, inside=float(doc["inside"]),
-                outside=float(doc.get("outside", 0.0)),
+                grid, iv, inside=_number(doc["inside"], "inside"),
+                outside=_number(doc.get("outside", 0.0), "outside"),
             )
-        if shape == "piecewise_linear":
-            pts = doc["breakpoints"]
-            times = [float(p[0]) for p in pts]
-            levels = [float(p[1]) for p in pts]
-            return LevelFunction.piecewise_linear(grid, times, levels)
+        pts = doc["breakpoints"]
+        times = [_number(p[0], "breakpoints") for p in pts]
+        levels = [_number(p[1], "breakpoints") for p in pts]
+        return LevelFunction.piecewise_linear(grid, times, levels)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"bad level function document: {exc}")
-    raise UsageError(f"unknown level function shape {shape!r}")
 
 
 def _fmt(x: float) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .estimates import Estimate, per_path, stream_means
+from .estimates import Estimate, StatMeans, per_path, reduce_blocks
 from .generators import GeneratorSpec, shape_blocks
 from .paths import Interval, TimeGrid, _frozen_array
 from .streams import Seed
@@ -101,8 +101,6 @@ def dnorm_estimates(
     sups = [
         lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
     ]
-    acc = stream_means(
-        shape_blocks(spec, LevelFunction.common_grid(fs), n, seed),
-        *map(per_path, sups),
-    )
+    acc = reduce_blocks(shape_blocks(spec, LevelFunction.common_grid(fs), n, seed),
+                        StatMeans(*map(per_path, sups)))
     return [acc.estimate(i) for i in range(len(fs))]

@@ -5,17 +5,15 @@ boundaries: zero observed successes yield the rule-of-three interval
 ``[0, 3/n]`` (and symmetrically ``[1 - 3/n, 1]`` for n-of-n), which is the
 testable form of "this probability is zero" used by the verification suite.
 
-Every estimator streams seeded blocks of paths and reduces each block in
-one of two ways: ``count_events`` counts rows whose event mask holds, and
-``stream_means`` accumulates per-row statistics into a ``RunningMean``.
-``stack_blocks`` keeps the rows instead, for ``msp_corpus`` and the
-checks that need whole columns (a KS distance sorts its sample). Each is
-a loop over a push accumulator (``EventCounts``, ``StatMeans``,
-``RowStack``) that takes one block per call, so one stream can feed
-several accumulators at once (``verify.run_checks``).
-Generator paths also come as ``(rows, index)`` shape blocks
-(``generators.shape_blocks``); ``per_path`` turns a row-wise statistic into
-one on such blocks, so both reducers take them unchanged.
+Every estimator is one fold, ``reduce_blocks(blocks, acc)``: each block
+of a seeded stream goes to a push accumulator, which adds it to its
+totals. ``EventCounts`` counts the rows whose event mask holds,
+``StatMeans`` sums per-row statistics into means, and ``RowStack`` keeps
+the rows (``msp_corpus``, and checks that need whole columns: a KS
+distance sorts its sample). One stream can feed several accumulators at
+once (``verify.run_checks``). Generator paths also come as ``(rows,
+index)`` shape blocks (``generators.shape_blocks``); ``per_path`` turns a
+row-wise statistic into one on such blocks.
 
 An ``Estimate`` records what was estimated (value, se, CI, n), not how it
 was seeded: the caller holds the seed, and the CLI writes it beside the
@@ -53,7 +51,7 @@ class Estimate:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "ci", (float(self.ci[0]), float(self.ci[1])))
         if self.n < 1:
-            raise ValueError(f"replication count must be >= 1, got {self.n}")
+            raise InvalidArgumentError(f"replication count must be >= 1, got {self.n}")
         if not (self.ci[0] <= self.value <= self.ci[1]):
             raise ValueError(
                 f"estimate {self.value} outside its own CI {self.ci}"
@@ -120,39 +118,6 @@ def mean_estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
     return Estimate(value=mean, se=se, ci=(mean - Z95 * se, mean + Z95 * se), n=n)
 
 
-class RunningMean:
-    """Accumulates sums for one or more statistics over streamed blocks.
-
-    A statistic gives one value per row (a 1-D array per block) or one
-    vector per row (a 2-D array, summed per column). Each statistic is
-    summed on its own, so summation order (and hence the float result) is
-    identical no matter how many statistics share the accumulator.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.n = 0
-        self.total = [0.0] * k
-        self.total_sq = [0.0] * k
-
-    def add(self, *columns: np.ndarray) -> None:
-        if len(columns) != self.k:
-            raise ValueError(f"expected {self.k} statistics, got {len(columns)}")
-        rows = columns[0].shape[0]
-        for i, col in enumerate(columns):
-            c = np.ascontiguousarray(col, dtype=float)
-            if c.ndim not in (1, 2) or c.shape[0] != rows:
-                raise ValueError("statistics must be arrays with equal row counts")
-            self.total[i] = self.total[i] + c.sum(axis=0)
-            self.total_sq[i] = self.total_sq[i] + np.square(c).sum(axis=0)
-        self.n += rows
-
-    def estimate(self, i: int) -> Estimate:
-        return mean_estimate_from_sums(
-            float(self.total[i]), float(self.total_sq[i]), self.n
-        )
-
-
 def per_path(stat: Callable) -> Callable:
     """``stat`` on a ``(rows, index)`` shape block: evaluated once per
     distinct row, then gathered to one value per path.
@@ -180,16 +145,34 @@ class EventCounts:
             self.counts[i] = self.counts[i] + np.count_nonzero(event(block), axis=0)
 
 
-class StatMeans(RunningMean):
-    """Running sums of each statistic (block -> per-row values) over the
-    blocks fed; calling the accumulator with a block adds that block."""
+class StatMeans:
+    """Running sums of each statistic over the blocks fed. A statistic maps
+    a block to one value per row, or one vector per row (summed per
+    column). Each is summed on its own, so the float result does not depend
+    on which statistics share the accumulator."""
 
     def __init__(self, *stats: Callable):
-        super().__init__(len(stats))
         self.stats = stats
+        self.n = 0
+        self.total = [0.0] * len(stats)
+        self.total_sq = [0.0] * len(stats)
 
-    def __call__(self, block: np.ndarray) -> None:
-        self.add(*(stat(block) for stat in self.stats))
+    def __call__(self, block) -> None:
+        columns = [stat(block) for stat in self.stats]
+        rows = columns[0].shape[0]
+        for i, col in enumerate(columns):
+            c = np.ascontiguousarray(col, dtype=float)
+            if c.ndim not in (1, 2) or c.shape[0] != rows:
+                raise InvalidArgumentError("statistics must be arrays with equal row counts")
+            self.total[i] = self.total[i] + c.sum(axis=0)
+            self.total_sq[i] = self.total_sq[i] + np.square(c).sum(axis=0)
+        self.n += rows
+
+    def estimate(self, i: int) -> Estimate:
+        """The mean of statistic ``i`` over the rows fed."""
+        return mean_estimate_from_sums(
+            float(self.total[i]), float(self.total_sq[i]), self.n
+        )
 
 
 class RowStack:
@@ -222,26 +205,3 @@ def reduce_blocks(blocks: Iterable[np.ndarray], acc: Callable) -> Callable:
     for block in blocks:
         acc(block)
     return acc
-
-
-def count_events(blocks: Iterable[np.ndarray], *events: Callable) -> list:
-    """Per event, the number of rows whose mask is true over all blocks
-    (``EventCounts``)."""
-    return reduce_blocks(blocks, EventCounts(*events)).counts
-
-
-def stream_means(blocks: Iterable[np.ndarray], *stats: Callable) -> RunningMean:
-    """Running sums of each statistic (block -> per-row values) over all
-    blocks (``StatMeans``)."""
-    return reduce_blocks(blocks, StatMeans(*stats))
-
-
-def stack_blocks(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """The ``n`` rows of all blocks as one array (``RowStack``). Each block
-    is let go before the next is requested, so only the stream holds a
-    block beside the result."""
-    acc = RowStack(n)
-    for block in blocks:
-        acc(block)
-        del block
-    return acc.rows

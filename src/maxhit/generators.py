@@ -510,13 +510,6 @@ _VARIANT_TAGS: dict[str, type] = {
     "two_branch": TwoBranch,
     "sine_bump": SineBump,
 }
-_TAG_BY_TYPE = {cls: tag for tag, cls in _VARIANT_TAGS.items()}
-
-
-def generator_to_json(spec: GeneratorSpec) -> dict:
-    """{"variant": <tag>, "params": {...}} document for a spec."""
-    params = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    return {"variant": _TAG_BY_TYPE[type(spec)], "params": params}
 
 
 def generator_from_json(doc: dict) -> GeneratorSpec:

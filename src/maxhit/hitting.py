@@ -23,8 +23,8 @@ computes each at most once per block. ``curve_mask`` wraps an array block
 once for all its slices and levels; ``verify`` hands one wrapped block to
 the events of every check, so they share the extremes. ``curve_event`` is
 ``hitting_curve``'s per-block event, and ``hit_mask`` and
-``down_up_down_mask`` are two more, for callers that count them on a
-stream of their own (``estimates.count_events``) or feed one stream's
+``down_up_down_mask`` are two more, for callers that count them with an
+``estimates.EventCounts`` on a stream of their own or feed one stream's
 blocks to many events (``verify``). Each takes a path array or its
 ``RowExtremes``.
 
@@ -42,7 +42,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .estimates import Estimate, binomial_estimate, count_events
+from .estimates import Estimate, EventCounts, binomial_estimate, reduce_blocks
 from .generators import GeneratorSpec
 from .msp import msp_path_blocks
 from .paths import Interval, RowExtremes, TimeGrid
@@ -143,8 +143,8 @@ def hitting_curve(
     """Per level, the frequency of paths hitting it in every listed interval
     (``curve_event``); all levels share one path corpus."""
     event = curve_event(levels, intervals, grid)
-    (counts,) = count_events(msp_path_blocks(spec, grid, n, seed), event)
-    return [binomial_estimate(int(c), n) for c in counts]
+    acc = reduce_blocks(msp_path_blocks(spec, grid, n, seed), EventCounts(event))
+    return [binomial_estimate(int(c), n) for c in acc.counts[0]]
 
 
 def two_hit_prob(

@@ -11,7 +11,11 @@ Arrivals are consumed until C / Gamma_i < min_t xi(t), where C bounds
 sup Z almost surely; past that point no later arrival can raise xi at any
 grid point, so the returned values are exact on the grid. The
 verification suite asserts this bit-for-bit: it runs the shipped loop,
-then continues every path from C / min xi for extra arrivals.
+then continues every path from C / min xi for extra arrivals. Both are
+block streams (spec, grid, n, seed) -> blocks, folded by
+``estimates.reduce_blocks``: ``msp_path_blocks`` yields eta paths, and
+``stopping_exactness_violations`` the mask of paths the extra arrivals
+change.
 
 Skip rules: a draw that cannot change xi is never built. Both rules are
 decided before the row exists, and both are exact because IEEE division
@@ -61,8 +65,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import BoundTooLooseError
-from .estimates import stack_blocks
+from .errors import BoundTooLooseError, InvalidArgumentError
+from .estimates import RowStack, reduce_blocks
 from .generators import (
     GeneratorSpec,
     atom_index,
@@ -238,8 +242,8 @@ def msp_corpus(
     seed: Seed,
 ) -> np.ndarray:
     """Materialize ``n`` eta paths as an (n, len(grid)) array; each block is
-    copied in (``stack_blocks``) before the next overwrites the buffer."""
-    return stack_blocks(msp_path_blocks(spec, grid, n, seed), n)
+    copied in (``RowStack``) before the next overwrites the buffer."""
+    return reduce_blocks(msp_path_blocks(spec, grid, n, seed), RowStack(n)).rows
 
 
 def ks_distance_neg_exponential(samples: np.ndarray) -> float:
@@ -247,7 +251,7 @@ def ks_distance_neg_exponential(samples: np.ndarray) -> float:
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:
-        raise ValueError("empty sample")
+        raise InvalidArgumentError("empty sample")
     cdf = np.exp(np.minimum(x, 0.0))
     i = np.arange(1, n + 1)
     d_plus = (i / n - cdf).max()
@@ -260,22 +264,21 @@ def stopping_exactness_violations(
     grid: TimeGrid,
     n: int,
     seed: Seed,
-) -> int:
-    """Count paths whose grid values change when arrivals continue past the
-    stopping rule.
+) -> Iterator[np.ndarray]:
+    """Stream, per block, the mask of paths whose grid values change when
+    arrivals continue past the stopping rule.
 
     Each block is filled by the loop ``msp_path_blocks`` runs, then every
     path continues from Gamma = C / min xi, the earliest arrival time at
     which its rule C / Gamma < min xi holds (so at or before the time the
     loop stopped it), for ``EXTRA_ARRIVALS`` further arrivals drawn from the
     block's stream; xi is then compared bit-for-bit with the stopped
-    block. The expected count is 0: past that time no arrival can raise xi
-    unless C falls below sup Z. Draws the skip rules leave unbuilt (see
-    the module docstring) cannot show up here.
+    block. The expected count of changed paths is 0: past that time no
+    arrival can raise xi unless C falls below sup Z. Draws the skip rules
+    leave unbuilt (see the module docstring) cannot show up here.
     """
     bound = generator_bound(spec)
     basis = path_basis(spec, grid)
-    violations = 0
     for count, rng in block_streams(seed, n):
         xi = np.empty((count, len(grid)))
         _spectral_block(spec, basis, rng, xi)
@@ -285,5 +288,4 @@ def stopping_exactness_violations(
         live.gamma = bound / live.lo
         for _ in range(EXTRA_ARRIVALS):
             _arrival_round(spec, basis, rng, live, xi, bound)
-        violations += int(np.count_nonzero(np.any(shipped != xi, axis=1)))
-    return violations
+        yield np.any(shipped != xi, axis=1)

@@ -28,7 +28,7 @@ over ``SUP_EQ_TOL``, and no sampled gap from 0 is needed.
 Draw plan: every sample of a run is a stream that ``run_checks`` opens
 and feeds once (``feed_stream``). A check (see ``check``) asks its
 ``CheckContext`` for reducers of streams: event counts, running means,
-stacked columns or sums (``estimates.EventCounts``, ``StatMeans``,
+or stacked columns (``estimates.EventCounts``, ``StatMeans``,
 ``RowStack``). ``eta(name, reducer)`` reads the shared eta stream of
 catalogue generator g, its index in ``CATALOGUE``: n full-grid paths
 seeded (master seed, crc32("margins-ks"), g). Every eta statistic is
@@ -345,8 +345,8 @@ class CheckDef:
     description: str
     #: ``ctx -> list[Assertion]``, the step ``run_checks`` times.
     runner: object = field(repr=False)
-    #: The check as ``check`` registers it; None for a runner alone.
-    plan: object = field(default=None, repr=False)
+    #: The check's plan, the generator function ``check`` registers.
+    plan: object = field(repr=False)
 
 
 #: The registry, in suite and report order.
@@ -428,16 +428,7 @@ def feed_stream(draw: Callable, reducers: list[Callable], failed: threading.Even
         raise
 
 
-class _Total:
-    """The sum of the blocks fed."""
-
-    total = 0
-
-    def __call__(self, block) -> None:
-        self.total += block
-
-
-class _ZSums(StatMeans):
+class _ZSums:
     """Sums of z and of z^2 over the generator paths fed, per grid point.
 
     An atom spec's paths are its K basis rows b_k, so with shape counts c_k
@@ -445,22 +436,20 @@ class _ZSums(StatMeans):
     SineBump's are summed over its built rows, squared a tile at a time.
     """
 
-    def __init__(self):
-        super().__init__(per_path(lambda z: z))
-        self.counts = 0
+    n = counts = total = total_sq = 0
 
     def __call__(self, block) -> None:
         rows, index = block
         if isinstance(index, slice):
-            self.total[0] = self.total[0] + rows.sum(axis=0)
-            self.total_sq[0] = self.total_sq[0] + _column_square_sums(rows)
+            self.total = self.total + rows.sum(axis=0)
+            self.total_sq = self.total_sq + _column_square_sums(rows)
             self.n += len(rows)
             return
         self.rows, self.counts = rows, self.counts + np.bincount(index, minlength=len(rows))
 
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
         if self.n:
-            return self.total[0], self.total_sq[0]
+            return self.total, self.total_sq
         weighted = self.counts[:, None] * self.rows
         return weighted.sum(axis=0), (weighted * self.rows).sum(axis=0)
 
@@ -1037,12 +1026,12 @@ _EXACTNESS_PATHS = 100
 
 @check("stopping-exactness", "extra arrivals never change stopped paths")
 def _check_stopping_exactness(ctx: CheckContext):
-    # one block per stream: the number of its paths that extra arrivals change
-    changed = [ctx.own(gi, spec, _Total(), n=_EXACTNESS_PATHS,
-                       sampler=lambda *args: [stopping_exactness_violations(*args)])
+    # per block, the mask of its paths that extra arrivals change
+    changed = [ctx.own(gi, spec, EventCounts(lambda mask: mask), n=_EXACTNESS_PATHS,
+                       sampler=stopping_exactness_violations)
                for gi, (_, spec) in enumerate(CATALOGUE)]
     yield
-    return [Assertion(f"{name}:changed_paths", c.total, 0.0)
+    return [Assertion(f"{name}:changed_paths", c.counts[0], 0.0)
             for name, c in zip(_ALL, changed)]
 
 
@@ -1116,10 +1105,8 @@ def run_checks(
     streams = {}
     contexts = [CheckContext(cid, master_seed, n_default, grid, streams) for cid in ids]
     for ctx in contexts:
-        plan = _CHECKS[ctx.check_id].plan
-        if plan is not None:
-            ctx.pending = plan(ctx)
-            next(ctx.pending)
+        ctx.pending = _CHECKS[ctx.check_id].plan(ctx)
+        next(ctx.pending)
     failed = threading.Event()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

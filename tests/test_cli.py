@@ -523,6 +523,33 @@ def test_error_class_exit_code(exc, code, two_branch_json, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+#: Level-function documents that generator documents' rules refuse: a
+#: number given as a string, as a boolean or beyond float range, and a
+#: field the shape does not have; each with the field its error names.
+_BAD_LEVEL_DOCUMENTS = {
+    "string-level": ({"shape": "constant", "level": "-1"}, "level"),
+    "boolean-outside": ({"shape": "indicator_step", "interval": [0.5, 1.0],
+                         "inside": -1.0, "outside": False}, "outside"),
+    "boolean-breakpoint-time": ({"shape": "piecewise_linear",
+                                 "breakpoints": [[0.0, -0.5], [True, -1.5]]}, "breakpoints"),
+    "unknown-field": ({"shape": "constant", "level": -1, "extra": 3}, "extra"),
+    "level-beyond-float-range": ({"shape": "constant", "level": -10**400}, "level"),
+}
+
+
+@pytest.mark.parametrize("doc, field", _BAD_LEVEL_DOCUMENTS.values(),
+                         ids=list(_BAD_LEVEL_DOCUMENTS))
+def test_level_function_document_refusal_names_the_field(doc, field, two_branch_json,
+                                                         tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(doc))
+    code = main(["dnorm", "--generator", two_branch_json, "--level-function", str(f),
+                 "--grid", "11", "--n", "100"])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert line.startswith("error: ") and repr(field) in line
+
+
 # --- argv fuzzing ------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from maxhit import (
     final_example_two_hit,
     make_grid,
 )
-from maxhit.estimates import Z95, count_events, per_path, reduce_blocks, stream_means
+from maxhit.estimates import Z95, EventCounts, StatMeans, per_path, reduce_blocks
 from maxhit.generators import draw_uniforms, path_basis, sample_paths, shape_blocks
 from maxhit.streams import block_streams
 from maxhit.verify import SUP_EQ_TOL, _sup_at_endpoint, _sup_means, ks_band
@@ -144,9 +144,9 @@ def survivor_bound(spec, f, n, seed):
     """The survivor-bound check's 1 - exp(-v), v = E inf |f| Z, with the
     delta-method se exp(-v) se(v) and its normal CI."""
     absf = np.abs(f.values)
-    v = stream_means(
+    v = reduce_blocks(
         shape_blocks(spec, f.grid, n, seed),
-        per_path(lambda z: np.min(z * absf[None, :], axis=1)),
+        StatMeans(per_path(lambda z: np.min(z * absf[None, :], axis=1))),
     ).estimate(0)
     value = 1.0 - math.exp(-v.value)
     se = math.exp(-v.value) * v.se
@@ -165,9 +165,9 @@ def complete_dependence(spec, probes, n, seed):
 class TestDnormIndicator:
     def test_full_interval_equals_moments_bitwise(self, any_spec, grid101):
         norm = _indicator_norm(any_spec, Interval(0.0, 1.0), grid101, 2000, 37)
-        m_hat = stream_means(
+        m_hat = reduce_blocks(
             shape_blocks(any_spec, grid101, 2000, 37),
-            per_path(lambda z: z.max(axis=1)),
+            StatMeans(per_path(lambda z: z.max(axis=1))),
         ).estimate(0)
         assert norm.value == m_hat.value
         assert norm.se == m_hat.se
@@ -270,7 +270,7 @@ class TestPerShapeReductions:
         blocks = self.reference_blocks(spec, grid, n, seed)
         sups = [lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1)
                 for f in fs]
-        acc = stream_means(blocks, *sups)
+        acc = reduce_blocks(blocks, StatMeans(*sups))
         assert dnorm_estimates(spec, fs, n, seed) == [
             acc.estimate(i) for i in range(len(fs))
         ]
@@ -287,17 +287,17 @@ class TestPerShapeReductions:
             lambda z: z.max(axis=1),
             lambda z: z.min(axis=1),
         ]
-        shaped = stream_means(
-            shape_blocks(spec, grid, n, seed), *map(per_path, stats)
+        shaped = reduce_blocks(
+            shape_blocks(spec, grid, n, seed), StatMeans(*map(per_path, stats))
         )
-        built = stream_means(blocks, *stats)
+        built = reduce_blocks(blocks, StatMeans(*stats))
         for i in range(len(stats)):
             assert shaped.estimate(i) == built.estimate(i)
 
         window = Interval(0.25, 0.75)
         sl = grid.slice_of(window)
-        (hits,) = count_events(blocks, lambda z: np.abs(
+        (hits,) = reduce_blocks(blocks, EventCounts(lambda z: np.abs(
             z[:, sl].max(axis=1) - np.maximum(z[:, sl][:, 0], z[:, sl][:, -1])
-        ) <= SUP_EQ_TOL)
+        ) <= SUP_EQ_TOL)).counts
         acc = reduce_blocks(shape_blocks(spec, grid, n, seed), _sup_at_endpoint(grid, window))
         assert int(acc.counts[0]) == int(hits)

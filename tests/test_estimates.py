@@ -16,12 +16,10 @@ from maxhit.errors import InvalidArgumentError
 from maxhit.estimates import (
     EventCounts,
     RowStack,
-    RunningMean,
-    count_events,
+    StatMeans,
     mean_estimate_from_sums,
+    reduce_blocks,
     rule_of_three,
-    stack_blocks,
-    stream_means,
     wilson_interval,
 )
 
@@ -96,11 +94,13 @@ def test_rule_of_three_refuses_no_trials(n):
 
 class TestEstimate:
     def test_value_must_sit_inside_ci(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             Estimate(value=0.9, se=0.01, ci=(0.1, 0.2), n=10)
+        # an internal invariant, not a usage error
+        assert not isinstance(refused.value, InvalidArgumentError)
 
     def test_positive_n_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="replication count must be >= 1"):
             Estimate(value=0.0, se=0.0, ci=(0.0, 0.0), n=0)
 
     def test_numpy_scalars_become_python_numbers(self):
@@ -150,35 +150,33 @@ class TestMeanEstimate:
         assert est.se == pytest.approx(vals.std() / math.sqrt(vals.size), rel=1e-6)
 
 
-class TestRunningMean:
+class TestStatMeans:
     def test_blockwise_equals_whole(self, rng):
         vals = rng.normal(size=(1000, 2))
-        acc = RunningMean(k=2)
-        for chunk in np.array_split(vals, 7):
-            acc.add(chunk[:, 0], chunk[:, 1])
-        whole = RunningMean(k=2)
-        whole.add(vals[:, 0], vals[:, 1])
+        stats = (lambda b: b[:, 0], lambda b: b[:, 1])
+        acc = reduce_blocks(np.array_split(vals, 7), StatMeans(*stats))
+        whole = reduce_blocks([vals], StatMeans(*stats))
         for i in range(2):
             assert acc.estimate(i).value == pytest.approx(whole.estimate(i).value)
             assert acc.estimate(i).n == 1000
 
-    def test_column_count_enforced(self):
-        acc = RunningMean(k=2)
-        with pytest.raises(ValueError):
-            acc.add(np.zeros(5))
+    def test_sums_do_not_depend_on_the_other_statistics(self, rng):
+        blocks = np.array_split(rng.normal(size=(1000, 2)), 7)
+        alone = reduce_blocks(blocks, StatMeans(lambda b: b[:, 1]))
+        shared = reduce_blocks(blocks, StatMeans(lambda b: b[:, 0], lambda b: b[:, 1]))
+        assert (alone.total[0], alone.total_sq[0]) == (shared.total[1], shared.total_sq[1])
 
     def test_vector_statistic_sums_per_column(self):
-        acc = RunningMean(k=1)
-        acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        acc.add(np.array([[5.0, 6.0]]))
+        blocks = [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0]])]
+        acc = reduce_blocks(blocks, StatMeans(lambda b: b))
         assert acc.n == 3
         assert acc.total[0].tolist() == [9.0, 12.0]
         assert acc.total_sq[0].tolist() == [35.0, 56.0]
 
     def test_row_counts_must_agree(self):
-        acc = RunningMean(k=2)
-        with pytest.raises(ValueError):
-            acc.add(np.zeros(5), np.zeros(4))
+        acc = StatMeans(lambda b: b, lambda b: b[:-1])
+        with pytest.raises(InvalidArgumentError, match="equal row counts"):
+            acc(np.zeros(5))
 
 
 class TestReducers:
@@ -186,41 +184,39 @@ class TestReducers:
         return iter([np.array([[1.0, -1.0], [2.0, 3.0]]), np.array([[-4.0, 0.5]])])
 
     def test_count_events_per_event(self):
-        counts = count_events(
-            self.blocks(), lambda b: b[:, 0] > 0, lambda b: np.all(b > 0, axis=1)
-        )
-        assert [int(c) for c in counts] == [2, 1]
+        acc = reduce_blocks(self.blocks(), EventCounts(
+            lambda b: b[:, 0] > 0, lambda b: np.all(b > 0, axis=1)))
+        assert [int(c) for c in acc.counts] == [2, 1]
 
     def test_count_events_two_dimensional_mask(self):
-        (counts,) = count_events(self.blocks(), lambda b: b > 0)
+        (counts,) = reduce_blocks(self.blocks(), EventCounts(lambda b: b > 0)).counts
         assert counts.tolist() == [2, 2]
 
     def test_stream_means_equals_one_block(self):
-        acc = stream_means(self.blocks(), lambda b: b[:, 0], lambda b: b.max(axis=1))
-        whole = RunningMean(k=2)
-        vals = np.concatenate(list(self.blocks()))
-        whole.add(vals[:, 0], vals.max(axis=1))
+        stats = (lambda b: b[:, 0], lambda b: b.max(axis=1))
+        acc = reduce_blocks(self.blocks(), StatMeans(*stats))
+        whole = StatMeans(*stats)
+        whole(np.concatenate(list(self.blocks())))
         assert acc.n == 3
         for i in range(2):
             assert acc.estimate(i).value == pytest.approx(whole.estimate(i).value)
 
     def test_stack_blocks_keeps_every_row(self):
-        stacked = stack_blocks(self.blocks(), 3)
+        stacked = reduce_blocks(self.blocks(), RowStack(3)).rows
         assert stacked.tolist() == [[1.0, -1.0], [2.0, 3.0], [-4.0, 0.5]]
-        assert stack_blocks(iter([]), 3) is None
+        assert reduce_blocks(iter([]), RowStack(3)).rows is None
 
     def test_row_stack_keeps_the_named_columns(self):
-        acc = RowStack(3, [1])
-        for block in self.blocks():
-            acc(block)
+        acc = reduce_blocks(self.blocks(), RowStack(3, [1]))
         assert acc.rows.tolist() == [[-1.0], [3.0], [0.5]]
 
     def test_one_block_feeds_several_accumulators(self):
-        """Accumulators fed block by block from one stream end where the
-        block-loop reducers end on their own pass."""
+        """Accumulators fed block by block from one stream end where each
+        ends when folded over the stream on its own."""
         counts, stack = EventCounts(lambda b: b[:, 0] > 0), RowStack(3)
         for block in self.blocks():
             counts(block)
             stack(block)
-        assert counts.counts == count_events(self.blocks(), lambda b: b[:, 0] > 0)
-        assert np.array_equal(stack.rows, stack_blocks(self.blocks(), 3))
+        alone = reduce_blocks(self.blocks(), EventCounts(lambda b: b[:, 0] > 0))
+        assert counts.counts == alone.counts
+        assert np.array_equal(stack.rows, reduce_blocks(self.blocks(), RowStack(3)).rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -25,14 +26,25 @@ from maxhit import (
     generator_bound,
     generator_from_json,
     make_grid,
+    msp_corpus,
 )
-from maxhit.estimates import per_path, reduce_blocks, stack_blocks, stream_means
+from maxhit.estimates import RowStack, StatMeans, per_path, reduce_blocks
 from maxhit.generators import (
-    atom_index, draw_uniforms, expected_max, generator_to_json, path_basis, path_maxima,
+    atom_index, draw_uniforms, expected_max, path_basis, path_maxima,
     sample_paths, shape_blocks,
 )
 from maxhit.streams import block_streams
+from maxhit.verify import CATALOGUE as NAMED_CATALOGUE
 from maxhit.verify import _sup_at_endpoint
+
+#: Each variant's document tag: its name in the suite's catalogue.
+TAGS = {type(spec): name for name, spec in NAMED_CATALOGUE}
+
+
+def _document(spec) -> dict:
+    """The generator document that describes ``spec``."""
+    return {"variant": TAGS[type(spec)], "params": dataclasses.asdict(spec)}
+
 
 ATOM_SPECS = [
     CompleteDependence(),
@@ -168,7 +180,7 @@ class TestSpecNumbers:
     def test_numpy_float_is_stored_as_float(self):
         spec = SineBump(amp=np.float32(0.5))
         assert type(spec.amp) is float
-        assert json.loads(json.dumps(generator_to_json(spec)))["params"] == {"amp": 0.5}
+        assert json.loads(json.dumps(_document(spec)))["params"] == {"amp": 0.5}
 
     def test_huge_n_is_refused_without_printing_it(self):
         # the repr of an int of more than 4300 digits raises ValueError
@@ -351,17 +363,16 @@ def test_path_maxima_are_built_row_maxima(data, spec, grid):
 def moments(spec, grid, n, seed):
     """Estimates of m = E sup Z and m~ = E inf Z from one set of paths: the
     shape-block reduction the example2-m check runs."""
-    acc = stream_means(
+    acc = reduce_blocks(
         shape_blocks(spec, grid, n, seed),
-        per_path(lambda z: z.max(axis=1)),
-        per_path(lambda z: z.min(axis=1)),
+        StatMeans(per_path(lambda z: z.max(axis=1)), per_path(lambda z: z.min(axis=1))),
     )
     return acc.estimate(0), acc.estimate(1)
 
 
 def corpus(spec, grid, n, seed):
     """``n`` generator paths as one array."""
-    return stack_blocks(z_blocks(spec, grid, n, seed), n)
+    return reduce_blocks(z_blocks(spec, grid, n, seed), RowStack(n)).rows
 
 
 class TestMoments:
@@ -483,9 +494,9 @@ class TestExpectedMax:
     @pytest.mark.parametrize("columns", _WINDOW_COLUMNS.values(), ids=list(_WINDOW_COLUMNS))
     def test_agrees_with_monte_carlo(self, any_spec, columns):
         grid, n = make_grid(1001), 20_000
-        m = stream_means(
+        m = reduce_blocks(
             shape_blocks(any_spec, grid, n, 14),
-            per_path(lambda z: z[:, columns].max(axis=1)),
+            StatMeans(per_path(lambda z: z[:, columns].max(axis=1))),
         ).estimate(0)
         exact = expected_max(any_spec, grid.points[columns])
         assert abs(m.value - exact) <= 4 * m.se + 1e-12
@@ -523,7 +534,7 @@ class TestSupEqualsMaxRate:
 
 
 class TestCorpus:
-    """``stack_blocks`` over generator path blocks: n paths as one array."""
+    """``RowStack`` over generator path blocks: n paths as one array."""
 
     def test_deterministic(self, any_spec, grid101):
         a = corpus(any_spec, grid101, 300, 11)
@@ -543,12 +554,14 @@ class TestCorpus:
         assert np.array_equal(stacked, np.concatenate(blocks))
 
     def test_memory_is_corpus_plus_one_block(self):
-        # each block is copied into the result as it arrives, so no list
-        # of blocks is held beside the result
+        # the library stacks one stream, msp_corpus's eta paths: each block
+        # is copied into the result as it arrives, and the stream builds
+        # SineBump's rows into one reused buffer, so no list of blocks is
+        # held beside the result
         grid, n = make_grid(1001), 8192
         tracemalloc.start()
         try:
-            corpus(SineBump(amp=0.5), grid, n, 14)
+            msp_corpus(SineBump(amp=0.5), grid, n, 14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -557,7 +570,7 @@ class TestCorpus:
 
 class TestJson:
     def test_round_trip(self, any_spec):
-        doc = generator_to_json(any_spec)
+        doc = _document(any_spec)
         assert generator_from_json(doc) == any_spec
 
     def test_unknown_variant(self):
@@ -628,7 +641,7 @@ def test_document_loads_exactly_or_is_invalid(data, template):
     # a document and Python construction from the same numbers follow one
     # rule: both are refused, or both give the same spec, holding the
     # numbers passed, typed as the fields are
-    kind, tag = type(template), generator_to_json(template)["variant"]
+    kind, tag = type(template), TAGS[type(template)]
     params = _draw_params(data, template)
     spec = _built(lambda: generator_from_json({"variant": tag, "params": params}))
     assert spec == _built(lambda: kind(**params))
@@ -646,4 +659,4 @@ def test_spec_is_invalid_or_round_trips(data, template):
     # document loads back as the same spec
     spec = _built(lambda: type(template)(**_draw_params(data, template)))
     if spec is not None:
-        assert generator_from_json(generator_to_json(spec)) == spec
+        assert generator_from_json(_document(spec)) == spec

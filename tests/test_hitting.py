@@ -27,7 +27,7 @@ from maxhit import (
     msp_path_blocks,
     two_hit_prob,
 )
-from maxhit.estimates import count_events, stream_means
+from maxhit.estimates import EventCounts, StatMeans, reduce_blocks
 from maxhit.hitting import down_up_down_mask, hit_mask
 from maxhit.paths import RowExtremes
 from maxhit.verify import _mean_range, _range_means
@@ -127,7 +127,7 @@ class TestHittingProb:
 
 def count_paths(spec, grid, n, seed, event):
     """Frequency of the rows of ``n`` eta paths where ``event`` holds."""
-    (count,) = count_events(msp_path_blocks(spec, grid, n, seed), event)
+    (count,) = reduce_blocks(msp_path_blocks(spec, grid, n, seed), EventCounts(event)).counts
     return binomial_estimate(int(count), n)
 
 
@@ -211,10 +211,10 @@ class TestIntegralIsMeanRange:
             acc(RowExtremes(eta))
         mean_range, _ = _mean_range(spec, acc, grid101)
         ests = hitting_curve(spec, levels, [Interval(0.0, 1.0)], grid101, n, seed)
-        below = stream_means(
+        below = reduce_blocks(
             msp_path_blocks(spec, grid101, n, seed),
-            lambda eta: np.maximum(0.0, np.minimum(eta.max(axis=1), x_min)
-                                   - eta.min(axis=1)),
+            StatMeans(lambda eta: np.maximum(0.0, np.minimum(eta.max(axis=1), x_min)
+                                             - eta.min(axis=1))),
         ).estimate(0).value
         ladder_sum = d * sum(e.value for e in ests)
         assert abs(ladder_sum - mean_range.value) <= d + below + 1e-9
@@ -400,10 +400,10 @@ def test_curve_counts_hits_in_every_interval(data):
 
     ests = hitting_curve(spec, levels, intervals, GRID11, n, seed)
     slices = [GRID11.slice_of(iv) for iv in intervals]
-    counts = count_events(
+    counts = reduce_blocks(
         msp_path_blocks(spec, GRID11, n, seed),
-        *(lambda eta, x=x: np.logical_and.reduce(
-            [hit_mask(eta, sl, x) for sl in slices]) for x in levels),
-    )
+        EventCounts(*(lambda eta, x=x: np.logical_and.reduce(
+            [hit_mask(eta, sl, x) for sl in slices]) for x in levels)),
+    ).counts
     assert [e.value for e in ests] == [binomial_estimate(int(c), n).value
                                       for c in counts]

@@ -10,6 +10,7 @@ from maxhit import (
     BoundTooLooseError,
     CompleteDependence,
     Interval,
+    InvalidArgumentError,
     LevelFunction,
     NonlinearExample,
     OffGridError,
@@ -25,11 +26,19 @@ from maxhit import (
     msp_path_blocks,
 )
 from maxhit import msp
-from maxhit.estimates import count_events, stack_blocks
+from maxhit.estimates import EventCounts, RowStack, reduce_blocks
 from maxhit.generators import path_basis, sample_paths
 from maxhit.msp import ks_distance_neg_exponential, stopping_exactness_violations
 from maxhit.streams import BLOCK_SIZE, block_streams
 from maxhit.verify import ks_band
+
+
+def _changed_paths(spec, grid, n, seed) -> int:
+    """The paths that arrivals past the stopping rule change, folded over
+    the ``stopping_exactness_violations`` stream."""
+    acc = reduce_blocks(stopping_exactness_violations(spec, grid, n, seed),
+                        EventCounts(lambda mask: mask))
+    return int(acc.counts[0])
 
 
 def _dense_paths(spec, t, u):
@@ -121,7 +130,7 @@ class TestGeneratorBound:
         # instead check the defining property on generator paths, exactly:
         # the row-max pretest and the stopping rule rest on it
         bound = generator_bound(any_spec)
-        z = stack_blocks(z_blocks(any_spec, grid101, 2000, 13), 2000)
+        z = reduce_blocks(z_blocks(any_spec, grid101, 2000, 13), RowStack(2000)).rows
         assert z.max() <= bound
         # every shape an atom spec can take; SineBump rows at W = -amp/2,
         # 0 and just below amp/2, plus random ones
@@ -171,7 +180,7 @@ def test_corpus_equals_dense_arrival_loop(spec, points):
     # replica has already drawn, are never built; n spans two blocks
     if points in _WINDOW_AND_FINE:
         grid, n = _WINDOW_AND_FINE[points]
-        assert stopping_exactness_violations(spec, grid, n, 31) == 0
+        assert _changed_paths(spec, grid, n, 31) == 0
     else:
         grid, n = make_grid(points), 4097
     got = msp_corpus(spec, grid, n, 31)
@@ -268,7 +277,7 @@ def test_stopping_exactness_runs_the_shipped_first_round(monkeypatch):
         return first_round(*args)
 
     monkeypatch.setattr(msp, "_first_round", counted)
-    assert stopping_exactness_violations(TwoBranch(), make_grid(11), 4097, 38) == 0
+    assert _changed_paths(TwoBranch(), make_grid(11), 4097, 38) == 0
     assert len(calls) == 2
 
 
@@ -279,7 +288,7 @@ def test_stopping_exactness_catches_a_bound_below_sup_z(spec, seed, monkeypatch)
     # raise, and continuing every path from C / min xi finds some of them
     bound = generator_bound(spec)
     monkeypatch.setattr(msp, "generator_bound", lambda _: 0.9 * bound)
-    assert stopping_exactness_violations(spec, make_grid(101), 300, seed) > 0
+    assert _changed_paths(spec, make_grid(101), 300, seed) > 0
 
 
 class TestSampleMsp:
@@ -322,10 +331,10 @@ class TestSampleMsp:
 def joint_cdf(spec, fs, n, seed):
     """P(eta <= f at every grid point) per function, all from one set of
     paths on the functions' common grid: the eq2-roundtrip reduction."""
-    counts = count_events(
+    counts = reduce_blocks(
         msp_path_blocks(spec, LevelFunction.common_grid(fs), n, seed),
-        *(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs),
-    )
+        EventCounts(*(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs)),
+    ).counts
     return [binomial_estimate(int(c), n) for c in counts]
 
 
@@ -359,7 +368,7 @@ def marginal_ks(spec, times, grid, n, seed):
     set of paths: the margins-ks reduction."""
     cols = [grid.index_of(t) for t in times]
     blocks = msp_path_blocks(spec, grid, n, seed)
-    samples = stack_blocks((eta[:, cols] for eta in blocks), n)
+    samples = reduce_blocks((eta[:, cols] for eta in blocks), RowStack(n)).rows
     return [ks_distance_neg_exponential(column) for column in samples.T]
 
 
@@ -383,6 +392,8 @@ class TestMarginalGof:
     def test_empty_sample_rejected(self, grid101):
         with pytest.raises(ValueError):
             marginal_ks(TwoBranch(), [0.0], grid101, 0, 22)
+        with pytest.raises(InvalidArgumentError, match="empty sample"):
+            ks_distance_neg_exponential([])
 
     def test_ks_oracle_detects_wrong_law(self, rng):
         # exact inverse-transform sample passes, a shifted one fails
@@ -394,4 +405,8 @@ class TestMarginalGof:
 
 class TestStoppingExactness:
     def test_no_changes_after_rule_fires(self, any_spec, grid101):
-        assert stopping_exactness_violations(any_spec, grid101, 30, 23) == 0
+        assert _changed_paths(any_spec, grid101, 30, 23) == 0
+
+    def test_streams_one_path_mask_per_block(self, grid101):
+        masks = list(stopping_exactness_violations(TwoBranch(), grid101, BLOCK_SIZE + 3, 23))
+        assert [(m.dtype, m.shape) for m in masks] == [(bool, (BLOCK_SIZE,)), (bool, (3,))]

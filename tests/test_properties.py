@@ -11,7 +11,7 @@ from maxhit import (
     make_grid,
     msp_corpus,
 )
-from maxhit.estimates import stack_blocks
+from maxhit.estimates import RowStack, reduce_blocks
 
 N = 400
 SEED = 90210
@@ -24,7 +24,7 @@ def grid():
 
 @pytest.fixture()
 def z_corpus(any_spec, grid):
-    return stack_blocks(z_blocks(any_spec, grid, N, SEED), N)
+    return reduce_blocks(z_blocks(any_spec, grid, N, SEED), RowStack(N)).rows
 
 
 @pytest.fixture()

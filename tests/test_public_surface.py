@@ -56,6 +56,23 @@ def test_removed_name_is_gone(name):
     assert not hasattr(maxhit, name)
 
 
+#: Module-level names that went: the pull wrappers and the mean base class
+#: that every estimator's one fold (``reduce_blocks`` over an accumulator)
+#: replaces, the suite's int sum that a mask stream replaced, and a
+#: document writer only tests called.
+REMOVED_FROM_MODULES = [
+    "maxhit.estimates.count_events", "maxhit.estimates.stream_means",
+    "maxhit.estimates.stack_blocks", "maxhit.estimates.RunningMean",
+    "maxhit.generators.generator_to_json", "maxhit.verify._Total",
+]
+
+
+@pytest.mark.parametrize("dotted", REMOVED_FROM_MODULES)
+def test_removed_module_name_is_gone(dotted):
+    module, name = dotted.rsplit(".", 1)
+    assert not hasattr(importlib.import_module(module), name)
+
+
 def _readme_names():
     """(module, name) for every ``mh.<name>`` and every
     ``from maxhit... import <name>`` in the README's Python blocks."""
@@ -83,7 +100,7 @@ def test_readme_code_names_resolve():
                if not hasattr(importlib.import_module(mod), name)]
     assert missing == []
     assert ("maxhit", "make_grid") in used  # the scan sees the alias
-    assert ("maxhit.estimates", "count_events") in used
+    assert ("maxhit.estimates", "reduce_blocks") in used
 
 
 #: What the benchmark's tracer finds by name: the functions it wraps

@@ -16,6 +16,7 @@ At the pinned version a mismatch always fails.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -27,7 +28,6 @@ import pytest
 
 from maxhit import make_grid, msp_corpus, run_checks
 from maxhit.cli import main
-from maxhit.generators import generator_to_json
 from maxhit.verify import CATALOGUE
 
 NUMPY_PINNED = "2.4.6"
@@ -158,7 +158,7 @@ def cli_digests(directory: Path) -> dict[str, tuple[int, str]]:
     files["level"].write_text(json.dumps({"shape": "constant", "level": -1.0}))
     for name, spec in CATALOGUE:
         files[name] = directory / f"{name}.json"
-        files[name].write_text(json.dumps(generator_to_json(spec)))
+        files[name].write_text(json.dumps({"variant": name, "params": dataclasses.asdict(spec)}))
     out = {}
     for run, argv in CLI_RUNS.items():
         stdout = io.StringIO()

@@ -4,7 +4,6 @@ import math
 import re
 import sys
 import threading
-import time
 from concurrent.futures import CancelledError
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from maxhit import (
     verify,
 )
 from maxhit import generators
-from maxhit.estimates import reduce_blocks, stream_means
+from maxhit.estimates import StatMeans, reduce_blocks
 from maxhit.generators import expected_max, shape_blocks
 from maxhit.msp import msp_path_blocks
 from maxhit.streams import label_key
@@ -105,58 +104,74 @@ class TestAssertion:
             Assertion("a", 1.0, 1.0, "<")
 
 
+@pytest.fixture
+def registry(monkeypatch):
+    """The check registry, as a copy that ``verify.check`` registers into
+    for the duration of the test."""
+    monkeypatch.setattr(verify, "_CHECKS", dict(verify._CHECKS))
+
+
+def _records(ran):
+    """A check plan that reads no stream and records its check id when
+    it starts and when its runner resumes it."""
+    def plan(ctx):
+        ran.append(ctx.check_id)
+        yield
+        ran.append(ctx.check_id)
+        return []
+    return plan
+
+
 class TestRunChecks:
-    def test_first_error_cancels_checks_not_started(self, monkeypatch):
+    def test_first_error_cancels_checks_not_started(self, registry):
         ran = []
 
+        @verify.check("boom", "raises")
         def boom(ctx):
+            yield
             raise OffGridError(f"time 0.5 is not on the grid of {len(ctx.grid)} points")
 
         def record(ctx):
-            time.sleep(0.2)  # keeps the second thread busy past the error
+            yield
             ran.append(ctx.check_id)
             return []
 
         ids = ["boom", "r1", "r2", "r3", "r4"]
-        monkeypatch.setitem(verify._CHECKS, "boom", CheckDef("boom", "raises", boom))
         for cid in ids[1:]:
-            monkeypatch.setitem(verify._CHECKS, cid, CheckDef(cid, "records", record))
+            verify.check(cid, "records")(record)
         with pytest.raises(OffGridError, match="not on the grid"):
             run_checks(ids, master_seed=7, n_default=5, grid_points=11, threads=2)
-        # r1 starts beside boom; the checks queued behind them never start
-        assert set(ran) <= {"r1"}
+        # runners run in suite order, so none after boom's starts
+        assert ran == []
 
     def test_unknown_id_fails_before_running(self):
         with pytest.raises(UnknownCheckError, match="no-such-check"):
             run_checks(["no-such-check"], master_seed=7)
 
     @pytest.mark.parametrize("ids", [[], ["example2-m", "example2-m"]])
-    def test_empty_or_repeated_ids_fail_before_running(self, ids, monkeypatch):
+    def test_empty_or_repeated_ids_fail_before_running(self, ids, registry):
         ran = []
-        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
-            "example2-m", "records", lambda ctx: ran.append(ctx.check_id) or []))
+        verify.check("example2-m", "records")(_records(ran))
         with pytest.raises(UnknownCheckError):
             run_checks(ids, master_seed=7, n_default=5, grid_points=11)
         assert ran == []
 
-    def test_n_below_min_n_fails_before_running(self, monkeypatch):
+    def test_n_below_min_n_fails_before_running(self, registry):
         # max-stability needs one group of MIN_N paths; eq1 must not run first
         ran = []
         for cid in ("eq1-moments", "max-stability"):
-            monkeypatch.setitem(verify._CHECKS, cid, CheckDef(
-                cid, "records", lambda ctx: ran.append(ctx.check_id) or []))
+            verify.check(cid, "records")(_records(ran))
         with pytest.raises(InvalidArgumentError, match=f">= {verify.MIN_N}, got 4"):
             run_checks(["eq1-moments", "max-stability"], 7, n_default=4,
                        grid_points=101)
         assert ran == []
 
     @pytest.mark.parametrize("n", [100.0, 100.5, True, "100"])
-    def test_non_integer_n_fails_before_running(self, n, monkeypatch):
+    def test_non_integer_n_fails_before_running(self, n, registry):
         # eq3 reads a shared stream, whose sampler would refuse the n only
         # after the recording check had run
         ran = []
-        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
-            "example2-m", "records", lambda ctx: ran.append(ctx.check_id) or []))
+        verify.check("example2-m", "records")(_records(ran))
         for ids in (["example2-m"], ["example2-m", "eq3-negative-paths"]):
             with pytest.raises(InvalidArgumentError, match="must be an integer"):
                 run_checks(ids, 7, n_default=n, grid_points=11)
@@ -172,10 +187,9 @@ class TestRunChecks:
                        grid_points=11, threads=threads)
         assert drawn == []
 
-    def test_non_integer_grid_fails_before_running(self, monkeypatch):
+    def test_non_integer_grid_fails_before_running(self, registry):
         ran = []
-        monkeypatch.setitem(verify._CHECKS, "example2-m", CheckDef(
-            "example2-m", "records", lambda ctx: ran.append(ctx.check_id) or []))
+        verify.check("example2-m", "records")(_records(ran))
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             run_checks(["example2-m"], 7, n_default=100, grid_points=11.0)
         assert ran == []
@@ -294,8 +308,8 @@ class TestFinalExampleGridRange:
 
     def test_matches_the_sampler(self):
         times = TimeGrid(_IRREGULAR_T)
-        acc = stream_means(msp_path_blocks(TwoBranch(), times, 20_000, 3),
-                           lambda eta: eta.max(axis=1) - eta.min(axis=1))
+        acc = reduce_blocks(msp_path_blocks(TwoBranch(), times, 20_000, 3),
+                            StatMeans(lambda eta: eta.max(axis=1) - eta.min(axis=1)))
         est = acc.estimate(0)
         assert abs(est.value - _final_example_grid_range(_IRREGULAR_T)) <= Z_STAT * est.se
 
@@ -459,7 +473,7 @@ class TestDrawPlan:
         assert reports[0] == reports[1] == reports[2] == reports[3]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_stream_error_ends_the_run(self, monkeypatch, threads):
+    def test_stream_error_ends_the_run(self, registry, threads):
         ran = []
 
         def boom(eta):
@@ -476,7 +490,6 @@ class TestDrawPlan:
 
         # r1 reads the failing stream, r2 also one that succeeds, and
         # example2-m none: no runner starts once the run failed
-        monkeypatch.setattr(verify, "_CHECKS", dict(verify._CHECKS))
         verify.check("boom", "raises")(reading("two_branch", reducer=boom))
         verify.check("r1", "records")(reading("two_branch"))
         verify.check("r2", "records")(reading("sine_bump", "two_branch"))
@@ -498,11 +511,11 @@ class TestDrawPlan:
                              ids=lambda s: type(s).__name__)
     def test_eq1_sums_match_the_built_paths(self, spec):
         # atom specs sum their shape counts, exact up to one rounding per
-        # shape; SineBump sums its built rows as stream_means does
+        # shape; SineBump sums its built rows as StatMeans does
         grid, n, seed = TimeGrid(np.linspace(0.0, 1.0, 101)), 4096 + 300, 9
         total, total_sq = reduce_blocks(shape_blocks(spec, grid, n, seed),
                                         verify._ZSums()).sums()
-        built = stream_means(z_blocks(spec, grid, n, seed), lambda z: z)
+        built = reduce_blocks(z_blocks(spec, grid, n, seed), StatMeans(lambda z: z))
         if spec.atoms() is None:
             assert np.array_equal(total, built.total[0])
             assert np.array_equal(total_sq, built.total_sq[0])
@@ -511,6 +524,12 @@ class TestDrawPlan:
 
 
 class TestSuiteRegistry:
+    def test_a_check_is_a_plan(self):
+        # no plain-runner form: every registered check has its plan
+        with pytest.raises(TypeError):
+            CheckDef("x", "a runner alone", lambda ctx: [])
+        assert all(callable(d.plan) for d in verify._CHECKS.values())
+
     def test_spec_minimum_ids_present(self):
         required = {
             "eq1-moments", "eq2-roundtrip", "eq3-negative-paths", "margins-ks",
