@@ -130,9 +130,27 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _field(doc: dict, name: str):
+    """The value of the level function's field ``name``, which must be
+    present."""
+    if name not in doc:
+        raise UsageError(f"missing field {name!r}")
+    return doc[name]
+
+
+def _pair(value, name: str, form: str) -> tuple[float, float]:
+    """A JSON list of two numbers, written ``form`` (as "[t, v]"), as
+    floats; anything else is refused, naming the field ``name``."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise UsageError(f"field {name!r} needs {form}, a list of two numbers, "
+                         f"got {value!r}")
+    return _number(value[0], name), _number(value[1], name)
+
+
 def _level_function_from_doc(doc: dict, grid: TimeGrid) -> LevelFunction:
-    """The level function a document describes: a known shape with none but
-    its fields (``_LEVEL_FIELDS``), each number a JSON number."""
+    """The level function a document describes: a known shape with its
+    fields (``_LEVEL_FIELDS``) and no others, each number a JSON number,
+    each interval or breakpoint a list of two."""
     if not isinstance(doc, dict) or "shape" not in doc:
         raise UsageError('level function document needs a "shape" field')
     shape = doc["shape"]
@@ -143,20 +161,22 @@ def _level_function_from_doc(doc: dict, grid: TimeGrid) -> LevelFunction:
         raise UsageError(f"unknown field {unknown[0]!r} for level function shape {shape!r}")
     try:
         if shape == "constant":
-            return LevelFunction.constant(grid, _number(doc["level"], "level"))
+            return LevelFunction.constant(grid, _number(_field(doc, "level"), "level"))
         if shape == "indicator_step":
-            lo, hi = doc["interval"]
-            iv = _snap_interval(grid, _number(lo, "interval"), _number(hi, "interval"),
-                                "interval")
+            lo, hi = _pair(_field(doc, "interval"), "interval", "[lo, hi]")
             return LevelFunction.indicator_step(
-                grid, iv, inside=_number(doc["inside"], "inside"),
+                grid, _snap_interval(grid, lo, hi, "interval"),
+                inside=_number(_field(doc, "inside"), "inside"),
                 outside=_number(doc.get("outside", 0.0), "outside"),
             )
-        pts = doc["breakpoints"]
-        times = [_number(p[0], "breakpoints") for p in pts]
-        levels = [_number(p[1], "breakpoints") for p in pts]
-        return LevelFunction.piecewise_linear(grid, times, levels)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        pts = _field(doc, "breakpoints")
+        if not isinstance(pts, list):
+            raise UsageError(f"field 'breakpoints' needs a list of [t, v] pairs, "
+                             f"got {pts!r}")
+        pairs = [_pair(p, "breakpoints", "[t, v]") for p in pts]
+        return LevelFunction.piecewise_linear(grid, [t for t, _ in pairs],
+                                              [v for _, v in pairs])
+    except InvalidArgumentError as exc:
         raise UsageError(f"bad level function document: {exc}")
 
 
@@ -266,13 +286,12 @@ def _verify(ns: argparse.Namespace) -> int:
     suite = ns.suite if ns.suite == "paper" else [s for s in ns.suite.split(",") if s]
     # --no-timestamp also drops runtimes: stdout and the report file are
     # then pure functions of (suite, seed, n, grid)
-    runtime = not ns.no_timestamp
     report = run_checks(suite, ns.seed, n_default=ns.n, grid_points=ns.grid,
-                        threads=ns.threads, timestamp=runtime)
-    for line in report.summary_lines(runtime):
+                        threads=ns.threads, timestamp=not ns.no_timestamp)
+    for line in report.summary_lines():
         print(line)
     if ns.out:
-        _write_json(ns.out, report.as_dict(runtime))
+        _write_json(ns.out, report.as_dict())
     return 0 if report.passed else 1
 
 

@@ -176,19 +176,18 @@ class StatMeans:
 
 
 class RowStack:
-    """The rows of the blocks fed, ``n`` in all, as one array ``rows``:
-    every column, or only columns ``cols``. ``rows`` is allocated at the
-    first block and stays None if no block is fed."""
+    """The columns ``cols`` (default all) of the blocks fed, each read as
+    ``block[:, cols]``, ``n`` rows in all, as one array ``rows``. ``rows``
+    is allocated at the first block and stays None if no block is fed."""
 
-    def __init__(self, n: int, cols: list[int] | None = None):
+    def __init__(self, n: int, cols: list[int] | slice = slice(None)):
         self.n = n
         self.cols = cols
         self.rows = None
         self.filled = 0
 
-    def __call__(self, block: np.ndarray) -> None:
-        if self.cols is not None:
-            block = block[:, self.cols]
+    def __call__(self, block) -> None:
+        block = block[:, self.cols]
         if self.rows is None:
             self.rows = np.empty((self.n, block.shape[1]))
         end = self.filled + block.shape[0]

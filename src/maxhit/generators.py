@@ -523,7 +523,7 @@ def generator_from_json(doc: dict) -> GeneratorSpec:
         raise InvalidSpecError(
             [f"unknown variant {tag!r}; expected one of {sorted(_VARIANT_TAGS)}"]
         )
-    params = doc.get("params", {}) or {}
+    params = doc.get("params", {})
     if not isinstance(params, dict):
         raise InvalidSpecError(['"params" must be an object'])
     names = {f.name for f in fields(cls)}

@@ -17,16 +17,15 @@ and strictly decreasing. ``hitting_bound`` is the paper's bound at one
 level. The curve's integral needs no ladder: as eta < 0, it is the mean
 range E[max eta - min eta] (Fubini), which ``verify`` reduces directly.
 
-The hit rule has one implementation, ``hit_mask``: it reads a block's
-per-row min and max over a grid slice from ``paths.RowExtremes``, which
-computes each at most once per block. ``curve_mask`` wraps an array block
-once for all its slices and levels; ``verify`` hands one wrapped block to
-the events of every check, so they share the extremes. ``curve_event`` is
-``hitting_curve``'s per-block event, and ``hit_mask`` and
-``down_up_down_mask`` are two more, for callers that count them with an
-``estimates.EventCounts`` on a stream of their own or feed one stream's
-blocks to many events (``verify``). Each takes a path array or its
-``RowExtremes``.
+Every event here takes an eta block, the ``paths.RowExtremes`` that
+``msp_path_blocks`` yields. The hit rule has one implementation,
+``hit_mask``: it reads the block's per-row min and max over a grid slice,
+which the block computes at most once, so all the slices and levels of
+``curve_mask`` and all the events ``verify`` feeds one block share them.
+``curve_event`` is ``hitting_curve``'s per-block event, and ``hit_mask``
+and ``down_up_down_mask`` are two more, for callers that count them with
+an ``estimates.EventCounts`` on a stream of their own or feed one
+stream's blocks to many events (``verify``).
 
 Grid detection can only miss sub-grid excursions, so every frequency here
 is biased downward by at most a small discretization allowance (the
@@ -66,22 +65,21 @@ def hitting_bound(m: float, m_tilde: float, x: float) -> float:
     return max(0.0, math.exp(x * m_tilde) - math.exp(x * m))
 
 
-def hit_mask(paths, sl: slice, x) -> np.ndarray:
-    """Rows of a path block (an array or its ``RowExtremes``) whose grid min
-    and max over ``sl`` bracket the level ``x``; for a row of levels, a
-    (rows, levels) mask. The package's one hit rule."""
-    ext = RowExtremes.of(paths)
-    mn, mx = ext.row_min(sl), ext.row_max(sl)
+def hit_mask(eta: RowExtremes, sl: slice, x) -> np.ndarray:
+    """Rows of an eta block whose grid min and max over ``sl`` bracket the
+    level ``x``; for a row of levels, a (rows, levels) mask. The package's
+    one hit rule."""
+    mn, mx = eta.row_min(sl), eta.row_max(sl)
     if np.ndim(x):
         mn, mx = mn[:, None], mx[:, None]
     return (mn <= x) & (x <= mx)
 
 
 def down_up_down_mask(
-    eta, cols: tuple[int, int, int], x0: float
+    eta: RowExtremes, cols: tuple[int, int, int], x0: float
 ) -> np.ndarray:
-    """Rows with eta <= x0 at cols[0] and cols[2] but eta > x0 at cols[1]
-    (``eta`` an array or its ``RowExtremes``)."""
+    """Rows of an eta block with eta <= x0 at cols[0] and cols[2] but
+    eta > x0 at cols[1]."""
     i_lo, i_mid, i_hi = cols
     return (eta[:, i_lo] <= x0) & (eta[:, i_mid] > x0) & (eta[:, i_hi] <= x0)
 
@@ -100,20 +98,19 @@ def _checked_levels(levels) -> np.ndarray:
     return lv
 
 
-def curve_mask(paths, levels: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """A (rows, levels) mask of a path block (an array or its
-    ``RowExtremes``): per level, the rows that hit it in every slice."""
-    ext = RowExtremes.of(paths)
-    hit = hit_mask(ext, slices[0], levels)
+def curve_mask(eta: RowExtremes, levels: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """A (rows, levels) mask of an eta block: per level, the rows that hit
+    it in every slice."""
+    hit = hit_mask(eta, slices[0], levels)
     for sl in slices[1:]:
-        hit &= hit_mask(ext, sl, levels)
+        hit &= hit_mask(eta, sl, levels)
     return hit
 
 
 def curve_event(
     levels: np.ndarray, intervals: list[Interval], grid: TimeGrid
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The per-block event of ``hitting_curve``: a path block's
+) -> Callable[[RowExtremes], np.ndarray]:
+    """The per-block event of ``hitting_curve``: an eta block's
     ``curve_mask`` over the intervals' grid slices.
 
     Intervals may touch at endpoints but must not overlap with positive

@@ -13,9 +13,9 @@ grid point, so the returned values are exact on the grid. The
 verification suite asserts this bit-for-bit: it runs the shipped loop,
 then continues every path from C / min xi for extra arrivals. Both are
 block streams (spec, grid, n, seed) -> blocks, folded by
-``estimates.reduce_blocks``: ``msp_path_blocks`` yields eta paths, and
-``stopping_exactness_violations`` the mask of paths the extra arrivals
-change.
+``estimates.reduce_blocks``: ``msp_path_blocks`` yields eta blocks, each
+a ``paths.RowExtremes``, and ``stopping_exactness_violations`` the mask
+of paths the extra arrivals change.
 
 Skip rules: a draw that cannot change xi is never built. Both rules are
 decided before the row exists, and both are exact because IEEE division
@@ -48,7 +48,7 @@ xi (``sample_paths(..., out=)``) and divides there: merging into an xi of
 max(0, z) = z. It writes every row, so xi needs no zero fill, and a
 sampling call allocates one xi buffer, for its first block, and reuses
 it for every later block. A stream therefore holds one full-size array,
-and a block it yields is overwritten by the next.
+and the rows of a block it yields are overwritten by the next.
 
 Draw layout per block and round (fixed; see ``streams``): one standard
 exponential per still-active replica in ascending replica order, then the
@@ -76,7 +76,7 @@ from .generators import (
     path_maxima,
     sample_paths,
 )
-from .paths import TimeGrid
+from .paths import RowExtremes, TimeGrid
 from .streams import Seed, block_streams
 
 #: Arrivals a block may draw before its stopping rule must have fired;
@@ -217,14 +217,14 @@ def msp_path_blocks(
     grid: TimeGrid,
     n: int,
     seed: Seed,
-) -> Iterator[np.ndarray]:
-    """Stream blocks of eta paths as (block, len(grid)) arrays.
+) -> Iterator[RowExtremes]:
+    """Stream eta blocks: ``RowExtremes`` over (block, len(grid)) arrays.
 
-    The concatenation over blocks is a deterministic function of
-    (seed, n, grid). Every block is written into one buffer that the call
-    allocates when its first block arrives, so a yielded block is valid
-    only until the next one is requested: reduce it before then, or copy
-    what must be kept.
+    The concatenation of the blocks' ``paths`` is a deterministic function
+    of (seed, n, grid). Every block's rows are written into one buffer that
+    the call allocates when its first block arrives, so a yielded block is
+    valid only until the next one is requested: reduce it before then, or
+    copy what must be kept.
     """
     basis = path_basis(spec, grid)
     buffer = None
@@ -232,7 +232,7 @@ def msp_path_blocks(
         if buffer is None:  # the first block is the largest
             buffer = np.empty((count, basis.shape[1]))
         xi = _spectral_block(spec, basis, rng, buffer[:count])
-        yield np.divide(-1.0, xi, out=xi)
+        yield RowExtremes(np.divide(-1.0, xi, out=xi))
 
 
 def msp_corpus(

@@ -3,9 +3,9 @@
 A ``TimeGrid`` is any strictly increasing times in [0, 1]: ``make_grid``'s
 uniform grids span [0, 1], and a window's points or the set T of a
 finite-dimensional law are grids too. Paths are represented by their
-values on a grid; interval endpoints must be grid points. A block of
-path rows can carry its per-row extremes over grid slices
-(``RowExtremes``), computed once for all the events that read them.
+values on a grid; interval endpoints must be grid points. A block of eta
+paths is a ``RowExtremes``: its rows, with their per-row extremes over
+grid slices computed once for all the events that read them.
 """
 
 from __future__ import annotations
@@ -94,13 +94,13 @@ class Interval:
 
 
 class RowExtremes:
-    """A path block with its per-row min and max over grid slices, each
-    computed at most once and dropped with this object.
+    """The eta block type: a (rows, grid) array ``paths`` with its per-row
+    min and max over grid slices, each computed at most once and dropped
+    with this object; ``msp_path_blocks`` yields every block as one.
 
-    Indexing reads the block (``ext[:, cols]``), so an event of a block's
-    columns takes either form. The class lives here, in a module of data
-    types, so that perfbench's tracer charges an extreme to the layer of
-    the event that first asks for it.
+    Indexing reads the rows (``ext[:, cols]``). The class lives here, in a
+    module of data types, so that perfbench's tracer charges an extreme to
+    the layer of the event that first asks for it.
     """
 
     __slots__ = ("paths", "_seen")
@@ -108,11 +108,6 @@ class RowExtremes:
     def __init__(self, paths: np.ndarray):
         self.paths = paths
         self._seen = {}
-
-    @staticmethod
-    def of(block) -> RowExtremes:
-        """``block`` if it is a ``RowExtremes``, else one over the array."""
-        return block if isinstance(block, RowExtremes) else RowExtremes(block)
 
     def __getitem__(self, key):
         return self.paths[key]

@@ -30,8 +30,8 @@ and feeds once (``feed_stream``). A check (see ``check``) asks its
 ``CheckContext`` for reducers of streams: event counts, running means,
 or stacked columns (``estimates.EventCounts``, ``StatMeans``,
 ``RowStack``). ``eta(name, reducer)`` reads the shared eta stream of
-catalogue generator g, its index in ``CATALOGUE``: n full-grid paths
-seeded (master seed, crc32("margins-ks"), g). Every eta statistic is
+``CATALOGUE[name]``, g its position: n full-grid ``msp_path_blocks``
+paths seeded (master seed, crc32("margins-ks"), g). Every eta statistic is
 row-wise (hit masks, ``all(eta <= f)``, per-path ranges, columns, and a
 window's columns, an exact path on the window's points), so any number
 of checks can read one stream. ``own(k, spec, reducer)`` reads a stream
@@ -40,8 +40,8 @@ generator (Z) paths, and ``stopping-exactness``'s arrival loop, so eta
 and Z estimates stay independent. Checks that share a stream are
 dependent; a check's entry is the same whichever checks run beside it.
 
-An eta block reaches its reducers as one ``paths.RowExtremes``, so the
-per-row min and max over a grid slice are computed once per block
+An eta block is a ``paths.RowExtremes``, so the per-row min and max
+over a grid slice are computed once per block
 whichever events read them: hit masks, mean ranges, survivor-bound's
 min > -1, the shared-draw invariants and cor33's window max. Events that
 would scan the block point by point use exact extreme forms: eq2's
@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Callable, Generator
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 from functools import partial
@@ -129,14 +129,15 @@ def ks_band(n: int) -> float:
     return KS_CRITICAL / np.sqrt(n)
 
 
-#: The catalogue swept by generator-generic checks, in report order.
-CATALOGUE: list[tuple[str, GeneratorSpec]] = [
-    ("complete_dependence", CompleteDependence()),
-    ("piecewise_example", PiecewiseExample(n=2, a=0.25, b=0.75)),
-    ("nonlinear_example", NonlinearExample(**NONLINEAR_DEFAULTS)),
-    ("two_branch", TwoBranch()),
-    ("sine_bump", SineBump(amp=0.5)),
-]
+#: The one spec table, by name in report order: every check reads its
+#: generators here, and a name's position is its stream index g.
+CATALOGUE: dict[str, GeneratorSpec] = {
+    "complete_dependence": CompleteDependence(),
+    "piecewise_example": PiecewiseExample(n=2, a=0.25, b=0.75),
+    "nonlinear_example": NonlinearExample(**NONLINEAR_DEFAULTS),
+    "two_branch": TwoBranch(),
+    "sine_bump": SineBump(amp=0.5),
+}
 
 #: The shared eta stream of catalogue generator g is substream
 #: (crc32(this label), g) of the master seed. The label is margins-ks's
@@ -254,11 +255,9 @@ class CheckContext:
     pending: Generator | None = field(default=None, compare=False, repr=False)
 
     def eta(self, name: str, reducer: Callable) -> Callable:
-        """``reducer``, fed catalogue generator ``name``'s shared eta stream,
-        each block as its ``RowExtremes``."""
-        g = _ALL.index(name)
-        return self.own(g, CATALOGUE[g][1], reducer, sampler=_eta_blocks,
-                        label=ETA_STREAM_LABEL)
+        """``reducer``, fed catalogue generator ``name``'s shared eta stream."""
+        return self.own(list(CATALOGUE).index(name), CATALOGUE[name], reducer,
+                        sampler=msp_path_blocks, label=ETA_STREAM_LABEL)
 
     def own(self, k: int, spec: GeneratorSpec, reducer: Callable, n: int | None = None,
             sampler: Callable | None = None, label: str | None = None) -> Callable:
@@ -302,6 +301,7 @@ class CheckReport:
     seed: int
     n_default: int
     checks: list[CheckResult]
+    #: None exactly when the run is byte-stable: then no seconds are shown.
     generated_at: str | None = None
 
     @property
@@ -314,26 +314,26 @@ class CheckReport:
                 return c
         raise KeyError(check_id)
 
-    def as_dict(self, runtime: bool = True) -> dict:
-        """``runtime=False`` zeroes per-check seconds (byte-stable reports)."""
+    def as_dict(self) -> dict:
+        """The report as JSON data; a byte-stable run's seconds read 0."""
         doc = {
             "suite": self.suite,
             "seed": self.seed,
             "n_default": self.n_default,
-            "checks": [c.as_dict(runtime) for c in self.checks],
+            "checks": [c.as_dict(self.generated_at is not None) for c in self.checks],
             "pass": self.passed,
         }
         if self.generated_at is not None:
             doc["generated_at"] = self.generated_at
         return doc
 
-    def summary_lines(self, runtime: bool = True) -> list[str]:
-        """One line per check, then the verdict; ``runtime=False`` leaves
-        out the seconds (byte-stable output)."""
+    def summary_lines(self) -> list[str]:
+        """One line per check, then the verdict; a byte-stable run's lines
+        leave out the seconds."""
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            seconds = f"({c.seconds:.2f}s)  " if runtime else ""
+            seconds = f"({c.seconds:.2f}s)  " if self.generated_at is not None else ""
             lines.append(f"{status}  {c.check_id}  {seconds}{c.description}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return lines
@@ -376,13 +376,6 @@ def check(check_id: str, description: str):
 
 
 # --- streams and their reducers -------------------------------------------------
-
-
-def _eta_blocks(spec: GeneratorSpec, grid: TimeGrid, n: int, seed) -> Iterator[RowExtremes]:
-    """``msp_path_blocks``, each block as its ``RowExtremes``: the events of
-    every check read one per-row min and max per grid slice, which go with
-    the block."""
-    return map(RowExtremes, msp_path_blocks(spec, grid, n, seed))
 
 
 def _tiled(stat: Callable) -> Callable:
@@ -480,9 +473,6 @@ def _hit_estimates(ctx: CheckContext, hits: EventCounts) -> list[Estimate]:
     return [binomial_estimate(int(c), ctx.n) for c in hits.counts[0]]
 
 
-_ALL = tuple(name for name, _ in CATALOGUE)
-
-
 # --- the checks ---------------------------------------------------------------
 
 
@@ -491,10 +481,10 @@ def _check_eq1_moments(ctx: CheckContext):
     """Per catalogue generator, the grid point whose mean uses the largest
     share of its tolerance, 4 se plus 1e-12: a point of zero variance must
     match to within the float accumulation error of the sums."""
-    accs = [ctx.own(gi, spec, _ZSums()) for gi, (_, spec) in enumerate(CATALOGUE)]
+    accs = [ctx.own(gi, spec, _ZSums()) for gi, spec in enumerate(CATALOGUE.values())]
     yield
     out = []
-    for name, acc in zip(_ALL, accs):
+    for name, acc in zip(CATALOGUE, accs):
         total, total_sq = acc.sums()
         mean = total / ctx.n
         var = np.maximum(0.0, total_sq / ctx.n - mean * mean)
@@ -554,11 +544,11 @@ def _check_eq2_roundtrip(ctx: CheckContext):
     cdf's with the delta-method se of exp(-D-norm). The D-norms share one
     set of Z paths per generator, drawn apart from the eta stream."""
     names, fs = zip(*_criterion2_functions(ctx.grid))
-    joints = [ctx.eta(name, EventCounts(*map(_below, fs))) for name in _ALL]
-    dnorms = [ctx.own(2 * gi, spec, _sup_means(fs)) for gi, (_, spec) in enumerate(CATALOGUE)]
+    joints = [ctx.eta(name, EventCounts(*map(_below, fs))) for name in CATALOGUE]
+    dnorms = [ctx.own(2 * gi, spec, _sup_means(fs)) for gi, spec in enumerate(CATALOGUE.values())]
     yield
     out = []
-    for name, joint_counts, dns in zip(_ALL, joints, dnorms):
+    for name, joint_counts, dns in zip(CATALOGUE, joints, dnorms):
         for i, (fname, count) in enumerate(zip(names, joint_counts.counts)):
             dn = dns.estimate(i)
             joint = binomial_estimate(int(count), ctx.n)
@@ -577,10 +567,10 @@ def _nonnegative_values(ext: RowExtremes) -> np.ndarray:
 
 @check("eq3-negative-paths", "simulated paths are strictly negative")
 def _check_eq3_negative_paths(ctx: CheckContext):
-    counts = [ctx.eta(name, EventCounts(_nonnegative_values)) for name in _ALL]
+    counts = [ctx.eta(name, EventCounts(_nonnegative_values)) for name in CATALOGUE]
     yield
     return [Assertion(f"{name}:nonnegative_values", int(c.counts[0].sum()), 0.0)
-            for name, c in zip(_ALL, counts)]
+            for name, c in zip(CATALOGUE, counts)]
 
 
 _MARGIN_TIMES = (0.0, 0.37, 1.0)
@@ -591,11 +581,11 @@ def _check_margins_ks(ctx: CheckContext):
     """KS distance of each margin column against exp(x), x <= 0; the
     columns of one generator come from one set of paths."""
     cols = [ctx.grid.index_of(t) for t in _MARGIN_TIMES]
-    stacks = [ctx.eta(name, RowStack(ctx.n, cols)) for name in _ALL]
+    stacks = [ctx.eta(name, RowStack(ctx.n, cols)) for name in CATALOGUE]
     yield
     band = ks_band(ctx.n)
     return [Assertion(f"{name}:t={t}", ks_distance_neg_exponential(column), band, "<=")
-            for name, stack in zip(_ALL, stacks)
+            for name, stack in zip(CATALOGUE, stacks)
             for t, column in zip(_MARGIN_TIMES, stack.rows.T)]
 
 
@@ -624,7 +614,7 @@ def _check_takahashi(ctx: CheckContext):
     probes = [f for _, f in _criterion2_functions(ctx.grid)]
     expected = {"complete_dependence": 1.0, "piecewise_example": 0.0, "two_branch": 0.0}
     dnorms = {name: ctx.own(gi, spec, _sup_means(probes))
-              for gi, (name, spec) in enumerate(CATALOGUE) if name in expected}
+              for gi, (name, spec) in enumerate(CATALOGUE.items()) if name in expected}
     yield
     out = []
     for name, dns in dnorms.items():
@@ -661,7 +651,8 @@ def _check_example1_complete_dependence(ctx: CheckContext):
 
 @check("prop2-null-on-constant-interval", "no hits where the generator is degenerate")
 def _check_prop2_null(ctx: CheckContext):
-    hits = _hits(ctx, "piecewise_example", [-1.0], [Interval(0.25, 0.75)])
+    pw = CATALOGUE["piecewise_example"]
+    hits = _hits(ctx, "piecewise_example", [-1.0], [Interval(pw.a, pw.b)])
     yield
     (est,) = _hit_estimates(ctx, hits)
     return _null_probability(est)
@@ -670,7 +661,7 @@ def _check_prop2_null(ctx: CheckContext):
 @check("prop2-positive-when-norm-gt-1",
        "positive hitting probability when ||1_I||_D > 1")
 def _check_prop2_positive(ctx: CheckContext):
-    spec = PiecewiseExample(n=2, a=0.25, b=0.75)
+    spec = CATALOGUE["piecewise_example"]
     indicator = LevelFunction.indicator_step(ctx.grid, Interval(0.0, 1.0), inside=-1.0)
     dns = ctx.own(0, spec, _sup_means([indicator]))
     hits = _hits(ctx, "piecewise_example", [-1.0], [Interval(0.0, 1.0)])
@@ -693,9 +684,8 @@ def _check_survivor_bound(ctx: CheckContext):
     v = E inf |f| Z, whose se is the delta-method exp(-v) se(v); the
     assertion's se is the sum of both estimates' se (independent draws, a
     conservative bound)."""
-    specs = dict(CATALOGUE)
     absf = np.abs(LevelFunction.constant(ctx.grid, -1.0).values)
-    vs = [ctx.own(2 * gi, specs[name],
+    vs = [ctx.own(2 * gi, CATALOGUE[name],
                   StatMeans(per_path(_tiled(lambda z: np.min(z * absf, axis=1)))))
           for gi, name in enumerate(_SURVIVOR_GENERATORS)]
     # eta > -1 at every grid point: min eta > -1
@@ -719,7 +709,7 @@ def _check_example2_m(ctx: CheckContext):
     ``closed_form_m`` derives m from the atom table, so its exact match
     with the paper's 14/9 checks the table, not a restated formula.
     """
-    spec = PiecewiseExample(n=2, a=0.25, b=0.75)
+    spec = CATALOGUE["piecewise_example"]
     acc = ctx.own(0, spec, StatMeans(per_path(lambda z: z.max(axis=1)),
                                      per_path(lambda z: z.min(axis=1))))
     yield
@@ -742,7 +732,7 @@ def _check_hcurve_bound(ctx: CheckContext):
     """At 4 se plus the grid allowance."""
     hits = _hits(ctx, "sine_bump", _HCURVE_LEVELS, [Interval(0.0, 1.0)])
     yield
-    spec = SineBump(amp=0.5)
+    spec = CATALOGUE["sine_bump"]
     m, m_tilde = closed_form_m(spec), closed_form_m_tilde(spec)
     return [
         Assertion(f"x={lvl}", est.value, hitting_bound(m, m_tilde, lvl), "<=",
@@ -777,7 +767,7 @@ def _check_hintegral_bound(ctx: CheckContext):
     the path's, so the paper's bound holds on any grid."""
     acc = ctx.eta("sine_bump", _range_means())
     yield
-    spec = SineBump(amp=0.5)
+    spec = CATALOGUE["sine_bump"]
     m = closed_form_m(spec)
     mt = closed_form_m_tilde(spec)
     span, minus_max = _mean_range(spec, acc, ctx.grid)
@@ -801,7 +791,7 @@ def _check_lemma31(ctx: CheckContext):
                         for name in ("sine_bump", "nonlinear_example"))
     yield
     est = binomial_estimate(int(sine_acc.counts[0]), ctx.n)
-    sine = SineBump(amp=0.5)
+    sine = CATALOGUE["sine_bump"]
     # P(ends <= -1) - P(all <= -1), by P(eta <= x on T) = exp(x m_T)
     t = ctx.grid.points[list(cols)]
     target = math.exp(-expected_max(sine, t[[0, 2]])) - math.exp(-expected_max(sine, t))
@@ -868,8 +858,7 @@ def _check_cor33(ctx: CheckContext):
     that it is not.
     """
     window = Interval(*_COR33_WINDOW)
-    nl = NonlinearExample(**NONLINEAR_DEFAULTS)
-    sine = SineBump(amp=0.5)
+    nl, sine = CATALOGUE["nonlinear_example"], CATALOGUE["sine_bump"]
     item3 = [ctx.own(k, spec, _sup_at_endpoint(ctx.grid, window))
              for k, spec in enumerate((nl, sine))]
     items145 = [ctx.eta(key, _cor33_events(ctx, key)) for key in _COR33_DUD_T0]
@@ -913,7 +902,7 @@ _SUPMAX_WINDOWS = ((0.0, 1.0), (0.1, 0.6), (0.5, 0.9))
 
 @check("nonlinear-supmax", "nonlinear paths peak at window endpoints")
 def _check_nonlinear_supmax(ctx: CheckContext):
-    spec = NonlinearExample(**NONLINEAR_DEFAULTS)
+    spec = CATALOGUE["nonlinear_example"]
     accs = [ctx.own(k, spec, _sup_at_endpoint(ctx.grid, Interval(lo, hi)))
             for k, (lo, hi) in enumerate(_SUPMAX_WINDOWS)]
     yield
@@ -940,7 +929,7 @@ def _check_final_integral(ctx: CheckContext):
     """The mean range against its grid-exact value (3/2 on [0, 1])."""
     acc = ctx.eta("two_branch", _range_means())
     yield
-    span, minus_max = _mean_range(TwoBranch(), acc, ctx.grid)
+    span, minus_max = _mean_range(CATALOGUE["two_branch"], acc, ctx.grid)
     exact = _final_example_grid_range(ctx.grid.points)
     return [
         Assertion("mean_range", span.value, exact,
@@ -1014,11 +1003,11 @@ def _check_shared_draw_invariants(ctx: CheckContext):
         ])
 
     z_bad = [ctx.own(2 * gi, spec, EventCounts(per_path(_tiled(z_violations))), n=_SHARED_DRAW_N)
-             for gi, (_, spec) in enumerate(CATALOGUE)]
-    eta_bad = [ctx.eta(name, _eta_invariant_violations(ctx)) for name in _ALL]
+             for gi, spec in enumerate(CATALOGUE.values())]
+    eta_bad = [ctx.eta(name, _eta_invariant_violations(ctx)) for name in CATALOGUE]
     yield
     return [Assertion(f"{name}:violations", int(z.counts[0].sum() + e.counts[0].sum()), 0.0)
-            for name, z, e in zip(_ALL, z_bad, eta_bad)]
+            for name, z, e in zip(CATALOGUE, z_bad, eta_bad)]
 
 
 _EXACTNESS_PATHS = 100
@@ -1029,10 +1018,10 @@ def _check_stopping_exactness(ctx: CheckContext):
     # per block, the mask of its paths that extra arrivals change
     changed = [ctx.own(gi, spec, EventCounts(lambda mask: mask), n=_EXACTNESS_PATHS,
                        sampler=stopping_exactness_violations)
-               for gi, (_, spec) in enumerate(CATALOGUE)]
+               for gi, spec in enumerate(CATALOGUE.values())]
     yield
     return [Assertion(f"{name}:changed_paths", c.counts[0], 0.0)
-            for name, c in zip(_ALL, changed)]
+            for name, c in zip(CATALOGUE, changed)]
 
 
 # --- runner -------------------------------------------------------------------
@@ -1074,9 +1063,10 @@ def run_checks(
     not an integer >= 1 or a bad grid fails before anything executes.
     Each check's plan registers its reducers, every stream feeds them, then
     each check's runner builds its assertions (see the module docstring).
-    With ``threads`` > 1 the streams go to a pool; report contents are
+    The streams go to a pool of ``threads`` workers; report contents are
     independent of ``threads`` and of which checks run. The first stream
     that raises ends the run: the others stop at their next block.
+    ``timestamp=False`` makes the report byte-stable: no time, no seconds.
     """
     as_seedseq(master_seed)
     if isinstance(master_seed, np.random.SeedSequence):
@@ -1108,12 +1098,8 @@ def run_checks(
         ctx.pending = _CHECKS[ctx.check_id].plan(ctx)
         next(ctx.pending)
     failed = threading.Event()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            _results([pool.submit(feed_stream, *stream, failed) for stream in streams.values()])
-    else:
-        for stream in streams.values():
-            feed_stream(*stream, failed)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        _results([pool.submit(feed_stream, *stream, failed) for stream in streams.values()])
     results = []
     for ctx in contexts:
         defn = _CHECKS[ctx.check_id]

@@ -5,23 +5,18 @@ import numpy as np
 import pytest
 
 from maxhit import (
-    NONLINEAR_DEFAULTS,
     CompleteDependence,
     NonlinearExample,
     PiecewiseExample,
     SineBump,
     TwoBranch,
     make_grid,
+    verify,
 )
 from maxhit.generators import shape_blocks
 
-CATALOGUE = [
-    CompleteDependence(),
-    PiecewiseExample(n=2, a=0.25, b=0.75),
-    NonlinearExample(**NONLINEAR_DEFAULTS),
-    TwoBranch(),
-    SineBump(amp=0.5),
-]
+#: The suite's catalogue specs, in its order.
+CATALOGUE = list(verify.CATALOGUE.values())
 
 #: Uniforms one path consumes, as the ``generators`` docstring documents.
 DOCUMENTED_UNIFORMS = {

@@ -550,6 +550,37 @@ def test_level_function_document_refusal_names_the_field(doc, field, two_branch_
     assert line.startswith("error: ") and repr(field) in line
 
 
+#: Level-function documents whose structure is wrong, each with the start
+#: of the one error line that names its field.
+_MALFORMED_LEVEL_DOCUMENTS = {
+    "three-number-breakpoint": (
+        {"shape": "piecewise_linear", "breakpoints": [[0, -1, 7], [1, -2]]},
+        "field 'breakpoints' needs [t, v], a list of two numbers, got [0, -1, 7]"),
+    "missing-field": ({"shape": "indicator_step", "inside": -1.0},
+                      "missing field 'interval'"),
+    "three-number-interval": (
+        {"shape": "indicator_step", "interval": [0.1, 0.2, 0.3], "inside": -1.0},
+        "field 'interval' needs [lo, hi], a list of two numbers, got [0.1, 0.2, 0.3]"),
+    "breakpoints-not-a-list": ({"shape": "piecewise_linear", "breakpoints": 5},
+                               "field 'breakpoints' needs a list of [t, v] pairs, got 5"),
+    "string-interval": ({"shape": "indicator_step", "interval": "ab", "inside": -1.0},
+                        "field 'interval' needs [lo, hi], a list of two numbers, got 'ab'"),
+}
+
+
+@pytest.mark.parametrize("doc, message", _MALFORMED_LEVEL_DOCUMENTS.values(),
+                         ids=list(_MALFORMED_LEVEL_DOCUMENTS))
+def test_malformed_level_document_names_the_field(doc, message, two_branch_json,
+                                                  tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(doc))
+    code = main(["dnorm", "--generator", two_branch_json, "--level-function", str(f),
+                 "--grid", "11", "--n", "100"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: bad level function document: {message}\n"
+
+
 # --- argv fuzzing ------------------------------------------------------------
 
 

@@ -33,7 +33,7 @@ def _plan(check_ids, grid, n=4096):
 
 def _eta_reducer(check_id, name):
     """The one reducer ``check_id`` registers on ``name``'s eta stream."""
-    (reducer,) = _plan([check_id], GRID)[(ETA, verify._ALL.index(name))][1]
+    (reducer,) = _plan([check_id], GRID)[(ETA, list(verify.CATALOGUE).index(name))][1]
     return reducer
 
 
@@ -100,15 +100,16 @@ class TestRowExtremes:
     def test_indexing_reads_the_block(self, block):
         ext = RowExtremes(block)
         assert np.array_equal(ext[:, [0, 4]], block[:, [0, 4]])
-        assert RowExtremes.of(ext) is ext and RowExtremes.of(block).paths is block
 
-    def test_hit_rule_is_the_same_on_either_form(self, block):
+    def test_hit_rule_is_the_pointwise_bracket(self, block):
         levels = np.array([-0.5, -1.0, -2.0])
+        ext = RowExtremes(block)
         for sl in self.SLICES:
-            assert np.array_equal(hit_mask(RowExtremes(block), sl, -1.0),
-                                  hit_mask(block, sl, -1.0))
-            assert np.array_equal(hit_mask(block, sl, levels),
-                                  np.column_stack([hit_mask(block, sl, x) for x in levels]))
+            seg = block[:, sl]
+            assert np.array_equal(hit_mask(ext, sl, -1.0),
+                                  (seg.min(axis=1) <= -1.0) & (-1.0 <= seg.max(axis=1)))
+            assert np.array_equal(hit_mask(ext, sl, levels),
+                                  np.column_stack([hit_mask(ext, sl, x) for x in levels]))
 
 
 def _curve_pointwise(eta, levels, slices):
@@ -123,7 +124,7 @@ def _curve_pointwise(eta, levels, slices):
 class TestRewrittenEventsArePointwise:
     """Each event equals the point-by-point form it replaced, bit for bit."""
 
-    @pytest.mark.parametrize("name", verify._ALL)
+    @pytest.mark.parametrize("name", list(verify.CATALOGUE))
     def test_eq2_below_every_function(self, block, name):
         fs = [f for _, f in verify._criterion2_functions(GRID)]
         ext = RowExtremes(block)
@@ -185,7 +186,8 @@ class TestRewrittenEventsArePointwise:
         slices = [GRID.slice_of(Interval(*iv)) for iv in intervals]
         expected = _curve_pointwise(block, np.array(levels), slices)
         assert np.array_equal(event(RowExtremes(block)), expected)
-        assert np.array_equal(curve_mask(block, np.array(levels), slices), expected)
+        assert np.array_equal(curve_mask(RowExtremes(block), np.array(levels), slices),
+                              expected)
 
     @pytest.mark.parametrize("name", ["nonlinear_example", "sine_bump"])
     def test_cor33_window_items(self, block, name):
@@ -214,7 +216,7 @@ class TestRewrittenEventsArePointwise:
         expected = np.column_stack([dud & ~two, dud, two])
         assert np.array_equal(event(RowExtremes(block)), expected)
 
-    @pytest.mark.parametrize("name", verify._ALL)
+    @pytest.mark.parametrize("name", list(verify.CATALOGUE))
     def test_shared_draw_invariants(self, block, name):
         (event,) = _eta_reducer("shared-draw-invariants", name).events
         i_q, i_h, x = GRID.index_of(0.25), GRID.index_of(0.5), -1.0
@@ -257,9 +259,9 @@ class TestNoBlockSizedTemporary:
     def plan(self):
         return _plan(verify.check_ids(), MEMORY_GRID)
 
-    @pytest.mark.parametrize("name", verify._ALL)
+    @pytest.mark.parametrize("name", list(verify.CATALOGUE))
     def test_eta_reducers(self, plan, name):
-        draw, reducers = plan[(ETA, verify._ALL.index(name))]
+        draw, reducers = plan[(ETA, list(verify.CATALOGUE).index(name))]
         block = next(iter(draw()))
         assert block.paths.shape == (4096, len(MEMORY_GRID)) and len(reducers) >= 6
         assert _extra_peak(reducers, block) <= PEAK_SHARE * block.paths.nbytes

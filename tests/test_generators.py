@@ -38,7 +38,7 @@ from maxhit.verify import CATALOGUE as NAMED_CATALOGUE
 from maxhit.verify import _sup_at_endpoint
 
 #: Each variant's document tag: its name in the suite's catalogue.
-TAGS = {type(spec): name for name, spec in NAMED_CATALOGUE}
+TAGS = {type(spec): name for name, spec in NAMED_CATALOGUE.items()}
 
 
 def _document(spec) -> dict:
@@ -586,6 +586,18 @@ class TestJson:
             generator_from_json(
                 {"variant": "two_branch", "params": {"scale": 2.0}}
             )
+
+    @pytest.mark.parametrize("params", [0, [], False, "", None], ids=repr)
+    @pytest.mark.parametrize("variant", ["two_branch", "sine_bump"])
+    def test_params_that_are_not_an_object(self, variant, params):
+        # refused as what they are, not read as {} or as a list of names
+        with pytest.raises(InvalidSpecError, match='"params" must be an object'):
+            generator_from_json({"variant": variant, "params": params})
+
+    def test_params_may_be_left_out_without_parameters(self):
+        assert generator_from_json({"variant": "two_branch"}) == TwoBranch()
+        with pytest.raises(InvalidSpecError, match="missing parameter 'amp'"):
+            generator_from_json({"variant": "sine_bump"})
 
     def test_constraints_enforced_on_load(self):
         with pytest.raises(InvalidSpecError, match="0 < amp < 1"):

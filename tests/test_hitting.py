@@ -137,7 +137,7 @@ class TestCurveHit:
         f = LevelFunction.piecewise_linear(grid201, [0.0, 1.0], [-1.0, -2.0])
         est = count_paths(
             CompleteDependence(), grid201, 20_000, 55,
-            lambda eta: hit_mask(eta - f.values[None, :], slice(None), 0.0),
+            lambda eta: hit_mask(RowExtremes(eta.paths - f.values[None, :]), slice(None), 0.0),
         )
         target = math.exp(-1.0) - math.exp(-2.0)
         assert abs(est.value - target) <= 3 * est.se
@@ -206,15 +206,13 @@ class TestIntegralIsMeanRange:
         levels = -d * np.arange(1, 801)
         x_min = levels[-1]
         n, seed = 2000, 7
-        acc = _range_means()
-        for eta in msp_path_blocks(spec, grid101, n, seed):
-            acc(RowExtremes(eta))
+        acc = reduce_blocks(msp_path_blocks(spec, grid101, n, seed), _range_means())
         mean_range, _ = _mean_range(spec, acc, grid101)
         ests = hitting_curve(spec, levels, [Interval(0.0, 1.0)], grid101, n, seed)
         below = reduce_blocks(
             msp_path_blocks(spec, grid101, n, seed),
-            StatMeans(lambda eta: np.maximum(0.0, np.minimum(eta.max(axis=1), x_min)
-                                             - eta.min(axis=1))),
+            StatMeans(lambda eta: np.maximum(0.0, np.minimum(eta.row_max(), x_min)
+                                             - eta.row_min())),
         ).estimate(0).value
         ladder_sum = d * sum(e.value for e in ests)
         assert abs(ladder_sum - mean_range.value) <= d + below + 1e-9
@@ -345,16 +343,16 @@ class TestMultiHit:
 
 class TestMasks:
     def test_touch_counts_as_hit(self):
-        eta = np.array([[-2.0, -1.0, -2.0], [-2.0, -2.0, -2.0], [-1.0, -1.0, -1.0]])
+        eta = RowExtremes(np.array([[-2.0, -1.0, -2.0], [-2.0, -2.0, -2.0], [-1.0, -1.0, -1.0]]))
         assert hit_mask(eta, slice(None), -1.0).tolist() == [True, False, True]
 
     def test_slice_limits_the_window(self):
-        eta = np.array([[0.0, -0.5, -2.0]])
+        eta = RowExtremes(np.array([[0.0, -0.5, -2.0]]))
         assert hit_mask(eta, slice(0, 2), -1.0).tolist() == [False]
         assert hit_mask(eta, slice(1, 3), -1.0).tolist() == [True]
 
     def test_down_up_down(self):
-        eta = np.array([[-2.0, -0.5, -1.0], [-2.0, -1.0, -2.0], [-0.5, -0.5, -2.0]])
+        eta = RowExtremes(np.array([[-2.0, -0.5, -1.0], [-2.0, -1.0, -2.0], [-0.5, -0.5, -2.0]]))
         assert down_up_down_mask(eta, (0, 1, 2), -1.0).tolist() == [True, False, False]
 
 
@@ -372,7 +370,7 @@ def test_hit_mask_iff_window_extrema_bracket(data):
     j = data.draw(st.integers(min_value=i + 1, max_value=n - 1))
     x = data.draw(finite_floats)
     window = values[i : j + 1]
-    got = hit_mask(np.array([values]), slice(i, j + 1), x)
+    got = hit_mask(RowExtremes(np.array([values])), slice(i, j + 1), x)
     assert got.tolist() == [min(window) <= x <= max(window)]
 
 

@@ -29,6 +29,7 @@ from maxhit import msp
 from maxhit.estimates import EventCounts, RowStack, reduce_blocks
 from maxhit.generators import path_basis, sample_paths
 from maxhit.msp import ks_distance_neg_exponential, stopping_exactness_violations
+from maxhit.paths import RowExtremes
 from maxhit.streams import BLOCK_SIZE, block_streams
 from maxhit.verify import ks_band
 
@@ -216,8 +217,8 @@ def test_block_memory_stays_near_the_block(spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert block.shape == (4096, 1001)
-    assert peak <= 1.25 * block.nbytes
+    assert block.paths.shape == (4096, 1001)
+    assert peak <= 1.25 * block.paths.nbytes
 
 
 def _peak_bytes(fn):
@@ -252,7 +253,20 @@ def test_corpus_memory_is_corpus_plus_one_block():
 def test_consecutive_blocks_share_one_buffer():
     blocks = msp_path_blocks(TwoBranch(), make_grid(101), 4097, 36)
     first = next(blocks)
-    assert np.shares_memory(first, next(blocks))
+    assert np.shares_memory(first.paths, next(blocks).paths)
+
+
+@pytest.mark.parametrize("spec", CATALOGUE, ids=repr)
+def test_blocks_are_row_extremes_that_stack_to_the_corpus(spec):
+    # every block is the one eta block type; its rows, copied before the
+    # next block overwrites them, are the corpus
+    grid = make_grid(101)
+    rows = []
+    for block in msp_path_blocks(spec, grid, 4097, 39):
+        assert type(block) is RowExtremes
+        rows.append(block.paths.copy())
+    assert [len(r) for r in rows] == [4096, 1]
+    assert np.array_equal(np.concatenate(rows), msp_corpus(spec, grid, 4097, 39))
 
 
 def test_interleaved_streams_keep_their_own_buffers():
@@ -262,7 +276,7 @@ def test_interleaved_streams_keep_their_own_buffers():
     alone = [msp_corpus(spec, grid, 4097, 37) for spec in specs]
     streams = [msp_path_blocks(spec, grid, 4097, 37) for spec in specs]
     for lo, hi in ((0, 4096), (4096, 4097)):
-        pair = [next(s) for s in streams]
+        pair = [next(s).paths for s in streams]
         assert not np.shares_memory(*pair)
         for eta, corpus in zip(pair, alone):
             assert np.array_equal(eta, corpus[lo:hi])
@@ -333,7 +347,7 @@ def joint_cdf(spec, fs, n, seed):
     paths on the functions' common grid: the eq2-roundtrip reduction."""
     counts = reduce_blocks(
         msp_path_blocks(spec, LevelFunction.common_grid(fs), n, seed),
-        EventCounts(*(lambda eta, fv=f.values: np.all(eta <= fv, axis=1) for f in fs)),
+        EventCounts(*(lambda eta, fv=f.values: np.all(eta.paths <= fv, axis=1) for f in fs)),
     ).counts
     return [binomial_estimate(int(c), n) for c in counts]
 
@@ -367,8 +381,7 @@ def marginal_ks(spec, times, grid, n, seed):
     """KS distances of eta_t against exp(x), x <= 0, per time, all from one
     set of paths: the margins-ks reduction."""
     cols = [grid.index_of(t) for t in times]
-    blocks = msp_path_blocks(spec, grid, n, seed)
-    samples = reduce_blocks((eta[:, cols] for eta in blocks), RowStack(n)).rows
+    samples = reduce_blocks(msp_path_blocks(spec, grid, n, seed), RowStack(n, cols)).rows
     return [ks_distance_neg_exponential(column) for column in samples.T]
 
 

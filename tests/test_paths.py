@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import maxhit
 from maxhit import Interval, InvalidArgumentError, OffGridError, TimeGrid, make_grid
 from maxhit.hitting import hit_mask
+from maxhit.paths import RowExtremes
 
 
 class TestMakeGrid:
@@ -123,7 +124,7 @@ finite_floats = st.floats(
 def test_hit_iff_extrema_bracket(values, x):
     grid = make_grid(len(values))
     sl = grid.slice_of(Interval(0.0, 1.0))
-    got = hit_mask(np.array([values]), sl, x)
+    got = hit_mask(RowExtremes(np.array([values])), sl, x)
     assert got.tolist() == [min(values) <= x <= max(values)]
 
 

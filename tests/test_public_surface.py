@@ -58,12 +58,15 @@ def test_removed_name_is_gone(name):
 
 #: Module-level names that went: the pull wrappers and the mean base class
 #: that every estimator's one fold (``reduce_blocks`` over an accumulator)
-#: replaces, the suite's int sum that a mask stream replaced, and a
-#: document writer only tests called.
+#: replaces, the suite's int sum that a mask stream replaced, a document
+#: writer only tests called, the wrapper that made ``msp_path_blocks``'
+#: arrays eta blocks (it yields them itself) and the name tuple beside the
+#: catalogue (a dict of specs by name).
 REMOVED_FROM_MODULES = [
     "maxhit.estimates.count_events", "maxhit.estimates.stream_means",
     "maxhit.estimates.stack_blocks", "maxhit.estimates.RunningMean",
     "maxhit.generators.generator_to_json", "maxhit.verify._Total",
+    "maxhit.verify._eta_blocks", "maxhit.verify._ALL",
 ]
 
 
@@ -71,6 +74,11 @@ REMOVED_FROM_MODULES = [
 def test_removed_module_name_is_gone(dotted):
     module, name = dotted.rsplit(".", 1)
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_eta_blocks_have_one_form():
+    # no adapter from a bare array: every eta block is a RowExtremes
+    assert not hasattr(importlib.import_module("maxhit.paths").RowExtremes, "of")
 
 
 def _readme_names():

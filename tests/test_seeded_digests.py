@@ -140,7 +140,7 @@ def check_digests() -> dict[str, str]:
                         threads=2, timestamp=False)
     return {
         entry["id"]: _sha256(json.dumps(entry, sort_keys=True, allow_nan=False).encode())
-        for entry in report.as_dict(runtime=False)["checks"]
+        for entry in report.as_dict()["checks"]
     }
 
 
@@ -149,14 +149,14 @@ def corpus_digests() -> dict[str, str]:
     return {
         name: _sha256(np.ascontiguousarray(
             msp_corpus(spec, grid, CORPUS_N, SEED), dtype="<f8").tobytes())
-        for name, spec in CATALOGUE
+        for name, spec in CATALOGUE.items()
     }
 
 
 def cli_digests(directory: Path) -> dict[str, tuple[int, str]]:
     files = {"level": directory / "level.json"}
     files["level"].write_text(json.dumps({"shape": "constant", "level": -1.0}))
-    for name, spec in CATALOGUE:
+    for name, spec in CATALOGUE.items():
         files[name] = directory / f"{name}.json"
         files[name].write_text(json.dumps({"variant": name, "params": dataclasses.asdict(spec)}))
     out = {}

@@ -19,8 +19,12 @@ from maxhit import (
     TwoBranch,
     UnknownCheckError,
     check_ids,
+    closed_form_m,
+    closed_form_m_tilde,
     final_example_reference,
     final_example_two_hit,
+    hitting_bound,
+    make_grid,
     msp,
     run_checks,
     verify,
@@ -259,13 +263,14 @@ class TestRunChecks:
             run_checks(["example2-m"], np.random.SeedSequence(7), n_default=1000)
 
     def test_summary_lines(self):
+        # a byte-stable run's lines leave out the seconds a timed run's show
         rep = run_checks(["example2-m"], master_seed=3, n_default=1000,
                          grid_points=101, timestamp=False)
-        lines = rep.summary_lines()
+        stable = rep.summary_lines()
+        lines = dataclasses.replace(rep, generated_at="2026-01-01T00:00:00+0000").summary_lines()
         assert any(line.startswith(("PASS", "FAIL")) for line in lines)
         assert lines[-1].startswith("overall:")
-        assert "s)  " in lines[0]
-        stable = rep.summary_lines(runtime=False)
+        assert "s)  " in lines[0] and "s)  " not in stable[0]
         assert stable[0] == lines[0].split("  (")[0] + "  " + rep.checks[0].description
         assert stable[1:] == lines[1:]
 
@@ -280,6 +285,23 @@ def test_lemma31_reference_is_the_oracle():
         report = run_checks(["lemma31-closedform"], 7, n_default=500,
                             grid_points=points)
         assert report["lemma31-closedform"].assertions[0].expected == want
+
+
+def test_sine_checks_take_their_spec_from_the_catalogue(monkeypatch):
+    # the references follow the spec whose stream was drawn
+    sine = SineBump(amp=0.3)
+    monkeypatch.setitem(verify.CATALOGUE, "sine_bump", sine)
+    report = run_checks(["hcurve-bound", "hintegral-bound", "lemma31-closedform"], 7,
+                        n_default=200, grid_points=101)
+    m, mt = closed_form_m(sine), closed_form_m_tilde(sine)
+    assert [a.expected for a in report["hcurve-bound"].assertions] == [
+        hitting_bound(m, mt, x) for x in verify._HCURVE_LEVELS]
+    bound, positive, minus_max = report["hintegral-bound"].assertions
+    assert bound.expected == (m - mt) / (m * mt)
+    assert minus_max.expected == 1.0 / expected_max(sine, make_grid(101).points)
+    want = (math.exp(-expected_max(sine, [0.0, 0.5]))
+            - math.exp(-expected_max(sine, [0.0, 0.25, 0.5])))
+    assert report["lemma31-closedform"].assertions[0].expected == want
 
 
 #: Irregular times in [0, 1] holding both ends, for the grid-range reference.
@@ -309,7 +331,7 @@ class TestFinalExampleGridRange:
     def test_matches_the_sampler(self):
         times = TimeGrid(_IRREGULAR_T)
         acc = reduce_blocks(msp_path_blocks(TwoBranch(), times, 20_000, 3),
-                            StatMeans(lambda eta: eta.max(axis=1) - eta.min(axis=1)))
+                            StatMeans(lambda eta: eta.row_max() - eta.row_min()))
         est = acc.estimate(0)
         assert abs(est.value - _final_example_grid_range(_IRREGULAR_T)) <= Z_STAT * est.se
 
@@ -431,7 +453,7 @@ class TestDrawPlan:
             monkeypatch.setitem(verify._CHECKS, cid, dataclasses.replace(defn, runner=runner))
         run_checks("paper", 5, **_PLAN)
 
-        specs = [spec for _, spec in CATALOGUE]
+        specs = list(CATALOGUE.values())
         own_z = {"eq1-moments": [(g, specs[g]) for g in range(5)],
                  "eq2-roundtrip": [(2 * g, specs[g]) for g in range(5)],
                  "takahashi": [(g, specs[g]) for g in (0, 1, 3)],
@@ -457,7 +479,7 @@ class TestDrawPlan:
     @pytest.mark.parametrize("check_id", check_ids())
     def test_entry_alone_equals_entry_in_suite(self, suite, check_id):
         alone = run_checks([check_id], 5, **_PLAN)
-        assert alone.as_dict(runtime=False)["checks"] == [suite[check_id].as_dict(runtime=False)]
+        assert alone.as_dict()["checks"] == [suite[check_id].as_dict(runtime=False)]
 
     def test_report_independent_of_threads(self):
         # more workers than cores and frequent thread switches: a reducer
@@ -466,7 +488,7 @@ class TestDrawPlan:
         sys.setswitchinterval(1e-5)
         try:
             reports = [run_checks("paper", 3, n_default=4500, grid_points=101,
-                                  threads=k, timestamp=False).as_dict(runtime=False)
+                                  threads=k, timestamp=False).as_dict()
                        for k in (1, 2, 3, 8)]
         finally:
             sys.setswitchinterval(interval)
@@ -507,7 +529,7 @@ class TestDrawPlan:
             verify.feed_stream(lambda: drawn.append(1) or [np.zeros(1)], [fed.append], failed)
         assert drawn == fed == []
 
-    @pytest.mark.parametrize("spec", [s for _, s in CATALOGUE],
+    @pytest.mark.parametrize("spec", list(CATALOGUE.values()),
                              ids=lambda s: type(s).__name__)
     def test_eq1_sums_match_the_built_paths(self, spec):
         # atom specs sum their shape counts, exact up to one rounding per
