@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .estimates import Estimate, StatMeans, per_path, reduce_blocks
+from .estimates import Estimate, StatMeans, reduce_blocks
 from .generators import GeneratorSpec, shape_blocks
 from .paths import Interval, TimeGrid, _frozen_array
 from .streams import Seed
@@ -99,8 +99,9 @@ def dnorm_estimates(
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
     sups = [
-        lambda z, af=np.abs(f.values): np.max(z * af[None, :], axis=1) for f in fs
+        lambda z, af=np.abs(f.values): np.max(z.rows * af[None, :], axis=1)[z.index]
+        for f in fs
     ]
     acc = reduce_blocks(shape_blocks(spec, LevelFunction.common_grid(fs), n, seed),
-                        StatMeans(*map(per_path, sups)))
+                        StatMeans(*sups))
     return [acc.estimate(i) for i in range(len(fs))]

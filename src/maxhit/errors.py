@@ -1,8 +1,16 @@
 """Exception types shared across the package. Usage errors (CLI exit 2) are
 ``InvalidArgumentError`` and its subclasses; internal invariants stay plain
-``ValueError``, so a program fault never reads as a usage error."""
+``ValueError``, so a program fault never reads as a usage error.
+``is_count`` is the integer test that every count argument passes."""
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def is_count(value) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(value, int | np.integer) and not isinstance(value, bool)
 
 
 class MaxhitError(Exception):

@@ -2,18 +2,17 @@
 
 Probability estimates carry a Wilson 95% score interval, except at the
 boundaries: zero observed successes yield the rule-of-three interval
-``[0, 3/n]`` (and symmetrically ``[1 - 3/n, 1]`` for n-of-n), which is the
-testable form of "this probability is zero" used by the verification suite.
+``[0, min(1, 3/n)]`` (``[max(0, 1 - 3/n), 1]`` for n of n), the testable
+form of "this probability is zero" used by the verification suite.
 
 Every estimator is one fold, ``reduce_blocks(blocks, acc)``: each block
 of a seeded stream goes to a push accumulator, which adds it to its
-totals. ``EventCounts`` counts the rows whose event mask holds,
-``StatMeans`` sums per-row statistics into means, and ``RowStack`` keeps
-the rows (``msp_corpus``, and checks that need whole columns: a KS
-distance sorts its sample). One stream can feed several accumulators at
-once (``verify.run_checks``). Generator paths also come as ``(rows,
-index)`` shape blocks (``generators.shape_blocks``); ``per_path`` turns a
-row-wise statistic into one on such blocks.
+totals. A block is a ``paths.RowExtremes`` of eta or generator paths.
+``EventCounts`` counts the paths whose event mask holds, ``StatMeans``
+sums per-path statistics into means, and ``RowStack`` keeps the paths
+(``msp_corpus``, and checks that need whole columns: a KS distance sorts
+its sample). One stream can feed several accumulators at once
+(``verify.run_checks``).
 
 An ``Estimate`` records what was estimated (value, se, CI, n), not how it
 was seeded: the caller holds the seed, and the CLI writes it beside the
@@ -86,9 +85,9 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def rule_of_three(n: int) -> float:
-    """95% upper bound for a probability after 0 successes in n >= 1 trials."""
+    """95% upper bound min(1, 3/n) on a probability after 0 successes in n >= 1 trials."""
     _check_trials(0, n)
-    return 3.0 / n
+    return min(1.0, 3.0 / n)
 
 
 def binomial_estimate(successes: int, n: int) -> Estimate:
@@ -116,16 +115,6 @@ def mean_estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
     var = max(0.0, total_sq / n - mean * mean)
     se = math.sqrt(var / n)
     return Estimate(value=mean, se=se, ci=(mean - Z95 * se, mean + Z95 * se), n=n)
-
-
-def per_path(stat: Callable) -> Callable:
-    """``stat`` on a ``(rows, index)`` shape block: evaluated once per
-    distinct row, then gathered to one value per path.
-
-    Exact for a row-wise ``stat`` (each output row depends on its input row
-    alone): ``stat(rows)[index]`` equals ``stat(rows[index])``.
-    """
-    return lambda block: stat(block[0])[block[1]]
 
 
 class EventCounts:
@@ -195,7 +184,7 @@ class RowStack:
         self.filled = end
 
 
-def reduce_blocks(blocks: Iterable[np.ndarray], acc: Callable) -> Callable:
+def reduce_blocks(blocks: Iterable, acc: Callable) -> Callable:
     """``acc`` after it has been called with every block."""
     # The loop variable keeps each block until the next one exists. Letting
     # it go first made dnorm's SineBump passes (a 33 MB block and a temporary

@@ -61,16 +61,12 @@ threshold order. Batched sampling draws the ``(count, k)`` uniform block
 row-major (``draw_uniforms``), so replica ``i`` of a block owns row ``i``.
 
 Shape blocks: an atom generator's block of paths repeats at most K
-distinct rows, so ``shape_blocks`` streams each block as ``(rows,
-index)``, the K-row shape table and the block's atom index; the block's
-paths are ``rows[index]``. A reduction whose statistic is a row max, min
-or comparison of an elementwise product with a fixed vector
-(``dnorm_estimates``, and the generator checks in ``verify``) evaluates it
-on the K rows and gathers by index
-(``estimates.per_path``): the products are the same floats and a max or
-min does not round, so the per-path values, and the sums over them, equal
-those of the materialized block bit for bit. SineBump blocks are built in
-full, with index ``slice(None)``.
+distinct rows, so ``shape_blocks`` streams each block as a
+``paths.RowExtremes`` of the K-row shape table and the atom index. A row
+max, min or comparison of an elementwise product with a fixed vector is
+evaluated on the K rows and gathered: the products are the same floats
+and a max or min does not round, so the per-path values equal those of
+the built block bit for bit. SineBump blocks are built in full.
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidSpecError
-from .paths import TimeGrid
+from .paths import RowExtremes, TimeGrid
 from .streams import Seed, block_streams
 
 def _store_numbers(spec) -> None:
@@ -430,32 +426,23 @@ def path_maxima(
 
 def shape_blocks(
     spec: GeneratorSpec, grid: TimeGrid, n: int, seed: Seed
-) -> Iterator[tuple[np.ndarray, np.ndarray | slice]]:
-    """Stream blocks of generator paths as ``(rows, index)``; the block's
-    paths are ``rows[index]``.
+) -> Iterator[RowExtremes]:
+    """Stream blocks of generator paths as ``RowExtremes``.
 
-    An atom generator's ``rows`` is its read-only (K, len(grid))
-    ``path_basis``, built once per call, and ``index`` is the block's
-    ``atom_index``; SineBump's ``rows`` is the built (block, len(grid))
-    array and ``index`` is ``slice(None)``. Block ``b`` draws its uniforms
-    from child stream ``b`` of ``seed``, so the paths are a deterministic
-    function of (seed, n, grid).
-
-    A row-wise statistic (each output row a function of its input row
-    alone, such as a row max or min of ``z * v`` for a fixed vector v, or
-    a comparison of such values) may be evaluated on ``rows`` and gathered
-    by ``index``: ``stat(rows)[index]`` equals ``stat(rows[index])`` bit for
-    bit, because the elementwise products are the same floats and a max or
-    min does not round. ``estimates.per_path`` does that gather.
+    An atom generator's block holds its read-only (K, len(grid))
+    ``path_basis``, built once per call, and the block's ``atom_index``;
+    a SineBump block holds its built (block, len(grid)) rows. Block ``b``
+    draws its uniforms from child stream ``b`` of ``seed``, so the paths
+    are a deterministic function of (seed, n, grid).
     """
     basis = path_basis(spec, grid)
     for count, rng in block_streams(seed, n):
         u = draw_uniforms(spec, rng, count)
         index = atom_index(spec, u)
         if index is None:
-            yield sample_paths(spec, basis, u), slice(None)
+            yield RowExtremes(sample_paths(spec, basis, u))
         else:
-            yield basis, index
+            yield RowExtremes(basis, index)
 
 
 def closed_form_m(spec: GeneratorSpec) -> float:

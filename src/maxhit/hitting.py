@@ -3,16 +3,16 @@
 A path "hits" level x inside an interval when its grid minimum and maximum
 bracket x (intermediate value rule). The estimators stream seeded path
 blocks and report Wilson intervals; zero observed hits report the
-rule-of-three interval [0, 3/n], the operational form of "probability
-zero". h(0) = 0 holds by convention and is never simulated: the level 0
-is almost surely not attained.
+rule-of-three interval [0, min(1, 3/n)], the operational form of
+"probability zero". h(0) = 0 holds by convention and is never
+simulated: the level 0 is almost surely not attained.
 
 The paper's events are all "eta hits x in every interval of a list", and
 one estimator counts them: ``hitting_curve`` takes a ladder of levels (one
 level is a ladder too) and a list of intervals, and gives one estimate per
 level from a single pass over the paths. One interval is the plain hitting
 probability; ``two_hit_prob`` is the two-hit event at an interior split
-time. Every ladder passes one check (``_checked_levels``): finite, negative
+time. Every ladder passes one check (``checked_levels``): finite, negative
 and strictly decreasing. ``hitting_bound`` is the paper's bound at one
 level. The curve's integral needs no ladder: as eta < 0, it is the mean
 range E[max eta - min eta] (Fubini), which ``verify`` reduces directly.
@@ -84,7 +84,7 @@ def down_up_down_mask(
     return (eta[:, i_lo] <= x0) & (eta[:, i_mid] > x0) & (eta[:, i_hi] <= x0)
 
 
-def _checked_levels(levels) -> np.ndarray:
+def checked_levels(levels) -> np.ndarray:
     """``levels`` as floats: a nonempty, finite, negative, decreasing row."""
     lv = np.asarray(levels, dtype=float)
     if lv.ndim != 1 or lv.size < 1:
@@ -116,7 +116,7 @@ def curve_event(
     Intervals may touch at endpoints but must not overlap with positive
     length.
     """
-    lv = _checked_levels(levels)
+    lv = checked_levels(levels)
     if not intervals:
         raise InvalidArgumentError("need at least one interval")
     ordered = sorted(intervals, key=lambda iv: iv.lo)

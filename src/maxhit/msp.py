@@ -36,9 +36,10 @@ decreases.
 Every draw is still consumed from the stream, so the output is bit for bit
 that of building, dividing and max-accumulating every draw. The rows that
 remain are built, divided, merged into xi and reduced to their new min xi
-in row tiles of about ``_TILE_BYTES``, so each tile's passes run in cache
-instead of streaming whole-block temporaries through memory; a row's
-values do not depend on its tile, so tiling changes no bit. The path
+in row tiles of ``paths.tile_rows``, the one tile rule of the package, so
+each tile's passes run in cache instead of streaming whole-block
+temporaries through memory; a row's values do not depend on its tile, so
+tiling changes no bit. The path
 basis (``generators.path_basis``), the grid rows every path is built
 from, is computed once per sampling call.
 
@@ -76,7 +77,7 @@ from .generators import (
     path_maxima,
     sample_paths,
 )
-from .paths import RowExtremes, TimeGrid
+from .paths import RowExtremes, TimeGrid, tile_rows
 from .streams import Seed, block_streams
 
 #: Arrivals a block may draw before its stopping rule must have fired;
@@ -84,9 +85,6 @@ from .streams import Seed, block_streams
 MAX_ARRIVALS = 10**6
 #: Arrivals ``stopping_exactness_violations`` draws past each path's stop.
 EXTRA_ARRIVALS = 100
-#: Bytes of xi an arrival round builds, divides and merges at a time (at
-#: least one row), so that a tile's passes stay in cache.
-_TILE_BYTES = 1 << 18
 
 
 class _Live:
@@ -132,18 +130,13 @@ def _first_round(
     shape = atom_index(spec, u)
     if shape is not None:
         live.seen |= 1 << shape
-    step = _tile_rows(xi)
+    step = tile_rows(xi)
     for start in range(0, gamma.size, step):
         tile = slice(start, start + step)
         z = sample_paths(spec, basis, u[tile], out=xi[tile])
         z /= gamma[tile, None]
         live.lo[tile] = z.min(axis=1)
     return bound / gamma < live.lo
-
-
-def _tile_rows(xi: np.ndarray) -> int:
-    """Rows of xi per tile: about ``_TILE_BYTES``, at least one."""
-    return max(1, _TILE_BYTES // (xi.itemsize * xi.shape[1]))
 
 
 def _arrival_round(
@@ -173,7 +166,7 @@ def _arrival_round(
         todo &= (live.seen & bit) == 0
         live.seen |= bit
     todo = np.flatnonzero(todo)
-    step = _tile_rows(xi)
+    step = tile_rows(xi)
     for start in range(0, todo.size, step):
         tile = todo[start:start + step]
         z = sample_paths(spec, basis, u[tile])
@@ -220,7 +213,7 @@ def msp_path_blocks(
 ) -> Iterator[RowExtremes]:
     """Stream eta blocks: ``RowExtremes`` over (block, len(grid)) arrays.
 
-    The concatenation of the blocks' ``paths`` is a deterministic function
+    The concatenation of the blocks' ``rows`` is a deterministic function
     of (seed, n, grid). Every block's rows are written into one buffer that
     the call allocates when its first block arrives, so a yielded block is
     valid only until the next one is requested: reduce it before then, or

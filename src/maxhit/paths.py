@@ -3,9 +3,9 @@
 A ``TimeGrid`` is any strictly increasing times in [0, 1]: ``make_grid``'s
 uniform grids span [0, 1], and a window's points or the set T of a
 finite-dimensional law are grids too. Paths are represented by their
-values on a grid; interval endpoints must be grid points. A block of eta
-paths is a ``RowExtremes``: its rows, with their per-row extremes over
-grid slices computed once for all the events that read them.
+values on a grid; interval endpoints must be grid points. Every stream
+yields its blocks as ``RowExtremes``: paths as rows gathered by an index,
+with per-row extremes computed once for all the events that read them.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OffGridError
-from .streams import _is_count
+from .errors import InvalidArgumentError, OffGridError, is_count
 
 # Times this close to a grid point count as on-grid: user-supplied decimals
 # rarely equal the binary double of i/(n-1) bit for bit.
@@ -72,7 +71,7 @@ class TimeGrid:
 def make_grid(n: int) -> TimeGrid:
     """Uniform grid of ``n`` points including both endpoints of [0, 1]; ``n``
     is an integer (not a bool)."""
-    if not _is_count(n):
+    if not is_count(n):
         raise InvalidArgumentError(f"grid size must be an integer, got {n!r}")
     if n < 2:
         raise InvalidArgumentError(f"grid needs at least 2 points, got {n}")
@@ -93,35 +92,56 @@ class Interval:
             )
 
 
-class RowExtremes:
-    """The eta block type: a (rows, grid) array ``paths`` with its per-row
-    min and max over grid slices, each computed at most once and dropped
-    with this object; ``msp_path_blocks`` yields every block as one.
+#: Bytes of rows a tiled pass works on at a time, so that it stays in cache.
+_TILE_BYTES = 1 << 18
 
-    Indexing reads the rows (``ext[:, cols]``). The class lives here, in a
-    module of data types, so that perfbench's tracer charges an extreme to
-    the layer of the event that first asks for it.
+
+def tile_rows(rows: np.ndarray) -> int:
+    """Rows of a (rows, grid) array per tile: about ``_TILE_BYTES``, at least one."""
+    return max(1, _TILE_BYTES // (rows.itemsize * rows.shape[1]))
+
+
+class RowExtremes:
+    """The block type of every stream: the paths ``rows[index]``, with
+    their per-row min and max over grid slices, each computed at most once.
+
+    Eta blocks and built SineBump blocks have ``index = slice(None)``; an
+    atom generator's block holds its K shape rows. Statistics, extremes and
+    columns (``ext[:, cols]``) are read on ``rows``, then gathered by
+    ``index``: the same floats as on the paths, with no atom block built.
+    The class lives in this module of data types so that perfbench's
+    tracer charges its work to the layer of the event that asks for it.
     """
 
-    __slots__ = ("paths", "_seen")
+    __slots__ = ("rows", "index", "_seen")
+    __iter__ = None  # no fallback to indexing row by row
 
-    def __init__(self, paths: np.ndarray):
-        self.paths = paths
+    def __init__(self, rows: np.ndarray, index: np.ndarray | slice = slice(None)):
+        self.rows = rows
+        self.index = index
         self._seen = {}
 
     def __getitem__(self, key):
-        return self.paths[key]
+        rows, *cols = key if isinstance(key, tuple) else (key,)
+        return self.rows[(slice(None), *cols)][self.index][rows]
 
     def row_min(self, sl: slice = slice(None)) -> np.ndarray:
-        """Per row, the min over the columns ``sl``."""
+        """Per path, the min over the columns ``sl``."""
         return self._extreme("min", sl)
 
     def row_max(self, sl: slice = slice(None)) -> np.ndarray:
-        """Per row, the max over the columns ``sl``."""
+        """Per path, the max over the columns ``sl``."""
         return self._extreme("max", sl)
 
+    def rowwise(self, stat) -> np.ndarray:
+        """Per path, a row-wise ``stat`` of a (rows, grid) array, evaluated
+        on ``rows`` a tile at a time (``tile_rows``), then gathered."""
+        step = tile_rows(self.rows)
+        tiles = [stat(self.rows[i:i + step]) for i in range(0, len(self.rows), step)]
+        return np.concatenate(tiles)[self.index]
+
     def _extreme(self, kind: str, sl: slice) -> np.ndarray:
-        key = (kind, *sl.indices(self.paths.shape[1]))
+        key = (kind, *sl.indices(self.rows.shape[1]))
         if key not in self._seen:
-            self._seen[key] = getattr(self.paths[:, sl], kind)(axis=1)
+            self._seen[key] = getattr(self.rows[:, sl], kind)(axis=1)[self.index]
         return self._seen[key]

@@ -20,18 +20,13 @@ from zlib import crc32
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_count
 
 # Replicas per RNG block. Fixed: changing it changes which uniforms land on
 # which replica, hence the sampled values for a given seed.
 BLOCK_SIZE = 4096
 
 Seed = int | np.random.SeedSequence
-
-
-def _is_count(value) -> bool:
-    """A Python or numpy integer that is not a bool."""
-    return isinstance(value, int | np.integer) and not isinstance(value, bool)
 
 
 def as_seedseq(seed: Seed) -> np.random.SeedSequence:
@@ -42,7 +37,7 @@ def as_seedseq(seed: Seed) -> np.random.SeedSequence:
     """
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if not (_is_count(seed) and seed >= 0):
+    if not (is_count(seed) and seed >= 0):
         raise InvalidArgumentError(f"seed must be an integer >= 0, got {seed!r}")
     return np.random.SeedSequence(int(seed))
 
@@ -70,7 +65,7 @@ def block_streams(seed: Seed, n: int) -> Iterator[tuple[int, np.random.Generator
     bad seed or sample size in the same way.
     """
     root = as_seedseq(seed)
-    if not _is_count(n):
+    if not is_count(n):
         raise InvalidArgumentError(f"replication count must be an integer, got {n!r}")
     if n < 1:
         raise InvalidArgumentError(f"replication count must be >= 1, got {n}")

@@ -19,9 +19,10 @@ many coordinates are grid-exact. A hitting integral is the mean of a
 per-path range (Fubini) and carries its se and no flat slack: a bound on
 it holds on any grid, and an equality is tested against the grid-exact
 mean. A KS distance is bounded by ``ks_band``. A null probability is zero
-observed successes with rule-of-three CI upper bound 3/n, a positive one
-at least one success. Exact quantities carry se 0. A reference from eta's finite-dimensional law (``expected_max``) is
-exact up to rounding, so its tolerance adds ``SUP_EQ_TOL``. A claim that
+observed successes with rule-of-three CI upper bound min(1, 3/n), a
+positive one at least one success. Exact quantities carry se 0. A
+reference from eta's finite-dimensional law (``expected_max``) is exact
+up to rounding, so its tolerance adds ``SUP_EQ_TOL``. A claim that
 such a value is nonzero is certified by arithmetic: it is a ``gap`` of se 0
 over ``SUP_EQ_TOL``, and no sampled gap from 0 is needed.
 
@@ -40,18 +41,15 @@ generator (Z) paths, and ``stopping-exactness``'s arrival loop, so eta
 and Z estimates stay independent. Checks that share a stream are
 dependent; a check's entry is the same whichever checks run beside it.
 
-An eta block is a ``paths.RowExtremes``, so the per-row min and max
-over a grid slice are computed once per block
-whichever events read them: hit masks, mean ranges, survivor-bound's
-min > -1, the shared-draw invariants and cor33's window max. Events that
-would scan the block point by point use exact extreme forms: eq2's
-eta <= f over each run of equal values v of f is max eta <= v
-(``_below``), and eq3 reads only the rows whose max is >= 0. What stays
-point by point (eq2's linear f, example1's sloped curve as eta <= f
-somewhere and eta >= f somewhere) runs a row tile at a time (``_tiled``),
-as do the statistics of built SineBump Z blocks, so no reducer allocates
-a temporary the size of its block. Every per-path value and every block
-sum is the float it was.
+Every block, of eta or of generator paths, is a ``paths.RowExtremes``,
+so the per-row min and max over a grid slice are computed once per block
+whichever events read them. Events that would scan a block point by
+point use exact extreme forms: eq2's eta <= f over each run of equal
+values v of f is max eta <= v (``_below``), and eq3 reads only the rows
+whose max is >= 0. What stays point by point (eq2's linear f, example1's
+sloped curve, the D-norms and the Z invariants) runs a row tile at a time
+(``RowExtremes.rowwise``), so no reducer allocates a temporary the size
+of its block. Only eq1 reads a Z block's rows and index (``_ZSums``).
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from functools import partial
 import numpy as np
 
 from .dnorm import LevelFunction
-from .errors import InvalidArgumentError, UnknownCheckError
+from .errors import InvalidArgumentError, UnknownCheckError, is_count
 from .estimates import (
     Estimate,
     EventCounts,
@@ -75,7 +73,6 @@ from .estimates import (
     StatMeans,
     binomial_estimate,
     mean_estimate_from_sums,
-    per_path,
     rule_of_three,
 )
 from .generators import (
@@ -92,20 +89,15 @@ from .generators import (
     shape_blocks,
 )
 from .hitting import (
-    _checked_levels,
+    checked_levels,
     curve_event,
     down_up_down_mask,
     hit_mask,
     hitting_bound,
 )
-from .msp import (
-    _tile_rows,
-    ks_distance_neg_exponential,
-    msp_path_blocks,
-    stopping_exactness_violations,
-)
-from .paths import Interval, RowExtremes, TimeGrid, make_grid
-from .streams import _is_count, as_seedseq, label_key, substream
+from .msp import ks_distance_neg_exponential, msp_path_blocks, stopping_exactness_violations
+from .paths import Interval, RowExtremes, TimeGrid, make_grid, tile_rows
+from .streams import as_seedseq, label_key, substream
 
 DEFAULT_N = 100_000
 #: The smallest n every check runs at: max-stability needs one group of 5.
@@ -152,14 +144,14 @@ ETA_STREAM_LABEL = "margins-ks"
 def final_example_reference(x: float) -> float:
     """Two-branch hitting probability h(x) = (1 - e^x - x) e^x at a level
     x < 0."""
-    _checked_levels([x])
+    checked_levels([x])
     return (1.0 - math.exp(x) - x) * math.exp(x)
 
 
 def final_example_two_hit(x: float, t0: float) -> float:
     """Two-branch probability of hitting x < 0 in both [0, t0] and [t0, 1],
     (e^{x(1-t0)} - e^x)(e^{x t0} - e^x), for an interior split t0."""
-    _checked_levels([x])
+    checked_levels([x])
     if not 0.0 < t0 < 1.0:
         raise InvalidArgumentError(f"split must be interior to (0, 1), got {t0}")
     return (math.exp(x * (1.0 - t0)) - math.exp(x)) * (math.exp(x * t0) - math.exp(x))
@@ -308,12 +300,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __getitem__(self, check_id: str) -> CheckResult:
-        for c in self.checks:
-            if c.check_id == check_id:
-                return c
-        raise KeyError(check_id)
-
     def as_dict(self) -> dict:
         """The report as JSON data; a byte-stable run's seconds read 0."""
         doc = {
@@ -378,23 +364,11 @@ def check(check_id: str, description: str):
 # --- streams and their reducers -------------------------------------------------
 
 
-def _tiled(stat: Callable) -> Callable:
-    """A row-wise ``stat`` of a path array, evaluated per row tile of the
-    sampler's size (``msp._tile_rows``) and concatenated: the same values,
-    with the temporaries of a tile instead of a block."""
-
-    def tiled(paths: np.ndarray) -> np.ndarray:
-        step = _tile_rows(paths)
-        return np.concatenate([stat(paths[i:i + step]) for i in range(0, len(paths), step)])
-
-    return tiled
-
-
 def _column_square_sums(paths: np.ndarray) -> np.ndarray:
     """``np.square(paths).sum(axis=0)`` bit for bit, squaring a row tile at
     a time: a sum over axis 0 adds the rows in order, so each tile's first
     row is given the sum so far."""
-    step = _tile_rows(paths)
+    step = tile_rows(paths)
     total = None
     for i in range(0, len(paths), step):
         sq = np.square(paths[i:i + step])
@@ -431,8 +405,8 @@ class _ZSums:
 
     n = counts = total = total_sq = 0
 
-    def __call__(self, block) -> None:
-        rows, index = block
+    def __call__(self, block: RowExtremes) -> None:
+        rows, index = block.rows, block.index
         if isinstance(index, slice):
             self.total = self.total + rows.sum(axis=0)
             self.total_sq = self.total_sq + _column_square_sums(rows)
@@ -450,7 +424,7 @@ class _ZSums:
 def _sup_means(fs: list[LevelFunction]) -> StatMeans:
     """Per level function f, the running mean of sup |f| Z over the
     generator paths fed: the D-norm of f, as ``dnorm_estimates`` gives it."""
-    return StatMeans(*(per_path(_tiled(lambda z, af=np.abs(f.values): np.max(z * af, axis=1)))
+    return StatMeans(*(lambda z, af=np.abs(f.values): z.rowwise(lambda r: np.max(r * af, axis=1))
                        for f in fs))
 
 
@@ -458,8 +432,8 @@ def _sup_at_endpoint(grid: TimeGrid, interval: Interval) -> EventCounts:
     """Counts the generator paths whose sup over ``interval`` equals the
     larger of its two endpoint values, to ``SUP_EQ_TOL``."""
     sl = grid.slice_of(interval)
-    return EventCounts(per_path(lambda z: np.abs(
-        z[:, sl].max(axis=1) - np.maximum(z[:, sl.start], z[:, sl.stop - 1])) <= SUP_EQ_TOL))
+    return EventCounts(lambda z: np.abs(
+        z.row_max(sl) - np.maximum(z[:, sl.start], z[:, sl.stop - 1])) <= SUP_EQ_TOL)
 
 
 def _hits(ctx: CheckContext, name: str, levels, intervals: list[Interval]) -> EventCounts:
@@ -524,8 +498,7 @@ def _below(f: LevelFunction) -> Callable:
     v = f.values
     edges = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1), len(v)]
     if len(edges) - 1 > _MAX_RUNS:
-        compare = _tiled(lambda eta: np.all(eta <= v, axis=1))
-        return lambda ext: compare(ext.paths)
+        return lambda ext: ext.rowwise(lambda eta: np.all(eta <= v, axis=1))
     runs = [(slice(a, b), v[a]) for a, b in zip(edges, edges[1:])]
 
     def below(ext: RowExtremes) -> np.ndarray:
@@ -606,15 +579,17 @@ def _check_max_stability(ctx: CheckContext):
     return out
 
 
+_TAKAHASHI = ("complete_dependence", "piecewise_example", "two_branch")
+
+
 @check("takahashi", "m = 1 iff D-norm equals sup-norm")
 def _check_takahashi(ctx: CheckContext):
     """Complete dependence is decided as every probe's D-norm within
     3 se + 1e-12 of its sup-norm, all D-norms from one shared set of
     paths; the absolute term absorbs float accumulation when they are equal."""
     probes = [f for _, f in _criterion2_functions(ctx.grid)]
-    expected = {"complete_dependence": 1.0, "piecewise_example": 0.0, "two_branch": 0.0}
     dnorms = {name: ctx.own(gi, spec, _sup_means(probes))
-              for gi, (name, spec) in enumerate(CATALOGUE.items()) if name in expected}
+              for gi, (name, spec) in enumerate(CATALOGUE.items()) if name in _TAKAHASHI}
     yield
     out = []
     for name, dns in dnorms.items():
@@ -622,8 +597,9 @@ def _check_takahashi(ctx: CheckContext):
             abs(est.value - float(np.max(np.abs(f.values)))) <= 3.0 * est.se + 1e-12
             for est, f in zip(map(dns.estimate, range(len(probes))), probes)
         )
-        out.append(Assertion(f"{name}:complete_dependence",
-                             1.0 if complete else 0.0, expected[name]))
+        # Takahashi: complete dependence exactly when m = 1
+        expected = 1.0 if closed_form_m(CATALOGUE[name]) == 1.0 else 0.0
+        out.append(Assertion(f"{name}:complete_dependence", 1.0 if complete else 0.0, expected))
     return out
 
 
@@ -635,10 +611,12 @@ def _check_example1_complete_dependence(ctx: CheckContext):
     eta <= f somewhere and eta >= f somewhere (fl(a - b) has the sign of
     a - b)."""
     fv = LevelFunction.piecewise_linear(ctx.grid, [0.0, 1.0], [-1.0, -2.0]).values
-    meets = _tiled(lambda eta: np.any(eta <= fv, axis=1) & np.any(eta >= fv, axis=1))
+
+    def meets(eta: np.ndarray) -> np.ndarray:
+        return np.any(eta <= fv, axis=1) & np.any(eta >= fv, axis=1)
+
     acc = ctx.eta("complete_dependence", EventCounts(
-        curve_event([-1.0], [Interval(0.0, 1.0)], ctx.grid),
-        lambda ext: meets(ext.paths)))
+        curve_event([-1.0], [Interval(0.0, 1.0)], ctx.grid), lambda ext: ext.rowwise(meets)))
     yield
     (fixed,), met = acc.counts
     out = _null_probability(binomial_estimate(int(fixed), ctx.n), "fixed_level:")
@@ -681,12 +659,10 @@ _SURVIVOR_GENERATORS = ("complete_dependence", "piecewise_example", "sine_bump")
 @check("survivor-bound", "survivor probability lower bound")
 def _check_survivor_bound(ctx: CheckContext):
     """Survivor probability of f = -1 dominates the bound 1 - exp(-v),
-    v = E inf |f| Z, whose se is the delta-method exp(-v) se(v); the
-    assertion's se is the sum of both estimates' se (independent draws, a
-    conservative bound)."""
-    absf = np.abs(LevelFunction.constant(ctx.grid, -1.0).values)
-    vs = [ctx.own(2 * gi, CATALOGUE[name],
-                  StatMeans(per_path(_tiled(lambda z: np.min(z * absf, axis=1)))))
+    v = E inf |f| Z = E inf Z, whose se is the delta-method exp(-v) se(v);
+    the assertion's se is the sum of both estimates' se (independent draws,
+    a conservative bound)."""
+    vs = [ctx.own(2 * gi, CATALOGUE[name], StatMeans(lambda z: z.row_min()))
           for gi, name in enumerate(_SURVIVOR_GENERATORS)]
     # eta > -1 at every grid point: min eta > -1
     survived = [ctx.eta(name, EventCounts(lambda ext: ext.row_min() > -1.0))
@@ -704,18 +680,19 @@ def _check_survivor_bound(ctx: CheckContext):
 
 @check("example2-m", "ramp-plateau generator constant (3n^2+n)/(n+1)^2")
 def _check_example2_m(ctx: CheckContext):
-    """Generator constants of the ramp-plateau model at n = 2.
+    """Generator constants of the catalogue's ramp-plateau model against
+    the paper's formulas in its n (14/9 and 5/9 at n = 2).
 
     ``closed_form_m`` derives m from the atom table, so its exact match
-    with the paper's 14/9 checks the table, not a restated formula.
+    with the formula checks the table, not a restated formula.
     """
     spec = CATALOGUE["piecewise_example"]
-    acc = ctx.own(0, spec, StatMeans(per_path(lambda z: z.max(axis=1)),
-                                     per_path(lambda z: z.min(axis=1))))
+    acc = ctx.own(0, spec, StatMeans(lambda z: z.row_max(), lambda z: z.row_min()))
     yield
     m_hat, m_tilde_hat = acc.estimate(0), acc.estimate(1)
-    m_exact = 14.0 / 9.0
-    mt_exact = 5.0 / 9.0
+    n = spec.n
+    m_exact = (3 * n * n + n) / (n + 1) ** 2
+    mt_exact = (n + 3) / (n + 1) ** 2
     return [
         Assertion("m_hat", m_hat.value, m_exact, se=m_hat.se, z=Z_STAT),
         Assertion("m_tilde_hat", m_tilde_hat.value, mt_exact,
@@ -1002,7 +979,8 @@ def _check_shared_draw_invariants(ctx: CheckContext):
             z[:, sl_inner].max(axis=1) > z.max(axis=1),
         ])
 
-    z_bad = [ctx.own(2 * gi, spec, EventCounts(per_path(_tiled(z_violations))), n=_SHARED_DRAW_N)
+    z_bad = [ctx.own(2 * gi, spec, EventCounts(lambda z: z.rowwise(z_violations)),
+                     n=_SHARED_DRAW_N)
              for gi, spec in enumerate(CATALOGUE.values())]
     eta_bad = [ctx.eta(name, _eta_invariant_violations(ctx)) for name in CATALOGUE]
     yield
@@ -1042,7 +1020,7 @@ def _results(futures: list[Future]) -> list:
 
 def checked_threads(threads) -> None:
     """Refuse a ``threads`` that is not an integer >= 1 (a bool is not)."""
-    if not (_is_count(threads) and threads >= 1):
+    if not (is_count(threads) and threads >= 1):
         raise InvalidArgumentError(f"threads must be an integer >= 1, got {threads!r}")
 
 
@@ -1072,7 +1050,7 @@ def run_checks(
     if isinstance(master_seed, np.random.SeedSequence):
         raise InvalidArgumentError("a report's master seed must be an integer >= 0")
     master_seed = int(master_seed)
-    if not _is_count(n_default):
+    if not is_count(n_default):
         raise InvalidArgumentError(f"n_default must be an integer, got {n_default!r}")
     n_default = int(n_default)
     if n_default < MIN_N:

@@ -1,6 +1,3 @@
-from itertools import starmap
-from operator import getitem
-
 import numpy as np
 import pytest
 
@@ -49,6 +46,6 @@ def any_spec(request):
 
 
 def z_blocks(spec, grid, n, seed):
-    """Blocks of generator paths, each ``rows[index]`` of a ``shape_blocks``
-    block; no block is held while the next is built."""
-    return starmap(getitem, shape_blocks(spec, grid, n, seed))
+    """Blocks of generator paths, each the paths ``block[:]`` of a
+    ``shape_blocks`` block; no block is held while the next is built."""
+    return (block[:] for block in shape_blocks(spec, grid, n, seed))

@@ -23,7 +23,8 @@ def report():
 
 
 def _criterion(report, number, label, check_ids):
-    results = [report[cid] for cid in check_ids]
+    by_id = {c.check_id: c for c in report.checks}
+    results = [by_id[cid] for cid in check_ids]
     ok = all(r.passed for r in results)
     print(f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'} — {label}")
     for r in results:

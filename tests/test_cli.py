@@ -14,6 +14,7 @@ from maxhit import (CompleteDependence, Interval, LevelFunction, SineBump, TwoBr
                     two_hit_prob, verify)
 from maxhit.cli import UsageError, _build_parser, main, parse_invocation
 from maxhit.errors import InvalidArgumentError
+from maxhit.paths import RowExtremes
 from maxhit.verify import check_ids
 
 
@@ -174,6 +175,15 @@ class TestDispatch:
         assert 0.0 <= float(row[1]) <= 1.0
         # two-branch bound at -1 is 1 - e^{-2}
         assert float(row[4]) == pytest.approx(1 - math.exp(-2.0))
+
+    @pytest.mark.parametrize("seed", [1, 6], ids=["no-hit", "hit"])
+    def test_hitting_interval_of_one_path_is_a_probability(self, seed, two_branch_json,
+                                                           capsys):
+        # one path hits or misses: the rule-of-three end clips to [0, 1]
+        assert main(["hitting", "--generator", two_branch_json, "--levels=-1",
+                     "--n", "1", "--grid", "11", "--seed", str(seed)]) == 0
+        x, est, lo, hi, _ = capsys.readouterr().out.splitlines()[1].split(",")
+        assert (float(est), float(lo), float(hi)) == (seed == 6, 0.0, 1.0)
 
     def test_hitting_bound_column_uses_closed_form_moments(self, sine_json, tmp_path):
         out = tmp_path / "curve.csv"
@@ -375,8 +385,10 @@ class TestDispatch:
         real = verify.shape_blocks
 
         def doubled(spec, *args):
-            for rows, index in real(spec, *args):
-                yield (2.0 * rows if isinstance(spec, CompleteDependence) else rows), index
+            for block in real(spec, *args):
+                if isinstance(spec, CompleteDependence):
+                    block = RowExtremes(2.0 * block.rows, block.index)
+                yield block
 
         monkeypatch.setattr(verify, "shape_blocks", doubled)
         out = tmp_path / "report.json"

@@ -18,7 +18,7 @@ from maxhit import (
     final_example_two_hit,
     make_grid,
 )
-from maxhit.estimates import Z95, EventCounts, StatMeans, per_path, reduce_blocks
+from maxhit.estimates import Z95, EventCounts, StatMeans, reduce_blocks
 from maxhit.generators import draw_uniforms, path_basis, sample_paths, shape_blocks
 from maxhit.streams import block_streams
 from maxhit.verify import SUP_EQ_TOL, _sup_at_endpoint, _sup_means, ks_band
@@ -146,7 +146,7 @@ def survivor_bound(spec, f, n, seed):
     absf = np.abs(f.values)
     v = reduce_blocks(
         shape_blocks(spec, f.grid, n, seed),
-        StatMeans(per_path(lambda z: np.min(z * absf[None, :], axis=1))),
+        StatMeans(lambda z: z.rowwise(lambda r: np.min(r * absf[None, :], axis=1))),
     ).estimate(0)
     value = 1.0 - math.exp(-v.value)
     se = math.exp(-v.value) * v.se
@@ -167,7 +167,7 @@ class TestDnormIndicator:
         norm = _indicator_norm(any_spec, Interval(0.0, 1.0), grid101, 2000, 37)
         m_hat = reduce_blocks(
             shape_blocks(any_spec, grid101, 2000, 37),
-            StatMeans(per_path(lambda z: z.max(axis=1))),
+            StatMeans(lambda z: z.row_max()),
         ).estimate(0)
         assert norm.value == m_hat.value
         assert norm.se == m_hat.se
@@ -244,8 +244,8 @@ class TestTakahashi:
 
 class TestPerShapeReductions:
     """Every row-wise statistic the library and its checks reduce on shape
-    blocks (``per_path``) against the same statistic on materialized
-    paths, field by field with ==."""
+    blocks (``RowExtremes`` extremes, columns and ``rowwise``) against the
+    same statistic on materialized paths, field by field with ==."""
 
     @staticmethod
     def reference_blocks(spec, grid, n, seed):
@@ -288,7 +288,8 @@ class TestPerShapeReductions:
             lambda z: z.min(axis=1),
         ]
         shaped = reduce_blocks(
-            shape_blocks(spec, grid, n, seed), StatMeans(*map(per_path, stats))
+            shape_blocks(spec, grid, n, seed),
+            StatMeans(*(lambda z, stat=stat: z.rowwise(stat) for stat in stats))
         )
         built = reduce_blocks(blocks, StatMeans(*stats))
         for i in range(len(stats)):

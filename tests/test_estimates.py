@@ -78,6 +78,12 @@ class TestBinomialEstimate:
         assert est.value == 1.0
         assert est.ci == (1.0 - 3.0 / 50, 1.0)
 
+    @pytest.mark.parametrize("successes, n", [(0, 1), (1, 1), (0, 2), (2, 2), (0, 3), (3, 3)])
+    def test_boundary_interval_stays_in_the_unit_interval(self, successes, n):
+        # below 3 trials the rule of three bounds nothing: 3/n clips to 1
+        assert rule_of_three(n) == 1.0
+        assert binomial_estimate(successes, n).ci == (0.0, 1.0)
+
     def test_interior(self):
         est = binomial_estimate(600, 1000)
         assert est.value == 0.6

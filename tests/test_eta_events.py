@@ -263,8 +263,8 @@ class TestNoBlockSizedTemporary:
     def test_eta_reducers(self, plan, name):
         draw, reducers = plan[(ETA, list(verify.CATALOGUE).index(name))]
         block = next(iter(draw()))
-        assert block.paths.shape == (4096, len(MEMORY_GRID)) and len(reducers) >= 6
-        assert _extra_peak(reducers, block) <= PEAK_SHARE * block.paths.nbytes
+        assert block.rows.shape == (4096, len(MEMORY_GRID)) and len(reducers) >= 6
+        assert _extra_peak(reducers, block) <= PEAK_SHARE * block.rows.nbytes
 
     def test_sine_bump_z_reducers(self, plan):
         reducers = [r for key, (draw, rs) in plan.items() if key[0] != ETA
@@ -274,5 +274,5 @@ class TestNoBlockSizedTemporary:
         # shared-draw invariants
         assert len(reducers) == 5
         block = next(shape_blocks(SineBump(amp=0.5), MEMORY_GRID, 4096, 3))
-        assert block[1] == slice(None)
-        assert _extra_peak(reducers, block) <= PEAK_SHARE * block[0].nbytes
+        assert block.rows.shape == (4096, len(MEMORY_GRID)) and block.index == slice(None)
+        assert _extra_peak(reducers, block) <= PEAK_SHARE * block.rows.nbytes

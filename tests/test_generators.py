@@ -28,11 +28,12 @@ from maxhit import (
     make_grid,
     msp_corpus,
 )
-from maxhit.estimates import RowStack, StatMeans, per_path, reduce_blocks
+from maxhit.estimates import RowStack, StatMeans, reduce_blocks
 from maxhit.generators import (
     atom_index, draw_uniforms, expected_max, path_basis, path_maxima,
     sample_paths, shape_blocks,
 )
+from maxhit.paths import RowExtremes
 from maxhit.streams import block_streams
 from maxhit.verify import CATALOGUE as NAMED_CATALOGUE
 from maxhit.verify import _sup_at_endpoint
@@ -317,14 +318,50 @@ class TestShapeBlocks:
         basis = path_basis(any_spec, grid101)
         blocks = zip(shape_blocks(any_spec, grid101, n, seed),
                      block_streams(seed, n), strict=True)
-        for (rows, index), (count, rng) in blocks:
+        for block, (count, rng) in blocks:
             u = rng.random((count, k))
-            assert np.array_equal(rows[index], sample_paths(any_spec, basis, u))
+            assert type(block) is RowExtremes
+            assert np.array_equal(block[:], sample_paths(any_spec, basis, u))
             if atoms is None:
-                assert rows.shape == (count, 101) and index == slice(None)
+                assert block.rows.shape == (count, 101) and block.index == slice(None)
             else:
-                assert rows.shape == (len(atoms.values), 101)
-                assert index.shape == (count,)
+                assert block.rows.shape == (len(atoms.values), 101)
+                assert block.index.shape == (count,)
+
+    #: Row-wise statistics of the kinds the suite reduces on Z blocks.
+    STATS = [
+        lambda z: np.max(z * np.linspace(0.5, 2.0, 101), axis=1),
+        lambda z: np.min(z * np.linspace(2.0, 0.0, 101), axis=1),
+        lambda z: np.column_stack([z[:, 3:9].max(axis=1) > z.max(axis=1),
+                                   np.all(z <= 1.5, axis=1)]),
+    ]
+
+    def test_blocks_are_read_through_the_type(self, any_spec, grid101):
+        # extremes over any slice (1-wide ones too), columns, row masks and
+        # rowwise statistics equal those of the paths rows[index] bit for
+        # bit; 4097 paths give a built SineBump block of several row tiles
+        slices = [slice(None), slice(10, 60), slice(0, 1), slice(37, 38), slice(100, 101)]
+        for block in shape_blocks(any_spec, grid101, 4097, 5):
+            paths = block.rows[block.index]
+            for sl in slices:
+                assert block.row_max(sl).tobytes() == paths[:, sl].max(axis=1).tobytes()
+                assert block.row_min(sl).tobytes() == paths[:, sl].min(axis=1).tobytes()
+            for stat in self.STATS:
+                assert block.rowwise(stat).tobytes() == stat(paths).tobytes()
+            assert block[:, 7].tobytes() == paths[:, 7].tobytes()
+            assert block[:, [0, 50], None].tobytes() == paths[:, [0, 50], None].tobytes()
+            low = paths[:, 0] < 1.0
+            assert block[low].tobytes() == paths[low].tobytes()
+            assert np.array_equal(block[:], paths)
+
+    def test_a_block_is_not_iterable(self, any_spec, grid101):
+        # no fallback to indexing row by row, which would build an atom
+        # block's paths once per row
+        block = next(shape_blocks(any_spec, grid101, 10, 5))
+        with pytest.raises(TypeError):
+            rows, index = block
+        with pytest.raises(TypeError):
+            iter(block)
 
 
 _PRETEST_SPECS = [*CATALOGUE, PiecewiseExample(n=5, a=0.1, b=0.3)]
@@ -365,7 +402,7 @@ def moments(spec, grid, n, seed):
     shape-block reduction the example2-m check runs."""
     acc = reduce_blocks(
         shape_blocks(spec, grid, n, seed),
-        StatMeans(per_path(lambda z: z.max(axis=1)), per_path(lambda z: z.min(axis=1))),
+        StatMeans(lambda z: z.row_max(), lambda z: z.row_min()),
     )
     return acc.estimate(0), acc.estimate(1)
 
@@ -496,7 +533,7 @@ class TestExpectedMax:
         grid, n = make_grid(1001), 20_000
         m = reduce_blocks(
             shape_blocks(any_spec, grid, n, 14),
-            StatMeans(per_path(lambda z: z[:, columns].max(axis=1))),
+            StatMeans(lambda z: z[:, columns].max(axis=1)),
         ).estimate(0)
         exact = expected_max(any_spec, grid.points[columns])
         assert abs(m.value - exact) <= 4 * m.se + 1e-12

@@ -137,7 +137,7 @@ class TestCurveHit:
         f = LevelFunction.piecewise_linear(grid201, [0.0, 1.0], [-1.0, -2.0])
         est = count_paths(
             CompleteDependence(), grid201, 20_000, 55,
-            lambda eta: hit_mask(RowExtremes(eta.paths - f.values[None, :]), slice(None), 0.0),
+            lambda eta: hit_mask(RowExtremes(eta[:] - f.values[None, :]), slice(None), 0.0),
         )
         target = math.exp(-1.0) - math.exp(-2.0)
         assert abs(est.value - target) <= 3 * est.se

@@ -217,8 +217,8 @@ def test_block_memory_stays_near_the_block(spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert block.paths.shape == (4096, 1001)
-    assert peak <= 1.25 * block.paths.nbytes
+    assert block.rows.shape == (4096, 1001)
+    assert peak <= 1.25 * block.rows.nbytes
 
 
 def _peak_bytes(fn):
@@ -253,7 +253,7 @@ def test_corpus_memory_is_corpus_plus_one_block():
 def test_consecutive_blocks_share_one_buffer():
     blocks = msp_path_blocks(TwoBranch(), make_grid(101), 4097, 36)
     first = next(blocks)
-    assert np.shares_memory(first.paths, next(blocks).paths)
+    assert np.shares_memory(first.rows, next(blocks).rows)
 
 
 @pytest.mark.parametrize("spec", CATALOGUE, ids=repr)
@@ -264,7 +264,7 @@ def test_blocks_are_row_extremes_that_stack_to_the_corpus(spec):
     rows = []
     for block in msp_path_blocks(spec, grid, 4097, 39):
         assert type(block) is RowExtremes
-        rows.append(block.paths.copy())
+        rows.append(block[:].copy())
     assert [len(r) for r in rows] == [4096, 1]
     assert np.array_equal(np.concatenate(rows), msp_corpus(spec, grid, 4097, 39))
 
@@ -276,7 +276,7 @@ def test_interleaved_streams_keep_their_own_buffers():
     alone = [msp_corpus(spec, grid, 4097, 37) for spec in specs]
     streams = [msp_path_blocks(spec, grid, 4097, 37) for spec in specs]
     for lo, hi in ((0, 4096), (4096, 4097)):
-        pair = [next(s).paths for s in streams]
+        pair = [next(s).rows for s in streams]
         assert not np.shares_memory(*pair)
         for eta, corpus in zip(pair, alone):
             assert np.array_equal(eta, corpus[lo:hi])
@@ -347,7 +347,7 @@ def joint_cdf(spec, fs, n, seed):
     paths on the functions' common grid: the eq2-roundtrip reduction."""
     counts = reduce_blocks(
         msp_path_blocks(spec, LevelFunction.common_grid(fs), n, seed),
-        EventCounts(*(lambda eta, fv=f.values: np.all(eta.paths <= fv, axis=1) for f in fs)),
+        EventCounts(*(lambda eta, fv=f.values: np.all(eta[:] <= fv, axis=1) for f in fs)),
     ).counts
     return [binomial_estimate(int(c), n) for c in counts]
 

@@ -91,6 +91,6 @@ def test_corpus_consistency_between_block_and_whole(any_spec, grid):
 
     whole = msp_corpus(any_spec, grid, N, SEED + 2)
     streamed = np.concatenate(
-        [block.paths.copy() for block in msp_path_blocks(any_spec, grid, N, SEED + 2)], axis=0
+        [block[:].copy() for block in msp_path_blocks(any_spec, grid, N, SEED + 2)], axis=0
     )
     assert np.array_equal(whole, streamed)

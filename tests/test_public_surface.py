@@ -60,13 +60,20 @@ def test_removed_name_is_gone(name):
 #: that every estimator's one fold (``reduce_blocks`` over an accumulator)
 #: replaces, the suite's int sum that a mask stream replaced, a document
 #: writer only tests called, the wrapper that made ``msp_path_blocks``'
-#: arrays eta blocks (it yields them itself) and the name tuple beside the
-#: catalogue (a dict of specs by name).
+#: arrays eta blocks (it yields them itself), the name tuple beside the
+#: catalogue (a dict of specs by name), the gather and the tiler of
+#: ``(rows, index)`` shape blocks that ``RowExtremes`` replaces, with the
+#: sampler's tile rule that moved to ``paths``, and the private helpers
+#: other layers imported (now ``hitting.checked_levels`` and
+#: ``errors.is_count``).
 REMOVED_FROM_MODULES = [
     "maxhit.estimates.count_events", "maxhit.estimates.stream_means",
     "maxhit.estimates.stack_blocks", "maxhit.estimates.RunningMean",
     "maxhit.generators.generator_to_json", "maxhit.verify._Total",
     "maxhit.verify._eta_blocks", "maxhit.verify._ALL",
+    "maxhit.estimates.per_path", "maxhit.verify._tiled",
+    "maxhit.msp._tile_rows", "maxhit.msp._TILE_BYTES",
+    "maxhit.hitting._checked_levels", "maxhit.streams._is_count",
 ]
 
 
@@ -79,6 +86,11 @@ def test_removed_module_name_is_gone(dotted):
 def test_eta_blocks_have_one_form():
     # no adapter from a bare array: every eta block is a RowExtremes
     assert not hasattr(importlib.import_module("maxhit.paths").RowExtremes, "of")
+
+
+def test_report_has_no_test_only_lookup():
+    # callers index ``report.checks`` themselves
+    assert "__getitem__" not in vars(maxhit.CheckReport)
 
 
 def _readme_names():
@@ -177,13 +189,18 @@ def test_perfbench_code_names_resolve():
     assert ("maxhit", "generator_from_json") in used
 
 
-def test_tracer_hooks_resolve():
+def _tracer_lists() -> dict:
+    """The tracer's ``LAYERS`` and ``HELPERS`` tuples, read from its source."""
     tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
+    return {t.id: ast.literal_eval(node.value)
+            for node in tracing.body if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Name) and t.id in ("LAYERS", "HELPERS")}
+
+
+def test_tracer_hooks_resolve():
     # the module lists the tracer imports as maxhit.<name>
-    layers = {t.id: ast.literal_eval(node.value)
-              for node in tracing.body if isinstance(node, ast.Assign)
-              for t in node.targets
-              if isinstance(t, ast.Name) and t.id in ("LAYERS", "HELPERS")}
+    layers = _tracer_lists()
     assert set(layers) == {"LAYERS", "HELPERS"}
     for name in (*layers["LAYERS"], *layers["HELPERS"]):
         importlib.import_module(f"maxhit.{name}")
@@ -197,3 +214,21 @@ def test_tracer_hooks_resolve():
     assert verify._CHECKS and all(
         isinstance(d, verify.CheckDef) and callable(d.runner)
         for d in verify._CHECKS.values())
+
+
+def test_no_private_name_crosses_a_layer():
+    # the tracer charges a frame to the module that defines it, so a
+    # private function of one layer run under another layer's span is a
+    # misattributed sample; helper modules may share private names
+    layers = set(_tracer_lists()["LAYERS"])
+    package = Path(importlib.import_module("maxhit").__file__).parent
+    crossing = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = (node.module or "").removeprefix("maxhit.")
+            if source in layers and source != path.stem:
+                crossing += [f"{path.stem} <- {source}.{a.name}"
+                             for a in node.names if a.name.startswith("_")]
+    assert crossing == []

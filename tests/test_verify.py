@@ -12,8 +12,10 @@ import pytest
 
 from conftest import z_blocks
 from maxhit import (
+    CompleteDependence,
     InvalidArgumentError,
     OffGridError,
+    PiecewiseExample,
     SineBump,
     TimeGrid,
     TwoBranch,
@@ -44,6 +46,11 @@ from maxhit.verify import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _checks(report):
+    """The report's check results by id."""
+    return {c.check_id: c for c in report.checks}
 
 
 class TestFinalExampleReference:
@@ -211,7 +218,7 @@ class TestRunChecks:
         report = run_checks(["example2-m"], master_seed=7, n_default=4000,
                             grid_points=101)
         assert len(report.checks) == 1
-        result = report["example2-m"]
+        result = _checks(report)["example2-m"]
         assert result.passed
         doc = report.as_dict()
         assert set(doc) >= {"suite", "seed", "n_default", "checks", "pass"}
@@ -256,7 +263,7 @@ class TestRunChecks:
         assert type(rep.seed) is int
         json.dumps(rep.as_dict())
         plain = run_checks(["example2-m"], 7, n_default=1000, grid_points=101)
-        assert rep["example2-m"].assertions == plain["example2-m"].assertions
+        assert _checks(rep)["example2-m"].assertions == _checks(plain)["example2-m"].assertions
 
     def test_seed_sequence_master_seed_is_refused(self):
         with pytest.raises(InvalidArgumentError, match="integer"):
@@ -284,7 +291,7 @@ def test_lemma31_reference_is_the_oracle():
     for points in (101, 1001):
         report = run_checks(["lemma31-closedform"], 7, n_default=500,
                             grid_points=points)
-        assert report["lemma31-closedform"].assertions[0].expected == want
+        assert _checks(report)["lemma31-closedform"].assertions[0].expected == want
 
 
 def test_sine_checks_take_their_spec_from_the_catalogue(monkeypatch):
@@ -294,14 +301,35 @@ def test_sine_checks_take_their_spec_from_the_catalogue(monkeypatch):
     report = run_checks(["hcurve-bound", "hintegral-bound", "lemma31-closedform"], 7,
                         n_default=200, grid_points=101)
     m, mt = closed_form_m(sine), closed_form_m_tilde(sine)
-    assert [a.expected for a in report["hcurve-bound"].assertions] == [
+    assert [a.expected for a in _checks(report)["hcurve-bound"].assertions] == [
         hitting_bound(m, mt, x) for x in verify._HCURVE_LEVELS]
-    bound, positive, minus_max = report["hintegral-bound"].assertions
+    bound, positive, minus_max = _checks(report)["hintegral-bound"].assertions
     assert bound.expected == (m - mt) / (m * mt)
     assert minus_max.expected == 1.0 / expected_max(sine, make_grid(101).points)
     want = (math.exp(-expected_max(sine, [0.0, 0.5]))
             - math.exp(-expected_max(sine, [0.0, 0.25, 0.5])))
-    assert report["lemma31-closedform"].assertions[0].expected == want
+    assert _checks(report)["lemma31-closedform"].assertions[0].expected == want
+
+
+def test_example2_m_references_follow_the_catalogue_n(monkeypatch):
+    # (3n^2+n)/(n+1)^2 and (n+3)/(n+1)^2 at n = 3, where the atom table's
+    # m is exact too
+    monkeypatch.setitem(verify.CATALOGUE, "piecewise_example", PiecewiseExample(3, .25, .75))
+    (result,) = run_checks(["example2-m"], 7, n_default=200, grid_points=101).checks
+    assert [a.expected for a in result.assertions] == [15 / 8, 3 / 8, 15 / 8]
+    assert result.assertions[-1].passed
+
+
+def test_takahashi_verdict_follows_the_catalogue(monkeypatch):
+    # Takahashi: a spec with m = 1 is completely dependent, whatever its name
+    monkeypatch.setitem(verify.CATALOGUE, "two_branch", CompleteDependence())
+    (result,) = run_checks(["takahashi"], 7, n_default=200, grid_points=101).checks
+    assert [(a.name, a.expected) for a in result.assertions] == [
+        ("complete_dependence:complete_dependence", 1.0),
+        ("piecewise_example:complete_dependence", 0.0),
+        ("two_branch:complete_dependence", 1.0),
+    ]
+    assert result.passed
 
 
 #: Irregular times in [0, 1] holding both ends, for the grid-range reference.
@@ -356,10 +384,10 @@ class TestIntegralChecks:
                 assert a.se > 0.0 and a.z == Z_STAT and a.slack <= SUP_EQ_TOL, a.name
 
     def test_references_are_exact(self, report):
-        final = report["final-integral-3/2"].assertions
+        final = _checks(report)["final-integral-3/2"].assertions
         assert [a.expected for a in final] == [1.5 - 1.0 / 1001, 0.5]
         sine = SineBump(amp=0.5)
-        minus_max = report["hintegral-bound"].assertions[-1]
+        minus_max = _checks(report)["hintegral-bound"].assertions[-1]
         assert minus_max.expected == 1.0 / expected_max(sine, np.linspace(0.0, 1.0, 1001))
 
     def test_no_ladder_is_sampled(self, monkeypatch):
@@ -376,7 +404,8 @@ class TestCor33:
 
     @pytest.fixture(scope="class")
     def result(self):
-        return run_checks(["cor33-equivalences"], 7, n_default=4096)["cor33-equivalences"]
+        (result,) = run_checks(["cor33-equivalences"], 7, n_default=4096).checks
+        return result
 
     @staticmethod
     def _part(result, name):
@@ -479,7 +508,7 @@ class TestDrawPlan:
     @pytest.mark.parametrize("check_id", check_ids())
     def test_entry_alone_equals_entry_in_suite(self, suite, check_id):
         alone = run_checks([check_id], 5, **_PLAN)
-        assert alone.as_dict()["checks"] == [suite[check_id].as_dict(runtime=False)]
+        assert alone.as_dict()["checks"] == [_checks(suite)[check_id].as_dict(runtime=False)]
 
     def test_report_independent_of_threads(self):
         # more workers than cores and frequent thread switches: a reducer
